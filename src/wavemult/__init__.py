@@ -30,16 +30,13 @@ from .wavelet_sets import (
 )
 from .sigma import (
     CommutantVerdict,
-    ExtendedPiecewiseMap,
     SigmaMap,
     build_sigma,
     compose,
     compose_power,
     dyadic_extension,
-    extend_at,
     extension_at,
     power_in_local_commutant,
-    restrict_extended,
 )
 from .dimension import (
     DimensionIntegral,

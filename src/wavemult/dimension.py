@@ -22,8 +22,10 @@ from .exact import (
     Interval,
     IntervalSet,
     RationalPi,
+    group_by_value,
+    sweep,
 )
-from .wavelet_sets import PRINCIPAL_WINDOW, is_wavelet_set
+from .wavelet_sets import PRINCIPAL_WINDOW, _require_wavelet_set
 
 __all__ = [
     "StepFunction",
@@ -51,24 +53,11 @@ class StepFunction:
     pairs: tuple[tuple[IntervalSet, int], ...]
 
     def __post_init__(self) -> None:
-        grouped: dict[int, list[Interval]] = {}
-        for piece, value in self.pairs:
-            if piece.is_empty:
-                continue
-            if value < 0:
-                raise ValueError("step function values must be nonnegative")
-            grouped.setdefault(int(value), []).extend(piece.pieces)
-        pairs = tuple(
-            (IntervalSet.from_intervals(ivs), value)
-            for value, ivs in sorted(grouped.items())
-        )
+        if any(value < 0 for piece, value in self.pairs if not piece.is_empty):
+            raise ValueError("step function values must be nonnegative")
+        pairs, union = group_by_value((piece, int(value)) for piece, value in self.pairs)
         object.__setattr__(self, "pairs", pairs)
-
-        total = sum((p.measure().coef for p, _ in pairs), Fraction(0))
-        union = IntervalSet.empty()
-        for piece, _ in pairs:
-            union = union.union(piece)
-        if union.measure().coef != total or union != self.window:
+        if union != self.window:
             raise ValueError("step function pieces must partition the window")
 
     def value_at(self, x: RationalPi) -> int:
@@ -116,28 +105,21 @@ class StepFunction:
 
 
 def _step_from_covers(window: IntervalSet, covers: Sequence[IntervalSet]) -> StepFunction:
-    """Sum of the indicator functions of `covers`, as a step function on `window`."""
-    cut_coefs = {e.coef for s in covers for iv in s for e in (iv.lo, iv.hi)}
+    """Sum of the indicator functions of `covers`, as a step function on `window`.
+
+    One sweep over the window pieces (tagged True) and the cover pieces
+    (tagged False); inside the window the value is the count less one.
+    """
+    items = [(iv.lo.coef, iv.hi.coef, True) for iv in window]
+    items += [(iv.lo.coef, iv.hi.coef, False) for s in covers for iv in s]
     grouped: dict[int, list[Interval]] = {}
-    for piece in window:
-        cuts = [piece.lo.coef]
-        cuts += sorted(c for c in cut_coefs if piece.lo.coef < c < piece.hi.coef)
-        cuts.append(piece.hi.coef)
-        for lo_c, hi_c in zip(cuts, cuts[1:]):
-            mid = RationalPi((lo_c + hi_c) / 2)
-            value = sum(1 for s in covers if s.contains(mid))
-            grouped.setdefault(value, []).append(
-                Interval(RationalPi(lo_c), RationalPi(hi_c))
-            )
+    for lo, hi, count, tags in sweep(items):
+        if True in tags:
+            grouped.setdefault(count - 1, []).append(Interval(RationalPi(lo), RationalPi(hi)))
     return StepFunction(
         window,
         tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in grouped.items()),
     )
-
-
-def _require_wavelet_set(W: IntervalSet) -> None:
-    if not is_wavelet_set(W).accepted:
-        raise PreconditionError(f"not a wavelet set: {W.to_text() or '(empty)'}")
 
 
 def dimension_at(W: IntervalSet, xi: RationalPi) -> int:
@@ -230,25 +212,13 @@ def core_equivalence_regions(
     Wa: IntervalSet, Wb: IntervalSet, query: IntervalSet
 ) -> IntervalSet:
     """Subregion of the query where the two dimension functions differ."""
-    fa = dimension_step_function(Wa, query)
-    fb = dimension_step_function(Wb, query)
-    cut_coefs = {
-        e.coef
-        for f in (fa, fb)
-        for piece, _ in f.pairs
-        for iv in piece
-        for e in (iv.lo, iv.hi)
-    }
-    out = []
-    for piece in query:
-        cuts = [piece.lo.coef]
-        cuts += sorted(c for c in cut_coefs if piece.lo.coef < c < piece.hi.coef)
-        cuts.append(piece.hi.coef)
-        for lo_c, hi_c in zip(cuts, cuts[1:]):
-            mid = RationalPi((lo_c + hi_c) / 2)
-            if fa.value_at(mid) != fb.value_at(mid):
-                out.append(Interval(RationalPi(lo_c), RationalPi(hi_c)))
-    return IntervalSet.from_intervals(out)
+    fa, fb = dimension_step_function(Wa, query), dimension_step_function(Wb, query)
+    # Both functions partition the query, so every cell lies under one row of
+    # each; its distinct tags (the row values) are two exactly where they differ.
+    rows = ((iv.lo.coef, iv.hi.coef, value)
+            for f in (fa, fb) for piece, value in f.pairs for iv in piece)
+    return IntervalSet.from_intervals(Interval(RationalPi(lo), RationalPi(hi))
+                                      for lo, hi, _, values in sweep(rows) if len(values) == 2)
 
 
 def mra_consistent(W: IntervalSet, depth: int = 10) -> bool:
@@ -268,6 +238,8 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
     breakpoint.
     """
     rows = dimension_step_function(W, window).rows()
+    if not rows:
+        return []
     per_row = -(-count // len(rows))
     points = []
     for iv, _ in rows:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from operator import itemgetter
+from typing import Any, Hashable, Iterable, Iterator, Optional, Union
 
 __all__ = [
     "PreconditionError",
@@ -25,6 +26,8 @@ __all__ = [
     "MINUS_PI",
     "floor_log2",
     "ceil_log2",
+    "sweep",
+    "group_by_value",
 ]
 
 RationalLike = Union[int, str, Fraction]
@@ -38,18 +41,20 @@ def _pow2(n: int) -> Fraction:
     return Fraction(2) ** n
 
 
+def _exact(k: RationalLike) -> Fraction:
+    if isinstance(k, float):
+        raise TypeError("exact scalars take int, str or Fraction, not float")
+    return Fraction(k)
+
+
 def floor_log2(q: Fraction) -> int:
     """Largest m with 2**m <= q, computed exactly (q must be positive)."""
     if q <= 0:
         raise ValueError("floor_log2 requires a positive argument")
-    m = 0
-    while q < 1:
-        q *= 2
-        m -= 1
-    while q >= 2:
-        q /= 2
-        m += 1
-    return m
+    n, d = q.numerator, q.denominator
+    m = n.bit_length() - d.bit_length()  # q lies in [2**(m-1), 2**(m+1))
+    below = n < d << m if m >= 0 else n << -m < d
+    return m - 1 if below else m
 
 
 def ceil_log2(q: Fraction) -> int:
@@ -58,19 +63,56 @@ def ceil_log2(q: Fraction) -> int:
     return m if _pow2(m) == q else m + 1
 
 
-@dataclass(frozen=True, order=True)
+def _order_key(x: Fraction) -> tuple:
+    """Exact sort and equality key for x that mostly compares ints, not Fractions.
+
+    (q,) when x = q / 2**64 exactly, else (q, x) with q = floor(x * 2**64).
+    """
+    q, r = divmod(x.numerator << 64, x.denominator)
+    return (q, x) if r else (q,)
+
+
+def sweep(
+    items: Iterable[tuple[Fraction, Fraction, Hashable]],
+) -> Iterator[tuple[Fraction, Fraction, int, tuple]]:
+    """Overlay tagged half-open intervals [lo, hi), given as coefficient triples.
+
+    Sorts the 2n endpoints once and walks them, keeping the number of open
+    intervals and their distinct tags.  Yields (lo, hi, count, tags) for each
+    covered cell between consecutive endpoints, in increasing order.
+    """
+    events = []
+    for lo, hi, tag in items:
+        events.append((_order_key(lo), lo, 1, tag))
+        events.append((_order_key(hi), hi, -1, tag))
+    events.sort(key=itemgetter(0))
+    count = 0
+    open_tags: dict = {}
+    for (key, x, step, tag), following in zip(events, events[1:]):
+        count += step
+        left = open_tags.get(tag, 0) + step
+        if left:
+            open_tags[tag] = left
+        else:
+            del open_tags[tag]
+        if count and following[0] != key:
+            yield x, following[1], count, tuple(open_tags)
+
+
+@dataclass(frozen=True)
 class RationalPi:
     """An exact scalar (num/den)*pi.
 
     The coefficient is stored as a `Fraction`, which keeps num/den coprime
     with a positive denominator after every operation.  Ordering and equality
-    compare coefficients exactly, never through floats.
+    compare coefficients exactly, never through floats; floats are rejected.
     """
 
     coef: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coef", Fraction(self.coef))
+        if type(self.coef) is not Fraction:
+            object.__setattr__(self, "coef", _exact(self.coef))
 
     @classmethod
     def of(cls, num: int, den: int = 1) -> "RationalPi":
@@ -93,6 +135,18 @@ class RationalPi:
         """True when the value lies on the 2*pi*Z lattice."""
         return self.coef % 2 == 0
 
+    def __lt__(self, other: "RationalPi") -> bool:
+        return self.coef < other.coef if isinstance(other, RationalPi) else NotImplemented
+
+    def __le__(self, other: "RationalPi") -> bool:
+        return self.coef <= other.coef if isinstance(other, RationalPi) else NotImplemented
+
+    def __gt__(self, other: "RationalPi") -> bool:
+        return self.coef > other.coef if isinstance(other, RationalPi) else NotImplemented
+
+    def __ge__(self, other: "RationalPi") -> bool:
+        return self.coef >= other.coef if isinstance(other, RationalPi) else NotImplemented
+
     def __add__(self, other: "RationalPi") -> "RationalPi":
         if not isinstance(other, RationalPi):
             return NotImplemented
@@ -112,12 +166,12 @@ class RationalPi:
     def __mul__(self, k: RationalLike) -> "RationalPi":
         if isinstance(k, RationalPi):
             raise TypeError("pi*pi is not representable; multiply by a rational")
-        return RationalPi(self.coef * Fraction(k))
+        return RationalPi(self.coef * _exact(k))
 
     __rmul__ = __mul__
 
     def __truediv__(self, k: RationalLike) -> "RationalPi":
-        return RationalPi(self.coef / Fraction(k))
+        return RationalPi(self.coef / _exact(k))
 
     def times_pow2(self, n: int) -> "RationalPi":
         """Exact scaling by 2**n (n may be negative)."""
@@ -185,11 +239,6 @@ class Interval:
     def negated(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
-    def overlap(self, other: "Interval") -> Optional["Interval"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo < hi else None
-
     def midpoint(self) -> RationalPi:
         return (self.lo + self.hi) / 2
 
@@ -221,7 +270,7 @@ class IntervalSet:
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
         """Canonicalize any collection of intervals (the normalize operation)."""
-        items = sorted(intervals, key=lambda iv: iv.lo.coef)
+        items = sorted(intervals, key=lambda iv: _order_key(iv.lo.coef))
         merged: list[Interval] = []
         for iv in items:
             if merged and iv.lo <= merged[-1].hi:
@@ -231,6 +280,14 @@ class IntervalSet:
             else:
                 merged.append(iv)
         return cls(tuple(merged))
+
+    @classmethod
+    def from_disjoint(cls, intervals: Iterable[Interval]) -> Optional["IntervalSet"]:
+        """Union of pairwise disjoint intervals, or None when two overlap (one sort)."""
+        items = sorted(intervals, key=lambda iv: _order_key(iv.lo.coef))
+        if any(a.hi > b.lo for a, b in zip(items, items[1:])):
+            return None
+        return cls.from_intervals(items)
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -253,37 +310,22 @@ class IntervalSet:
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_intervals(self.pieces + other.pieces)
 
+    def _select(self, other: "IntervalSet", keep) -> "IntervalSet":
+        """Cells of one sweep over self (tag 0) and other (tag 1) whose tags `keep` accepts.
+
+        Both operands are canonical, so no two kept cells are adjacent.
+        """
+        items = [(iv.lo.coef, iv.hi.coef, 0) for iv in self.pieces]
+        items += [(iv.lo.coef, iv.hi.coef, 1) for iv in other.pieces]
+        cells = sweep(items)
+        return IntervalSet(tuple(Interval(RationalPi(lo), RationalPi(hi))
+                                 for lo, hi, _, tags in cells if keep(tags)))
+
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        i = j = 0
-        a, b = self.pieces, other.pieces
-        while i < len(a) and j < len(b):
-            ov = a[i].overlap(b[j])
-            if ov is not None:
-                out.append(ov)
-            if a[i].hi <= b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
+        return self._select(other, lambda tags: len(tags) == 2)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        for piece in self.pieces:
-            start = piece.lo
-            for cut in other.pieces:
-                if cut.hi <= start:
-                    continue
-                if cut.lo >= piece.hi:
-                    break
-                if cut.lo > start:
-                    out.append(Interval(start, cut.lo))
-                start = max(start, cut.hi)
-                if start >= piece.hi:
-                    break
-            if start < piece.hi:
-                out.append(Interval(start, piece.hi))
-        return IntervalSet(tuple(out))
+        return self._select(other, lambda tags: tags == (0,))
 
     __or__ = union
     __and__ = intersect
@@ -342,3 +384,19 @@ class IntervalSet:
 
     def __str__(self) -> str:
         return self.to_text() if self.pieces else "(empty)"
+
+
+def group_by_value(
+    pairs: Iterable[tuple[IntervalSet, Any]],
+) -> tuple[tuple[tuple[IntervalSet, Any], ...], Optional[IntervalSet]]:
+    """Canonical (piece, value) pairs, one merged piece per value in value order.
+
+    Also returns the union of all pieces, or None when pieces of two values
+    overlap; one sort over all pieces decides it.
+    """
+    grouped: dict = {}
+    for piece, value in pairs:
+        if not piece.is_empty:
+            grouped.setdefault(value, []).extend(piece.pieces)
+    canonical = tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
+    return canonical, IntervalSet.from_disjoint(iv for piece, _ in canonical for iv in piece)

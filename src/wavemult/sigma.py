@@ -12,6 +12,7 @@ unitary in the local commutant exactly when all of its shifts stay on the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .exact import (
@@ -21,25 +22,20 @@ from .exact import (
     RationalPi,
     ceil_log2,
     floor_log2,
+    sweep,
 )
-from .wavelet_sets import PiecewiseTranslation, is_wavelet_set
+from .wavelet_sets import PiecewiseTranslation, _require_wavelet_set
 
 __all__ = [
     "SigmaMap",
-    "ExtendedPiecewiseMap",
     "CommutantVerdict",
     "build_sigma",
     "compose",
     "dyadic_extension",
-    "restrict_extended",
     "extension_at",
-    "extend_at",
     "compose_power",
     "power_in_local_commutant",
 ]
-
-# Same structure as a PiecewiseTranslation; shifts need not be 2*pi multiples.
-ExtendedPiecewiseMap = PiecewiseTranslation
 
 
 @dataclass(frozen=True)
@@ -64,43 +60,35 @@ class SigmaMap:
         }
 
 
-def _require_wavelet_set(W: IntervalSet, label: str) -> PiecewiseTranslation:
-    report = is_wavelet_set(W)
-    if not report.accepted:
-        raise PreconditionError(f"{label} is not a wavelet set: {W.to_text() or '(empty)'}")
-    assert report.tau_witness is not None
-    return report.tau_witness
-
-
 def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
     """Construct the canonical bijection w1 -> w2 effected by 2*pi translations.
 
-    Fragments of w1 are pushed into [-pi, pi), refined against the image
-    partition of w2's witness, and pulled back; shifts add.
+    Fragments of w1 are pushed into [-pi, pi) by w1's witness and pulled
+    back by the inverse of w2's witness; shifts add.
     """
     tau1 = _require_wavelet_set(w1, "w1")
     tau2 = _require_wavelet_set(w2, "w2")
-    fragments: list[tuple[Interval, RationalPi]] = []
-    for piece1, shift1 in tau1.pairs:
-        img1 = piece1.translate(shift1)
-        for piece2, shift2 in tau2.pairs:
-            overlap = img1.intersect(piece2.translate(shift2))
-            net = shift1 - shift2
-            for iv in overlap.translate(-shift1):
-                fragments.append((iv, net))
-    return SigmaMap(PiecewiseTranslation.from_fragments(fragments), w1, w2)
+    return SigmaMap(compose(tau1, tau2.inverse()), w1, w2)
 
 
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
-    """Composite map then(first(x)); image of `first` must lie in `then`'s domain."""
+    """Composite map then(first(x)); image of `first` must lie in `then`'s domain.
+
+    One sweep overlays the image pieces of `first` with the domain pieces of
+    `then`, each tagged by its index in `shifts`; both families are disjoint,
+    so a cell covered twice carries one tag of each, the first's the smaller.
+    """
+    shifts = [shift.coef for _, shift in first.pairs + then.pairs]
+    items = [(iv.lo.coef + shifts[i], iv.hi.coef + shifts[i], i)
+             for i, (piece, _) in enumerate(first.pairs) for iv in piece]
+    items += [(iv.lo.coef, iv.hi.coef, i)
+              for i, (piece, _) in enumerate(then.pairs, len(first.pairs)) for iv in piece]
     fragments: list[tuple[Interval, RationalPi]] = []
-    for piece1, shift1 in first.pairs:
-        img = piece1.translate(shift1)
-        for piece2, shift2 in then.pairs:
-            overlap = img.intersect(piece2)
-            net = shift1 + shift2
-            for iv in overlap.translate(-shift1):
-                fragments.append((iv, net))
+    for lo, hi, count, tags in sweep(items):
+        if count == 2:
+            back, forth = shifts[min(tags)], shifts[max(tags)]
+            fragments.append((Interval(RationalPi(lo - back), RationalPi(hi - back)),
+                              RationalPi(back + forth)))
     result = PiecewiseTranslation.from_fragments(fragments)
     if result.domain != first.domain:
         raise PreconditionError("image of the first map escapes the second map's domain")
@@ -114,7 +102,9 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
     any wavelet set).  On a fragment carried into the domain by 2**n, the
     extension translates by the base shift scaled by 2**-n.  The full
     extension has infinitely many pieces accumulating at 0 and infinity, so
-    it is only ever materialized on a requested region.
+    it is only ever materialized on a requested region: one sweep overlays
+    the region (tagged -1) with the dilates of every level at once, each
+    tagged by the index of its scaled shift in `shifts`.
     """
     if region.is_empty:
         return PiecewiseTranslation(())
@@ -124,24 +114,21 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
     w_max = base.domain.max_abs()
     n_lo = ceil_log2(w_min.coef / region.max_abs().coef)
     n_hi = floor_log2(w_max.coef / region.dist_zero().coef)
-    fragments: list[tuple[Interval, RationalPi]] = []
+    items = [(iv.lo.coef, iv.hi.coef, -1) for iv in region]
+    shifts = []
     for n in range(n_lo, n_hi + 1):
+        scale = Fraction(2) ** -n
         for piece, shift in base.pairs:
-            hit = piece.dilate(-n).intersect(region)
-            scaled = shift.times_pow2(-n)
-            for iv in hit:
-                fragments.append((iv, scaled))
+            items += [(iv.lo.coef * scale, iv.hi.coef * scale, len(shifts)) for iv in piece]
+            shifts.append(RationalPi(shift.coef * scale))
+    fragments = [(Interval(RationalPi(lo), RationalPi(hi)), shifts[i])
+                 for lo, hi, _, tags in sweep(items) if -1 in tags for i in tags if i >= 0]
     result = PiecewiseTranslation.from_fragments(fragments)
     if result.domain != region:
         raise PreconditionError(
             "region is not exactly covered by dyadic dilates of the map domain"
         )
     return result
-
-
-def restrict_extended(sigma: SigmaMap, region: IntervalSet) -> PiecewiseTranslation:
-    """The extension of sigma restricted to a bounded region away from 0."""
-    return dyadic_extension(sigma.mapping, region)
 
 
 def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
@@ -157,10 +144,6 @@ def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
         if base.domain.contains(y):
             return base.apply(y).times_pow2(-n)
     raise PreconditionError(f"no dyadic dilate of {x} lands in the map domain")
-
-
-def extend_at(sigma: SigmaMap, x: RationalPi) -> RationalPi:
-    return extension_at(sigma.mapping, x)
 
 
 def compose_power(sigma: SigmaMap, power: int) -> PiecewiseTranslation:

@@ -24,6 +24,8 @@ from .exact import (
     RationalPi,
     floor_log2,
     ceil_log2,
+    group_by_value,
+    sweep,
 )
 from .parsing import parse_set
 
@@ -55,26 +57,14 @@ class PiecewiseTranslation:
     pairs: tuple[tuple[IntervalSet, RationalPi], ...]
 
     def __post_init__(self) -> None:
-        grouped: dict[Fraction, list[Interval]] = {}
-        for piece, shift in self.pairs:
-            if piece.is_empty:
-                continue
-            grouped.setdefault(shift.coef, []).extend(piece.pieces)
-        pairs = tuple(
-            (IntervalSet.from_intervals(ivs), RationalPi(c))
-            for c, ivs in sorted(grouped.items())
-        )
+        pairs, domain = group_by_value(self.pairs)
         object.__setattr__(self, "pairs", pairs)
-
-        total = sum((p.measure().coef for p, _ in pairs), Fraction(0))
-        domain = IntervalSet.empty()
-        image = IntervalSet.empty()
-        for piece, shift in pairs:
-            domain = domain.union(piece)
-            image = image.union(piece.translate(shift))
-        if domain.measure().coef != total:
+        if domain is None:
             raise ValueError("piecewise translation has overlapping domain pieces")
-        if image.measure().coef != total:
+        image = IntervalSet.from_disjoint(
+            iv.shifted(shift) for piece, shift in pairs for iv in piece
+        )
+        if image is None:
             raise ValueError("piecewise translation is not injective")
         object.__setattr__(self, "_domain", domain)
         object.__setattr__(self, "_image", image)
@@ -139,32 +129,23 @@ class WaveletSetReport:
         return self.is_translation_congruent and self.is_dilation_congruent
 
 
-def _multiply_covered(fragments: Sequence[Interval]) -> IntervalSet:
-    """Region covered by two or more of the given intervals."""
-    points = sorted({e.coef for iv in fragments for e in (iv.lo, iv.hi)})
-    out = []
-    for lo_c, hi_c in zip(points, points[1:]):
-        mid = RationalPi((lo_c + hi_c) / 2)
-        if sum(1 for iv in fragments if iv.contains(mid)) >= 2:
-            out.append(Interval(RationalPi(lo_c), RationalPi(hi_c)))
-    return IntervalSet.from_intervals(out)
-
-
 def _tiling_check(
     fragments: Sequence[Interval], target: IntervalSet
 ) -> tuple[bool, IntervalSet]:
-    """Do the fragments tile the target exactly?  Returns (ok, failure region)."""
-    union = IntervalSet.from_intervals(fragments)
-    total = sum((iv.length.coef for iv in fragments), Fraction(0))
-    disjoint = union.measure().coef == total
-    if disjoint and union == target:
-        return True, IntervalSet.empty()
-    failure = (
-        target.difference(union)
-        .union(union.difference(target))
-        .union(_multiply_covered(fragments))
+    """Do the fragments tile the target exactly?  Returns (ok, failure region).
+
+    One sweep over the target (tag 0) and the fragments (tag 1): a cell tiles
+    when it lies under the target and exactly one fragment.  The failure
+    region is where the fragments miss the target, leave it or overlap.
+    """
+    items = [(iv.lo.coef, iv.hi.coef, 0) for iv in target]
+    items += [(iv.lo.coef, iv.hi.coef, 1) for iv in fragments]
+    failure = IntervalSet.from_intervals(
+        Interval(RationalPi(lo), RationalPi(hi))
+        for lo, hi, count, tags in sweep(items)
+        if count != 2 or len(tags) != 2
     )
-    return False, failure
+    return failure.is_empty, failure
 
 
 def _principal_fragments(W: IntervalSet) -> list[tuple[Interval, RationalPi]]:
@@ -203,16 +184,6 @@ def translation_congruence(W: IntervalSet) -> Optional[PiecewiseTranslation]:
     return witness
 
 
-def _dyadic_cell_positive(x: RationalPi) -> int:
-    """m with x in [2**m * pi, 2**(m+1) * pi), for x > 0."""
-    return floor_log2(x.coef)
-
-
-def _dyadic_cell_negative(x: RationalPi) -> int:
-    """m with x in [-2**(m+1) * pi, -2**m * pi), for x < 0."""
-    return ceil_log2(-x.coef) - 1
-
-
 def _annulus_fragments(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
     """Scale every piece into the reference annuli, splitting at dyadic grid points."""
     positive, negative = [], []
@@ -220,14 +191,14 @@ def _annulus_fragments(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
         if piece.lo >= RationalPi(0):
             start = piece.lo
             while start < piece.hi:
-                m = _dyadic_cell_positive(start)
+                m = floor_log2(start.coef)  # start in [2**m * pi, 2**(m+1) * pi)
                 frag_hi = min(piece.hi, RationalPi(Fraction(2) ** (m + 1)))
                 positive.append(Interval(start, frag_hi).scaled_pow2(-m))
                 start = frag_hi
         else:
             start = piece.lo
             while start < piece.hi:
-                m = _dyadic_cell_negative(start)
+                m = ceil_log2(-start.coef) - 1  # start in [-2**(m+1) * pi, -2**m * pi)
                 frag_hi = min(piece.hi, RationalPi(-(Fraction(2) ** m)))
                 negative.append(Interval(start, frag_hi).scaled_pow2(-m))
                 start = frag_hi
@@ -251,7 +222,11 @@ def dilation_congruence(W: IntervalSet) -> bool:
     return ok
 
 
-@lru_cache(maxsize=None)
+# Reports held by the is_wavelet_set cache; the least recently used go first.
+CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
     """Run both congruence checks; a set is accepted iff both hold."""
     witness, trans_failure = _translation_result(W)
@@ -262,6 +237,16 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
         tau_witness=witness,
         failure_regions=trans_failure.union(dil_failure),
     )
+
+
+def _require_wavelet_set(W: IntervalSet, label: str = "") -> PiecewiseTranslation:
+    """The translation witness of W; PreconditionError unless W is a wavelet set."""
+    report = is_wavelet_set(W)
+    if not report.accepted:
+        prefix = f"{label} is " if label else ""
+        raise PreconditionError(f"{prefix}not a wavelet set: {W.to_text() or '(empty)'}")
+    assert report.tau_witness is not None
+    return report.tau_witness
 
 
 def _build_catalog() -> dict[str, IntervalSet]:

@@ -192,3 +192,6 @@ class TestMidpointGrid:
         for xi in grid:
             assert xi not in breakpoints
             assert POS_WINDOW.contains(xi)
+
+    def test_empty_window_gives_empty_grid(self, journe):
+        assert midpoint_grid(journe, IntervalSet.empty(), 16) == []

@@ -17,7 +17,7 @@ from wavemult.exact import (
 )
 from wavemult.parsing import parse_set
 
-from _oracles import random_rational_pi
+from _oracles import loop_ceil_log2, loop_floor_log2, random_rational_pi
 
 
 def rp(num, den=1):
@@ -82,6 +82,47 @@ class TestRationalPi:
         assert floor_log2(Fraction(1, 8)) == -3
         assert ceil_log2(Fraction(15, 8)) == 1
         assert ceil_log2(Fraction(2)) == 1
+
+    def test_log2_matches_halving_loop(self):
+        rng = random.Random(2)
+        qs = [Fraction(2) ** e for e in range(-300, 301)]
+        for _ in range(500):
+            num_bits, den_bits = rng.randint(1, 200), rng.randint(1, 200)
+            qs.append(Fraction(rng.getrandbits(num_bits) + 1, rng.getrandbits(den_bits) + 1))
+        near = qs[250:351:10]  # 2**-50 ... 2**50, each nudged either side
+        qs += [q + Fraction(1, 2**90) for q in near] + [q - Fraction(1, 2**90) for q in near]
+        for q in qs:
+            assert floor_log2(q) == loop_floor_log2(q)
+            assert ceil_log2(q) == loop_ceil_log2(q)
+
+    def test_log2_huge_exponents(self):
+        assert floor_log2(Fraction(1, 2**10000)) == -10000
+        assert ceil_log2(Fraction(1, 2**10000)) == -10000
+        assert floor_log2(Fraction(3, 2**10000)) == -9999
+        assert ceil_log2(Fraction(2**10000 + 1)) == 10001
+        with pytest.raises(ValueError):
+            floor_log2(Fraction(0))
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            RationalPi(0.1)
+        with pytest.raises(TypeError):
+            rp(1, 2) * 0.5
+        with pytest.raises(TypeError):
+            0.5 * rp(1, 2)
+        with pytest.raises(TypeError):
+            rp(1, 2) / 0.5
+        assert RationalPi("1/3") == rp(1, 3)
+        assert rp(1, 2) * Fraction(2, 3) == rp(1, 3)
+        assert rp(1, 2) / 2 == rp(1, 4)
+
+    def test_ordering_against_other_types(self):
+        assert sorted([rp(3), rp(-1, 2), rp(1, 3)]) == [rp(-1, 2), rp(1, 3), rp(3)]
+        assert rp(1, 3) <= rp(1, 3) and rp(1, 3) >= rp(1, 3)
+        assert rp(1, 2) > rp(1, 3) and not rp(1, 2) < rp(1, 3)
+        with pytest.raises(TypeError):
+            rp(1) < 2
+        assert rp(1) != 1
 
 
 class TestNormalize:

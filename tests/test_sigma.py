@@ -17,9 +17,8 @@ from wavemult.sigma import (
     compose,
     compose_power,
     dyadic_extension,
-    extend_at,
+    extension_at,
     power_in_local_commutant,
-    restrict_extended,
 )
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
@@ -84,12 +83,14 @@ class TestBuildSigma:
 
 
 class TestExtendAt:
+    """The pointwise extension, `extension_at`."""
+
     def test_table_point(self, paper_sigma):
-        assert extend_at(paper_sigma, TWO_PI) == rp(-2)
+        assert extension_at(paper_sigma.mapping, TWO_PI) == rp(-2)
 
     def test_dyadically_scaled_point(self, paper_sigma):
         # 2**3 * (17 pi / 64) = 17 pi / 8, mapped by -2 pi, scaled back by 1/8
-        assert extend_at(paper_sigma, rp(17, 64)) == rp(1, 64)
+        assert extension_at(paper_sigma.mapping, rp(17, 64)) == rp(1, 64)
 
     def test_identity_extension(self, shannon):
         sigma = build_sigma(shannon, shannon)
@@ -97,31 +98,33 @@ class TestExtendAt:
         span = parse_set("[-6pi,-1/32pi),[1/32pi,6pi)")
         for _ in range(50):
             x = random_point_in(rng, span)
-            assert extend_at(sigma, x) == x
+            assert extension_at(sigma.mapping, x) == x
 
     def test_zero_rejected(self, paper_sigma):
         with pytest.raises(PreconditionError):
-            extend_at(paper_sigma, ZERO)
+            extension_at(paper_sigma.mapping, ZERO)
 
     def test_agrees_with_region_restriction(self, paper_sigma):
         rng = random.Random(123)
         region = parse_set("[-15/4pi,-15/8pi),[1/8pi,1/4pi),[1/3pi,1/2pi),[5pi,6pi)")
-        ext = restrict_extended(paper_sigma, region)
+        ext = dyadic_extension(paper_sigma.mapping, region)
         for _ in range(500):
             x = random_point_in(rng, region)
-            assert ext.apply(x) == extend_at(paper_sigma, x)
+            assert ext.apply(x) == extension_at(paper_sigma.mapping, x)
 
 
 class TestRestrictExtended:
+    """The extension restricted to a region, `dyadic_extension`."""
+
     def test_on_w1_is_sigma_itself(self, paper_sigma):
-        assert restrict_extended(paper_sigma, paper_sigma.w1) == paper_sigma.mapping
+        assert dyadic_extension(paper_sigma.mapping, paper_sigma.w1) == paper_sigma.mapping
 
     def test_single_piece_inside_w1(self, paper_sigma):
-        got = restrict_extended(paper_sigma, parse_set("[2pi,17/8pi)"))
+        got = dyadic_extension(paper_sigma.mapping, parse_set("[2pi,17/8pi)"))
         assert cases_text(got) == [("[2pi,17/8pi)", "-4 pi")]
 
     def test_dyadic_shifts_on_mirror_piece(self, paper_sigma):
-        got = restrict_extended(paper_sigma, parse_set("[1/8pi,1/4pi)"))
+        got = dyadic_extension(paper_sigma.mapping, parse_set("[1/8pi,1/4pi)"))
         assert cases_text(got) == [
             ("[1/8pi,17/128pi)", "-1/4 pi"),
             ("[17/128pi,9/64pi)", "-1/8 pi"),
@@ -130,7 +133,7 @@ class TestRestrictExtended:
         ]
 
     def test_negative_side_scaling(self, paper_sigma):
-        got = restrict_extended(paper_sigma, parse_set("[-15/4pi,-15/8pi)"))
+        got = dyadic_extension(paper_sigma.mapping, parse_set("[-15/4pi,-15/8pi)"))
         assert cases_text(got) == [
             ("[-15/4pi,-2pi)", "-32 pi"),
             ("[-2pi,-15/8pi)", "-16 pi"),
@@ -138,10 +141,10 @@ class TestRestrictExtended:
 
     def test_region_touching_zero_rejected(self, paper_sigma):
         with pytest.raises(PreconditionError):
-            restrict_extended(paper_sigma, parse_set("[0pi,1pi)"))
+            dyadic_extension(paper_sigma.mapping, parse_set("[0pi,1pi)"))
 
     def test_empty_region(self, paper_sigma):
-        assert restrict_extended(paper_sigma, IntervalSet.empty()).pairs == ()
+        assert dyadic_extension(paper_sigma.mapping, IntervalSet.empty()).pairs == ()
 
 
 class TestComposePower:
@@ -178,7 +181,7 @@ class TestComposePower:
                     x = random_point_in(rng, sigma.w1)
                     y = x
                     for _ in range(p):
-                        y = extend_at(sigma, y)
+                        y = extension_at(sigma.mapping, y)
                     assert composed.apply(x) == y
 
     def test_measure_preserving_powers(self, paper_sigma, shannon, journe):

@@ -1,0 +1,161 @@
+"""The sort-and-sweep kernel and its callers against the midpoint-recount oracles."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from wavemult.dimension import (
+    _step_from_covers,
+    core_equivalence_regions,
+    dimension_step_function,
+)
+from wavemult.exact import Interval, IntervalSet, RationalPi, sweep
+from wavemult.parsing import parse_set
+from wavemult.sigma import build_sigma, compose_power, dyadic_extension, extension_at
+from wavemult.wavelet_sets import CATALOG_NAMES, _tiling_check, catalog
+
+from _oracles import (
+    midpoint_differing_regions,
+    midpoint_set_algebra,
+    midpoint_step_from_covers,
+    midpoint_tiling_failure,
+    random_interval_set,
+    random_point_in,
+    random_rational_pi,
+)
+
+F = Fraction
+AWAY_FROM_ZERO = parse_set("[-1pi,-1/64pi),[1/64pi,1pi)")
+NEAR_ZERO = parse_set("[-1/16pi,1/16pi)")
+
+
+def random_intervals(rng, max_count=8):
+    """A list of intervals that may overlap, touch or repeat."""
+    out = []
+    for _ in range(rng.randint(0, max_count)):
+        a, b = random_rational_pi(rng, -4, 4, 8), random_rational_pi(rng, -4, 4, 8)
+        if a != b:
+            out.append(Interval(min(a, b), max(a, b)))
+    if out and rng.random() < 0.3:
+        out.append(rng.choice(out))
+    return out
+
+
+def cell_starts(pt):
+    """Left endpoints of the atomic rows of a piecewise translation."""
+    return [iv.lo for iv, _ in pt.cases()]
+
+
+class TestSweep:
+    def test_counts_and_tags(self):
+        items = [(F(0), F(2), "a"), (F(1), F(3), "b"), (F(1), F(2), "a")]
+        assert list(sweep(items)) == [
+            (F(0), F(1), 1, ("a",)),
+            (F(1), F(2), 3, ("a", "b")),
+            (F(2), F(3), 1, ("b",)),
+        ]
+
+    def test_gaps_and_touching_intervals(self):
+        items = [(F(0), F(1), 0), (F(1), F(2), 0), (F(3), F(4), 1)]
+        assert [(lo, hi, n) for lo, hi, n, _ in sweep(items)] == [
+            (F(0), F(1), 1),
+            (F(1), F(2), 1),
+            (F(3), F(4), 1),
+        ]
+        assert list(sweep([])) == []
+
+    def test_close_endpoints_stay_ordered(self):
+        # both endpoints fall in the same 2**-64 bucket of the sort key
+        a, b = F(1, 3), F(1, 3) + F(1, 2**80)
+        items = [(b, F(1), "late"), (a, F(1), "early")]
+        assert list(sweep(items)) == [(a, b, 1, ("early",)), (b, F(1), 2, ("early", "late"))]
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_counts_match_membership(self, seed):
+        rng = random.Random(seed)
+        ivs = random_intervals(rng)
+        cells = list(sweep((iv.lo.coef, iv.hi.coef, i) for i, iv in enumerate(ivs)))
+        for lo, hi, count, tags in cells:
+            assert lo < hi
+            mid = RationalPi((lo + hi) / 2)
+            inside = [i for i, iv in enumerate(ivs) if iv.contains(mid)]
+            assert count == len(inside)
+            assert sorted(tags) == inside
+        assert all(a[1] <= b[0] for a, b in zip(cells, cells[1:]))
+        covered = IntervalSet.from_intervals(
+            Interval(RationalPi(lo), RationalPi(hi)) for lo, hi, _, _ in cells
+        )
+        assert covered == IntervalSet.from_intervals(ivs)
+
+
+class TestAgainstMidpointOracles:
+    @pytest.mark.parametrize("seed", range(100))
+    def test_intersect_and_difference(self, seed):
+        rng = random.Random(seed)
+        A, B = random_interval_set(rng), random_interval_set(rng)
+        assert (A.intersect(B), A.difference(B)) == midpoint_set_algebra(A, B)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_tiling_check(self, seed):
+        rng = random.Random(seed)
+        fragments = random_intervals(rng)
+        target = random_interval_set(rng, max_pieces=3)
+        ok, failure = _tiling_check(fragments, target)
+        assert failure == midpoint_tiling_failure(fragments, target)
+        assert ok == failure.is_empty
+
+    def test_tiling_check_on_exact_tilings(self):
+        target = parse_set("[-1pi,1pi)")
+        halves = [Interval(RationalPi(-1), RationalPi(0)), Interval(RationalPi(0), RationalPi(1))]
+        assert _tiling_check(halves, target) == (True, IntervalSet.empty())
+        ok, failure = _tiling_check(halves + halves[:1], target)
+        assert not ok and failure == parse_set("[-1pi,0pi)")
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_step_from_covers(self, seed):
+        rng = random.Random(seed)
+        window = random_interval_set(rng)
+        covers = [random_interval_set(rng) for _ in range(rng.randint(0, 6))]
+        assert _step_from_covers(window, covers) == midpoint_step_from_covers(window, covers)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_core_equivalence_regions(self, seed):
+        rng = random.Random(seed)
+        query = random_interval_set(rng).dilate(-3).intersect(AWAY_FROM_ZERO)
+        a, b = rng.sample(CATALOG_NAMES, 2)
+        Wa, Wb = catalog(a), catalog(b)
+        expected = midpoint_differing_regions(
+            dimension_step_function(Wa, query), dimension_step_function(Wb, query), query
+        )
+        assert core_equivalence_regions(Wa, Wb, query) == expected
+
+
+class TestSigmaAgainstPointwiseExtension:
+    @pytest.mark.parametrize("a,b", list(itertools.permutations(CATALOG_NAMES, 2)))
+    def test_powers_iterate_the_extension(self, a, b):
+        sigma = build_sigma(catalog(a), catalog(b))
+        rng = random.Random(f"{a}->{b}")
+        for p in (1, 2, 3, 4):
+            composed = compose_power(sigma, p)
+            points = cell_starts(composed) + [random_point_in(rng, sigma.w1) for _ in range(20)]
+            for x in points:
+                y = x
+                for _ in range(p):
+                    y = extension_at(sigma.mapping, y)
+                assert composed.apply(x) == y
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dyadic_extension_on_random_regions(self, seed):
+        rng = random.Random(seed)
+        a, b = rng.sample(CATALOG_NAMES, 2)
+        base = build_sigma(catalog(a), catalog(b)).mapping
+        region = random_interval_set(rng).difference(NEAR_ZERO)
+        ext = dyadic_extension(base, region)
+        assert ext.domain == region
+        points = cell_starts(ext)
+        if not region.is_empty:
+            points += [random_point_in(rng, region) for _ in range(20)]
+        for x in points:
+            assert ext.apply(x) == extension_at(base, x)

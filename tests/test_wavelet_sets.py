@@ -1,3 +1,6 @@
+import time
+from fractions import Fraction
+
 import pytest
 
 from wavemult.exact import (
@@ -10,6 +13,7 @@ from wavemult.exact import (
 )
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import (
+    CACHE_SIZE,
     CATALOG_NAMES,
     PRINCIPAL_WINDOW,
     PiecewiseTranslation,
@@ -186,3 +190,19 @@ class TestPiecewiseTranslation:
         assert tau.is_two_pi_integral
         skew = PiecewiseTranslation.from_fragments([(Interval(rp(0), rp(1)), rp(1, 4))])
         assert not skew.is_two_pi_integral
+
+
+class TestHostileInputs:
+    def test_tiny_left_endpoint_rejected_quickly(self):
+        W = IntervalSet.single(RationalPi(Fraction(1, 2**10000)), RationalPi(1))
+        start = time.perf_counter()
+        report = is_wavelet_set(W)
+        elapsed = time.perf_counter() - start
+        assert not report.accepted
+        assert not report.is_translation_congruent
+        assert not report.is_dilation_congruent
+        assert elapsed < 5.0
+
+    def test_cache_is_bounded(self):
+        assert 0 < CACHE_SIZE < float("inf")
+        assert is_wavelet_set.cache_info().maxsize == CACHE_SIZE
