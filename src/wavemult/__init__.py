@@ -52,15 +52,12 @@ from .dimension import (
 from .multiplicity import (
     AgreementReport,
     DimensionSum,
-    FiberVector,
     GramSchmidtState,
     SpectralProfile,
     dimension_sum,
-    fiber,
     gram_schmidt,
     meyer_profile,
     msf_profile,
-    multiplicity_rank,
     sampled_profile,
     uniform_grid,
     verify_m_equals_d,

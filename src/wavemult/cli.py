@@ -139,10 +139,8 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
 
     profile = _resolve_profile(wavelet)
     window = parse_set(DEFAULT_NUMERIC_WINDOW)
-    if profile.kind == "msf":
-        grid = midpoint_grid(profile.msf_set, window, grid_n)
-    else:
-        grid = uniform_grid(window, grid_n)
+    msf = profile.kind == "msf"
+    grid = midpoint_grid(profile.msf_set, window, grid_n) if msf else uniform_grid(window, grid_n)
     report = verify_m_equals_d(profile, grid, j_max, k_max, tol)
     _emit(
         {
@@ -156,7 +154,7 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
         }
     )
     if csv_path:
-        _write_csv(csv_path, report.to_csv_rows(), ["xi", "rank", "dim_sum", "exact", "agree"])
+        _write_csv(csv_path, report.to_csv_rows(), list(report.CSV_COLUMNS))
     sys.exit(EXIT_OK if report.all_agree else EXIT_FALSE)
 
 

@@ -237,6 +237,8 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
     the midpoints of the cells are returned, so no point can sit on a
     breakpoint.
     """
+    if count < 1:
+        raise PreconditionError(f"grid size must be at least 1, got {count}")
     rows = dimension_step_function(W, window).rows()
     if not rows:
         return []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .dimension import dimension_at
 
 __all__ = [
     "SpectralProfile",
-    "FiberVector",
     "GramSchmidtState",
     "DimensionSum",
     "GridRecord",
@@ -29,9 +28,7 @@ __all__ = [
     "msf_profile",
     "meyer_profile",
     "sampled_profile",
-    "fiber",
     "gram_schmidt",
-    "multiplicity_rank",
     "dimension_sum",
     "verify_m_equals_d",
     "uniform_grid",
@@ -117,27 +114,75 @@ def sampled_profile(points: Sequence[float], values: Sequence[complex]) -> Spect
     return SpectralProfile("sampled", ev, max(abs(xs[0]), abs(xs[-1])))
 
 
-@dataclass(frozen=True, eq=False)
-class FiberVector:
-    """Translation fiber of the level-j dilate, truncated to |k| <= k_max."""
-
-    xi: float
-    level: int
-    k_max: int
-    entries: np.ndarray
-    truncation_exact: bool
+# Complex elements a block of grid points may hold in its fiber tensor
+# (points, J, 2K+1) or its coefficients eta (points, J, J): 128 KB per array,
+# which keeps a block's working set near 1 MB and admits J <= 90.
+BLOCK_ELEMENTS = 1 << 13
+MAX_LEVEL = 1023  # 2.0**1024 overflows a float
 
 
-def fiber(profile: SpectralProfile, xi: float, level: int, k_max: int) -> FiberVector:
-    """Entries 2**(level/2) * profile(2**level * (xi + 2*pi*k)), k = -k_max..k_max."""
-    if level < 1 or k_max < 1:
-        raise PreconditionError("level and k_max must be positive")
-    ks = np.arange(-k_max, k_max + 1)
-    points = (2.0**level) * (float(xi) + TWO_PI_F * ks)
-    entries = (2.0 ** (level / 2)) * profile.evaluate_array(points)
-    # Every dropped |k| > k_max satisfies 2**level (2 pi |k| - pi) > support.
-    exact = (2.0**level) * (TWO_PI_F * (k_max + 1) - math.pi) > profile.support_radius
-    return FiberVector(float(xi), level, k_max, entries, exact)
+def _lattice_blocks(
+    profile: SpectralProfile, xi: np.ndarray, j_max: int, k_max: int, tol: float = 1.0
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block of consecutive base points, from one profile evaluation:
+    the fibers 2**(j/2) * profile(2**j * (xi + 2*pi*k)), shape (points, J, 2K+1),
+    the lattice sums of |profile|**2 over the same (j, k), added level by level,
+    and whether every dropped (j, k) term provably vanishes."""
+    per_point = j_max * max(j_max, 2 * k_max + 1)
+    if not (1 <= j_max <= MAX_LEVEL and k_max >= 1 and tol > 0 and per_point <= BLOCK_ELEMENTS):
+        raise PreconditionError(
+            f"need 1 <= J <= {MAX_LEVEL}, K >= 1, tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}"
+        )
+    size = BLOCK_ELEMENTS // per_point
+    shifts = TWO_PI_F * np.arange(-k_max, k_max + 1)
+    dilations = np.array([2.0**level for level in range(1, j_max + 1)])[:, None]
+    scales = np.array([2.0 ** (level / 2) for level in range(1, j_max + 1)])[:, None]
+    for start in range(0, len(xi), size):
+        x = xi[start : start + size]
+        points = dilations * (x[:, None] + shifts)[:, None, :]
+        values = profile.evaluate_array(points.ravel()).reshape(points.shape)
+        sums = np.cumsum(np.sum(np.abs(values) ** 2, axis=2), axis=1)[:, -1]
+        # Levels j > j_max vanish once 2**(j_max+1) * dist(x, 2*pi*Z) > support.
+        nearest = np.abs(x - TWO_PI_F * np.round(x / TWO_PI_F))
+        exact = _k_exact(profile, k_max) & (2.0**j_max * 2.0 * nearest > profile.support_radius)
+        yield scales * values, sums, exact
+
+
+def _k_exact(profile: SpectralProfile, k_max: int) -> bool:
+    """Every dropped |k| > k_max satisfies 2**j (2 pi |k| - pi) > support at every j >= 1."""
+    return 2.0 * (TWO_PI_F * (k_max + 1) - math.pi) > profile.support_radius
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise <a, b>, bit for bit as np.vdot on each pair of rows."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _orthogonalize(fibers: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Residuals g, weights h, coefficients eta and scales of a (points, J, 2K+1) stack.
+
+    g_j = psi_j - sum_{k<j} <psi_j, u_k> u_k at all points at once; a direction
+    counts at a point only if its weight h_k = 2*pi*||g_k||**2 is above that
+    point's relative tolerance.  eta[:, j, k] = <psi_j, g_k> / ||g_k||**2 for the
+    counted directions, so psi_j = g_j + sum_k eta[:, j, k] g_k."""
+    count, levels, _ = fibers.shape
+    max_scale = np.fmax(1.0, np.sum(np.abs(fibers) ** 2, axis=2).max(axis=1))
+    threshold = tol * max_scale
+    residuals = np.empty_like(fibers)
+    h_values = np.zeros((count, levels))
+    eta = np.zeros((count, levels, levels), dtype=complex)
+    for j in range(levels):
+        psi = g = fibers[:, j]
+        for k in range(j):
+            used = h_values[:, k] > threshold
+            if used.any():
+                gk = residuals[:, k]
+                coeff = _dots(gk, psi) / np.where(used, h_values[:, k] / TWO_PI_F, 1.0)
+                eta[:, j, k] = coeff = np.where(used, coeff, 0.0)
+                g = np.where(used[:, None], g - coeff[:, None] * gk, g)
+        residuals[:, j] = g
+        h_values[:, j] = TWO_PI_F * _dots(g, g).real
+    return residuals, h_values, eta, max_scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,49 +215,15 @@ class GramSchmidtState:
 def gram_schmidt(
     profile: SpectralProfile, xi: float, j_max: int, k_max: int, tol: float = 1e-9
 ) -> GramSchmidtState:
-    """Orthogonalize the fibers at xi for levels 1..j_max.
-
-    Implements g_j = psi_j - sum_{k<j} <psi_j, u_k> u_k, skipping directions
-    whose weight h_k = 2*pi*||g_k||**2 falls below the relative tolerance
-    (they are treated as zero).  eta[j, k] = <psi_j, g_k> / ||g_k||**2 for the
-    used directions, so psi_j = g_j + sum_k eta[j, k] g_k.
-    """
-    if j_max < 1 or tol <= 0:
-        raise PreconditionError("j_max must be >= 1 and tol > 0")
-    vectors = []
-    exact = True
-    for level in range(1, j_max + 1):
-        fv = fiber(profile, xi, level, k_max)
-        vectors.append(fv.entries)
-        exact = exact and fv.truncation_exact
-    fibers = np.array(vectors)
-    norms_sq = np.sum(np.abs(fibers) ** 2, axis=1)
-    max_scale = max(1.0, float(norms_sq.max()))
-    threshold = tol * max_scale
-
-    residuals = np.zeros_like(fibers)
-    h_values = np.zeros(j_max)
-    eta = np.zeros((j_max, j_max), dtype=complex)
-    for j in range(j_max):
-        g = fibers[j].copy()
-        for k in range(j):
-            if h_values[k] > threshold:
-                gk = residuals[k]
-                coeff = np.vdot(gk, fibers[j]) / (h_values[k] / TWO_PI_F)
-                eta[j, k] = coeff
-                g = g - coeff * gk
-        residuals[j] = g
-        h_values[j] = TWO_PI_F * float(np.vdot(g, g).real)
+    """Orthogonalize the fibers at xi for levels 1..j_max and |k| <= k_max:
+    the one-point case of the batched recurrence."""
+    xs = np.array([float(xi)])
+    ((fibers, _, _),) = _lattice_blocks(profile, xs, j_max, k_max, tol)
+    residuals, h_values, eta, max_scale = _orthogonalize(fibers, tol)
     return GramSchmidtState(
-        float(xi), tol, fibers, residuals, h_values, eta, max_scale, exact
+        xs[0].item(), tol, fibers[0], residuals[0], h_values[0], eta[0], max_scale[0].item(),
+        _k_exact(profile, k_max),
     )
-
-
-def multiplicity_rank(
-    profile: SpectralProfile, xi: float, j_max: int, k_max: int, tol: float = 1e-9
-) -> int:
-    """Number of linearly independent fibers at xi (relative tolerance)."""
-    return gram_schmidt(profile, xi, j_max, k_max, tol).rank
 
 
 class DimensionSum(NamedTuple):
@@ -220,25 +231,14 @@ class DimensionSum(NamedTuple):
     truncation_exact: bool
 
 
-def dimension_sum(
-    profile: SpectralProfile, xi: float, j_max: int, k_max: int
-) -> DimensionSum:
+def dimension_sum(profile: SpectralProfile, xi: float, j_max: int, k_max: int) -> DimensionSum:
     """Truncated lattice sum of |profile(2**j (xi + 2 pi k))|**2.
 
     `truncation_exact` reports whether the dropped (j, k) terms provably
     vanish for this compactly supported profile.
     """
-    xi = float(xi)
-    ks = np.arange(-k_max, k_max + 1)
-    total = 0.0
-    for level in range(1, j_max + 1):
-        values = profile.evaluate_array((2.0**level) * (xi + TWO_PI_F * ks))
-        total += float(np.sum(np.abs(values) ** 2))
-    support = profile.support_radius
-    k_exact = 2.0 * (TWO_PI_F * (k_max + 1) - math.pi) > support
-    nearest = abs(xi - TWO_PI_F * round(xi / TWO_PI_F))
-    j_exact = (2.0 ** (j_max + 1)) * nearest > support
-    return DimensionSum(total, k_exact and j_exact)
+    ((_, sums, exact),) = _lattice_blocks(profile, np.array([float(xi)]), j_max, k_max)
+    return DimensionSum(sums[0].item(), bool(exact[0]))
 
 
 @dataclass(frozen=True)
@@ -249,6 +249,7 @@ class GridRecord:
     dim_sum: float
     exact: Optional[int]
     agree: bool
+    truncation_exact: bool
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,8 @@ class AgreementReport:
     """Per-point comparison of rank, lattice sum, and exact count when available."""
 
     records: tuple[GridRecord, ...]
+
+    CSV_COLUMNS = ("xi", "rank", "dim_sum", "exact", "agree", "truncation_exact")
 
     @property
     def all_agree(self) -> bool:
@@ -268,7 +271,7 @@ class AgreementReport:
     def to_json_obj(self) -> list[dict]:
         out = []
         for r in self.records:
-            obj = {"xi": r.xi, "rank": r.rank, "dim_sum": r.dim_sum, "agree": r.agree}
+            obj = {k: getattr(r, k) for k in ("xi", "rank", "dim_sum", "agree", "truncation_exact")}
             if r.xi_text is not None:
                 obj["xi_pi"] = r.xi_text
             if r.exact is not None:
@@ -278,13 +281,7 @@ class AgreementReport:
 
     def to_csv_rows(self) -> list[dict]:
         return [
-            {
-                "xi": r.xi,
-                "rank": r.rank,
-                "dim_sum": r.dim_sum,
-                "exact": "" if r.exact is None else r.exact,
-                "agree": r.agree,
-            }
+            {k: "" if getattr(r, k) is None else getattr(r, k) for k in self.CSV_COLUMNS}
             for r in self.records
         ]
 
@@ -292,12 +289,20 @@ class AgreementReport:
 GridPoint = Union[float, RationalPi]
 
 
+def _grid_record(
+    profile: SpectralProfile, point: GridPoint, rank: int, total: float, truncation: bool
+) -> GridRecord:
+    xi_text = exact = None
+    if isinstance(point, RationalPi):
+        xi_text = point.pi_text()
+        if profile.kind == "msf" and profile.msf_set is not None:
+            exact = dimension_at(profile.msf_set, point)
+    agree = rank == round(total) and (exact is None or rank == exact)
+    return GridRecord(float(point), xi_text, rank, total, exact, agree, truncation)
+
+
 def verify_m_equals_d(
-    profile: SpectralProfile,
-    grid: Iterable[GridPoint],
-    j_max: int,
-    k_max: int,
-    tol: float = 1e-9,
+    profile: SpectralProfile, grid: Iterable[GridPoint], j_max: int, k_max: int, tol: float = 1e-9
 ) -> AgreementReport:
     """Check rank == round(lattice sum) on a grid, and both == the exact count
     when the profile is an MSF indicator and the grid point is exact.
@@ -305,29 +310,23 @@ def verify_m_equals_d(
     Grid points should avoid 0 and, for MSF profiles, the breakpoints of the
     exact step function (use `dimension.midpoint_grid`).
     """
-    records = []
-    for point in grid:
-        exact: Optional[int] = None
-        xi_text: Optional[str] = None
-        if isinstance(point, RationalPi):
-            xi_text = point.pi_text()
-            if profile.kind == "msf" and profile.msf_set is not None:
-                exact = dimension_at(profile.msf_set, point)
-        xi = float(point)
-        rank = multiplicity_rank(profile, xi, j_max, k_max, tol)
-        total = dimension_sum(profile, xi, j_max, k_max).value
-        agree = rank == round(total)
-        if exact is not None:
-            agree = agree and rank == exact
-        records.append(GridRecord(xi, xi_text, rank, total, exact, agree))
-    return AgreementReport(tuple(records))
+    points = list(grid)
+    xs = np.array([float(p) for p in points])
+    ranks, totals, truncation = [], [], []
+    for fibers, sums, exact in _lattice_blocks(profile, xs, j_max, k_max, tol):
+        _, h_values, _, max_scale = _orthogonalize(fibers, tol)
+        ranks += np.sum(h_values > tol * max_scale[:, None], axis=1).tolist()
+        totals += sums.tolist()
+        truncation += exact.tolist()
+    columns = zip(points, ranks, totals, truncation)
+    return AgreementReport(tuple(_grid_record(profile, *column) for column in columns))
 
 
 def uniform_grid(window: IntervalSet, count: int) -> list[float]:
     """Midpoints of `count` equal cells spread over the window pieces (floats)."""
-    if window.is_empty:
-        return []
-    per_piece = -(-count // len(window))
+    if count < 1:
+        raise PreconditionError(f"grid size must be at least 1, got {count}")
+    per_piece = -(-count // len(window)) if window else 0
     points = []
     for iv in window:
         lo, hi = float(iv.lo), float(iv.hi)

@@ -149,12 +149,15 @@ def _tiling_check(
 
 
 def _principal_fragments(W: IntervalSet) -> list[tuple[Interval, RationalPi]]:
-    """Split W at odd multiples of pi; each fragment shifts by -2*pi*m into [-pi, pi)."""
+    """Split W at odd multiples of pi; each fragment shifts by -2*pi*m into [-pi, pi).
+
+    At most three per piece: if a piece reaches a fourth 2*pi cell, its second
+    and third fragments cover [-pi, pi) twice, and the rest change no result."""
     fragments = []
     for piece in W:
         start = piece.lo
-        m = math.floor((start.coef + 1) / 2)
-        while start < piece.hi:
+        first = m = math.floor((start.coef + 1) / 2)
+        while start < piece.hi and m < first + 3:
             cell_hi = RationalPi(2 * m + 1)
             frag_hi = min(piece.hi, cell_hi)
             fragments.append((Interval(start, frag_hi), RationalPi(-2 * m)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -158,3 +159,86 @@ def midpoint_set_algebra(A: IntervalSet, B: IntervalSet) -> tuple[IntervalSet, I
     both = _set_of((lo, hi) for lo, hi, mid in cells if A.contains(mid) and B.contains(mid))
     only_a = _set_of((lo, hi) for lo, hi, mid in cells if A.contains(mid) and not B.contains(mid))
     return both, only_a
+
+
+# ---------------------------------------------------------------------------
+# Per-point numeric reference: the fiber, Gram-Schmidt and lattice-sum loops
+# the batched fiber tensor replaced, one profile evaluation per (point, level).
+
+TWO_PI_F = 2.0 * math.pi
+
+
+def loop_fiber(profile, xi: float, level: int, k_max: int) -> tuple[np.ndarray, bool]:
+    """Entries 2**(level/2) * profile(2**level * (xi + 2*pi*k)), k = -k_max..k_max,
+    and whether every dropped |k| > k_max is outside the support."""
+    ks = np.arange(-k_max, k_max + 1)
+    points = (2.0**level) * (float(xi) + TWO_PI_F * ks)
+    entries = (2.0 ** (level / 2)) * profile.evaluate_array(points)
+    exact = (2.0**level) * (TWO_PI_F * (k_max + 1) - math.pi) > profile.support_radius
+    return entries, exact
+
+
+def loop_gram_schmidt(profile, xi: float, j_max: int, k_max: int, tol: float = 1e-9) -> dict:
+    """Fibers, residuals, h, eta, max_scale, rank and truncation flag at one point."""
+    vectors = []
+    exact = True
+    for level in range(1, j_max + 1):
+        entries, level_exact = loop_fiber(profile, xi, level, k_max)
+        vectors.append(entries)
+        exact = exact and level_exact
+    fibers = np.array(vectors)
+    norms_sq = np.sum(np.abs(fibers) ** 2, axis=1)
+    max_scale = max(1.0, float(norms_sq.max()))
+    threshold = tol * max_scale
+    residuals = np.zeros_like(fibers)
+    h_values = np.zeros(j_max)
+    eta = np.zeros((j_max, j_max), dtype=complex)
+    for j in range(j_max):
+        g = fibers[j].copy()
+        for k in range(j):
+            if h_values[k] > threshold:
+                gk = residuals[k]
+                coeff = np.vdot(gk, fibers[j]) / (h_values[k] / TWO_PI_F)
+                eta[j, k] = coeff
+                g = g - coeff * gk
+        residuals[j] = g
+        h_values[j] = TWO_PI_F * float(np.vdot(g, g).real)
+    return {
+        "fibers": fibers,
+        "residuals": residuals,
+        "h_values": h_values,
+        "eta": eta,
+        "max_scale": max_scale,
+        "rank": int((h_values > threshold).sum()),
+        "truncation_exact": exact,
+    }
+
+
+def loop_dimension_sum(profile, xi: float, j_max: int, k_max: int) -> tuple[float, bool]:
+    """Level-by-level lattice sum of |profile(2**j (xi + 2 pi k))|**2 and its
+    truncation flag."""
+    xi = float(xi)
+    ks = np.arange(-k_max, k_max + 1)
+    total = 0.0
+    for level in range(1, j_max + 1):
+        values = profile.evaluate_array((2.0**level) * (xi + TWO_PI_F * ks))
+        total += float(np.sum(np.abs(values) ** 2))
+    support = profile.support_radius
+    k_exact = 2.0 * (TWO_PI_F * (k_max + 1) - math.pi) > support
+    nearest = abs(xi - TWO_PI_F * round(xi / TWO_PI_F))
+    j_exact = (2.0 ** (j_max + 1)) * nearest > support
+    return total, k_exact and j_exact
+
+
+def principal_images(W: IntervalSet) -> list[Interval]:
+    """Every piece of W cut at all odd multiples of pi inside it, each cut
+    shifted by a multiple of 2*pi into [-pi, pi)."""
+    images = []
+    for iv in W:
+        lo_c, hi_c = iv.lo.coef, iv.hi.coef
+        odd = [Fraction(c) for c in range(math.ceil(lo_c), math.floor(hi_c) + 1) if c % 2]
+        cuts = [lo_c] + [c for c in odd if lo_c < c < hi_c] + [hi_c]
+        for lo, hi in zip(cuts, cuts[1:]):
+            shift = 2 * math.floor((lo + 1) / 2)
+            images.append(Interval(RationalPi(lo - shift), RationalPi(hi - shift)))
+    return images

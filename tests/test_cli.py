@@ -1,10 +1,19 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import wavemult
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
+
+# The child imports the same wavemult as the tests, installed or not.
+PACKAGE_ROOT = str(Path(wavemult.__file__).resolve().parents[1])
+CHILD_PATH = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(*args):
@@ -12,6 +21,7 @@ def run_cli(*args):
         [sys.executable, "-m", "wavemult", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": CHILD_PATH},
     )
     payload = json.loads(proc.stdout) if proc.stdout.strip() else None
     return proc.returncode, payload
@@ -127,6 +137,36 @@ def test_dimfn_numeric_mode_msf():
     assert len(payload["records"]) >= 64
     record = payload["records"][0]
     assert {"xi", "rank", "dim_sum", "agree", "xi_pi", "exact"} <= set(record)
+    assert all(r["truncation_exact"] is True for r in payload["records"])
+
+
+def test_dimfn_numeric_csv_carries_truncation(tmp_path):
+    csv_path = tmp_path / "grid.csv"
+    code, payload = run_cli("dimfn", "--wavelet", "meyer", "--grid", "8", "--csv", str(csv_path))
+    assert code == 0
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert list(rows[0]) == ["xi", "rank", "dim_sum", "exact", "agree", "truncation_exact"]
+    assert [row["truncation_exact"] for row in rows] == [
+        str(r["truncation_exact"]) for r in payload["records"]
+    ]
+
+
+@pytest.mark.parametrize("wavelet", ["meyer", "msf:journe"])
+@pytest.mark.parametrize("grid", ["0", "-5"])
+def test_dimfn_grid_below_one_is_precondition_error(wavelet, grid):
+    code, payload = run_cli("dimfn", "--wavelet", wavelet, "--grid", grid)
+    assert code == 3
+    assert payload["error"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "depth", [["--J", "1100"], ["--J", "0"], ["--K", "0"], ["--K", "-3"], ["--tol", "0"]]
+)
+def test_multiplicity_depth_out_of_range_is_precondition_error(depth):
+    code, payload = run_cli("multiplicity", "--wavelet", "meyer", "--xi", "1/2pi", *depth)
+    assert code == 3
+    assert payload["error"] == "precondition"
 
 
 def test_dimfn_numeric_mode_meyer():

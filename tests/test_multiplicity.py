@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import wavemult.multiplicity as multiplicity
 from wavemult.dimension import dimension_at, dimension_step_function, midpoint_grid
 from wavemult.exact import IntervalSet, PreconditionError, RationalPi
 from wavemult.multiplicity import (
     SpectralProfile,
     dimension_sum,
-    fiber,
     gram_schmidt,
     meyer_profile,
     msf_profile,
-    multiplicity_rank,
     sampled_profile,
     uniform_grid,
     verify_m_equals_d,
@@ -88,26 +87,66 @@ class TestProfiles:
 
 class TestFiber:
     def test_shannon_single_entry(self, shannon):
-        fv = fiber(msf_profile(shannon), float(rp(1, 2)), 1, 4)
+        state = gram_schmidt(msf_profile(shannon), float(rp(1, 2)), 1, 4)
         expected = np.zeros(9, dtype=complex)
         expected[4] = math.sqrt(2)
-        assert np.array_equal(fv.entries, expected)
-        assert fv.truncation_exact
+        assert np.array_equal(state.fibers[0], expected)
+        assert state.truncation_exact
 
     def test_zero_profile(self):
-        fv = fiber(ZERO_PROFILE, 0.4, 3, 4)
-        assert not fv.entries.any()
+        state = gram_schmidt(ZERO_PROFILE, 0.4, 3, 4)
+        assert not state.fibers[2].any()
 
     def test_meyer_level3_vanishes(self):
-        fv = fiber(meyer_profile(), float(rp(1, 2)), 3, 4)
-        assert not fv.entries.any()
-        assert fv.truncation_exact
+        state = gram_schmidt(meyer_profile(), float(rp(1, 2)), 3, 4)
+        assert not state.fibers[2].any()
+        assert state.truncation_exact
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
-            fiber(ZERO_PROFILE, 0.1, 0, 4)
+            gram_schmidt(ZERO_PROFILE, 0.1, 0, 4)
         with pytest.raises(PreconditionError):
-            fiber(ZERO_PROFILE, 0.1, 1, 0)
+            gram_schmidt(ZERO_PROFILE, 0.1, 1, 0)
+
+
+class TestDepthPreconditions:
+    @pytest.mark.parametrize(
+        "j_max, k_max, tol",
+        [(0, 4, 1e-9), (1024, 4, 1e-9), (1100, 8, 1e-9), (4, 0, 1e-9), (4, -3, 1e-9),
+         (4, 4, 0.0), (4, 4, -1e-9), (4, 4, float("nan")), (1023, 600, 1e-9), (2, 10**6, 1e-9)],
+    )
+    def test_gram_schmidt_and_grid_reject(self, j_max, k_max, tol):
+        with pytest.raises(PreconditionError):
+            gram_schmidt(meyer_profile(), 1.0, j_max, k_max, tol)
+        with pytest.raises(PreconditionError):
+            verify_m_equals_d(meyer_profile(), [1.0], j_max, k_max, tol)
+
+    @pytest.mark.parametrize("j_max, k_max", [(0, 4), (4, -3), (1024, 4), (4, 10**6)])
+    def test_dimension_sum_rejects(self, j_max, k_max):
+        with pytest.raises(PreconditionError):
+            dimension_sum(meyer_profile(), 1.0, j_max, k_max)
+
+    def test_empty_grid_is_still_validated(self):
+        with pytest.raises(PreconditionError):
+            verify_m_equals_d(meyer_profile(), [], 12, 0)
+
+    def test_deepest_fitting_level_accepted(self):
+        deepest = math.isqrt(multiplicity.BLOCK_ELEMENTS)  # J * max(J, 3) <= budget at K = 1
+        assert dimension_sum(ZERO_PROFILE, 1.0, deepest, 1).value == 0.0
+        with pytest.raises(PreconditionError):
+            dimension_sum(ZERO_PROFILE, 1.0, deepest + 1, 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_deepest_float_level_accepted(self, monkeypatch):
+        monkeypatch.setattr(multiplicity, "BLOCK_ELEMENTS", 1 << 20)
+        assert dimension_sum(ZERO_PROFILE, 1.0, 1023, 1).value == 0.0
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_grid_sizes_below_one_rejected(self, shannon, count):
+        with pytest.raises(PreconditionError):
+            uniform_grid(FULL_WINDOW, count)
+        with pytest.raises(PreconditionError):
+            midpoint_grid(shannon, FULL_WINDOW, count)
 
 
 class TestGramSchmidt:
@@ -161,17 +200,17 @@ class TestGramSchmidt:
 
 class TestRank:
     def test_shannon_rank_one(self, shannon):
-        assert multiplicity_rank(msf_profile(shannon), float(rp(1, 2)), 8, 8) == 1
+        assert gram_schmidt(msf_profile(shannon), float(rp(1, 2)), 8, 8).rank == 1
 
     def test_journe_rank_two_point(self, journe):
         sf = dimension_step_function(journe, parse_set("[1/8pi,1pi)"))
         region = next(piece for piece, value in sf.pairs if value == 2)
         xi = region.pieces[0].midpoint()
         assert dimension_at(journe, xi) == 2
-        assert multiplicity_rank(msf_profile(journe), float(xi), 12, 8) == 2
+        assert gram_schmidt(msf_profile(journe), float(xi), 12, 8).rank == 2
 
     def test_zero_profile_rank_zero(self):
-        assert multiplicity_rank(ZERO_PROFILE, 0.9, 6, 4) == 0
+        assert gram_schmidt(ZERO_PROFILE, 0.9, 6, 4).rank == 0
 
     def test_rank_matches_pivoted_gram_oracle(self):
         for name, profile in catalog_profiles():
@@ -189,9 +228,7 @@ class TestRank:
                 base.support_radius,
             )
             for xi in points:
-                assert multiplicity_rank(scaled, xi, 12, 8) == multiplicity_rank(
-                    base, xi, 12, 8
-                )
+                assert gram_schmidt(scaled, xi, 12, 8).rank == gram_schmidt(base, xi, 12, 8).rank
 
 
 class TestDimensionSum:
@@ -249,7 +286,9 @@ class TestAgreement:
         grid = midpoint_grid(shannon, FULL_WINDOW, 8)
         report = verify_m_equals_d(msf_profile(shannon), grid, 8, 4)
         obj = report.to_json_obj()
-        assert {"xi", "rank", "dim_sum", "agree", "xi_pi", "exact"} == set(obj[0])
+        keys = {"xi", "rank", "dim_sum", "agree", "truncation_exact", "xi_pi", "exact"}
+        assert keys == set(obj[0])
+        assert obj[0]["truncation_exact"] is True
         rows = report.to_csv_rows()
-        assert list(rows[0]) == ["xi", "rank", "dim_sum", "exact", "agree"]
+        assert list(rows[0]) == ["xi", "rank", "dim_sum", "exact", "agree", "truncation_exact"]
         assert report.disagreements == ()

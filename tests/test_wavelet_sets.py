@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -17,11 +18,15 @@ from wavemult.wavelet_sets import (
     CATALOG_NAMES,
     PRINCIPAL_WINDOW,
     PiecewiseTranslation,
+    _translation_result,
     catalog,
     dilation_congruence,
     is_wavelet_set,
     translation_congruence,
 )
+
+
+from _oracles import midpoint_tiling_failure, principal_images, random_interval_set
 
 
 def rp(num, den=1):
@@ -206,3 +211,29 @@ class TestHostileInputs:
     def test_cache_is_bounded(self):
         assert 0 < CACHE_SIZE < float("inf")
         assert is_wavelet_set.cache_info().maxsize == CACHE_SIZE
+
+    def test_long_piece_rejected_quickly(self):
+        W = IntervalSet.single(rp(1), rp(10**6))
+        start = time.perf_counter()
+        report = is_wavelet_set(W)
+        elapsed = time.perf_counter() - start
+        assert not report.is_translation_congruent
+        assert not report.is_dilation_congruent
+        assert report.tau_witness is None
+        assert report.failure_regions.to_text() == "[-2pi,2pi)"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_long_pieces_match_the_full_split(self, seed):
+        rng = random.Random(seed)
+        long_pieces = []
+        for _ in range(rng.randint(1, 2)):
+            lo = Fraction(rng.randint(-400, 400), rng.randint(1, 16))
+            cells = rng.randint(2, 20)  # the piece meets this many 2*pi cells
+            first = 2 * ((lo + 1) // 2) - 1  # left end of the cell holding lo
+            hi = first + 2 * (cells - 1) + Fraction(rng.randint(1, 15), 8)
+            long_pieces.append(Interval(RationalPi(lo), RationalPi(hi)))
+        W = IntervalSet.from_intervals(long_pieces).union(random_interval_set(rng, 3))
+        witness, failure = _translation_result(W)
+        assert failure == midpoint_tiling_failure(principal_images(W), PRINCIPAL_WINDOW)
+        assert (witness is None) == (not failure.is_empty)
