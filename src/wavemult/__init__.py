@@ -43,9 +43,9 @@ from .dimension import (
     StepFunction,
     core_equivalence_regions,
     core_equivalent_exact,
-    dimension_at,
     dimension_integral,
     dimension_step_function,
+    dimension_values,
     midpoint_grid,
     mra_consistent,
 )

@@ -61,11 +61,15 @@ def _resolve_profile(selector: str) -> SpectralProfile:
     )
 
 
-def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_csv(path: str, table) -> None:
+    """Write `table.to_csv_rows()` under the header `table.CSV_COLUMNS`."""
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=table.CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(table.to_csv_rows())
+    except OSError as err:
+        raise click.UsageError(f"cannot write CSV file {path!r}: {err.strerror or err}") from None
 
 
 @click.group()
@@ -122,6 +126,8 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
         W = _resolve_set(expr)
         window = parse_set(window_expr)
         step = dimension_step_function(W, window)
+        if csv_path:
+            _write_csv(csv_path, step)
         _emit(
             {
                 "set": W.to_text(),
@@ -129,12 +135,6 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
                 "step_function": step.to_json_obj(),
             }
         )
-        if csv_path:
-            _write_csv(
-                csv_path,
-                step.to_csv_rows(),
-                ["lo_pi_num", "lo_pi_den", "hi_pi_num", "hi_pi_den", "value"],
-            )
         sys.exit(EXIT_OK)
 
     profile = _resolve_profile(wavelet)
@@ -142,6 +142,8 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
     msf = profile.kind == "msf"
     grid = midpoint_grid(profile.msf_set, window, grid_n) if msf else uniform_grid(window, grid_n)
     report = verify_m_equals_d(profile, grid, j_max, k_max, tol)
+    if csv_path:
+        _write_csv(csv_path, report)
     _emit(
         {
             "wavelet": wavelet,
@@ -153,8 +155,6 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
             "all_agree": report.all_agree,
         }
     )
-    if csv_path:
-        _write_csv(csv_path, report.to_csv_rows(), list(report.CSV_COLUMNS))
     sys.exit(EXIT_OK if report.all_agree else EXIT_FALSE)
 
 

@@ -22,6 +22,7 @@ from .exact import (
     Interval,
     IntervalSet,
     RationalPi,
+    ceil_log2,
     group_by_value,
     sweep,
 )
@@ -30,8 +31,8 @@ from .wavelet_sets import PRINCIPAL_WINDOW, _require_wavelet_set
 __all__ = [
     "StepFunction",
     "DimensionIntegral",
-    "dimension_at",
     "dimension_step_function",
+    "dimension_values",
     "dimension_integral",
     "core_equivalent_exact",
     "core_equivalence_regions",
@@ -51,6 +52,8 @@ class StepFunction:
 
     window: IntervalSet
     pairs: tuple[tuple[IntervalSet, int], ...]
+
+    CSV_COLUMNS = ("lo_pi_num", "lo_pi_den", "hi_pi_num", "hi_pi_den", "value")
 
     def __post_init__(self) -> None:
         if any(value < 0 for piece, value in self.pairs if not piece.is_empty):
@@ -93,13 +96,7 @@ class StepFunction:
 
     def to_csv_rows(self) -> list[dict]:
         return [
-            {
-                "lo_pi_num": iv.lo.num,
-                "lo_pi_den": iv.lo.den,
-                "hi_pi_num": iv.hi.num,
-                "hi_pi_den": iv.hi.den,
-                "value": value,
-            }
+            dict(zip(self.CSV_COLUMNS, (iv.lo.num, iv.lo.den, iv.hi.num, iv.hi.den, value)))
             for iv, value in self.rows()
         ]
 
@@ -122,34 +119,9 @@ def _step_from_covers(window: IntervalSet, covers: Sequence[IntervalSet]) -> Ste
     )
 
 
-def dimension_at(W: IntervalSet, xi: RationalPi) -> int:
-    """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W.
-
-    xi must lie in [-pi, pi) and differ from 0 (breakpoints accumulate at 0,
-    so the value there is not defined by a finite computation).
-    """
-    _require_wavelet_set(W)
-    if not (MINUS_PI <= xi < PI):
-        raise PreconditionError("xi must lie in [-pi, pi)")
-    if xi.is_zero:
-        raise PreconditionError("the dimension function is not evaluated at 0")
-    radius = W.max_abs()
-    k_max = math.floor((radius.coef + 2) / 4)
-    count = 0
-    for k in range(-k_max, k_max + 1):
-        base = xi + TWO_PI * k
-        if base.is_zero:
-            continue
-        y = base.times_pow2(1)
-        while abs(y) <= radius:
-            if W.contains(y):
-                count += 1
-            y = y.times_pow2(1)
-    return count
-
-
 def _hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:
-    """All nonempty sets (2**-j * W - 2*pi*k) meet query, for j >= 1."""
+    """The translates 2**-j * W - 2*pi*k, j >= 1, that can meet the query, uncut
+    (`_step_from_covers` keeps only the cells inside the query)."""
     eps = query.dist_zero()
     hits = []
     j = 1
@@ -159,10 +131,7 @@ def _hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:
         if radius < eps:
             break
         k_max = math.floor((radius.coef + 1) / 2)
-        for k in range(-k_max, k_max + 1):
-            hit = scaled.translate(TWO_PI * (-k)).intersect(query)
-            if not hit.is_empty:
-                hits.append(hit)
+        hits += [scaled.translate(TWO_PI * (-k)) for k in range(-k_max, k_max + 1)]
         j += 1
     return hits
 
@@ -181,6 +150,32 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     if query.zero_in_closure():
         raise PreconditionError("query window must stay away from 0")
     return _step_from_covers(query, _hit_sets(W, query))
+
+
+def _punctured_window(edge: RationalPi) -> IntervalSet:
+    """[-pi, -edge) u [edge, pi)."""
+    return IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)])
+
+
+def dimension_values(W: IntervalSet, points: Sequence[RationalPi]) -> list[int]:
+    """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W, at each point xi.
+
+    Every xi must lie in [-pi, pi) and differ from 0 (breakpoints accumulate
+    at 0, so the value there is not defined by a finite computation).  The
+    counts are read from one step function on [-pi, -e) u [e, pi), where e is
+    the largest power of two times pi below every |xi|.
+    """
+    if not points:
+        return []
+    _require_wavelet_set(W)
+    for xi in points:
+        if not (MINUS_PI <= xi < PI):
+            raise PreconditionError("xi must lie in [-pi, pi)")
+        if xi.is_zero:
+            raise PreconditionError("the dimension function is not evaluated at 0")
+    edge = PI.times_pow2(ceil_log2(min(abs(xi.coef) for xi in points)) - 1)
+    step = dimension_step_function(W, _punctured_window(edge))
+    return [step.value_at(xi) for xi in points]
 
 
 @dataclass(frozen=True)
@@ -223,11 +218,17 @@ def core_equivalence_regions(
 
 def mra_consistent(W: IntervalSet, depth: int = 10) -> bool:
     """Constant-1 dimension function on [pi/2**depth, pi) and its mirror."""
-    edge = RationalPi(Fraction(1, 2**depth))
-    window = IntervalSet.from_intervals(
-        [Interval(MINUS_PI, -edge), Interval(edge, PI)]
-    )
+    window = _punctured_window(PI.times_pow2(-depth))
     return dimension_step_function(W, window).constant_value() == 1
+
+
+# Largest grid size `midpoint_grid` and `multiplicity.uniform_grid` accept.
+MAX_GRID = 1 << 16
+
+
+def _require_grid_size(count: int) -> None:
+    if not 1 <= count <= MAX_GRID:
+        raise PreconditionError(f"grid size must lie in 1..{MAX_GRID}, got {count}")
 
 
 def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[RationalPi]:
@@ -237,8 +238,7 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
     the midpoints of the cells are returned, so no point can sit on a
     breakpoint.
     """
-    if count < 1:
-        raise PreconditionError(f"grid size must be at least 1, got {count}")
+    _require_grid_size(count)
     rows = dimension_step_function(W, window).rows()
     if not rows:
         return []

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .exact import IntervalSet, PreconditionError, RationalPi
-from .dimension import dimension_at
+from .dimension import _require_grid_size, dimension_values
 
 __all__ = [
     "SpectralProfile",
@@ -289,18 +289,6 @@ class AgreementReport:
 GridPoint = Union[float, RationalPi]
 
 
-def _grid_record(
-    profile: SpectralProfile, point: GridPoint, rank: int, total: float, truncation: bool
-) -> GridRecord:
-    xi_text = exact = None
-    if isinstance(point, RationalPi):
-        xi_text = point.pi_text()
-        if profile.kind == "msf" and profile.msf_set is not None:
-            exact = dimension_at(profile.msf_set, point)
-    agree = rank == round(total) and (exact is None or rank == exact)
-    return GridRecord(float(point), xi_text, rank, total, exact, agree, truncation)
-
-
 def verify_m_equals_d(
     profile: SpectralProfile, grid: Iterable[GridPoint], j_max: int, k_max: int, tol: float = 1e-9
 ) -> AgreementReport:
@@ -313,19 +301,27 @@ def verify_m_equals_d(
     points = list(grid)
     xs = np.array([float(p) for p in points])
     ranks, totals, truncation = [], [], []
-    for fibers, sums, exact in _lattice_blocks(profile, xs, j_max, k_max, tol):
+    for fibers, sums, complete in _lattice_blocks(profile, xs, j_max, k_max, tol):
         _, h_values, _, max_scale = _orthogonalize(fibers, tol)
         ranks += np.sum(h_values > tol * max_scale[:, None], axis=1).tolist()
         totals += sums.tolist()
-        truncation += exact.tolist()
-    columns = zip(points, ranks, totals, truncation)
-    return AgreementReport(tuple(_grid_record(profile, *column) for column in columns))
+        truncation += complete.tolist()
+    msf = profile.kind == "msf" and profile.msf_set is not None
+    exact_points = [p for p in points if isinstance(p, RationalPi)]
+    counts = iter(dimension_values(profile.msf_set, exact_points) if msf else ())
+    records = []
+    for point, rank, total, truncation_exact in zip(points, ranks, totals, truncation):
+        xi_text = exact = None
+        if isinstance(point, RationalPi):
+            xi_text, exact = point.pi_text(), next(counts, None)
+        agree = rank == round(total) and (exact is None or rank == exact)
+        records.append(GridRecord(float(point), xi_text, rank, total, exact, agree, truncation_exact))
+    return AgreementReport(tuple(records))
 
 
 def uniform_grid(window: IntervalSet, count: int) -> list[float]:
     """Midpoints of `count` equal cells spread over the window pieces (floats)."""
-    if count < 1:
-        raise PreconditionError(f"grid size must be at least 1, got {count}")
+    _require_grid_size(count)
     per_piece = -(-count // len(window)) if window else 0
     points = []
     for iv in window:

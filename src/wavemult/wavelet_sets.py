@@ -188,23 +188,25 @@ def translation_congruence(W: IntervalSet) -> Optional[PiecewiseTranslation]:
 
 
 def _annulus_fragments(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
-    """Scale every piece into the reference annuli, splitting at dyadic grid points."""
+    """Scale every piece into the reference annuli, splitting at dyadic grid points.
+
+    At most three per piece: if a piece reaches a fourth octave, its second
+    and third fragments cover the annulus twice, and the rest change no result."""
     positive, negative = [], []
     for piece in W:
-        if piece.lo >= RationalPi(0):
-            start = piece.lo
-            while start < piece.hi:
+        start = piece.lo
+        for _ in range(3):
+            if start >= piece.hi:
+                break
+            if start >= RationalPi(0):
                 m = floor_log2(start.coef)  # start in [2**m * pi, 2**(m+1) * pi)
                 frag_hi = min(piece.hi, RationalPi(Fraction(2) ** (m + 1)))
                 positive.append(Interval(start, frag_hi).scaled_pow2(-m))
-                start = frag_hi
-        else:
-            start = piece.lo
-            while start < piece.hi:
+            else:
                 m = ceil_log2(-start.coef) - 1  # start in [-2**(m+1) * pi, -2**m * pi)
                 frag_hi = min(piece.hi, RationalPi(-(Fraction(2) ** m)))
                 negative.append(Interval(start, frag_hi).scaled_pow2(-m))
-                start = frag_hi
+            start = frag_hi
     return positive, negative
 
 

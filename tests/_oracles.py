@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from wavemult.dimension import StepFunction
-from wavemult.exact import Interval, IntervalSet, RationalPi, TWO_PI
+from wavemult.exact import Interval, IntervalSet, RationalPi
 
 
 def brute_dimension_count(W: IntervalSet, xi: RationalPi, j_cap: int = 16, k_cap: int = 8) -> int:
@@ -20,14 +20,17 @@ def brute_dimension_count(W: IntervalSet, xi: RationalPi, j_cap: int = 16, k_cap
     max |endpoint| <= 32*pi/7 < 2**3 * pi, and probes keep |xi| >= pi/2**11,
     so contributing j never exceed 15 and |k| never exceeds 2.
     """
+    # Integers in units of pi / den, with den a common denominator of every endpoint.
+    den = math.lcm(xi.den, *(e.den for iv in W for e in (iv.lo, iv.hi)))
+    pieces = [(iv.lo.num * (den // iv.lo.den), iv.hi.num * (den // iv.hi.den)) for iv in W]
     count = 0
     for k in range(-k_cap, k_cap + 1):
-        base = xi + TWO_PI * k
-        if base.is_zero:
+        base = xi.num * (den // xi.den) + 2 * k * den
+        if base == 0:
             continue
         for j in range(1, j_cap + 1):
-            if W.contains(base.times_pow2(j)):
-                count += 1
+            y = base * 2**j
+            count += sum(1 for lo, hi in pieces if lo <= y < hi)
     return count
 
 
@@ -242,3 +245,25 @@ def principal_images(W: IntervalSet) -> list[Interval]:
             shift = 2 * math.floor((lo + 1) / 2)
             images.append(Interval(RationalPi(lo - shift), RationalPi(hi - shift)))
     return images
+
+
+def annulus_images(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
+    """Every piece of W (0 outside its closure) cut at all points +-2**m * pi
+    inside it, each cut scaled by a power of two into [pi, 2*pi) or [-2*pi, -pi)."""
+    positive, negative = [], []
+    for iv in W:
+        sign = 1 if iv.lo.coef > 0 else -1
+        lo_c, hi_c = sorted((sign * iv.lo.coef, sign * iv.hi.coef))  # as a positive piece
+        m = loop_floor_log2(lo_c)
+        cuts = [lo_c]
+        while Fraction(2) ** (m + 1) < hi_c:
+            m += 1
+            cuts.append(Fraction(2) ** m)
+        cuts.append(hi_c)
+        for lo, hi in zip(cuts, cuts[1:]):
+            scale = Fraction(2) ** -loop_floor_log2(lo)
+            if sign > 0:
+                positive.append(Interval(RationalPi(lo * scale), RationalPi(hi * scale)))
+            else:
+                negative.append(Interval(RationalPi(-hi * scale), RationalPi(-lo * scale)))
+    return positive, negative

@@ -160,6 +160,25 @@ def test_dimfn_grid_below_one_is_precondition_error(wavelet, grid):
     assert payload["error"] == "precondition"
 
 
+@pytest.mark.parametrize("wavelet", ["meyer", "msf:journe"])
+@pytest.mark.parametrize("grid", ["65537", "100000000"])
+def test_dimfn_grid_above_cap_is_precondition_error(wavelet, grid):
+    code, payload = run_cli("dimfn", "--wavelet", wavelet, "--grid", grid)
+    assert code == 3
+    assert payload["error"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "mode", [["--set", "journe", "--window", "[1/8pi,1pi)"], ["--wavelet", "msf:journe", "--grid", "8"]]
+)
+def test_dimfn_unwritable_csv_is_usage_error(tmp_path, mode):
+    # run_cli parses stdout as one JSON object, so no report may precede the error
+    code, payload = run_cli("dimfn", *mode, "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert payload["error"] == "usage"
+    assert "x.csv" in payload["detail"]
+
+
 @pytest.mark.parametrize(
     "depth", [["--J", "1100"], ["--J", "0"], ["--K", "0"], ["--K", "-3"], ["--tol", "0"]]
 )

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,13 +7,16 @@ from wavemult.dimension import (
     StepFunction,
     core_equivalence_regions,
     core_equivalent_exact,
-    dimension_at,
     dimension_integral,
     dimension_step_function,
+    dimension_values,
     midpoint_grid,
     mra_consistent,
 )
 from wavemult.exact import (
+    MINUS_PI,
+    PI,
+    Interval,
     IntervalSet,
     PreconditionError,
     RationalPi,
@@ -35,33 +39,34 @@ FULL_WINDOW = parse_set("[-1pi,-1/64pi),[1/64pi,1pi)")
 
 class TestDimensionAt:
     def test_shannon_midpoint(self, shannon):
-        assert dimension_at(shannon, rp(1, 2)) == 1
+        assert dimension_values(shannon, [rp(1, 2)]) == [1]
 
     def test_w1_midpoint(self, w1):
-        assert dimension_at(w1, rp(1, 2)) == 1
+        assert dimension_values(w1, [rp(1, 2)]) == [1]
 
     def test_journe_frozen_values(self, journe):
         # hand-enumerated lattice hits
-        assert dimension_at(journe, rp(1, 8)) == 2
-        assert dimension_at(journe, rp(3, 4)) == 0
-        assert dimension_at(journe, rp(5, 7)) == 0
-        assert dimension_at(journe, rp(1, 2)) == 1
+        assert dimension_values(journe, [rp(1, 8), rp(3, 4), rp(5, 7), rp(1, 2)]) == [2, 0, 0, 1]
+        assert dimension_values(journe, []) == []
 
     def test_brute_force_agreement(self):
         rng = random.Random(42)
         for name in CATALOG_NAMES:
             W = catalog(name)
-            for _ in range(50):
-                xi = random_point_in(rng, FULL_WINDOW)
-                assert dimension_at(W, xi) == brute_dimension_count(W, xi), (name, xi)
+            points = [random_point_in(rng, FULL_WINDOW) for _ in range(50)]
+            points += [rp(-1), rp(-1, 8), rp(1, 8), rp(-1, 2**11)]  # at powers of two
+            want = [brute_dimension_count(W, xi) for xi in points]
+            assert dimension_values(W, points) == want, name
 
     def test_preconditions(self, shannon):
-        with pytest.raises(PreconditionError):
-            dimension_at(shannon, ZERO)
-        with pytest.raises(PreconditionError):
-            dimension_at(shannon, rp(3, 2))
-        with pytest.raises(PreconditionError):
-            dimension_at(parse_set("[1pi,3pi)"), rp(1, 2))
+        with pytest.raises(PreconditionError, match="not evaluated at 0"):
+            dimension_values(shannon, [rp(1, 2), ZERO])
+        with pytest.raises(PreconditionError, match=r"xi must lie in \[-pi, pi\)"):
+            dimension_values(shannon, [rp(3, 2)])
+        with pytest.raises(PreconditionError, match=r"xi must lie in \[-pi, pi\)"):
+            dimension_values(shannon, [rp(1)])
+        with pytest.raises(PreconditionError, match="not a wavelet set"):
+            dimension_values(parse_set("[1pi,3pi)"), [rp(1, 2)])
 
 
 class TestStepFunction:
@@ -92,7 +97,21 @@ class TestStepFunction:
             sf = dimension_step_function(W, FULL_WINDOW)
             for _ in range(200):
                 xi = random_point_in(rng, FULL_WINDOW)
-                assert sf.value_at(xi) == dimension_at(W, xi)
+                assert sf.value_at(xi) == brute_dimension_count(W, xi)
+
+    @pytest.mark.parametrize("depth", [12, 40])
+    def test_deep_windows_match_lattice_count(self, depth):
+        # [-pi, -pi/2**depth) u [pi/2**depth, pi); no contributing j exceeds depth + 3
+        edge = RationalPi(Fraction(1, 2**depth))
+        window = IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)])
+        rng = random.Random(depth)
+        for name in CATALOG_NAMES:
+            W = catalog(name)
+            sf = dimension_step_function(W, window)
+            points = [iv.lo for iv, _ in sf.rows()]
+            points += [random_point_in(rng, window, 2**20) for _ in range(40)]
+            for xi in points:
+                assert sf.value_at(xi) == brute_dimension_count(W, xi, j_cap=depth + 4), (name, xi)
 
     def test_window_monotonicity(self, journe):
         small = parse_set("[1/8pi,1/2pi)")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wavemult.multiplicity as multiplicity
-from wavemult.dimension import dimension_at, midpoint_grid
+from wavemult.dimension import midpoint_grid
 from wavemult.exact import RationalPi
 from wavemult.multiplicity import (
     dimension_sum,
@@ -26,7 +26,7 @@ from wavemult.multiplicity import (
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
-from _oracles import loop_dimension_sum, loop_gram_schmidt
+from _oracles import brute_dimension_count, loop_dimension_sum, loop_gram_schmidt
 
 WINDOW = parse_set("[-1pi,-1/64pi),[1/64pi,1pi)")
 PROFILES = (*CATALOG_NAMES, "meyer", "sampled", "wide")
@@ -54,19 +54,24 @@ def profile_and_grid(name):
 
 
 @lru_cache(maxsize=None)
+def exact_counts(name):
+    """The lattice count at each exact grid point of an MSF profile, else None."""
+    profile, grid = profile_and_grid(name)
+    if profile.kind != "msf":
+        return (None,) * len(grid)
+    return tuple(brute_dimension_count(profile.msf_set, point) for point in grid)
+
+
+@lru_cache(maxsize=None)
 def reference(name, j_max, k_max):
     """Per-point states and (xi, xi_text, rank, sum, exact, agree, truncation) rows."""
     profile, grid = profile_and_grid(name)
     states, rows = [], []
-    for point in grid:
+    for point, exact in zip(grid, exact_counts(name)):
         xi = float(point)
         state = loop_gram_schmidt(profile, xi, j_max, k_max)
         total, truncation = loop_dimension_sum(profile, xi, j_max, k_max)
-        exact = xi_text = None
-        if isinstance(point, RationalPi):
-            xi_text = point.pi_text()
-            if profile.kind == "msf":
-                exact = dimension_at(profile.msf_set, point)
+        xi_text = point.pi_text() if isinstance(point, RationalPi) else None
         agree = state["rank"] == round(total) and (exact is None or state["rank"] == exact)
         states.append(state)
         rows.append((xi, xi_text, state["rank"], total, exact, agree, truncation))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavemult.multiplicity as multiplicity
-from wavemult.dimension import dimension_at, dimension_step_function, midpoint_grid
+from wavemult.dimension import MAX_GRID, dimension_step_function, dimension_values, midpoint_grid
 from wavemult.exact import IntervalSet, PreconditionError, RationalPi
 from wavemult.multiplicity import (
     SpectralProfile,
@@ -19,7 +19,7 @@ from wavemult.multiplicity import (
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
-from _oracles import pivoted_gram_rank
+from _oracles import brute_dimension_count, pivoted_gram_rank
 
 
 def rp(num, den=1):
@@ -148,6 +148,16 @@ class TestDepthPreconditions:
         with pytest.raises(PreconditionError):
             midpoint_grid(shannon, FULL_WINDOW, count)
 
+    @pytest.mark.parametrize("count", [MAX_GRID + 1, 10**8])
+    def test_grid_sizes_above_cap_rejected(self, shannon, count):
+        with pytest.raises(PreconditionError):
+            uniform_grid(FULL_WINDOW, count)
+        with pytest.raises(PreconditionError):
+            midpoint_grid(shannon, FULL_WINDOW, count)
+
+    def test_largest_grid_accepted(self):
+        assert len(uniform_grid(FULL_WINDOW, MAX_GRID)) == MAX_GRID
+
 
 class TestGramSchmidt:
     def test_shannon_weights(self, shannon):
@@ -206,7 +216,7 @@ class TestRank:
         sf = dimension_step_function(journe, parse_set("[1/8pi,1pi)"))
         region = next(piece for piece, value in sf.pairs if value == 2)
         xi = region.pieces[0].midpoint()
-        assert dimension_at(journe, xi) == 2
+        assert brute_dimension_count(journe, xi) == 2
         assert gram_schmidt(msf_profile(journe), float(xi), 12, 8).rank == 2
 
     def test_zero_profile_rank_zero(self):
@@ -243,7 +253,7 @@ class TestDimensionSum:
             profile = msf_profile(W)
             for xi in midpoint_grid(W, FULL_WINDOW, 32):
                 got = dimension_sum(profile, float(xi), 12, 8)
-                assert got.value == float(dimension_at(W, xi)), (name, xi)
+                assert got.value == float(brute_dimension_count(W, xi)), (name, xi)
                 assert got.truncation_exact
 
     def test_meyer_near_one(self):
@@ -274,6 +284,27 @@ class TestAgreement:
         report = verify_m_equals_d(msf_profile(journe), grid, 12, 8)
         assert report.all_agree
         assert {r.rank for r in report.records} == {0, 1, 2}
+
+    def test_exact_column_from_one_call(self, journe, monkeypatch):
+        calls = []
+
+        def counted(W, points):
+            calls.append(list(points))
+            return dimension_values(W, points)
+
+        monkeypatch.setattr(multiplicity, "dimension_values", counted)
+        exact = midpoint_grid(journe, FULL_WINDOW, 16)
+        grid = [float(exact[0]), *exact[1:], 0.5]
+        report = verify_m_equals_d(msf_profile(journe), grid, 12, 8)
+        assert calls == [exact[1:]]
+        assert [r.exact for r in report.records] == [
+            None, *(brute_dimension_count(journe, xi) for xi in exact[1:]), None
+        ]
+        assert report.all_agree
+
+    def test_float_grid_needs_no_wavelet_set(self):
+        report = verify_m_equals_d(msf_profile(parse_set("[1pi,3pi)")), [0.5, 1.5], 8, 4)
+        assert [r.exact for r in report.records] == [None, None]
 
     def test_meyer_constant_one(self):
         grid = uniform_grid(FULL_WINDOW, 32)

@@ -18,6 +18,7 @@ from wavemult.wavelet_sets import (
     CATALOG_NAMES,
     PRINCIPAL_WINDOW,
     PiecewiseTranslation,
+    _dilation_result,
     _translation_result,
     catalog,
     dilation_congruence,
@@ -26,7 +27,7 @@ from wavemult.wavelet_sets import (
 )
 
 
-from _oracles import midpoint_tiling_failure, principal_images, random_interval_set
+from _oracles import annulus_images, midpoint_tiling_failure, principal_images, random_interval_set
 
 
 def rp(num, den=1):
@@ -237,3 +238,26 @@ class TestHostileInputs:
         witness, failure = _translation_result(W)
         assert failure == midpoint_tiling_failure(principal_images(W), PRINCIPAL_WINDOW)
         assert (witness is None) == (not failure.is_empty)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_long_octave_pieces_match_the_full_split(self, seed):
+        rng = random.Random(seed)
+        pieces = []
+        for _ in range(rng.randint(1, 3)):
+            octaves = rng.randint(2, 20)  # the piece meets this many dyadic annuli
+            m = rng.randint(-8, 4)
+            lo = Fraction(2) ** m * (1 + Fraction(rng.randrange(64), 64))
+            hi = Fraction(2) ** (m + octaves - 1) * (1 + Fraction(rng.randint(1, 64), 64))
+            pieces.append((lo, hi) if rng.random() < 0.5 else (-hi, -lo))
+        for _ in range(rng.randint(0, 3)):  # short pieces of both signs
+            lo = Fraction(rng.randint(1, 512), 64)
+            hi = lo + Fraction(rng.randint(1, 64), 64)
+            pieces.append((lo, hi) if rng.random() < 0.5 else (-hi, -lo))
+        W = IntervalSet.from_intervals(Interval(RationalPi(a), RationalPi(b)) for a, b in pieces)
+        positive, negative = annulus_images(W)
+        want = midpoint_tiling_failure(positive, IntervalSet.single(rp(1), rp(2))).union(
+            midpoint_tiling_failure(negative, IntervalSet.single(rp(-2), rp(-1)))
+        )
+        ok, failure = _dilation_result(W)
+        assert failure == want
+        assert ok == failure.is_empty
