@@ -21,9 +21,9 @@ from .exact import (
     PreconditionError,
     Interval,
     IntervalSet,
+    Piecewise,
     RationalPi,
     ceil_log2,
-    group_by_value,
     sweep,
 )
 from .wavelet_sets import PRINCIPAL_WINDOW, _require_wavelet_set
@@ -42,38 +42,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(Piecewise):
     """Integer-valued step function on a window, in canonical form.
 
-    Pairs are grouped by value (each value appears once, its region a
-    canonical IntervalSet) and ordered by value; the regions partition the
-    window exactly, so equality of step functions is equality of dataclasses.
+    Canonical as a `Piecewise` with nonnegative integer values whose pieces
+    partition the window exactly, so equality of step functions is equality
+    of dataclasses.
     """
 
     window: IntervalSet
     pairs: tuple[tuple[IntervalSet, int], ...]
 
     CSV_COLUMNS = ("lo_pi_num", "lo_pi_den", "hi_pi_num", "hi_pi_den", "value")
+    OVERLAP_ERROR = "step function pieces must partition the window"
 
     def __post_init__(self) -> None:
         if any(value < 0 for piece, value in self.pairs if not piece.is_empty):
             raise ValueError("step function values must be nonnegative")
-        pairs, union = group_by_value((piece, int(value)) for piece, value in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if union != self.window:
-            raise ValueError("step function pieces must partition the window")
-
-    def value_at(self, x: RationalPi) -> int:
-        for piece, value in self.pairs:
-            if piece.contains(x):
-                return value
-        raise PreconditionError(f"{x} lies outside the step-function window")
-
-    def rows(self) -> list[tuple[Interval, int]]:
-        """Breakpoint rows (interval, value) ordered by left endpoint."""
-        rows = [(iv, value) for piece, value in self.pairs for iv in piece]
-        rows.sort(key=lambda row: row[0].lo.coef)
-        return rows
+        object.__setattr__(self, "pairs", tuple((piece, int(value)) for piece, value in self.pairs))
+        super().__post_init__()
+        if self.domain != self.window:
+            raise ValueError(self.OVERLAP_ERROR)
 
     def restrict(self, sub: IntervalSet) -> "StepFunction":
         if not sub.subset_of(self.window):
@@ -109,14 +98,9 @@ def _step_from_covers(window: IntervalSet, covers: Sequence[IntervalSet]) -> Ste
     """
     items = [(iv.lo.coef, iv.hi.coef, True) for iv in window]
     items += [(iv.lo.coef, iv.hi.coef, False) for s in covers for iv in s]
-    grouped: dict[int, list[Interval]] = {}
-    for lo, hi, count, tags in sweep(items):
-        if True in tags:
-            grouped.setdefault(count - 1, []).append(Interval(RationalPi(lo), RationalPi(hi)))
-    return StepFunction(
-        window,
-        tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in grouped.items()),
-    )
+    return StepFunction(window, tuple(
+        (IntervalSet((Interval(RationalPi(lo), RationalPi(hi)),)), count - 1)
+        for lo, hi, count, tags in sweep(items) if True in tags))
 
 
 def _hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:

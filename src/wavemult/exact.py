@@ -27,7 +27,7 @@ __all__ = [
     "floor_log2",
     "ceil_log2",
     "sweep",
-    "group_by_value",
+    "Piecewise",
 ]
 
 RationalLike = Union[int, str, Fraction]
@@ -178,7 +178,13 @@ class RationalPi:
         return RationalPi(self.coef * _pow2(n))
 
     def __float__(self) -> float:
-        return float(self.coef) * math.pi
+        try:
+            value = float(self.coef) * math.pi
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise PreconditionError("value too large for a float")
+        return value
 
     def pi_text(self) -> str:
         """Grammar-compatible token, e.g. ``15/8pi``, ``-pi``, ``2pi``."""
@@ -386,17 +392,39 @@ class IntervalSet:
         return self.to_text() if self.pieces else "(empty)"
 
 
-def group_by_value(
-    pairs: Iterable[tuple[IntervalSet, Any]],
-) -> tuple[tuple[tuple[IntervalSet, Any], ...], Optional[IntervalSet]]:
-    """Canonical (piece, value) pairs, one merged piece per value in value order.
+class Piecewise:
+    """A function constant on each piece of its domain, in canonical form.
 
-    Also returns the union of all pieces, or None when pieces of two values
-    overlap; one sort over all pieces decides it.
+    Subclasses are frozen dataclasses with a `pairs` field of (piece, value)
+    pairs, each piece an IntervalSet.  Construction groups the pairs by value
+    (each value once, its piece a canonical non-empty IntervalSet, pairs in
+    value order), merges pieces of one value, rejects pieces of two values
+    that overlap and stores the union of the pieces as `domain`.
     """
-    grouped: dict = {}
-    for piece, value in pairs:
-        if not piece.is_empty:
-            grouped.setdefault(value, []).extend(piece.pieces)
-    canonical = tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
-    return canonical, IntervalSet.from_disjoint(iv for piece, _ in canonical for iv in piece)
+
+    OVERLAP_ERROR = "pieces of two values overlap"
+
+    def __post_init__(self) -> None:
+        grouped: dict = {}
+        for piece, value in self.pairs:
+            if not piece.is_empty:
+                grouped.setdefault(value, []).extend(piece.pieces)
+        pairs = tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
+        object.__setattr__(self, "pairs", pairs)
+        # One sort over all pieces decides the overlap check and yields the domain.
+        domain = IntervalSet.from_disjoint(iv for piece, _ in pairs for iv in piece)
+        if domain is None:
+            raise ValueError(self.OVERLAP_ERROR)
+        object.__setattr__(self, "domain", domain)
+
+    def value_at(self, x: RationalPi) -> Any:
+        for piece, value in self.pairs:
+            if piece.contains(x):
+                return value
+        raise PreconditionError(f"{x} lies outside the domain")
+
+    def rows(self) -> list[tuple[Interval, Any]]:
+        """Atomic (interval, value) rows ordered by left endpoint."""
+        rows = [(iv, value) for piece, value in self.pairs for iv in piece]
+        rows.sort(key=lambda row: row[0].lo.coef)
+        return rows

@@ -60,7 +60,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise SetSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            raise SetSyntaxError("integer literal too long", start) from None
 
     def at_end(self) -> bool:
         self.skip_ws()

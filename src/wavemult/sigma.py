@@ -179,12 +179,7 @@ class CommutantVerdict:
             "in_commutant": self.in_commutant,
         }
         if self.witness is not None:
-            piece, shift = self.witness
-            obj["witness"] = {
-                "piece": piece.to_text(),
-                "shift": shift.shift_text(),
-                "shift_float": float(shift),
-            }
+            obj["witness"] = PiecewiseTranslation.json_row(*self.witness)
         return obj
 
 

@@ -21,10 +21,10 @@ from .exact import (
     PreconditionError,
     Interval,
     IntervalSet,
+    Piecewise,
     RationalPi,
     floor_log2,
     ceil_log2,
-    group_by_value,
     sweep,
 )
 from .parsing import parse_set
@@ -44,30 +44,25 @@ PRINCIPAL_WINDOW = IntervalSet.single(MINUS_PI, PI)
 
 
 @dataclass(frozen=True)
-class PiecewiseTranslation:
+class PiecewiseTranslation(Piecewise):
     """An injective map translating each piece of its domain by a constant.
 
-    Stored canonically: fragments are grouped by shift (each shift appears
-    once, its piece a canonical IntervalSet) and pairs are ordered by shift.
-    Construction validates that domain pieces are pairwise disjoint and that
-    the shifted pieces are pairwise disjoint (injectivity), so every instance
-    is a measure-preserving bijection onto its image.
+    Canonical as a `Piecewise` whose values are the shifts.  Construction
+    also validates that the shifted pieces are pairwise disjoint
+    (injectivity) and stores their union as `image`, so every instance is a
+    measure-preserving bijection onto its image.
     """
 
     pairs: tuple[tuple[IntervalSet, RationalPi], ...]
 
+    OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
+
     def __post_init__(self) -> None:
-        pairs, domain = group_by_value(self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if domain is None:
-            raise ValueError("piecewise translation has overlapping domain pieces")
-        image = IntervalSet.from_disjoint(
-            iv.shifted(shift) for piece, shift in pairs for iv in piece
-        )
+        super().__post_init__()
+        image = IntervalSet.from_disjoint(iv.shifted(s) for piece, s in self.pairs for iv in piece)
         if image is None:
             raise ValueError("piecewise translation is not injective")
-        object.__setattr__(self, "_domain", domain)
-        object.__setattr__(self, "_image", image)
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def from_fragments(
@@ -76,43 +71,26 @@ class PiecewiseTranslation:
         return cls(tuple((IntervalSet((iv,)), s) for iv, s in fragments))
 
     @property
-    def domain(self) -> IntervalSet:
-        return self._domain  # type: ignore[attr-defined]
-
-    @property
-    def image(self) -> IntervalSet:
-        return self._image  # type: ignore[attr-defined]
-
-    @property
     def is_two_pi_integral(self) -> bool:
         return all(shift.is_two_pi_multiple for _, shift in self.pairs)
 
     def apply(self, x: RationalPi) -> RationalPi:
-        for piece, shift in self.pairs:
-            if piece.contains(x):
-                return x + shift
-        raise PreconditionError(f"{x} lies outside the map domain")
+        return x + self.value_at(x)
 
-    def cases(self) -> list[tuple[Interval, RationalPi]]:
-        """Atomic (interval, shift) rows ordered by left endpoint."""
-        rows = [(iv, shift) for piece, shift in self.pairs for iv in piece]
-        rows.sort(key=lambda row: row[0].lo.coef)
-        return rows
+    cases = Piecewise.rows
 
     def inverse(self) -> "PiecewiseTranslation":
         return PiecewiseTranslation(
             tuple((piece.translate(shift), -shift) for piece, shift in self.pairs)
         )
 
+    @staticmethod
+    def json_row(piece, shift: RationalPi) -> dict:
+        """JSON entry of one piece (an Interval or an IntervalSet) and its shift."""
+        return {"piece": piece.to_text(), "shift": shift.shift_text(), "shift_float": float(shift)}
+
     def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "piece": piece.to_text(),
-                "shift": shift.shift_text(),
-                "shift_float": float(shift),
-            }
-            for piece, shift in self.pairs
-        ]
+        return [self.json_row(piece, shift) for piece, shift in self.pairs]
 
 
 @dataclass(frozen=True)

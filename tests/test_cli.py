@@ -75,6 +75,31 @@ def test_precondition_error_exit_three():
     assert payload["error"] == "precondition"
 
 
+def test_overlong_integer_literal_exit_two():
+    code, payload = run_cli("verify-set", "--set", "[1pi,1" + "0" * 5000 + "pi)")
+    assert code == 2
+    assert payload["error"] == "parse"
+    assert "integer literal too long (at position 5)" in payload["detail"]
+
+
+BIG = "1" + "0" * 400  # 10**400 pi has no finite float
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-set", "--set", f"[1pi,{BIG}pi)"],
+        ["multiplicity", "--wavelet", "meyer", "--xi", f"{BIG}pi"],
+        ["dimfn", "--wavelet", f"msf:[1pi,{BIG}pi)"],
+    ],
+    ids=["verify-set", "multiplicity", "dimfn"],
+)
+def test_value_without_finite_float_exit_three(args):
+    code, payload = run_cli(*args)
+    assert code == 3
+    assert payload == {"error": "precondition", "detail": "value too large for a float"}
+
+
 def test_sigma_map_output():
     code, payload = run_cli("sigma", "--w1", "paper_w1", "--w2", "paper_w2")
     assert code == 0

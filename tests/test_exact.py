@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wavemult.exact import (
     Interval,
     IntervalSet,
+    PreconditionError,
     RationalPi,
     TWO_PI,
     ZERO,
@@ -67,6 +68,13 @@ class TestRationalPi:
         assert rp(-1).pi_text() == "-pi"
         assert rp(2).pi_text() == "2pi"
         assert rp(0).pi_text() == "0pi"
+
+    def test_float_without_finite_value_is_precondition_error(self):
+        assert float(RationalPi(Fraction(10**300))) == 10**300 * math.pi
+        assert float(rp(1, 10**400)) == 0.0
+        for coef in (10**400, -(10**400), 10**308):  # 10**308 is a float, 10**308 * pi is not
+            with pytest.raises(PreconditionError, match="too large for a float"):
+                float(RationalPi(coef))
 
     def test_arithmetic(self):
         assert rp(17, 8) - TWO_PI == rp(1, 8)

@@ -54,6 +54,17 @@ def test_zero_denominator_rejected():
         parse_set("[1/0pi,2pi)")
 
 
+def test_overlong_integer_literal_is_syntax_error():
+    digits = "1" + "0" * 5000  # beyond the interpreter's int-string digit limit
+    with pytest.raises(SetSyntaxError, match="integer literal too long") as exc:
+        parse_set(f"[1pi,{digits}pi)")
+    assert exc.value.position == 5
+    with pytest.raises(SetSyntaxError, match="integer literal too long") as exc:
+        parse_scalar(f"-1/{digits}pi")
+    assert exc.value.position == 3
+    assert parse_scalar("1" + "0" * 4000 + "pi") == RationalPi(10**4000)
+
+
 def test_scalar_forms():
     assert parse_scalar("-9/4pi") == RationalPi.of(-9, 4)
     assert parse_scalar("pi") == RationalPi.of(1)
