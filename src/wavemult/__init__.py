@@ -35,7 +35,6 @@ from .sigma import (
     compose,
     compose_power,
     dyadic_extension,
-    extension_at,
     power_in_local_commutant,
 )
 from .dimension import (

@@ -10,6 +10,7 @@ sorted, pairwise disjoint, never adjacent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -186,25 +187,27 @@ class RationalPi:
             raise PreconditionError("value too large for a float")
         return value
 
+    def _digits(self) -> tuple[str, str]:
+        """Decimal numerator and denominator; a precondition error when either has
+        more digits than the interpreter converts to text."""
+        try:
+            return str(self.num), str(self.den)
+        except ValueError:
+            raise PreconditionError(
+                f"exact value has more than {sys.get_int_max_str_digits()} digits to print"
+            ) from None
+
     def pi_text(self) -> str:
         """Grammar-compatible token, e.g. ``15/8pi``, ``-pi``, ``2pi``."""
-        c = self.coef
-        if c == 0:
-            return "0pi"
-        sign = "-" if c < 0 else ""
-        c = abs(c)
-        if c == 1:
-            return sign + "pi"
-        if c.denominator == 1:
-            return f"{sign}{c.numerator}pi"
-        return f"{sign}{c.numerator}/{c.denominator}pi"
+        num, den = self._digits()
+        if den != "1":
+            return f"{num}/{den}pi"
+        return {"1": "", "-1": "-"}.get(num, num) + "pi"
 
     def shift_text(self) -> str:
         """Readable exact form, e.g. ``-9/4 pi``."""
-        c = self.coef
-        if c.denominator == 1:
-            return f"{c.numerator} pi"
-        return f"{c.numerator}/{c.denominator} pi"
+        num, den = self._digits()
+        return f"{num} pi" if den == "1" else f"{num}/{den} pi"
 
     def __str__(self) -> str:
         return self.shift_text()

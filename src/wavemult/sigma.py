@@ -3,10 +3,10 @@
 Between any two wavelet sets there is a canonical measurable bijection made
 of 2*pi*Z shifts: push the first set onto [-pi, pi) with its translation
 witness, then pull back with the inverse of the second witness.  The map
-extends to the punctured line by commuting with dyadic dilation; composing
-the extension with itself yields the powers, and a power corresponds to a
-unitary in the local commutant exactly when all of its shifts stay on the
-2*pi*Z lattice.
+extends to the punctured line by commuting with dyadic dilation.  Powers come
+from binary powering: O(log p) compositions of a power with the extension of
+itself or of the map.  A power corresponds to a unitary in the local
+commutant exactly when all of its shifts stay on the 2*pi*Z lattice.
 """
 
 from __future__ import annotations
@@ -26,13 +26,17 @@ from .exact import (
 )
 from .wavelet_sets import PiecewiseTranslation, _require_wavelet_set
 
+# Largest power compose_power accepts: pieces and shift-denominator bits of
+# the result grow linearly in p, so p = 1024 already takes seconds.
+MAX_POWER = 1024
+
 __all__ = [
     "SigmaMap",
     "CommutantVerdict",
     "build_sigma",
     "compose",
     "dyadic_extension",
-    "extension_at",
+    "MAX_POWER",
     "compose_power",
     "power_in_local_commutant",
 ]
@@ -100,29 +104,26 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
 
     The domain of `base` must tile the punctured line dyadically (true for
     any wavelet set).  On a fragment carried into the domain by 2**n, the
-    extension translates by the base shift scaled by 2**-n.  The full
-    extension has infinitely many pieces accumulating at 0 and infinity, so
-    it is only ever materialized on a requested region: one sweep overlays
-    the region (tagged -1) with the dilates of every level at once, each
-    tagged by the index of its scaled shift in `shifts`.
+    extension translates by the base shift scaled by 2**-n.  Each region
+    interval is dilated only by the 2**n that can meet the domain's hull; one
+    sweep overlays those dilates (tagged n) with the base pieces (tagged by
+    shift), and each cell covered by both is scaled back by 2**-n.
     """
-    if region.is_empty:
-        return PiecewiseTranslation(())
     if region.zero_in_closure():
         raise PreconditionError("region must stay away from 0")
-    w_min = base.domain.dist_zero()
-    w_max = base.domain.max_abs()
-    n_lo = ceil_log2(w_min.coef / region.max_abs().coef)
-    n_hi = floor_log2(w_max.coef / region.dist_zero().coef)
-    items = [(iv.lo.coef, iv.hi.coef, -1) for iv in region]
-    shifts = []
-    for n in range(n_lo, n_hi + 1):
-        scale = Fraction(2) ** -n
-        for piece, shift in base.pairs:
-            items += [(iv.lo.coef * scale, iv.hi.coef * scale, len(shifts)) for iv in piece]
-            shifts.append(RationalPi(shift.coef * scale))
-    fragments = [(Interval(RationalPi(lo), RationalPi(hi)), shifts[i])
-                 for lo, hi, _, tags in sweep(items) if -1 in tags for i in tags if i >= 0]
+    w_min, w_max = base.domain.dist_zero().coef, base.domain.max_abs().coef
+    items = [(iv.lo.coef, iv.hi.coef, shift) for piece, shift in base.pairs for iv in piece]
+    for iv in region:
+        near, far = sorted((abs(iv.lo.coef), abs(iv.hi.coef)))
+        for n in range(ceil_log2(w_min / far), floor_log2(w_max / near) + 1):
+            items.append((iv.lo.coef * Fraction(2) ** n, iv.hi.coef * Fraction(2) ** n, n))
+    fragments: list[tuple[Interval, RationalPi]] = []
+    for lo, hi, _, tags in sweep(items):
+        shift = next((t for t in tags if isinstance(t, RationalPi)), None)
+        if shift is not None:
+            fragments += [(Interval(RationalPi(lo * scale), RationalPi(hi * scale)),
+                           RationalPi(shift.coef * scale))
+                          for n in tags if n is not shift for scale in (Fraction(2) ** -n,)]
     result = PiecewiseTranslation.from_fragments(fragments)
     if result.domain != region:
         raise PreconditionError(
@@ -131,32 +132,19 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
     return result
 
 
-def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
-    """Pointwise value of the dilation-commuting extension at x (x != 0)."""
-    if x.is_zero:
-        raise PreconditionError("the extension is not defined at 0")
-    w_min = base.domain.dist_zero()
-    w_max = base.domain.max_abs()
-    n_lo = ceil_log2(w_min.coef / abs(x.coef))
-    n_hi = floor_log2(w_max.coef / abs(x.coef))
-    for n in range(n_lo, n_hi + 1):
-        y = x.times_pow2(n)
-        if base.domain.contains(y):
-            return base.apply(y).times_pow2(-n)
-    raise PreconditionError(f"no dyadic dilate of {x} lands in the map domain")
-
-
 def compose_power(sigma: SigmaMap, power: int) -> PiecewiseTranslation:
-    """The p-th power of the extended map, restricted to w1.
+    """The p-th power of the extended map on w1, by binary powering over the bits of p.
 
-    Shifts of the result need not be 2*pi multiples; they pick up dyadic
-    denominators from the extension.
+    The extension of a power restricted to w1 is that power itself, so squaring
+    composes with its own extension.  Shifts pick up dyadic denominators.
     """
-    if power < 1:
-        raise PreconditionError("power must be a positive integer")
+    if not 1 <= power <= MAX_POWER:
+        raise PreconditionError(f"power must lie in 1..{MAX_POWER}, got {power}")
     current = sigma.mapping
-    for _ in range(power - 1):
-        current = compose(current, dyadic_extension(sigma.mapping, current.image))
+    for bit in bin(power)[3:]:
+        current = compose(current, dyadic_extension(current, current.image))
+        if bit == "1":
+            current = compose(current, dyadic_extension(sigma.mapping, current.image))
     return current
 
 

@@ -5,12 +5,22 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from wavemult.dimension import StepFunction
-from wavemult.exact import Interval, IntervalSet, RationalPi
+from wavemult.exact import (
+    Interval,
+    IntervalSet,
+    PreconditionError,
+    RationalPi,
+    ceil_log2,
+    floor_log2,
+    sweep,
+)
+from wavemult.sigma import SigmaMap, compose
+from wavemult.wavelet_sets import PiecewiseTranslation
 
 
 def brute_dimension_count(W: IntervalSet, xi: RationalPi, j_cap: int = 16, k_cap: int = 8) -> int:
@@ -267,3 +277,61 @@ def annulus_images(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
             else:
                 negative.append(Interval(RationalPi(-hi * scale), RationalPi(-lo * scale)))
     return positive, negative
+
+
+# ---------------------------------------------------------------------------
+# The dilation-commuting extension and the powers of sigma as the library
+# first computed them: pointwise, over every level of the region's hull, and
+# by one composition per power.
+
+
+def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
+    """Pointwise value of the dilation-commuting extension at x (x != 0)."""
+    if x.is_zero:
+        raise PreconditionError("the extension is not defined at 0")
+    w_min = base.domain.dist_zero()
+    w_max = base.domain.max_abs()
+    n_lo = ceil_log2(w_min.coef / abs(x.coef))
+    n_hi = floor_log2(w_max.coef / abs(x.coef))
+    for n in range(n_lo, n_hi + 1):
+        y = x.times_pow2(n)
+        if base.domain.contains(y):
+            return base.apply(y).times_pow2(-n)
+    raise PreconditionError(f"no dyadic dilate of {x} lands in the map domain")
+
+
+def hull_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> PiecewiseTranslation:
+    """The extension on a region, from one sweep of the region (tagged -1) with the
+    base pieces dilated to every level that meets the region's hull."""
+    if region.is_empty:
+        return PiecewiseTranslation(())
+    if region.zero_in_closure():
+        raise PreconditionError("region must stay away from 0")
+    w_min = base.domain.dist_zero()
+    w_max = base.domain.max_abs()
+    n_lo = ceil_log2(w_min.coef / region.max_abs().coef)
+    n_hi = floor_log2(w_max.coef / region.dist_zero().coef)
+    items = [(iv.lo.coef, iv.hi.coef, -1) for iv in region]
+    shifts = []
+    for n in range(n_lo, n_hi + 1):
+        scale = Fraction(2) ** -n
+        for piece, shift in base.pairs:
+            items += [(iv.lo.coef * scale, iv.hi.coef * scale, len(shifts)) for iv in piece]
+            shifts.append(RationalPi(shift.coef * scale))
+    fragments = [(Interval(RationalPi(lo), RationalPi(hi)), shifts[i])
+                 for lo, hi, _, tags in sweep(items) if -1 in tags for i in tags if i >= 0]
+    result = PiecewiseTranslation.from_fragments(fragments)
+    if result.domain != region:
+        raise PreconditionError(
+            "region is not exactly covered by dyadic dilates of the map domain"
+        )
+    return result
+
+
+def loop_compose_powers(sigma: SigmaMap) -> Iterator[PiecewiseTranslation]:
+    """sigma, sigma**2, sigma**3, ... on w1, each the last one composed with the
+    hull-wide extension of sigma on its image."""
+    current = sigma.mapping
+    while True:
+        yield current
+        current = compose(current, hull_dyadic_extension(sigma.mapping, current.image))

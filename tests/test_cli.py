@@ -125,6 +125,21 @@ def test_sigma_power_one_true_verdict():
     assert "witness" not in payload
 
 
+def test_sigma_power_beyond_cap_exit_three():
+    code, payload = run_cli("sigma", "--w1", "journe", "--w2", "paper_w2", "--power", "5000")
+    assert code == 3
+    assert payload == {"error": "precondition", "detail": "power must lie in 1..1024, got 5000"}
+
+
+def test_value_beyond_print_limit_exit_three():
+    # Endpoint denominators of 2201 digits parse; the measure's has 4401, too many to print.
+    big = 10**2200
+    code, payload = run_cli("verify-set", "--set", f"[1/{big + 3}pi,1/{big + 1}pi)")
+    assert code == 3
+    assert payload["error"] == "precondition"
+    assert "digits to print" in payload["detail"]
+
+
 def test_sigma_rejects_non_wavelet_set():
     code, payload = run_cli("sigma", "--w1", "[1pi,2pi)", "--w2", "paper_w2")
     assert code == 3

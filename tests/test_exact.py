@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,15 @@ class TestRationalPi:
         assert rp(-1).pi_text() == "-pi"
         assert rp(2).pi_text() == "2pi"
         assert rp(0).pi_text() == "0pi"
+
+    def test_text_beyond_the_digit_limit_is_precondition_error(self):
+        limit = sys.get_int_max_str_digits()
+        at_limit = 10 ** (limit - 1)
+        assert rp(1, at_limit).pi_text() == f"1/{at_limit}pi"
+        for x in (RationalPi(10**limit), rp(1, 10**limit), rp(-3, 10**limit)):
+            for text in (x.pi_text, x.shift_text):
+                with pytest.raises(PreconditionError, match="digits to print"):
+                    text()
 
     def test_float_without_finite_value_is_precondition_error(self):
         assert float(RationalPi(Fraction(10**300))) == 10**300 * math.pi

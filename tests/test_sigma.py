@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,17 +13,17 @@ from wavemult.exact import (
 )
 from wavemult.parsing import parse_set
 from wavemult.sigma import (
+    MAX_POWER,
     SigmaMap,
     build_sigma,
     compose,
     compose_power,
     dyadic_extension,
-    extension_at,
     power_in_local_commutant,
 )
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
-from _oracles import random_point_in
+from _oracles import extension_at, loop_compose_powers, random_point_in
 
 
 def rp(num, den=1):
@@ -171,6 +172,24 @@ class TestComposePower:
     def test_invalid_power(self, paper_sigma):
         with pytest.raises(PreconditionError):
             compose_power(paper_sigma, 0)
+        with pytest.raises(PreconditionError, match=f"power must lie in 1..{MAX_POWER}"):
+            compose_power(paper_sigma, MAX_POWER + 1)
+
+    @pytest.mark.parametrize("a,b", list(itertools.permutations(CATALOG_NAMES, 2)))
+    def test_binary_powers_match_sequential_loop(self, a, b):
+        sigma = build_sigma(catalog(a), catalog(b))
+        for p, expected in zip(range(1, 33), loop_compose_powers(sigma)):
+            assert compose_power(sigma, p) == expected, p
+
+    @pytest.mark.parametrize("a,b", [("paper_w1", "paper_w2"), ("shannon", "journe"),
+                                     ("journe", "paper_w2")])
+    def test_power_64_is_fast(self, a, b):
+        # Binary powering with a level-local extension takes 0.03-0.1 s on a 2-core
+        # machine; one composition per power over hull-wide extensions took 0.7-3.1 s.
+        sigma = build_sigma(catalog(a), catalog(b))
+        start = time.perf_counter()
+        compose_power(sigma, 64)
+        assert time.perf_counter() - start < 0.5
 
     def test_pointwise_iteration_oracle(self, paper_sigma, shannon, journe):
         rng = random.Random(99)

@@ -13,10 +13,12 @@ from wavemult.dimension import (
 )
 from wavemult.exact import Interval, IntervalSet, RationalPi, sweep
 from wavemult.parsing import parse_set
-from wavemult.sigma import build_sigma, compose_power, dyadic_extension, extension_at
+from wavemult.sigma import build_sigma, compose_power, dyadic_extension
 from wavemult.wavelet_sets import CATALOG_NAMES, _tiling_check, catalog
 
 from _oracles import (
+    extension_at,
+    hull_dyadic_extension,
     midpoint_differing_regions,
     midpoint_set_algebra,
     midpoint_step_from_covers,
@@ -154,6 +156,7 @@ class TestSigmaAgainstPointwiseExtension:
         region = random_interval_set(rng).difference(NEAR_ZERO)
         ext = dyadic_extension(base, region)
         assert ext.domain == region
+        assert ext == hull_dyadic_extension(base, region)
         points = cell_starts(ext)
         if not region.is_empty:
             points += [random_point_in(rng, region) for _ in range(20)]
