@@ -48,18 +48,29 @@ from .dimension import (
     midpoint_grid,
     mra_consistent,
 )
-from .multiplicity import (
-    AgreementReport,
-    DimensionSum,
-    GramSchmidtState,
-    SpectralProfile,
-    dimension_sum,
-    gram_schmidt,
-    meyer_profile,
-    msf_profile,
-    sampled_profile,
-    uniform_grid,
-    verify_m_equals_d,
+__version__ = "0.1.0"
+
+# The numeric names load `multiplicity`, and numpy with it, on first access
+# (PEP 562), so `import wavemult` and the exact side never import numpy.
+_NUMERIC = (
+    "AgreementReport", "DimensionSum", "GramSchmidtState", "SpectralProfile", "dimension_sum",
+    "gram_schmidt", "meyer_profile", "msf_profile", "sampled_profile", "uniform_grid",
+    "verify_m_equals_d",
 )
 
-__version__ = "0.1.0"
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | {"multiplicity", *_NUMERIC}
+)
+
+
+def __getattr__(name: str):
+    if name == "multiplicity" or name in _NUMERIC:
+        import importlib
+
+        module = importlib.import_module(".multiplicity", __name__)
+        return module if name == "multiplicity" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
@@ -18,19 +18,12 @@ from .exact import IntervalSet, PreconditionError
 from .parsing import SetSyntaxError, parse_scalar, parse_set
 from .wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
 from .sigma import build_sigma, power_in_local_commutant
-from .dimension import (
-    core_equivalence_regions,
-    dimension_step_function,
-    midpoint_grid,
-)
-from .multiplicity import (
-    SpectralProfile,
-    gram_schmidt,
-    meyer_profile,
-    msf_profile,
-    uniform_grid,
-    verify_m_equals_d,
-)
+from .dimension import core_equivalence_regions, dimension_step_function
+
+# The numeric commands import `multiplicity`, and numpy with it, where they
+# use it, so the exact commands never load numpy.
+if TYPE_CHECKING:
+    from .multiplicity import SpectralProfile
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -52,6 +45,8 @@ def _resolve_set(text: str) -> IntervalSet:
 
 
 def _resolve_profile(selector: str) -> SpectralProfile:
+    from .multiplicity import meyer_profile, msf_profile
+
     if selector == "meyer":
         return meyer_profile()
     if selector.startswith("msf:"):
@@ -137,11 +132,17 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
         )
         sys.exit(EXIT_OK)
 
+    from .multiplicity import uniform_grid, verify_m_equals_d
+
     profile = _resolve_profile(wavelet)
     window = parse_set(DEFAULT_NUMERIC_WINDOW)
-    msf = profile.kind == "msf"
-    grid = midpoint_grid(profile.msf_set, window, grid_n) if msf else uniform_grid(window, grid_n)
-    report = verify_m_equals_d(profile, grid, j_max, k_max, tol)
+    if profile.kind == "msf":
+        # One exact step function gives both the grid and the exact counts.
+        step = dimension_step_function(profile.msf_set, window)
+        grid = step.midpoint_grid(grid_n)
+    else:
+        step, grid = None, uniform_grid(window, grid_n)
+    report = verify_m_equals_d(profile, grid, j_max, k_max, tol, step)
     if csv_path:
         _write_csv(csv_path, report)
     _emit(
@@ -166,6 +167,8 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
 @click.option("--tol", default=1e-9, show_default=True)
 def multiplicity_cmd(wavelet, xi_expr, j_max, k_max, tol) -> None:
     """Numerical multiplicity at one base point, with the weight list h_j."""
+    from .multiplicity import gram_schmidt
+
     profile = _resolve_profile(wavelet)
     xi = parse_scalar(xi_expr)
     state = gram_schmidt(profile, float(xi), j_max, k_max, tol)

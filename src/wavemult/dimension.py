@@ -78,6 +78,21 @@ class StepFunction(Piecewise):
     def constant_value(self) -> Optional[int]:
         return self.pairs[0][1] if len(self.pairs) == 1 else None
 
+    def midpoint_grid(self, count: int) -> list[RationalPi]:
+        """At least `count` exact points off the breakpoints: each row is
+        subdivided evenly and the midpoints of its cells are returned."""
+        _require_grid_size(count)
+        rows = self.rows()
+        if not rows:
+            return []
+        per_row = -(-count // len(rows))
+        points = []
+        for iv, _ in rows:
+            width = iv.length / per_row
+            for i in range(per_row):
+                points.append(iv.lo + width * i + width / 2)
+        return points
+
     def to_json_obj(self) -> list[dict]:
         return [
             {"piece": piece.to_text(), "value": value} for piece, value in self.pairs
@@ -220,16 +235,7 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
 
     Each constant piece of the exact step function is subdivided evenly and
     the midpoints of the cells are returned, so no point can sit on a
-    breakpoint.
+    breakpoint (`StepFunction.midpoint_grid`).
     """
-    _require_grid_size(count)
-    rows = dimension_step_function(W, window).rows()
-    if not rows:
-        return []
-    per_row = -(-count // len(rows))
-    points = []
-    for iv, _ in rows:
-        width = iv.length / per_row
-        for i in range(per_row):
-            points.append(iv.lo + width * i + width / 2)
-    return points
+    _require_grid_size(count)  # before the step function is built
+    return dimension_step_function(W, window).midpoint_grid(count)

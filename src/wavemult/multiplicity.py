@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .exact import IntervalSet, PreconditionError, RationalPi
-from .dimension import _require_grid_size, dimension_values
+from .dimension import StepFunction, _require_grid_size, dimension_values
 
 __all__ = [
     "SpectralProfile",
@@ -129,9 +129,10 @@ def _lattice_blocks(
     the lattice sums of |profile|**2 over the same (j, k), added level by level,
     and whether every dropped (j, k) term provably vanishes."""
     per_point = j_max * max(j_max, 2 * k_max + 1)
-    if not (1 <= j_max <= MAX_LEVEL and k_max >= 1 and tol > 0 and per_point <= BLOCK_ELEMENTS):
+    if not (1 <= j_max <= MAX_LEVEL and k_max >= 1 and 0 < tol < math.inf
+            and per_point <= BLOCK_ELEMENTS):
         raise PreconditionError(
-            f"need 1 <= J <= {MAX_LEVEL}, K >= 1, tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}"
+            f"need 1 <= J <= {MAX_LEVEL}, K >= 1, finite tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}"
         )
     size = BLOCK_ELEMENTS // per_point
     shifts = TWO_PI_F * np.arange(-k_max, k_max + 1)
@@ -290,13 +291,17 @@ GridPoint = Union[float, RationalPi]
 
 
 def verify_m_equals_d(
-    profile: SpectralProfile, grid: Iterable[GridPoint], j_max: int, k_max: int, tol: float = 1e-9
+    profile: SpectralProfile, grid: Iterable[GridPoint], j_max: int, k_max: int, tol: float = 1e-9,
+    step: Optional[StepFunction] = None,
 ) -> AgreementReport:
     """Check rank == round(lattice sum) on a grid, and both == the exact count
     when the profile is an MSF indicator and the grid point is exact.
 
     Grid points should avoid 0 and, for MSF profiles, the breakpoints of the
-    exact step function (use `dimension.midpoint_grid`).
+    exact step function (use `dimension.midpoint_grid`).  The exact counts are
+    read from `step` when given: the dimension function of the profile's set
+    on a window holding every exact grid point, such as the one the grid was
+    made from.  Otherwise `dimension.dimension_values` builds one.
     """
     points = list(grid)
     xs = np.array([float(p) for p in points])
@@ -308,7 +313,12 @@ def verify_m_equals_d(
         truncation += complete.tolist()
     msf = profile.kind == "msf" and profile.msf_set is not None
     exact_points = [p for p in points if isinstance(p, RationalPi)]
-    counts = iter(dimension_values(profile.msf_set, exact_points) if msf else ())
+    if not msf:
+        counts = iter(())
+    elif step is not None:
+        counts = (step.value_at(p) for p in exact_points)
+    else:
+        counts = iter(dimension_values(profile.msf_set, exact_points))
     records = []
     for point, rank, total, truncation_exact in zip(points, ranks, totals, truncation):
         xi_text = exact = None

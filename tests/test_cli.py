@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import wavemult
+from wavemult import cli, dimension
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
@@ -226,6 +227,34 @@ def test_multiplicity_depth_out_of_range_is_precondition_error(depth):
     code, payload = run_cli("multiplicity", "--wavelet", "meyer", "--xi", "1/2pi", *depth)
     assert code == 3
     assert payload["error"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "args", [["dimfn", "--wavelet", "meyer", "--grid", "4"], ["multiplicity", "--wavelet", "meyer", "--xi", "1/3pi"]]
+)
+def test_infinite_tol_is_precondition_error(args):
+    # an infinite tolerance would count no rank and report a false disagreement
+    code, payload = run_cli(*args, "--tol", "inf")
+    assert code == 3
+    assert payload["error"] == "precondition"
+    assert "finite tol > 0" in payload["detail"]
+
+
+def test_dimfn_msf_builds_one_step_function(monkeypatch, capsys):
+    calls = []
+    build = dimension.dimension_step_function
+
+    def counted(W, query):
+        calls.append(query)
+        return build(W, query)
+
+    monkeypatch.setattr(dimension, "dimension_step_function", counted)
+    monkeypatch.setattr(cli, "dimension_step_function", counted)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["dimfn", "--wavelet", "msf:journe", "--grid", "64"])
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["all_agree"] is True
+    assert len(calls) == 1
 
 
 def test_dimfn_numeric_mode_meyer():

@@ -121,6 +121,13 @@ class TestDepthPreconditions:
         with pytest.raises(PreconditionError):
             verify_m_equals_d(meyer_profile(), [1.0], j_max, k_max, tol)
 
+    def test_infinite_tol_rejected(self):
+        # Every h_j is finite, so an infinite tolerance would count no rank at all.
+        with pytest.raises(PreconditionError, match="finite tol > 0"):
+            gram_schmidt(meyer_profile(), 1.0, 4, 4, math.inf)
+        with pytest.raises(PreconditionError, match="finite tol > 0"):
+            verify_m_equals_d(meyer_profile(), [1.0], 4, 4, math.inf)
+
     @pytest.mark.parametrize("j_max, k_max", [(0, 4), (4, -3), (1024, 4), (4, 10**6)])
     def test_dimension_sum_rejects(self, j_max, k_max):
         with pytest.raises(PreconditionError):
@@ -300,6 +307,15 @@ class TestAgreement:
         assert [r.exact for r in report.records] == [
             None, *(brute_dimension_count(journe, xi) for xi in exact[1:]), None
         ]
+        assert report.all_agree
+
+    def test_exact_column_from_given_step_function(self, journe, monkeypatch):
+        step = dimension_step_function(journe, FULL_WINDOW)
+        grid = step.midpoint_grid(16)
+        monkeypatch.setattr(multiplicity, "dimension_values", None)  # must not be called
+        report = verify_m_equals_d(msf_profile(journe), grid, 12, 8, 1e-9, step)
+        assert grid == midpoint_grid(journe, FULL_WINDOW, 16)
+        assert [r.exact for r in report.records] == [brute_dimension_count(journe, xi) for xi in grid]
         assert report.all_agree
 
     def test_float_grid_needs_no_wavelet_set(self):
