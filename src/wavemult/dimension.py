@@ -12,18 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import (
     MINUS_PI,
     PI,
-    TWO_PI,
     PreconditionError,
     Interval,
     IntervalSet,
     Piecewise,
     RationalPi,
     ceil_log2,
+    merge_cells,
     sweep,
 )
 from .wavelet_sets import PRINCIPAL_WINDOW, _require_wavelet_set
@@ -56,11 +56,12 @@ class StepFunction(Piecewise):
     CSV_COLUMNS = ("lo_pi_num", "lo_pi_den", "hi_pi_num", "hi_pi_den", "value")
     OVERLAP_ERROR = "step function pieces must partition the window"
 
-    def __post_init__(self) -> None:
-        if any(value < 0 for piece, value in self.pairs if not piece.is_empty):
+    _tag = int
+
+    def _build(self, triples: list) -> None:
+        if any(value < 0 for _, _, value in triples):
             raise ValueError("step function values must be nonnegative")
-        object.__setattr__(self, "pairs", tuple((piece, int(value)) for piece, value in self.pairs))
-        super().__post_init__()
+        super()._build(triples)
         if self.domain != self.window:
             raise ValueError(self.OVERLAP_ERROR)
 
@@ -105,33 +106,29 @@ class StepFunction(Piecewise):
         ]
 
 
-def _step_from_covers(window: IntervalSet, covers: Sequence[IntervalSet]) -> StepFunction:
-    """Sum of the indicator functions of `covers`, as a step function on `window`.
-
-    One sweep over the window pieces (tagged True) and the cover pieces
-    (tagged False); inside the window the value is the count less one.
-    """
+def _step_from_covers(window: IntervalSet, covers: Iterable[tuple]) -> StepFunction:
+    """Sum of the indicators of the covers, coefficient pairs (lo, hi), as a step function
+    on `window`: one sweep over the window pieces (tagged True) and the covers (tagged
+    False); inside the window the value is the count less one."""
     items = [(iv.lo.coef, iv.hi.coef, True) for iv in window]
-    items += [(iv.lo.coef, iv.hi.coef, False) for s in covers for iv in s]
-    return StepFunction(window, tuple(
-        (IntervalSet((Interval(RationalPi(lo), RationalPi(hi)),)), count - 1)
-        for lo, hi, count, tags in sweep(items) if True in tags))
+    items += [(lo, hi, False) for lo, hi in covers]
+    return StepFunction.from_triples(merge_cells(
+        (lo, hi, count - 1) for lo, hi, count, tags in sweep(items) if True in tags), window=window)
 
 
-def _hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:
-    """The translates 2**-j * W - 2*pi*k, j >= 1, that can meet the query, uncut
-    (`_step_from_covers` keeps only the cells inside the query)."""
-    eps = query.dist_zero()
+def _hit_sets(W: IntervalSet, query: IntervalSet) -> list[tuple]:
+    """Pieces (lo, hi) of the translates 2**-j * W - 2*pi*k, j >= 1, that can meet the query,
+    uncut (`_step_from_covers` keeps only the cells inside the query)."""
+    eps = query.dist_zero().coef
+    radius = W.max_abs().coef
+    pieces = [(iv.lo.coef, iv.hi.coef) for iv in W]
     hits = []
-    j = 1
-    while True:
-        scaled = W.dilate(-j)
-        radius = scaled.max_abs()
-        if radius < eps:
-            break
-        k_max = math.floor((radius.coef + 1) / 2)
-        hits += [scaled.translate(TWO_PI * (-k)) for k in range(-k_max, k_max + 1)]
-        j += 1
+    scale = Fraction(1, 2)
+    while radius * scale >= eps:
+        k_max = math.floor((radius * scale + 1) / 2)
+        scaled = [(lo * scale, hi * scale) for lo, hi in pieces]
+        hits += [(lo - 2 * k, hi - 2 * k) for k in range(-k_max, k_max + 1) for lo, hi in scaled]
+        scale /= 2
     return hits
 
 
@@ -209,14 +206,14 @@ def core_equivalence_regions(
     fa, fb = dimension_step_function(Wa, query), dimension_step_function(Wb, query)
     # Both functions partition the query, so every cell lies under one row of
     # each; its distinct tags (the row values) are two exactly where they differ.
-    rows = ((iv.lo.coef, iv.hi.coef, value)
-            for f in (fa, fb) for piece, value in f.pairs for iv in piece)
-    return IntervalSet.from_intervals(Interval(RationalPi(lo), RationalPi(hi))
-                                      for lo, hi, _, values in sweep(rows) if len(values) == 2)
+    rows = ((iv.lo.coef, iv.hi.coef, value) for f in (fa, fb) for iv, value in f.rows())
+    return IntervalSet.from_cells((lo, hi) for lo, hi, _, values in sweep(rows) if len(values) == 2)
 
 
 def mra_consistent(W: IntervalSet, depth: int = 10) -> bool:
-    """Constant-1 dimension function on [pi/2**depth, pi) and its mirror."""
+    """Constant-1 dimension function on [pi/2**depth, pi) and its mirror (depth >= 1)."""
+    if depth < 1:
+        raise PreconditionError(f"depth must be at least 1, got {depth}")
     window = _punctured_window(PI.times_pow2(-depth))
     return dimension_step_function(W, window).constant_value() == 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -100,7 +101,19 @@ def sweep(
             yield x, following[1], count, tuple(open_tags)
 
 
-@dataclass(frozen=True)
+def merge_cells(cells: Iterable[tuple[Fraction, Fraction, Any]]) -> list[list]:
+    """Sorted, pairwise disjoint (lo, hi, value) cells as [lo, hi, value] runs: each
+    run of touching cells of one value becomes one."""
+    runs: list[list] = []
+    for lo, hi, value in cells:
+        if runs and runs[-1][2] == value and runs[-1][1] == lo:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, value])
+    return runs
+
+
+@dataclass(frozen=True, slots=True)
 class RationalPi:
     """An exact scalar (num/den)*pi.
 
@@ -219,7 +232,7 @@ TWO_PI = RationalPi(2)
 MINUS_PI = RationalPi(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Half-open interval [lo, hi) with rational-pi endpoints, never empty."""
 
@@ -291,12 +304,20 @@ class IntervalSet:
         return cls(tuple(merged))
 
     @classmethod
-    def from_disjoint(cls, intervals: Iterable[Interval]) -> Optional["IntervalSet"]:
-        """Union of pairwise disjoint intervals, or None when two overlap (one sort)."""
-        items = sorted(intervals, key=lambda iv: _order_key(iv.lo.coef))
-        if any(a.hi > b.lo for a, b in zip(items, items[1:])):
+    def from_cells(cls, cells: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
+        """Canonical set of sorted, pairwise disjoint coefficient pairs (lo, hi), such as
+        sweep cells: touching pairs merge, and each interval is built once."""
+        return cls(tuple(Interval(RationalPi(lo), RationalPi(hi))
+                         for lo, hi, _ in merge_cells((lo, hi, None) for lo, hi in cells)))
+
+    @classmethod
+    def from_disjoint(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> Optional["IntervalSet"]:
+        """Union of pairwise disjoint coefficient pairs (lo, hi), or None when two
+        overlap (one sort)."""
+        items = sorted(pairs, key=lambda pair: _order_key(pair[0]))
+        if any(a[1] > b[0] for a, b in zip(items, items[1:])):
             return None
-        return cls.from_intervals(items)
+        return cls.from_cells(items)
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -320,15 +341,10 @@ class IntervalSet:
         return IntervalSet.from_intervals(self.pieces + other.pieces)
 
     def _select(self, other: "IntervalSet", keep) -> "IntervalSet":
-        """Cells of one sweep over self (tag 0) and other (tag 1) whose tags `keep` accepts.
-
-        Both operands are canonical, so no two kept cells are adjacent.
-        """
+        """Cells of one sweep over self (tag 0) and other (tag 1) whose tags `keep` accepts."""
         items = [(iv.lo.coef, iv.hi.coef, 0) for iv in self.pieces]
         items += [(iv.lo.coef, iv.hi.coef, 1) for iv in other.pieces]
-        cells = sweep(items)
-        return IntervalSet(tuple(Interval(RationalPi(lo), RationalPi(hi))
-                                 for lo, hi, _, tags in cells if keep(tags)))
+        return IntervalSet.from_cells((lo, hi) for lo, hi, _, tags in sweep(items) if keep(tags))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         return self._select(other, lambda tags: len(tags) == 2)
@@ -399,35 +415,59 @@ class Piecewise:
     """A function constant on each piece of its domain, in canonical form.
 
     Subclasses are frozen dataclasses with a `pairs` field of (piece, value)
-    pairs, each piece an IntervalSet.  Construction groups the pairs by value
-    (each value once, its piece a canonical non-empty IntervalSet, pairs in
-    value order), merges pieces of one value, rejects pieces of two values
-    that overlap and stores the union of the pieces as `domain`.
+    pairs, each piece an IntervalSet.  One sweep over (lo, hi, tag) coefficient
+    triples (the constructor flattens its pairs; `from_triples` takes them from
+    a producer) rejects pieces of two values that overlap and merges touching
+    cells of one value into rows.  The objects are built once, from the rows:
+    the pairs (each value once, in value order), the rows and `domain`.
     """
 
     OVERLAP_ERROR = "pieces of two values overlap"
+    _tag = _value = staticmethod(lambda value: value)  # value -> hashable tag -> value
 
     def __post_init__(self) -> None:
-        grouped: dict = {}
-        for piece, value in self.pairs:
-            if not piece.is_empty:
-                grouped.setdefault(value, []).extend(piece.pieces)
-        pairs = tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
-        object.__setattr__(self, "pairs", pairs)
-        # One sort over all pieces decides the overlap check and yields the domain.
-        domain = IntervalSet.from_disjoint(iv for piece, _ in pairs for iv in piece)
-        if domain is None:
+        tag = self._tag
+        self._build([(iv.lo.coef, iv.hi.coef, tag(v)) for piece, v in self.pairs for iv in piece])
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[tuple[Fraction, Fraction, Hashable]], **fields):
+        """The instance with the given other fields whose pieces are the (lo, hi, tag) triples."""
+        self = cls.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        self._build(list(triples))
+        return self
+
+    def _build(self, triples: list) -> None:
+        index: dict = {}  # tag -> small int, so the sweep hashes ints
+        cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
+        if any(len(tags) > 1 for *_, tags in cells):
             raise ValueError(self.OVERLAP_ERROR)
-        object.__setattr__(self, "domain", domain)
+        values = [self._value(tag) for tag in index]
+        by_value: list[list[Interval]] = [[] for _ in values]
+        rows, runs = [], []  # runs: [first, last] row of each domain interval
+        for lo, hi, t in merge_cells((lo, hi, tags[0]) for lo, hi, _, tags in cells):
+            touching = bool(rows) and rows[-1][0].hi.coef == lo
+            iv = Interval(rows[-1][0].hi if touching else RationalPi(lo), RationalPi(hi))
+            by_value[t].append(iv)
+            rows.append((iv, values[t]))
+            if touching:
+                runs[-1][1] = iv
+            else:
+                runs.append([iv, iv])
+        order = sorted(range(len(values)), key=values.__getitem__)
+        object.__setattr__(self, "pairs", tuple(
+            (IntervalSet(tuple(by_value[t])), values[t]) for t in order if by_value[t]))
+        object.__setattr__(self, "domain", IntervalSet(tuple(
+            first if first is last else Interval(first.lo, last.hi) for first, last in runs)))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def value_at(self, x: RationalPi) -> Any:
-        for piece, value in self.pairs:
-            if piece.contains(x):
-                return value
+        i = bisect_right(self._rows, x.coef, key=lambda row: row[0].lo.coef) - 1
+        if i >= 0 and x < self._rows[i][0].hi:
+            return self._rows[i][1]
         raise PreconditionError(f"{x} lies outside the domain")
 
     def rows(self) -> list[tuple[Interval, Any]]:
         """Atomic (interval, value) rows ordered by left endpoint."""
-        rows = [(iv, value) for piece, value in self.pairs for iv in piece]
-        rows.sort(key=lambda row: row[0].lo.coef)
-        return rows
+        return list(self._rows)

@@ -87,13 +87,12 @@ def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> Piecewis
              for i, (piece, _) in enumerate(first.pairs) for iv in piece]
     items += [(iv.lo.coef, iv.hi.coef, i)
               for i, (piece, _) in enumerate(then.pairs, len(first.pairs)) for iv in piece]
-    fragments: list[tuple[Interval, RationalPi]] = []
+    fragments = []
     for lo, hi, count, tags in sweep(items):
         if count == 2:
             back, forth = shifts[min(tags)], shifts[max(tags)]
-            fragments.append((Interval(RationalPi(lo - back), RationalPi(hi - back)),
-                              RationalPi(back + forth)))
-    result = PiecewiseTranslation.from_fragments(fragments)
+            fragments.append((lo - back, hi - back, back + forth))
+    result = PiecewiseTranslation.from_triples(fragments)
     if result.domain != first.domain:
         raise PreconditionError("image of the first map escapes the second map's domain")
     return result
@@ -117,14 +116,13 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
         near, far = sorted((abs(iv.lo.coef), abs(iv.hi.coef)))
         for n in range(ceil_log2(w_min / far), floor_log2(w_max / near) + 1):
             items.append((iv.lo.coef * Fraction(2) ** n, iv.hi.coef * Fraction(2) ** n, n))
-    fragments: list[tuple[Interval, RationalPi]] = []
+    fragments = []
     for lo, hi, _, tags in sweep(items):
         shift = next((t for t in tags if isinstance(t, RationalPi)), None)
         if shift is not None:
-            fragments += [(Interval(RationalPi(lo * scale), RationalPi(hi * scale)),
-                           RationalPi(shift.coef * scale))
+            fragments += [(lo * scale, hi * scale, shift.coef * scale)
                           for n in tags if n is not shift for scale in (Fraction(2) ** -n,)]
-    result = PiecewiseTranslation.from_fragments(fragments)
+    result = PiecewiseTranslation.from_triples(fragments)
     if result.domain != region:
         raise PreconditionError(
             "region is not exactly covered by dyadic dilates of the map domain"

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from .exact import (
     MINUS_PI,
@@ -56,10 +57,13 @@ class PiecewiseTranslation(Piecewise):
     pairs: tuple[tuple[IntervalSet, RationalPi], ...]
 
     OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
+    _tag = attrgetter("coef")
+    _value = RationalPi
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        image = IntervalSet.from_disjoint(iv.shifted(s) for piece, s in self.pairs for iv in piece)
+    def _build(self, triples: list) -> None:
+        super()._build(triples)
+        image = IntervalSet.from_disjoint((iv.lo.coef + shift.coef, iv.hi.coef + shift.coef)
+                                          for iv, shift in self._rows)
         if image is None:
             raise ValueError("piecewise translation is not injective")
         object.__setattr__(self, "image", image)
@@ -68,7 +72,7 @@ class PiecewiseTranslation(Piecewise):
     def from_fragments(
         cls, fragments: Iterable[tuple[Interval, RationalPi]]
     ) -> "PiecewiseTranslation":
-        return cls(tuple((IntervalSet((iv,)), s) for iv, s in fragments))
+        return cls.from_triples((iv.lo.coef, iv.hi.coef, s.coef) for iv, s in fragments)
 
     @property
     def is_two_pi_integral(self) -> bool:
@@ -80,9 +84,8 @@ class PiecewiseTranslation(Piecewise):
     cases = Piecewise.rows
 
     def inverse(self) -> "PiecewiseTranslation":
-        return PiecewiseTranslation(
-            tuple((piece.translate(shift), -shift) for piece, shift in self.pairs)
-        )
+        return PiecewiseTranslation.from_triples((iv.lo.coef + s.coef, iv.hi.coef + s.coef, -s.coef)
+                                                 for iv, s in self._rows)
 
     @staticmethod
     def json_row(piece, shift: RationalPi) -> dict:
@@ -107,38 +110,32 @@ class WaveletSetReport:
         return self.is_translation_congruent and self.is_dilation_congruent
 
 
-def _tiling_check(
-    fragments: Sequence[Interval], target: IntervalSet
-) -> tuple[bool, IntervalSet]:
-    """Do the fragments tile the target exactly?  Returns (ok, failure region).
+def _tiling_check(fragments: Iterable[tuple], target: IntervalSet) -> tuple[bool, IntervalSet]:
+    """Do the fragments, coefficient pairs (lo, hi), tile the target?  (ok, failure region).
 
     One sweep over the target (tag 0) and the fragments (tag 1): a cell tiles
     when it lies under the target and exactly one fragment.  The failure
     region is where the fragments miss the target, leave it or overlap.
     """
     items = [(iv.lo.coef, iv.hi.coef, 0) for iv in target]
-    items += [(iv.lo.coef, iv.hi.coef, 1) for iv in fragments]
-    failure = IntervalSet.from_intervals(
-        Interval(RationalPi(lo), RationalPi(hi))
-        for lo, hi, count, tags in sweep(items)
-        if count != 2 or len(tags) != 2
-    )
+    items += [(lo, hi, 1) for lo, hi in fragments]
+    failure = IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in sweep(items)
+                                     if count != 2 or len(tags) != 2)
     return failure.is_empty, failure
 
 
-def _principal_fragments(W: IntervalSet) -> list[tuple[Interval, RationalPi]]:
-    """Split W at odd multiples of pi; each fragment shifts by -2*pi*m into [-pi, pi).
+def _principal_fragments(W: IntervalSet) -> list[tuple[Fraction, Fraction, int]]:
+    """Split W at odd multiples of pi into triples (lo, hi, -2m) moving each into [-pi, pi).
 
     At most three per piece: if a piece reaches a fourth 2*pi cell, its second
     and third fragments cover [-pi, pi) twice, and the rest change no result."""
     fragments = []
     for piece in W:
-        start = piece.lo
-        first = m = math.floor((start.coef + 1) / 2)
-        while start < piece.hi and m < first + 3:
-            cell_hi = RationalPi(2 * m + 1)
-            frag_hi = min(piece.hi, cell_hi)
-            fragments.append((Interval(start, frag_hi), RationalPi(-2 * m)))
+        start, end = piece.lo.coef, piece.hi.coef
+        first = m = math.floor((start + 1) / 2)
+        while start < end and m < first + 3:
+            frag_hi = min(end, 2 * m + 1)
+            fragments.append((start, frag_hi, -2 * m))
             start = frag_hi
             m += 1
     return fragments
@@ -148,11 +145,10 @@ def _translation_result(
     W: IntervalSet,
 ) -> tuple[Optional[PiecewiseTranslation], IntervalSet]:
     fragments = _principal_fragments(W)
-    images = [iv.shifted(shift) for iv, shift in fragments]
-    ok, failure = _tiling_check(images, PRINCIPAL_WINDOW)
+    ok, failure = _tiling_check(((lo + s, hi + s) for lo, hi, s in fragments), PRINCIPAL_WINDOW)
     if not ok:
         return None, failure
-    return PiecewiseTranslation.from_fragments(fragments), IntervalSet.empty()
+    return PiecewiseTranslation.from_triples(fragments), failure
 
 
 def translation_congruence(W: IntervalSet) -> Optional[PiecewiseTranslation]:
@@ -165,25 +161,27 @@ def translation_congruence(W: IntervalSet) -> Optional[PiecewiseTranslation]:
     return witness
 
 
-def _annulus_fragments(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
-    """Scale every piece into the reference annuli, splitting at dyadic grid points.
+def _annulus_fragments(W: IntervalSet) -> tuple[list[tuple], list[tuple]]:
+    """Scale every piece into the reference annuli as pairs (lo, hi), split at dyadic points.
 
     At most three per piece: if a piece reaches a fourth octave, its second
     and third fragments cover the annulus twice, and the rest change no result."""
     positive, negative = [], []
     for piece in W:
-        start = piece.lo
+        start, end = piece.lo.coef, piece.hi.coef
         for _ in range(3):
-            if start >= piece.hi:
+            if start >= end:
                 break
-            if start >= RationalPi(0):
-                m = floor_log2(start.coef)  # start in [2**m * pi, 2**(m+1) * pi)
-                frag_hi = min(piece.hi, RationalPi(Fraction(2) ** (m + 1)))
-                positive.append(Interval(start, frag_hi).scaled_pow2(-m))
+            if start >= 0:
+                m = floor_log2(start)  # start in [2**m * pi, 2**(m+1) * pi)
+                frag_hi = min(end, Fraction(2) ** (m + 1))
+                out = positive
             else:
-                m = ceil_log2(-start.coef) - 1  # start in [-2**(m+1) * pi, -2**m * pi)
-                frag_hi = min(piece.hi, RationalPi(-(Fraction(2) ** m)))
-                negative.append(Interval(start, frag_hi).scaled_pow2(-m))
+                m = ceil_log2(-start) - 1  # start in [-2**(m+1) * pi, -2**m * pi)
+                frag_hi = min(end, -(Fraction(2) ** m))
+                out = negative
+            scale = Fraction(2) ** -m
+            out.append((start * scale, frag_hi * scale))
             start = frag_hi
     return positive, negative
 

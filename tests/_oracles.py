@@ -335,3 +335,159 @@ def loop_compose_powers(sigma: SigmaMap) -> Iterator[PiecewiseTranslation]:
     while True:
         yield current
         current = compose(current, hull_dyadic_extension(sigma.mapping, current.image))
+
+
+# ---------------------------------------------------------------------------
+# The object-level exact paths that coefficient triples replaced: fragments,
+# translates and covers built as Interval/IntervalSet objects, and a
+# piecewise-constant function canonicalized by grouping its pairs by value.
+
+
+def grouped_piecewise(pairs) -> tuple[tuple, IntervalSet]:
+    """(canonical pairs, domain) of (IntervalSet, value) pairs: one merged set per value,
+    pairs in value order; ValueError when pieces of two values overlap."""
+    grouped: dict = {}
+    for piece, value in pairs:
+        if not piece.is_empty:
+            grouped.setdefault(value, []).extend(piece.pieces)
+    canonical = tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
+    ivs = sorted((iv for piece, _ in canonical for iv in piece), key=lambda iv: iv.lo.coef)
+    if any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
+        raise ValueError("pieces of two values overlap")
+    return canonical, IntervalSet.from_intervals(ivs)
+
+
+def object_tiling_failure(fragments: Sequence[Interval], target: IntervalSet) -> IntervalSet:
+    """Where Interval fragments fail to tile the target, from one sweep."""
+    items = [(iv.lo.coef, iv.hi.coef, 0) for iv in target]
+    items += [(iv.lo.coef, iv.hi.coef, 1) for iv in fragments]
+    return IntervalSet.from_intervals(
+        Interval(RationalPi(lo), RationalPi(hi))
+        for lo, hi, count, tags in sweep(items)
+        if count != 2 or len(tags) != 2
+    )
+
+
+def object_principal_fragments(W: IntervalSet) -> list[tuple[Interval, RationalPi]]:
+    """W cut at odd multiples of pi, at most three fragments per piece, each with the
+    shift -2*pi*m that moves it into [-pi, pi)."""
+    fragments = []
+    for piece in W:
+        start = piece.lo
+        first = m = math.floor((start.coef + 1) / 2)
+        while start < piece.hi and m < first + 3:
+            frag_hi = min(piece.hi, RationalPi(2 * m + 1))
+            fragments.append((Interval(start, frag_hi), RationalPi(-2 * m)))
+            start = frag_hi
+            m += 1
+    return fragments
+
+
+def object_annulus_fragments(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
+    """W cut at dyadic points, at most three fragments per piece, each scaled into
+    [pi, 2*pi) or [-2*pi, -pi)."""
+    positive, negative = [], []
+    for piece in W:
+        start = piece.lo
+        for _ in range(3):
+            if start >= piece.hi:
+                break
+            if start >= RationalPi(0):
+                m = floor_log2(start.coef)
+                frag_hi = min(piece.hi, RationalPi(Fraction(2) ** (m + 1)))
+                positive.append(Interval(start, frag_hi).scaled_pow2(-m))
+            else:
+                m = ceil_log2(-start.coef) - 1
+                frag_hi = min(piece.hi, RationalPi(-(Fraction(2) ** m)))
+                negative.append(Interval(start, frag_hi).scaled_pow2(-m))
+            start = frag_hi
+    return positive, negative
+
+
+def object_wavelet_report(W: IntervalSet) -> tuple:
+    """(translation congruent, dilation congruent, witness pairs or None, failure region)."""
+    fragments = object_principal_fragments(W)
+    trans_failure = object_tiling_failure(
+        [iv.shifted(shift) for iv, shift in fragments], IntervalSet.single(RationalPi(-1), RationalPi(1))
+    )
+    witness = None
+    if trans_failure.is_empty:
+        witness, _ = grouped_piecewise((IntervalSet((iv,)), shift) for iv, shift in fragments)
+    if W.zero_in_closure():
+        raise PreconditionError("dilation congruence is undecidable with 0 in the closure of the set")
+    positive, negative = object_annulus_fragments(W)
+    dil_failure = object_tiling_failure(positive, IntervalSet.single(RationalPi(1), RationalPi(2)))
+    dil_failure = dil_failure.union(
+        object_tiling_failure(negative, IntervalSet.single(RationalPi(-2), RationalPi(-1))))
+    return (trans_failure.is_empty, dil_failure.is_empty, witness,
+            trans_failure.union(dil_failure))
+
+
+def object_hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:
+    """The translates 2**-j * W - 2*pi*k, j >= 1, that can meet the query, as sets."""
+    eps = query.dist_zero()
+    hits = []
+    j = 1
+    while True:
+        scaled = W.dilate(-j)
+        radius = scaled.max_abs()
+        if radius < eps:
+            break
+        k_max = math.floor((radius.coef + 1) / 2)
+        hits += [scaled.translate(RationalPi(-2 * k)) for k in range(-k_max, k_max + 1)]
+        j += 1
+    return hits
+
+
+def object_step_pairs(W: IntervalSet, query: IntervalSet) -> tuple[tuple, IntervalSet]:
+    """(canonical pairs, domain) of the dimension function of W on the query: one
+    one-interval set per sweep cell over the query and the translates, grouped by value."""
+    items = [(iv.lo.coef, iv.hi.coef, True) for iv in query]
+    items += [(iv.lo.coef, iv.hi.coef, False) for s in object_hit_sets(W, query) for iv in s]
+    return grouped_piecewise(
+        (IntervalSet((Interval(RationalPi(lo), RationalPi(hi)),)), count - 1)
+        for lo, hi, count, tags in sweep(items) if True in tags)
+
+
+def object_core_regions(Wa: IntervalSet, Wb: IntervalSet, query: IntervalSet) -> IntervalSet:
+    """Where the object-level dimension functions of Wa and Wb differ on the query."""
+    rows = [(iv.lo.coef, iv.hi.coef, value)
+            for W in (Wa, Wb) for piece, value in object_step_pairs(W, query)[0] for iv in piece]
+    return IntervalSet.from_intervals(Interval(RationalPi(lo), RationalPi(hi))
+                                      for lo, hi, _, values in sweep(rows) if len(values) == 2)
+
+
+def scan_value_at(f, x: RationalPi):
+    """Value of a piecewise-constant function at x by a scan over all its pairs."""
+    for piece, value in f.pairs:
+        if piece.contains(x):
+            return value
+    raise PreconditionError(f"{x} lies outside the domain")
+
+
+def random_wavelet_candidate(rng: random.Random, pieces: int) -> IntervalSet:
+    """A set of up to `pieces` pieces away from 0: [-pi, pi) cut at seeded points and
+    each cut moved by a seeded 2*pi*k (translation congruent when no two cuts land
+    on touching or overlapping spots), sometimes with one end nudged so it is not."""
+    cuts = sorted(set(Fraction(rng.randrange(1, 2**12), 2**11) - 1 for _ in range(pieces - 1)))
+    ends = [Fraction(-1)] + cuts + [Fraction(1)]
+    ivs = []
+    for lo, hi in zip(ends, ends[1:]):
+        ks = [k for k in range(-4, 5) if k or not lo <= 0 <= hi]
+        k = rng.choice(ks)
+        ivs.append(Interval(RationalPi(lo + 2 * k), RationalPi(hi + 2 * k)))
+    if rng.random() < 0.3:
+        i = rng.randrange(len(ivs))
+        iv = ivs[i]
+        nudged = iv.hi.coef + Fraction(rng.choice([-1, 1]), 2**rng.randint(12, 20))
+        if iv.lo.coef < nudged and not iv.lo.coef <= 0 <= nudged:
+            ivs[i] = Interval(iv.lo, RationalPi(nudged))
+    return IntervalSet.from_intervals(ivs)
+
+
+def two_interval_wavelet_set(rng: random.Random) -> IntervalSet:
+    """[-(4pi - 2c), -(2pi - c)) u [c, 2c) for a seeded c in (pi/2, 3pi/2): each piece is a
+    whole dyadic annulus and modulo 2pi they are the arcs [c, 2c) and [2c, c + 2pi)."""
+    c = Fraction(rng.randrange(513, 1536, 2), 1024)
+    return IntervalSet.from_intervals([Interval(RationalPi(-(4 - 2 * c)), RationalPi(-(2 - c))),
+                                       Interval(RationalPi(c), RationalPi(2 * c))])

@@ -170,6 +170,15 @@ class TestMraDetection:
         assert mra_consistent(w2)
         assert not mra_consistent(journe)
 
+    @pytest.mark.parametrize("depth", [0, -1, -7])
+    def test_depth_below_one_is_a_precondition_error(self, shannon, depth):
+        with pytest.raises(PreconditionError, match=f"depth must be at least 1, got {depth}"):
+            mra_consistent(shannon, depth)
+
+    def test_depth_one_is_the_smallest_window(self, shannon, journe):
+        assert mra_consistent(shannon, 1)
+        assert not mra_consistent(journe, 1)
+
 
 class TestDimensionIntegral:
     def test_exact_limit_and_tail(self):

@@ -45,6 +45,11 @@ def random_intervals(rng, max_count=8):
     return out
 
 
+def coefs(intervals):
+    """Coefficient pairs (lo, hi) of intervals, the form the private sweep callers take."""
+    return [(iv.lo.coef, iv.hi.coef) for iv in intervals]
+
+
 def cell_starts(pt):
     """Left endpoints of the atomic rows of a piecewise translation."""
     return [iv.lo for iv, _ in pt.cases()]
@@ -104,15 +109,15 @@ class TestAgainstMidpointOracles:
         rng = random.Random(seed)
         fragments = random_intervals(rng)
         target = random_interval_set(rng, max_pieces=3)
-        ok, failure = _tiling_check(fragments, target)
+        ok, failure = _tiling_check(coefs(fragments), target)
         assert failure == midpoint_tiling_failure(fragments, target)
         assert ok == failure.is_empty
 
     def test_tiling_check_on_exact_tilings(self):
         target = parse_set("[-1pi,1pi)")
         halves = [Interval(RationalPi(-1), RationalPi(0)), Interval(RationalPi(0), RationalPi(1))]
-        assert _tiling_check(halves, target) == (True, IntervalSet.empty())
-        ok, failure = _tiling_check(halves + halves[:1], target)
+        assert _tiling_check(coefs(halves), target) == (True, IntervalSet.empty())
+        ok, failure = _tiling_check(coefs(halves + halves[:1]), target)
         assert not ok and failure == parse_set("[-1pi,0pi)")
 
     @pytest.mark.parametrize("seed", range(100))
@@ -120,7 +125,8 @@ class TestAgainstMidpointOracles:
         rng = random.Random(seed)
         window = random_interval_set(rng)
         covers = [random_interval_set(rng) for _ in range(rng.randint(0, 6))]
-        assert _step_from_covers(window, covers) == midpoint_step_from_covers(window, covers)
+        cover_pieces = coefs(iv for s in covers for iv in s)
+        assert _step_from_covers(window, cover_pieces) == midpoint_step_from_covers(window, covers)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_core_equivalence_regions(self, seed):
