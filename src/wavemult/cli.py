@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 usage or parse
 error, 3 precondition error.  Failures print a machine-readable
-``{"error": ..., "detail": ...}`` object.
+``{"error": ..., "detail": ...}`` object.  Each command returns its payload
+and exit code; only `main` prints and exits.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 import click
 
@@ -31,6 +32,9 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 DEFAULT_NUMERIC_WINDOW = "[-1pi,-1/64pi),[1/64pi,1pi)"
+
+# What every command returns: its JSON payload and its exit code.
+Result = tuple[dict, int]
 
 
 def _emit(obj) -> None:
@@ -73,19 +77,19 @@ def cli() -> None:
 
 
 @cli.command("catalog")
-def catalog_cmd() -> None:
+def catalog_cmd() -> Result:
     """List the named wavelet sets and their canonical forms."""
-    _emit({name: catalog(name).to_text() for name in CATALOG_NAMES})
+    return {name: catalog(name).to_text() for name in CATALOG_NAMES}, EXIT_OK
 
 
 @cli.command("verify-set")
 @click.option("--name", "name", default=None, help="Catalog name to verify.")
 @click.option("--set", "expr", default=None, help="Set expression to verify.")
-def verify_set_cmd(name: Optional[str], expr: Optional[str]) -> None:
+def verify_set_cmd(name: Optional[str], expr: Optional[str]) -> Result:
     """Run both wavelet-set congruence checks; exit 0 iff accepted."""
     if (name is None) == (expr is None):
         raise click.UsageError("provide exactly one of --name or --set")
-    W = catalog(name) if name is not None else parse_set(expr)
+    W = catalog(name) if name is not None else _resolve_set(expr)
     report = is_wavelet_set(W)
     obj = {
         "set": W.to_text(),
@@ -98,8 +102,7 @@ def verify_set_cmd(name: Optional[str], expr: Optional[str]) -> None:
     }
     if report.tau_witness is not None:
         obj["tau"] = report.tau_witness.to_json_obj()
-    _emit(obj)
-    sys.exit(EXIT_OK if report.accepted else EXIT_FALSE)
+    return obj, EXIT_OK if report.accepted else EXIT_FALSE
 
 
 @cli.command("dimfn")
@@ -111,7 +114,7 @@ def verify_set_cmd(name: Optional[str], expr: Optional[str]) -> None:
 @click.option("--K", "k_max", default=8, show_default=True, help="Fiber truncation radius.")
 @click.option("--tol", default=1e-9, show_default=True, help="Relative rank tolerance.")
 @click.option("--csv", "csv_path", default=None, type=click.Path(), help="Also write CSV rows here.")
-def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -> None:
+def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -> Result:
     """Exact step function of an MSF set, or a numerical grid report."""
     if (expr is None) == (wavelet is None):
         raise click.UsageError("provide either --set/--window (exact) or --wavelet (numerical)")
@@ -123,14 +126,13 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
         step = dimension_step_function(W, window)
         if csv_path:
             _write_csv(csv_path, step)
-        _emit(
-            {
-                "set": W.to_text(),
-                "window": window.to_text(),
-                "step_function": step.to_json_obj(),
-            }
-        )
-        sys.exit(EXIT_OK)
+        return {
+            "set": W.to_text(),
+            "window": window.to_text(),
+            "step_function": step.to_json_obj(),
+        }, EXIT_OK
+    if window_expr is not None:
+        raise click.UsageError(f"--window needs --set; numerical mode uses {DEFAULT_NUMERIC_WINDOW}")
 
     from .multiplicity import uniform_grid, verify_m_equals_d
 
@@ -145,18 +147,15 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
     report = verify_m_equals_d(profile, grid, j_max, k_max, tol, step)
     if csv_path:
         _write_csv(csv_path, report)
-    _emit(
-        {
-            "wavelet": wavelet,
-            "window": window.to_text(),
-            "J": j_max,
-            "K": k_max,
-            "tol": tol,
-            "records": report.to_json_obj(),
-            "all_agree": report.all_agree,
-        }
-    )
-    sys.exit(EXIT_OK if report.all_agree else EXIT_FALSE)
+    return {
+        "wavelet": wavelet,
+        "window": window.to_text(),
+        "J": j_max,
+        "K": k_max,
+        "tol": tol,
+        "records": report.to_json_obj(),
+        "all_agree": report.all_agree,
+    }, EXIT_OK if report.all_agree else EXIT_FALSE
 
 
 @cli.command("multiplicity")
@@ -165,84 +164,75 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
 @click.option("--J", "j_max", default=12, show_default=True)
 @click.option("--K", "k_max", default=8, show_default=True)
 @click.option("--tol", default=1e-9, show_default=True)
-def multiplicity_cmd(wavelet, xi_expr, j_max, k_max, tol) -> None:
+def multiplicity_cmd(wavelet, xi_expr, j_max, k_max, tol) -> Result:
     """Numerical multiplicity at one base point, with the weight list h_j."""
     from .multiplicity import gram_schmidt
 
     profile = _resolve_profile(wavelet)
     xi = parse_scalar(xi_expr)
     state = gram_schmidt(profile, float(xi), j_max, k_max, tol)
-    _emit(
-        {
-            "wavelet": wavelet,
-            "xi": xi.shift_text(),
-            "xi_float": float(xi),
-            "rank": state.rank,
-            "h": [float(h) for h in state.h_values],
-            "truncation_exact": state.truncation_exact,
-        }
-    )
-    sys.exit(EXIT_OK)
+    return {
+        "wavelet": wavelet,
+        "xi": xi.shift_text(),
+        "xi_float": float(xi),
+        "rank": state.rank,
+        "h": [float(h) for h in state.h_values],
+        "truncation_exact": state.truncation_exact,
+    }, EXIT_OK
 
 
 @cli.command("sigma")
 @click.option("--w1", required=True, help="Source wavelet set (name or expression).")
 @click.option("--w2", required=True, help="Target wavelet set (name or expression).")
 @click.option("--power", default=None, type=int, help="Also compose this power and test it.")
-def sigma_cmd(w1, w2, power) -> None:
+def sigma_cmd(w1, w2, power) -> Result:
     """Canonical 2*pi-translation bijection w1 -> w2; optionally test a power."""
     sigma = build_sigma(_resolve_set(w1), _resolve_set(w2))
     obj = sigma.to_json_obj()
     if power is None:
-        _emit(obj)
-        sys.exit(EXIT_OK)
+        return obj, EXIT_OK
     verdict = power_in_local_commutant(sigma, power)
     obj.update(verdict.to_json_obj())
-    _emit(obj)
-    sys.exit(EXIT_OK if verdict.in_commutant else EXIT_FALSE)
+    return obj, EXIT_OK if verdict.in_commutant else EXIT_FALSE
 
 
 @cli.command("core-equiv")
 @click.option("--a", "a_expr", required=True, help="First wavelet set (name or expression).")
 @click.option("--b", "b_expr", required=True, help="Second wavelet set (name or expression).")
 @click.option("--window", "window_expr", required=True, help="Query window expression.")
-def core_equiv_cmd(a_expr, b_expr, window_expr) -> None:
+def core_equiv_cmd(a_expr, b_expr, window_expr) -> Result:
     """Compare exact dimension functions on a window; exit 0 iff identical."""
     a = _resolve_set(a_expr)
     b = _resolve_set(b_expr)
     window = parse_set(window_expr)
     differing = core_equivalence_regions(a, b, window)
     equivalent = differing.is_empty
-    _emit(
-        {
-            "a": a.to_text(),
-            "b": b.to_text(),
-            "window": window.to_text(),
-            "core_equivalent": equivalent,
-            "differing_regions": differing.to_text(),
-        }
-    )
-    sys.exit(EXIT_OK if equivalent else EXIT_FALSE)
+    return {
+        "a": a.to_text(),
+        "b": b.to_text(),
+        "window": window.to_text(),
+        "core_equivalent": equivalent,
+        "differing_regions": differing.to_text(),
+    }, EXIT_OK if equivalent else EXIT_FALSE
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: Optional[list[str]] = None) -> NoReturn:
+    """Run one command, print its JSON answer or error, and exit with its code."""
     try:
-        return cli.main(args=argv, prog_name="wavemult", standalone_mode=False)
+        result = cli.main(args=argv, prog_name="wavemult", standalone_mode=False)
     except SetSyntaxError as err:
-        _emit({"error": "parse", "detail": str(err)})
-        sys.exit(EXIT_USAGE)
+        result = {"error": "parse", "detail": str(err)}, EXIT_USAGE
     except KeyError as err:
-        _emit({"error": "usage", "detail": str(err.args[0]) if err.args else str(err)})
-        sys.exit(EXIT_USAGE)
+        result = {"error": "usage", "detail": str(err.args[0]) if err.args else str(err)}, EXIT_USAGE
     except PreconditionError as err:
-        _emit({"error": "precondition", "detail": str(err)})
-        sys.exit(EXIT_PRECONDITION)
-    except click.UsageError as err:
-        _emit({"error": "usage", "detail": err.format_message()})
-        sys.exit(EXIT_USAGE)
-    except click.ClickException as err:
-        _emit({"error": "usage", "detail": err.format_message()})
-        sys.exit(err.exit_code)
+        result = {"error": "precondition", "detail": str(err)}, EXIT_PRECONDITION
+    except click.ClickException as err:  # usage errors included, exit 2
+        result = {"error": "usage", "detail": err.format_message()}, err.exit_code
+    # `--help` has printed click's text, and click returns only its exit code.
+    payload, code = (None, result) if isinstance(result, int) else result
+    if payload is not None:
+        _emit(payload)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

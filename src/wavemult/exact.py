@@ -292,16 +292,8 @@ class IntervalSet:
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
         """Canonicalize any collection of intervals (the normalize operation)."""
-        items = sorted(intervals, key=lambda iv: _order_key(iv.lo.coef))
-        merged: list[Interval] = []
-        for iv in items:
-            if merged and iv.lo <= merged[-1].hi:
-                last = merged[-1]
-                if iv.hi > last.hi:
-                    merged[-1] = Interval(last.lo, iv.hi)
-            else:
-                merged.append(iv)
-        return cls(tuple(merged))
+        cells = sweep((iv.lo.coef, iv.hi.coef, None) for iv in intervals)
+        return cls.from_cells((lo, hi) for lo, hi, _, _ in cells)
 
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":

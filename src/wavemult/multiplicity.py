@@ -135,6 +135,8 @@ def _lattice_blocks(
             f"need 1 <= J <= {MAX_LEVEL}, K >= 1, finite tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}"
         )
     size = BLOCK_ELEMENTS // per_point
+    # Every dropped |k| > k_max satisfies 2**j (2 pi |k| - pi) > support at every j >= 1.
+    k_exact = 2.0 * (TWO_PI_F * (k_max + 1) - math.pi) > profile.support_radius
     shifts = TWO_PI_F * np.arange(-k_max, k_max + 1)
     dilations = np.array([2.0**level for level in range(1, j_max + 1)])[:, None]
     scales = np.array([2.0 ** (level / 2) for level in range(1, j_max + 1)])[:, None]
@@ -145,13 +147,8 @@ def _lattice_blocks(
         sums = np.cumsum(np.sum(np.abs(values) ** 2, axis=2), axis=1)[:, -1]
         # Levels j > j_max vanish once 2**(j_max+1) * dist(x, 2*pi*Z) > support.
         nearest = np.abs(x - TWO_PI_F * np.round(x / TWO_PI_F))
-        exact = _k_exact(profile, k_max) & (2.0**j_max * 2.0 * nearest > profile.support_radius)
+        exact = k_exact & (2.0**j_max * 2.0 * nearest > profile.support_radius)
         yield scales * values, sums, exact
-
-
-def _k_exact(profile: SpectralProfile, k_max: int) -> bool:
-    """Every dropped |k| > k_max satisfies 2**j (2 pi |k| - pi) > support at every j >= 1."""
-    return 2.0 * (TWO_PI_F * (k_max + 1) - math.pi) > profile.support_radius
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,11 +216,11 @@ def gram_schmidt(
     """Orthogonalize the fibers at xi for levels 1..j_max and |k| <= k_max:
     the one-point case of the batched recurrence."""
     xs = np.array([float(xi)])
-    ((fibers, _, _),) = _lattice_blocks(profile, xs, j_max, k_max, tol)
+    ((fibers, _, exact),) = _lattice_blocks(profile, xs, j_max, k_max, tol)
     residuals, h_values, eta, max_scale = _orthogonalize(fibers, tol)
     return GramSchmidtState(
         xs[0].item(), tol, fibers[0], residuals[0], h_values[0], eta[0], max_scale[0].item(),
-        _k_exact(profile, k_max),
+        bool(exact[0]),
     )
 
 

@@ -3,7 +3,7 @@
 A bounded interval set W with 0 outside its closure is accepted as a wavelet
 set when two exact tilings hold: the 2*pi*Z translates of its pieces tile
 [-pi, pi), and its dyadic dilates tile the punctured line (checked on the
-reference annuli [pi, 2*pi) and [-2*pi, -pi)).  Both checks split W along
+reference annulus [-2*pi, -pi) u [pi, 2*pi)).  Both checks split W along
 exact grid points, so acceptance and the translation witness are exact.
 """
 
@@ -161,12 +161,16 @@ def translation_congruence(W: IntervalSet) -> Optional[PiecewiseTranslation]:
     return witness
 
 
-def _annulus_fragments(W: IntervalSet) -> tuple[list[tuple], list[tuple]]:
-    """Scale every piece into the reference annuli as pairs (lo, hi), split at dyadic points.
+# The dyadic dilates of a wavelet set tile the punctured line iff they tile this annulus.
+_ANNULUS = IntervalSet((Interval(RationalPi(-2), MINUS_PI), Interval(PI, RationalPi(2))))
+
+
+def _annulus_fragments(W: IntervalSet) -> list[tuple]:
+    """Scale every piece into the reference annulus as pairs (lo, hi), split at dyadic points.
 
     At most three per piece: if a piece reaches a fourth octave, its second
     and third fragments cover the annulus twice, and the rest change no result."""
-    positive, negative = [], []
+    fragments = []
     for piece in W:
         start, end = piece.lo.coef, piece.hi.coef
         for _ in range(3):
@@ -175,15 +179,13 @@ def _annulus_fragments(W: IntervalSet) -> tuple[list[tuple], list[tuple]]:
             if start >= 0:
                 m = floor_log2(start)  # start in [2**m * pi, 2**(m+1) * pi)
                 frag_hi = min(end, Fraction(2) ** (m + 1))
-                out = positive
             else:
                 m = ceil_log2(-start) - 1  # start in [-2**(m+1) * pi, -2**m * pi)
                 frag_hi = min(end, -(Fraction(2) ** m))
-                out = negative
             scale = Fraction(2) ** -m
-            out.append((start * scale, frag_hi * scale))
+            fragments.append((start * scale, frag_hi * scale))
             start = frag_hi
-    return positive, negative
+    return fragments
 
 
 def _dilation_result(W: IntervalSet) -> tuple[bool, IntervalSet]:
@@ -191,10 +193,7 @@ def _dilation_result(W: IntervalSet) -> tuple[bool, IntervalSet]:
         raise PreconditionError(
             "dilation congruence is undecidable with 0 in the closure of the set"
         )
-    positive, negative = _annulus_fragments(W)
-    ok_pos, fail_pos = _tiling_check(positive, IntervalSet.single(PI, RationalPi(2)))
-    ok_neg, fail_neg = _tiling_check(negative, IntervalSet.single(RationalPi(-2), MINUS_PI))
-    return ok_pos and ok_neg, fail_pos.union(fail_neg)
+    return _tiling_check(_annulus_fragments(W), _ANNULUS)
 
 
 def dilation_congruence(W: IntervalSet) -> bool:

@@ -93,7 +93,8 @@ def random_interval_set(rng: random.Random, max_pieces: int = 5) -> IntervalSet:
 # ---------------------------------------------------------------------------
 # Reference implementations the library replaced with faster code.  Each
 # recounts coverage at the midpoint of every cell cut by all endpoints
-# (O(cells x intervals)), or halves a rational one step at a time.
+# (O(cells x intervals)), merges sorted intervals one at a time, or halves a
+# rational one step at a time.
 
 
 def loop_floor_log2(q: Fraction) -> int:
@@ -113,6 +114,19 @@ def loop_ceil_log2(q: Fraction) -> int:
     return m if Fraction(2) ** m == q else m + 1
 
 
+def sort_merge_intervals(intervals) -> IntervalSet:
+    """Canonical union of any intervals: sorted by left end, each merged into the
+    last run it overlaps or touches."""
+    merged: list[Interval] = []
+    for iv in sorted(intervals, key=lambda iv: iv.lo.coef):
+        if merged and iv.lo <= merged[-1].hi:
+            if iv.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, iv.hi)
+        else:
+            merged.append(iv)
+    return IntervalSet(tuple(merged))
+
+
 def _cells(coefs) -> list[tuple[Fraction, Fraction, RationalPi]]:
     """(lo, hi, midpoint) of the cells between consecutive distinct coefficients."""
     points = sorted(set(coefs))
@@ -120,7 +134,7 @@ def _cells(coefs) -> list[tuple[Fraction, Fraction, RationalPi]]:
 
 
 def _set_of(cells) -> IntervalSet:
-    return IntervalSet.from_intervals(Interval(RationalPi(lo), RationalPi(hi)) for lo, hi in cells)
+    return sort_merge_intervals(Interval(RationalPi(lo), RationalPi(hi)) for lo, hi in cells)
 
 
 def midpoint_tiling_failure(fragments: Sequence[Interval], target: IntervalSet) -> IntervalSet:

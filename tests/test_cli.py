@@ -302,3 +302,76 @@ def test_core_equiv_false():
     assert code == 1
     assert payload["core_equivalent"] is False
     assert parse_set(payload["differing_regions"]) == parse_set("[1/8pi,2/7pi),[4/7pi,6/7pi)")
+
+
+def run_main(capsys, *args):
+    """Run `cli.main` in-process: (exit code, stdout)."""
+    with pytest.raises(SystemExit) as stop:
+        cli.main(list(args))
+    return stop.value.code, capsys.readouterr().out
+
+
+def test_multiplicity_certificate_covers_levels():
+    code, payload = run_cli("multiplicity", "--wavelet", "meyer", "--xi", "1/64pi", "--J", "2")
+    assert code == 0
+    assert payload["rank"] == 0
+    assert payload["truncation_exact"] is False
+
+
+def test_verify_set_accepts_catalog_name():
+    code, payload = run_cli("verify-set", "--set", "shannon")
+    assert code == 0
+    assert payload["accepted"] is True
+    assert parse_set(payload["set"]) == catalog("shannon")
+
+
+def test_dimfn_numeric_window_is_usage_error(monkeypatch, capsys):
+    def no_work(selector):
+        raise AssertionError("the profile was built")
+
+    monkeypatch.setattr(cli, "_resolve_profile", no_work)
+    code, out = run_main(capsys, "dimfn", "--wavelet", "meyer", "--window", "[1/8pi,1pi)")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage"
+    assert "--window needs --set" in payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "args, head, body",
+    [(["--help"], "Usage: wavemult [OPTIONS] COMMAND", "Commands:"),
+     (["sigma", "--help"], "Usage: wavemult sigma [OPTIONS]", "--power INTEGER")],
+    ids=["group", "sigma"],
+)
+def test_help_prints_click_text(capsys, args, head, body):
+    code, out = run_main(capsys, *args)
+    assert code == 0
+    assert out.startswith(head)
+    assert body in out
+
+
+def test_no_arguments_is_usage_error(capsys):
+    code, out = run_main(capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage"
+    assert payload["detail"].startswith("Usage: wavemult")
+
+
+def test_unknown_command_is_usage_error(capsys):
+    code, out = run_main(capsys, "bogus")
+    assert code == 2
+    assert json.loads(out) == {"error": "usage", "detail": "No such command 'bogus'."}
+
+
+@pytest.mark.parametrize(
+    "mode", [["--set", "journe", "--window", "[1/8pi,1pi)"], ["--wavelet", "meyer", "--grid", "4"]]
+)
+def test_unwritable_csv_prints_only_the_error(tmp_path, capsys, mode):
+    path = tmp_path / "missing" / "x.csv"
+    code, out = run_main(capsys, "dimfn", *mode, "--csv", str(path))
+    assert code == 2
+    payload = json.loads(out)  # one JSON document: no report precedes the error
+    assert payload["error"] == "usage"
+    assert payload["detail"].startswith("cannot write CSV file")
+    assert not path.parent.exists()

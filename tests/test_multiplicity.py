@@ -91,7 +91,8 @@ class TestFiber:
         expected = np.zeros(9, dtype=complex)
         expected[4] = math.sqrt(2)
         assert np.array_equal(state.fibers[0], expected)
-        assert state.truncation_exact
+        # At J = 1 the level rule 2**(J+1) * dist > support cannot rule out level 2.
+        assert not state.truncation_exact
 
     def test_zero_profile(self):
         state = gram_schmidt(ZERO_PROFILE, 0.4, 3, 4)
@@ -101,6 +102,19 @@ class TestFiber:
         state = gram_schmidt(meyer_profile(), float(rp(1, 2)), 3, 4)
         assert not state.fibers[2].any()
         assert state.truncation_exact
+
+    def test_truncation_flag_covers_levels(self):
+        # At xi = pi/64 the Meyer support reaches level 7: J = 2 drops rank, J = 12 does not.
+        xi = float(rp(1, 64))
+        short = gram_schmidt(meyer_profile(), xi, 2, 8)
+        assert short.rank == 0
+        assert not short.truncation_exact
+        deep = gram_schmidt(meyer_profile(), xi, 12, 8)
+        assert deep.rank == 1
+        assert deep.truncation_exact
+        for j_max in (1, 2, 6, 7, 12):
+            flag = gram_schmidt(meyer_profile(), xi, j_max, 8).truncation_exact
+            assert flag is dimension_sum(meyer_profile(), xi, j_max, 8).truncation_exact
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

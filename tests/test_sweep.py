@@ -26,6 +26,7 @@ from _oracles import (
     random_interval_set,
     random_point_in,
     random_rational_pi,
+    sort_merge_intervals,
 )
 
 F = Fraction
@@ -98,6 +99,11 @@ class TestSweep:
 
 
 class TestAgainstMidpointOracles:
+    @pytest.mark.parametrize("seed", range(100))
+    def test_from_intervals(self, seed):
+        ivs = random_intervals(random.Random(seed))
+        assert IntervalSet.from_intervals(ivs) == sort_merge_intervals(ivs)
+
     @pytest.mark.parametrize("seed", range(100))
     def test_intersect_and_difference(self, seed):
         rng = random.Random(seed)
