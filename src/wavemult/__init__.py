@@ -53,9 +53,9 @@ __version__ = "0.1.0"
 # The numeric names load `multiplicity`, and numpy with it, on first access
 # (PEP 562), so `import wavemult` and the exact side never import numpy.
 _NUMERIC = (
-    "AgreementReport", "DimensionSum", "GramSchmidtState", "SpectralProfile", "dimension_sum",
-    "gram_schmidt", "meyer_profile", "msf_profile", "sampled_profile", "uniform_grid",
-    "verify_m_equals_d",
+    "AgreementReport", "DimensionSum", "GramSchmidtState", "GridRecord", "SpectralProfile",
+    "dimension_sum", "gram_schmidt", "meyer_profile", "msf_profile", "sampled_profile",
+    "uniform_grid", "verify_m_equals_d",
 )
 
 __all__ = sorted(

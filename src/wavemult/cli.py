@@ -3,7 +3,9 @@
 Exit codes: 0 success or true verdict, 1 false verdict, 2 usage or parse
 error, 3 precondition error.  Failures print a machine-readable
 ``{"error": ..., "detail": ...}`` object.  Each command returns its payload
-and exit code; only `main` prints and exits.
+and exit code; only `main` prints and exits.  This module alone defines the
+output formats: every JSON payload is built here from the library's data, and
+so are the two CSV tables under the headers below.
 """
 
 from __future__ import annotations
@@ -11,13 +13,15 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from operator import attrgetter
 from typing import TYPE_CHECKING, NoReturn, Optional
 
 import click
+from click.core import ParameterSource
 
-from .exact import IntervalSet, PreconditionError
+from .exact import IntervalSet, PreconditionError, RationalPi
 from .parsing import SetSyntaxError, parse_scalar, parse_set
-from .wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
+from .wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog, is_wavelet_set
 from .sigma import build_sigma, power_in_local_commutant
 from .dimension import core_equivalence_regions, dimension_step_function
 
@@ -32,6 +36,11 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 DEFAULT_NUMERIC_WINDOW = "[-1pi,-1/64pi),[1/64pi,1pi)"
+NUMERIC_ONLY = ("grid_n", "j_max", "k_max", "tol")  # dimfn options that need --wavelet
+
+# CSV headers of the exact step function and of the numeric grid report (`GridRecord` fields).
+STEP_CSV_COLUMNS = ("lo_pi_num", "lo_pi_den", "hi_pi_num", "hi_pi_den", "value")
+GRID_CSV_COLUMNS = ("xi", "rank", "dim_sum", "exact", "agree", "truncation_exact")
 
 # What every command returns: its JSON payload and its exit code.
 Result = tuple[dict, int]
@@ -60,13 +69,22 @@ def _resolve_profile(selector: str) -> SpectralProfile:
     )
 
 
-def _write_csv(path: str, table) -> None:
-    """Write `table.to_csv_rows()` under the header `table.CSV_COLUMNS`."""
+def _shift_entry(piece, shift: RationalPi) -> dict:
+    """JSON entry of one piece (an Interval or an IntervalSet) and its shift."""
+    return {"piece": piece.to_text(), "shift": shift.shift_text(), "shift_float": float(shift)}
+
+
+def _map_entries(mapping: PiecewiseTranslation) -> list[dict]:
+    return [_shift_entry(piece, shift) for piece, shift in mapping.pairs]
+
+
+def _write_csv(path: str, columns: tuple[str, ...], rows) -> None:
+    """Write the rows under the header `columns`; a None cell is written empty."""
     try:
         with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=table.CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(table.to_csv_rows())
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            writer.writerows(rows)
     except OSError as err:
         raise click.UsageError(f"cannot write CSV file {path!r}: {err.strerror or err}") from None
 
@@ -101,7 +119,7 @@ def verify_set_cmd(name: Optional[str], expr: Optional[str]) -> Result:
         "failure_regions": report.failure_regions.to_text(),
     }
     if report.tau_witness is not None:
-        obj["tau"] = report.tau_witness.to_json_obj()
+        obj["tau"] = _map_entries(report.tau_witness)
     return obj, EXIT_OK if report.accepted else EXIT_FALSE
 
 
@@ -119,17 +137,23 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
     if (expr is None) == (wavelet is None):
         raise click.UsageError("provide either --set/--window (exact) or --wavelet (numerical)")
     if expr is not None:
+        ctx = click.get_current_context()
+        given = [param.opts[0] for param in ctx.command.params if param.name in NUMERIC_ONLY
+                 and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise click.UsageError(f"{given[0]} goes with --wavelet only, not with --set")
         if window_expr is None:
             raise click.UsageError("exact mode needs --window")
         W = _resolve_set(expr)
         window = parse_set(window_expr)
         step = dimension_step_function(W, window)
         if csv_path:
-            _write_csv(csv_path, step)
+            rows = ((iv.lo.num, iv.lo.den, iv.hi.num, iv.hi.den, value) for iv, value in step.rows())
+            _write_csv(csv_path, STEP_CSV_COLUMNS, rows)
         return {
             "set": W.to_text(),
             "window": window.to_text(),
-            "step_function": step.to_json_obj(),
+            "step_function": [{"piece": piece.to_text(), "value": value} for piece, value in step.pairs],
         }, EXIT_OK
     if window_expr is not None:
         raise click.UsageError(f"--window needs --set; numerical mode uses {DEFAULT_NUMERIC_WINDOW}")
@@ -146,14 +170,22 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
         step, grid = None, uniform_grid(window, grid_n)
     report = verify_m_equals_d(profile, grid, j_max, k_max, tol, step)
     if csv_path:
-        _write_csv(csv_path, report)
+        _write_csv(csv_path, GRID_CSV_COLUMNS, map(attrgetter(*GRID_CSV_COLUMNS), report.records))
+    records = []
+    for r in report.records:
+        record = {k: getattr(r, k) for k in ("xi", "rank", "dim_sum", "agree", "truncation_exact")}
+        if r.xi_text is not None:
+            record["xi_pi"] = r.xi_text
+        if r.exact is not None:
+            record["exact"] = r.exact
+        records.append(record)
     return {
         "wavelet": wavelet,
         "window": window.to_text(),
         "J": j_max,
         "K": k_max,
         "tol": tol,
-        "records": report.to_json_obj(),
+        "records": records,
         "all_agree": report.all_agree,
     }, EXIT_OK if report.all_agree else EXIT_FALSE
 
@@ -188,11 +220,14 @@ def multiplicity_cmd(wavelet, xi_expr, j_max, k_max, tol) -> Result:
 def sigma_cmd(w1, w2, power) -> Result:
     """Canonical 2*pi-translation bijection w1 -> w2; optionally test a power."""
     sigma = build_sigma(_resolve_set(w1), _resolve_set(w2))
-    obj = sigma.to_json_obj()
+    obj = {"w1": sigma.w1.to_text(), "w2": sigma.w2.to_text(), "map": _map_entries(sigma.mapping)}
     if power is None:
         return obj, EXIT_OK
     verdict = power_in_local_commutant(sigma, power)
-    obj.update(verdict.to_json_obj())
+    obj.update(power=verdict.power, composed=_map_entries(verdict.composed),
+               in_commutant=verdict.in_commutant)
+    if verdict.witness is not None:
+        obj["witness"] = _shift_entry(*verdict.witness)
     return obj, EXIT_OK if verdict.in_commutant else EXIT_FALSE
 
 

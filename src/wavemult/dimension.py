@@ -53,7 +53,6 @@ class StepFunction(Piecewise):
     window: IntervalSet
     pairs: tuple[tuple[IntervalSet, int], ...]
 
-    CSV_COLUMNS = ("lo_pi_num", "lo_pi_den", "hi_pi_num", "hi_pi_den", "value")
     OVERLAP_ERROR = "step function pieces must partition the window"
 
     _tag = int
@@ -93,17 +92,6 @@ class StepFunction(Piecewise):
             for i in range(per_row):
                 points.append(iv.lo + width * i + width / 2)
         return points
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"piece": piece.to_text(), "value": value} for piece, value in self.pairs
-        ]
-
-    def to_csv_rows(self) -> list[dict]:
-        return [
-            dict(zip(self.CSV_COLUMNS, (iv.lo.num, iv.lo.den, iv.hi.num, iv.hi.den, value)))
-            for iv, value in self.rows()
-        ]
 
 
 def _step_from_covers(window: IntervalSet, covers: Iterable[tuple]) -> StepFunction:

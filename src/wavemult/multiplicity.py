@@ -256,8 +256,6 @@ class AgreementReport:
 
     records: tuple[GridRecord, ...]
 
-    CSV_COLUMNS = ("xi", "rank", "dim_sum", "exact", "agree", "truncation_exact")
-
     @property
     def all_agree(self) -> bool:
         return all(r.agree for r in self.records)
@@ -265,23 +263,6 @@ class AgreementReport:
     @property
     def disagreements(self) -> tuple[GridRecord, ...]:
         return tuple(r for r in self.records if not r.agree)
-
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for r in self.records:
-            obj = {k: getattr(r, k) for k in ("xi", "rank", "dim_sum", "agree", "truncation_exact")}
-            if r.xi_text is not None:
-                obj["xi_pi"] = r.xi_text
-            if r.exact is not None:
-                obj["exact"] = r.exact
-            out.append(obj)
-        return out
-
-    def to_csv_rows(self) -> list[dict]:
-        return [
-            {k: "" if getattr(r, k) is None else getattr(r, k) for k in self.CSV_COLUMNS}
-            for r in self.records
-        ]
 
 
 GridPoint = Union[float, RationalPi]

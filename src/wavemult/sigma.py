@@ -56,13 +56,6 @@ class SigmaMap:
         if not self.mapping.is_two_pi_integral:
             raise ValueError("sigma shifts must be integer multiples of 2*pi")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "w1": self.w1.to_text(),
-            "w2": self.w2.to_text(),
-            "map": self.mapping.to_json_obj(),
-        }
-
 
 def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
     """Construct the canonical bijection w1 -> w2 effected by 2*pi translations.
@@ -157,16 +150,6 @@ class CommutantVerdict:
 
     def __bool__(self) -> bool:
         return self.in_commutant
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "power": self.power,
-            "composed": self.composed.to_json_obj(),
-            "in_commutant": self.in_commutant,
-        }
-        if self.witness is not None:
-            obj["witness"] = PiecewiseTranslation.json_row(*self.witness)
-        return obj
 
 
 def power_in_local_commutant(sigma: SigmaMap, power: int) -> CommutantVerdict:

@@ -87,14 +87,6 @@ class PiecewiseTranslation(Piecewise):
         return PiecewiseTranslation.from_triples((iv.lo.coef + s.coef, iv.hi.coef + s.coef, -s.coef)
                                                  for iv, s in self._rows)
 
-    @staticmethod
-    def json_row(piece, shift: RationalPi) -> dict:
-        """JSON entry of one piece (an Interval or an IntervalSet) and its shift."""
-        return {"piece": piece.to_text(), "shift": shift.shift_text(), "shift_float": float(shift)}
-
-    def to_json_obj(self) -> list[dict]:
-        return [self.json_row(piece, shift) for piece, shift in self.pairs]
-
 
 @dataclass(frozen=True)
 class WaveletSetReport:

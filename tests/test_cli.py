@@ -311,6 +311,56 @@ def run_main(capsys, *args):
     return stop.value.code, capsys.readouterr().out
 
 
+def read_csv(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_step_function_serialization_rows(tmp_path, capsys):
+    csv_path = tmp_path / "step.csv"
+    code, out = run_main(capsys, "dimfn", "--set", "journe", "--window", "[1/8pi,1pi)",
+                         "--csv", str(csv_path))
+    assert code == 0
+    rows = read_csv(csv_path)
+    assert rows[0] == {
+        "lo_pi_num": "1",
+        "lo_pi_den": "8",
+        "hi_pi_num": "2",
+        "hi_pi_den": "7",
+        "value": "2",
+    }
+    json_obj = json.loads(out)["step_function"]
+    assert {entry["value"] for entry in json_obj} == {0, 1, 2}
+
+
+def test_report_serialization(tmp_path, capsys):
+    # the grid is midpoint_grid(shannon, [-pi,-1/64pi) u [1/64pi,pi), 8)
+    csv_path = tmp_path / "grid.csv"
+    code, out = run_main(capsys, "dimfn", "--wavelet", "msf:shannon", "--grid", "8",
+                         "--J", "8", "--K", "4", "--csv", str(csv_path))
+    assert code == 0
+    obj = json.loads(out)["records"]
+    keys = {"xi", "rank", "dim_sum", "agree", "truncation_exact", "xi_pi", "exact"}
+    assert keys == set(obj[0])
+    assert obj[0]["truncation_exact"] is True
+    rows = read_csv(csv_path)
+    assert list(rows[0]) == ["xi", "rank", "dim_sum", "exact", "agree", "truncation_exact"]
+    assert [record for record in obj if not record["agree"]] == []
+
+
+@pytest.mark.parametrize("option", [["--grid", "0"], ["--J", "5000"], ["--K", "3"], ["--tol", "-1"]],
+                         ids=["grid", "J", "K", "tol"])
+def test_dimfn_numeric_option_in_exact_mode_is_usage_error(monkeypatch, capsys, option):
+    def no_work(W, query):
+        raise AssertionError("the step function was built")
+
+    monkeypatch.setattr(cli, "dimension_step_function", no_work)
+    code, out = run_main(capsys, "dimfn", "--set", "journe", "--window", "[1/8pi,1pi)", *option)
+    assert code == 2
+    detail = f"{option[0]} goes with --wavelet only, not with --set"
+    assert json.loads(out) == {"error": "usage", "detail": detail}
+
+
 def test_multiplicity_certificate_covers_levels():
     code, payload = run_cli("multiplicity", "--wavelet", "meyer", "--xi", "1/64pi", "--J", "2")
     assert code == 0

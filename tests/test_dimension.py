@@ -142,19 +142,6 @@ class TestStepFunction:
         with pytest.raises(PreconditionError):
             sf.restrict(parse_set("[-1/2pi,-1/4pi)"))
 
-    def test_serialization_rows(self, journe):
-        sf = dimension_step_function(journe, parse_set("[1/8pi,1pi)"))
-        rows = sf.to_csv_rows()
-        assert rows[0] == {
-            "lo_pi_num": 1,
-            "lo_pi_den": 8,
-            "hi_pi_num": 2,
-            "hi_pi_den": 7,
-            "value": 2,
-        }
-        json_obj = sf.to_json_obj()
-        assert {entry["value"] for entry in json_obj} == {0, 1, 2}
-
     def test_partition_validation(self):
         window = parse_set("[0pi,2pi)")
         with pytest.raises(ValueError):

@@ -19,13 +19,13 @@ import wavemult
 PACKAGE_ROOT = str(Path(wavemult.__file__).resolve().parents[1])
 
 NUMERIC_NAMES = {
-    "AgreementReport", "DimensionSum", "GramSchmidtState", "SpectralProfile", "dimension_sum",
-    "gram_schmidt", "meyer_profile", "msf_profile", "sampled_profile", "uniform_grid",
-    "verify_m_equals_d",
+    "AgreementReport", "DimensionSum", "GramSchmidtState", "GridRecord", "SpectralProfile",
+    "dimension_sum", "gram_schmidt", "meyer_profile", "msf_profile", "sampled_profile",
+    "uniform_grid", "verify_m_equals_d",
 }
 
-# `from wavemult import *` before the numeric names became lazy: 40 exact names
-# and modules, the 11 numeric names and the `multiplicity` module.
+# `from wavemult import *`: 40 exact names and modules, the 12 numeric names
+# (`multiplicity.__all__`) and the `multiplicity` module.
 STAR_NAMES = NUMERIC_NAMES | {
     "CATALOG_NAMES", "CommutantVerdict", "DimensionIntegral", "Interval", "IntervalSet",
     "MINUS_PI", "PI", "PRINCIPAL_WINDOW", "PiecewiseTranslation", "PreconditionError",
@@ -85,6 +85,7 @@ def test_numeric_names_resolve_to_the_multiplicity_module():
 
     assert wavemult.verify_m_equals_d is multiplicity.verify_m_equals_d
     assert wavemult.multiplicity is multiplicity
+    assert set(wavemult._NUMERIC) == set(multiplicity.__all__)
     for name in NUMERIC_NAMES:
         assert getattr(wavemult, name) is getattr(multiplicity, name)
 

@@ -342,14 +342,3 @@ class TestAgreement:
         assert report.all_agree
         assert {r.rank for r in report.records} == {1}
         assert all(r.exact is None for r in report.records)
-
-    def test_report_serialization(self, shannon):
-        grid = midpoint_grid(shannon, FULL_WINDOW, 8)
-        report = verify_m_equals_d(msf_profile(shannon), grid, 8, 4)
-        obj = report.to_json_obj()
-        keys = {"xi", "rank", "dim_sum", "agree", "truncation_exact", "xi_pi", "exact"}
-        assert keys == set(obj[0])
-        assert obj[0]["truncation_exact"] is True
-        rows = report.to_csv_rows()
-        assert list(rows[0]) == ["xi", "rank", "dim_sum", "exact", "agree", "truncation_exact"]
-        assert report.disagreements == ()
