@@ -41,7 +41,6 @@ from .dimension import (
     DimensionIntegral,
     StepFunction,
     core_equivalence_regions,
-    core_equivalent_exact,
     dimension_integral,
     dimension_step_function,
     dimension_values,

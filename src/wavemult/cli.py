@@ -23,7 +23,7 @@ from .exact import IntervalSet, PreconditionError, RationalPi
 from .parsing import SetSyntaxError, parse_scalar, parse_set
 from .wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog, is_wavelet_set
 from .sigma import build_sigma, power_in_local_commutant
-from .dimension import core_equivalence_regions, dimension_step_function
+from .dimension import core_equivalence_regions, dimension_step_function, midpoint_grid
 
 # The numeric commands import `multiplicity`, and numpy with it, where they
 # use it, so the exact commands never load numpy.
@@ -163,19 +163,17 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
     profile = _resolve_profile(wavelet)
     window = parse_set(DEFAULT_NUMERIC_WINDOW)
     if profile.kind == "msf":
-        # One exact step function gives both the grid and the exact counts.
-        step = dimension_step_function(profile.msf_set, window)
-        grid = step.midpoint_grid(grid_n)
+        grid = midpoint_grid(profile.msf_set, window, grid_n)
     else:
-        step, grid = None, uniform_grid(window, grid_n)
-    report = verify_m_equals_d(profile, grid, j_max, k_max, tol, step)
+        grid = uniform_grid(window, grid_n)
+    report = verify_m_equals_d(profile, grid, j_max, k_max, tol)
     if csv_path:
         _write_csv(csv_path, GRID_CSV_COLUMNS, map(attrgetter(*GRID_CSV_COLUMNS), report.records))
     records = []
     for r in report.records:
         record = {k: getattr(r, k) for k in ("xi", "rank", "dim_sum", "agree", "truncation_exact")}
-        if r.xi_text is not None:
-            record["xi_pi"] = r.xi_text
+        if r.xi_pi is not None:
+            record["xi_pi"] = r.xi_pi.pi_text()
         if r.exact is not None:
             record["exact"] = r.exact
         records.append(record)

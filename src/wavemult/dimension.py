@@ -34,7 +34,6 @@ __all__ = [
     "dimension_step_function",
     "dimension_values",
     "dimension_integral",
-    "core_equivalent_exact",
     "core_equivalence_regions",
     "mra_consistent",
     "midpoint_grid",
@@ -71,27 +70,8 @@ class StepFunction(Piecewise):
             sub, tuple((piece.intersect(sub), value) for piece, value in self.pairs)
         )
 
-    @property
-    def max_value(self) -> int:
-        return max((value for _, value in self.pairs), default=0)
-
     def constant_value(self) -> Optional[int]:
         return self.pairs[0][1] if len(self.pairs) == 1 else None
-
-    def midpoint_grid(self, count: int) -> list[RationalPi]:
-        """At least `count` exact points off the breakpoints: each row is
-        subdivided evenly and the midpoints of its cells are returned."""
-        _require_grid_size(count)
-        rows = self.rows()
-        if not rows:
-            return []
-        per_row = -(-count // len(rows))
-        points = []
-        for iv, _ in rows:
-            width = iv.length / per_row
-            for i in range(per_row):
-                points.append(iv.lo + width * i + width / 2)
-        return points
 
 
 def _step_from_covers(window: IntervalSet, covers: Iterable[tuple]) -> StepFunction:
@@ -182,11 +162,6 @@ def dimension_integral(W: IntervalSet, terms: int = 30) -> DimensionIntegral:
     return DimensionIntegral(RationalPi(mu), tuple(partials))
 
 
-def core_equivalent_exact(Wa: IntervalSet, Wb: IntervalSet, query: IntervalSet) -> bool:
-    """True iff the two exact dimension functions agree on the query window."""
-    return dimension_step_function(Wa, query) == dimension_step_function(Wb, query)
-
-
 def core_equivalence_regions(
     Wa: IntervalSet, Wb: IntervalSet, query: IntervalSet
 ) -> IntervalSet:
@@ -198,12 +173,11 @@ def core_equivalence_regions(
     return IntervalSet.from_cells((lo, hi) for lo, hi, _, values in sweep(rows) if len(values) == 2)
 
 
-def mra_consistent(W: IntervalSet, depth: int = 10) -> bool:
-    """Constant-1 dimension function on [pi/2**depth, pi) and its mirror (depth >= 1)."""
-    if depth < 1:
-        raise PreconditionError(f"depth must be at least 1, got {depth}")
-    window = _punctured_window(PI.times_pow2(-depth))
-    return dimension_step_function(W, window).constant_value() == 1
+def mra_consistent(W: IntervalSet) -> bool:
+    """Heuristic MRA test: is the dimension function constant 1 on [pi/2**10, pi)
+    and its mirror?  An MRA wavelet has D = 1 almost everywhere, but the window
+    leaves out a neighbourhood of 0, so True does not decide it."""
+    return dimension_step_function(W, _punctured_window(PI.times_pow2(-10))).constant_value() == 1
 
 
 # Largest grid size `midpoint_grid` and `multiplicity.uniform_grid` accept.
@@ -218,9 +192,16 @@ def _require_grid_size(count: int) -> None:
 def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[RationalPi]:
     """At least `count` exact points avoiding the breakpoints of W's dimension function.
 
-    Each constant piece of the exact step function is subdivided evenly and
-    the midpoints of the cells are returned, so no point can sit on a
-    breakpoint (`StepFunction.midpoint_grid`).
+    Each row of the exact step function on the window is subdivided evenly
+    and the midpoints of the cells are returned, so no point can sit on a
+    breakpoint.
     """
     _require_grid_size(count)  # before the step function is built
-    return dimension_step_function(W, window).midpoint_grid(count)
+    rows = dimension_step_function(W, window).rows()
+    per_row = -(-count // len(rows)) if rows else 0
+    points = []
+    for iv, _ in rows:
+        width = iv.length / per_row
+        for i in range(per_row):
+            points.append(iv.lo + width * i + width / 2)
+    return points

@@ -252,17 +252,11 @@ class Interval:
     def contains(self, x: RationalPi) -> bool:
         return self.lo <= x < self.hi
 
-    def shifted(self, t: RationalPi) -> "Interval":
-        return Interval(self.lo + t, self.hi + t)
-
     def scaled_pow2(self, n: int) -> "Interval":
         return Interval(self.lo.times_pow2(n), self.hi.times_pow2(n))
 
     def negated(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
-
-    def midpoint(self) -> RationalPi:
-        return (self.lo + self.hi) / 2
 
     def to_text(self) -> str:
         return f"[{self.lo.pi_text()},{self.hi.pi_text()})"
@@ -344,10 +338,6 @@ class IntervalSet:
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self._select(other, lambda tags: tags == (0,))
 
-    __or__ = union
-    __and__ = intersect
-    __sub__ = difference
-
     def negate(self) -> "IntervalSet":
         """Pointwise negation, re-expressed half-open: -[a,b) becomes [-b,-a)."""
         return IntervalSet(tuple(iv.negated() for iv in reversed(self.pieces)))
@@ -359,7 +349,7 @@ class IntervalSet:
         return IntervalSet(tuple(iv.scaled_pow2(n) for iv in self.pieces))
 
     def translate(self, t: RationalPi) -> "IntervalSet":
-        return IntervalSet(tuple(iv.shifted(t) for iv in self.pieces))
+        return IntervalSet(tuple(Interval(iv.lo + t, iv.hi + t) for iv in self.pieces))
 
     def measure(self) -> RationalPi:
         return RationalPi(sum((iv.length.coef for iv in self.pieces), Fraction(0)))

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .exact import IntervalSet, PreconditionError, RationalPi
-from .dimension import StepFunction, _require_grid_size, dimension_values
+from .dimension import _require_grid_size, dimension_values
 
 __all__ = [
     "SpectralProfile",
@@ -242,7 +242,7 @@ def dimension_sum(profile: SpectralProfile, xi: float, j_max: int, k_max: int) -
 @dataclass(frozen=True)
 class GridRecord:
     xi: float
-    xi_text: Optional[str]
+    xi_pi: Optional[RationalPi]  # the exact grid point, when the grid gave one
     rank: int
     dim_sum: float
     exact: Optional[int]
@@ -269,17 +269,14 @@ GridPoint = Union[float, RationalPi]
 
 
 def verify_m_equals_d(
-    profile: SpectralProfile, grid: Iterable[GridPoint], j_max: int, k_max: int, tol: float = 1e-9,
-    step: Optional[StepFunction] = None,
+    profile: SpectralProfile, grid: Iterable[GridPoint], j_max: int, k_max: int, tol: float = 1e-9
 ) -> AgreementReport:
     """Check rank == round(lattice sum) on a grid, and both == the exact count
     when the profile is an MSF indicator and the grid point is exact.
 
     Grid points should avoid 0 and, for MSF profiles, the breakpoints of the
-    exact step function (use `dimension.midpoint_grid`).  The exact counts are
-    read from `step` when given: the dimension function of the profile's set
-    on a window holding every exact grid point, such as the one the grid was
-    made from.  Otherwise `dimension.dimension_values` builds one.
+    exact step function (use `dimension.midpoint_grid`).  The exact counts
+    come from one `dimension.dimension_values` call.
     """
     points = list(grid)
     xs = np.array([float(p) for p in points])
@@ -291,19 +288,14 @@ def verify_m_equals_d(
         truncation += complete.tolist()
     msf = profile.kind == "msf" and profile.msf_set is not None
     exact_points = [p for p in points if isinstance(p, RationalPi)]
-    if not msf:
-        counts = iter(())
-    elif step is not None:
-        counts = (step.value_at(p) for p in exact_points)
-    else:
-        counts = iter(dimension_values(profile.msf_set, exact_points))
+    counts = iter(dimension_values(profile.msf_set, exact_points) if msf else ())
     records = []
     for point, rank, total, truncation_exact in zip(points, ranks, totals, truncation):
-        xi_text = exact = None
+        xi_pi = exact = None
         if isinstance(point, RationalPi):
-            xi_text, exact = point.pi_text(), next(counts, None)
+            xi_pi, exact = point, next(counts, None)
         agree = rank == round(total) and (exact is None or rank == exact)
-        records.append(GridRecord(float(point), xi_text, rank, total, exact, agree, truncation_exact))
+        records.append(GridRecord(float(point), xi_pi, rank, total, exact, agree, truncation_exact))
     return AgreementReport(tuple(records))
 
 

@@ -56,7 +56,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while "0" <= self.peek() <= "9":  # ASCII only, as in the grammar
             self.pos += 1
         if self.pos == start:
             raise SetSyntaxError("expected an integer", start)
@@ -76,7 +76,7 @@ def _scalar(s: _Scanner) -> RationalPi:
     negative = s.try_take("-")
     s.skip_ws()
     num, den = 1, 1
-    if s.peek().isdigit():
+    if "0" <= s.peek() <= "9":
         num = s.integer()
         if s.try_take("/"):
             den = s.integer()

@@ -68,12 +68,6 @@ class PiecewiseTranslation(Piecewise):
             raise ValueError("piecewise translation is not injective")
         object.__setattr__(self, "image", image)
 
-    @classmethod
-    def from_fragments(
-        cls, fragments: Iterable[tuple[Interval, RationalPi]]
-    ) -> "PiecewiseTranslation":
-        return cls.from_triples((iv.lo.coef, iv.hi.coef, s.coef) for iv, s in fragments)
-
     @property
     def is_two_pi_integral(self) -> bool:
         return all(shift.is_two_pi_multiple for _, shift in self.pairs)

@@ -331,10 +331,9 @@ def hull_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Pi
         scale = Fraction(2) ** -n
         for piece, shift in base.pairs:
             items += [(iv.lo.coef * scale, iv.hi.coef * scale, len(shifts)) for iv in piece]
-            shifts.append(RationalPi(shift.coef * scale))
-    fragments = [(Interval(RationalPi(lo), RationalPi(hi)), shifts[i])
-                 for lo, hi, _, tags in sweep(items) if -1 in tags for i in tags if i >= 0]
-    result = PiecewiseTranslation.from_fragments(fragments)
+            shifts.append(shift.coef * scale)
+    result = PiecewiseTranslation.from_triples(
+        (lo, hi, shifts[i]) for lo, hi, _, tags in sweep(items) if -1 in tags for i in tags if i >= 0)
     if result.domain != region:
         raise PreconditionError(
             "region is not exactly covered by dyadic dilates of the map domain"
@@ -422,7 +421,8 @@ def object_wavelet_report(W: IntervalSet) -> tuple:
     """(translation congruent, dilation congruent, witness pairs or None, failure region)."""
     fragments = object_principal_fragments(W)
     trans_failure = object_tiling_failure(
-        [iv.shifted(shift) for iv, shift in fragments], IntervalSet.single(RationalPi(-1), RationalPi(1))
+        [Interval(iv.lo + shift, iv.hi + shift) for iv, shift in fragments],
+        IntervalSet.single(RationalPi(-1), RationalPi(1))
     )
     witness = None
     if trans_failure.is_empty:
@@ -505,3 +505,13 @@ def two_interval_wavelet_set(rng: random.Random) -> IntervalSet:
     c = Fraction(rng.randrange(513, 1536, 2), 1024)
     return IntervalSet.from_intervals([Interval(RationalPi(-(4 - 2 * c)), RationalPi(-(2 - c))),
                                        Interval(RationalPi(c), RationalPi(2 * c))])
+
+
+def near_zero_wavelet_set(n: int) -> IntervalSet:
+    """[-2**-n pi, -2**(-n-1) pi) u [(2 - 2**(-n-1)) pi, (4 - 2**-n) pi) for n >= 0: the
+    negative piece is one dyadic annulus 2**(-n-1) pi from 0, the positive piece the next
+    octave, and modulo 2pi they are the arcs [-2**-n pi, -2**(-n-1) pi) and the rest of
+    [-pi, pi).  paper_w1 is n = 2."""
+    a = Fraction(1, 2**n)
+    return IntervalSet.from_intervals([Interval(RationalPi(-a), RationalPi(-a / 2)),
+                                       Interval(RationalPi(2 - a / 2), RationalPi(4 - a))])

@@ -83,6 +83,13 @@ def test_overlong_integer_literal_exit_two():
     assert "integer literal too long (at position 5)" in payload["detail"]
 
 
+@pytest.mark.parametrize("text", ["[\u00b2pi,3pi)", "[\u0661pi,\u0663pi)"], ids=["superscript", "arabic_indic"])
+def test_non_ascii_digit_exit_two(capsys, text):
+    code, out = run_main(capsys, "verify-set", "--set", text)
+    assert code == 2
+    assert json.loads(out) == {"error": "parse", "detail": "expected 'p' (at position 1)"}
+
+
 BIG = "1" + "0" * 400  # 10**400 pi has no finite float
 
 
@@ -254,7 +261,11 @@ def test_dimfn_msf_builds_one_step_function(monkeypatch, capsys):
         cli.main(["dimfn", "--wavelet", "msf:journe", "--grid", "64"])
     assert exit_info.value.code == 0
     assert json.loads(capsys.readouterr().out)["all_agree"] is True
-    assert len(calls) == 1
+    # one step function per stage: the grid's on the default window (`midpoint_grid`), then
+    # the exact column's on a punctured window inside it (`dimension_values`)
+    assert len(calls) == 2
+    assert calls[0] == parse_set(cli.DEFAULT_NUMERIC_WINDOW)
+    assert calls[1].subset_of(calls[0])
 
 
 def test_dimfn_numeric_mode_meyer():

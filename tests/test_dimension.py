@@ -6,7 +6,6 @@ import pytest
 from wavemult.dimension import (
     StepFunction,
     core_equivalence_regions,
-    core_equivalent_exact,
     dimension_integral,
     dimension_step_function,
     dimension_values,
@@ -24,9 +23,9 @@ from wavemult.exact import (
     ZERO,
 )
 from wavemult.parsing import parse_set
-from wavemult.wavelet_sets import CATALOG_NAMES, catalog
+from wavemult.wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
 
-from _oracles import brute_dimension_count, random_point_in
+from _oracles import brute_dimension_count, near_zero_wavelet_set, random_point_in
 
 
 def rp(num, den=1):
@@ -81,7 +80,7 @@ class TestStepFunction:
     def test_journe_non_constant(self, journe):
         sf = dimension_step_function(journe, parse_set("[1/8pi,1pi)"))
         assert sf.constant_value() is None
-        assert sf.max_value >= 2
+        assert max(value for _, value in sf.pairs) >= 2
         # frozen breakpoint structure on [pi/8, pi)
         assert [(iv.to_text(), v) for iv, v in sf.rows()] == [
             ("[1/8pi,2/7pi)", 2),
@@ -157,14 +156,36 @@ class TestMraDetection:
         assert mra_consistent(w2)
         assert not mra_consistent(journe)
 
-    @pytest.mark.parametrize("depth", [0, -1, -7])
-    def test_depth_below_one_is_a_precondition_error(self, shannon, depth):
-        with pytest.raises(PreconditionError, match=f"depth must be at least 1, got {depth}"):
-            mra_consistent(shannon, depth)
 
-    def test_depth_one_is_the_smallest_window(self, shannon, journe):
-        assert mra_consistent(shannon, 1)
-        assert not mra_consistent(journe, 1)
+NEAR_ZERO_N = [*range(65), 1000]
+
+
+class TestNearZeroWaveletSets:
+    """near_zero_wavelet_set(n) has a piece 2**(-n-1) pi from 0, and D = 1 off 0."""
+
+    def test_paper_w1_is_n_2(self, w1):
+        assert near_zero_wavelet_set(2) == w1
+
+    @pytest.mark.parametrize("n", NEAR_ZERO_N)
+    def test_accepted(self, n):
+        assert is_wavelet_set(near_zero_wavelet_set(n)).accepted
+
+    @pytest.mark.parametrize("n", NEAR_ZERO_N)
+    def test_constant_one_past_the_near_piece(self, n):
+        W = near_zero_wavelet_set(n)
+        edge = PI.times_pow2(-n - 2)
+        window = IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)])
+        sf = dimension_step_function(W, window)
+        assert sf.constant_value() == 1
+        rng = random.Random(n)
+        points = [MINUS_PI, -edge * Fraction(3, 2), edge, edge * Fraction(3, 2), edge * 2]
+        points += [random_point_in(rng, window, 2**20) for _ in range(8)]
+        for xi in points:
+            assert sf.value_at(xi) == brute_dimension_count(W, xi, j_cap=n + 5, k_cap=2) == 1, (n, xi)
+
+    @pytest.mark.parametrize("n", NEAR_ZERO_N)
+    def test_mra_consistent(self, n):
+        assert mra_consistent(near_zero_wavelet_set(n))
 
 
 class TestDimensionIntegral:
@@ -183,15 +204,13 @@ class TestDimensionIntegral:
 
 class TestCoreEquivalence:
     def test_mirror_pair_equivalent(self, w1, w2):
-        assert core_equivalent_exact(w1, w2, FULL_WINDOW)
         assert core_equivalence_regions(w1, w2, FULL_WINDOW).is_empty
 
     def test_reflexive(self, journe):
-        assert core_equivalent_exact(journe, journe, FULL_WINDOW)
+        assert core_equivalence_regions(journe, journe, FULL_WINDOW).is_empty
 
     def test_shannon_vs_journe(self, shannon, journe):
         window = parse_set("[1/8pi,1pi)")
-        assert not core_equivalent_exact(shannon, journe, window)
         differing = core_equivalence_regions(shannon, journe, window)
         assert not differing.is_empty
         # shannon is constant 1 there, so the difference region is where journe != 1

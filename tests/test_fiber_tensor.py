@@ -64,23 +64,23 @@ def exact_counts(name):
 
 @lru_cache(maxsize=None)
 def reference(name, j_max, k_max):
-    """Per-point states and (xi, xi_text, rank, sum, exact, agree, truncation) rows."""
+    """Per-point states and (xi, xi_pi, rank, sum, exact, agree, truncation) rows."""
     profile, grid = profile_and_grid(name)
     states, rows = [], []
     for point, exact in zip(grid, exact_counts(name)):
         xi = float(point)
         state = loop_gram_schmidt(profile, xi, j_max, k_max)
         total, truncation = loop_dimension_sum(profile, xi, j_max, k_max)
-        xi_text = point.pi_text() if isinstance(point, RationalPi) else None
+        xi_pi = point if isinstance(point, RationalPi) else None
         agree = state["rank"] == round(total) and (exact is None or state["rank"] == exact)
         states.append(state)
-        rows.append((xi, xi_text, state["rank"], total, exact, agree, truncation))
+        rows.append((xi, xi_pi, state["rank"], total, exact, agree, truncation))
     return states, rows
 
 
 def record_rows(report):
     return [
-        (r.xi, r.xi_text, r.rank, r.dim_sum, r.exact, r.agree, r.truncation_exact)
+        (r.xi, r.xi_pi, r.rank, r.dim_sum, r.exact, r.agree, r.truncation_exact)
         for r in report.records
     ]
 

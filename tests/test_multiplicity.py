@@ -236,7 +236,7 @@ class TestRank:
     def test_journe_rank_two_point(self, journe):
         sf = dimension_step_function(journe, parse_set("[1/8pi,1pi)"))
         region = next(piece for piece, value in sf.pairs if value == 2)
-        xi = region.pieces[0].midpoint()
+        xi = (region.pieces[0].lo + region.pieces[0].hi) / 2
         assert brute_dimension_count(journe, xi) == 2
         assert gram_schmidt(msf_profile(journe), float(xi), 12, 8).rank == 2
 
@@ -321,15 +321,6 @@ class TestAgreement:
         assert [r.exact for r in report.records] == [
             None, *(brute_dimension_count(journe, xi) for xi in exact[1:]), None
         ]
-        assert report.all_agree
-
-    def test_exact_column_from_given_step_function(self, journe, monkeypatch):
-        step = dimension_step_function(journe, FULL_WINDOW)
-        grid = step.midpoint_grid(16)
-        monkeypatch.setattr(multiplicity, "dimension_values", None)  # must not be called
-        report = verify_m_equals_d(msf_profile(journe), grid, 12, 8, 1e-9, step)
-        assert grid == midpoint_grid(journe, FULL_WINDOW, 16)
-        assert [r.exact for r in report.records] == [brute_dimension_count(journe, xi) for xi in grid]
         assert report.all_agree
 
     def test_float_grid_needs_no_wavelet_set(self):

@@ -65,6 +65,14 @@ def test_overlong_integer_literal_is_syntax_error():
     assert parse_scalar("1" + "0" * 4000 + "pi") == RationalPi(10**4000)
 
 
+@pytest.mark.parametrize("text", ["[\u00b2pi,3pi)", "[\u0661pi,\u0663pi)"], ids=["superscript", "arabic_indic"])
+def test_only_ascii_digits_form_integers(text):
+    # str.isdigit accepts both: "²" then failed as a too-long literal, "١" and "٣" parsed as 1 and 3
+    with pytest.raises(SetSyntaxError, match="expected 'p'") as exc:
+        parse_set(text)
+    assert exc.value.position == 1
+
+
 def test_scalar_forms():
     assert parse_scalar("-9/4pi") == RationalPi.of(-9, 4)
     assert parse_scalar("pi") == RationalPi.of(1)

@@ -183,10 +183,10 @@ class TestPiecewiseTranslation:
         assert inv.apply(rp(-1, 2)) == rp(3, 2)
 
     def test_same_shift_fragments_merge(self):
-        pt = PiecewiseTranslation.from_fragments(
+        pt = PiecewiseTranslation.from_triples(
             [
-                (Interval(rp(0), rp(1)), rp(2)),
-                (Interval(rp(1), rp(2)), rp(2)),
+                (Fraction(0), Fraction(1), Fraction(2)),
+                (Fraction(1), Fraction(2), Fraction(2)),
             ]
         )
         assert pt.pairs == ((parse_set("[0pi,2pi)"), rp(2)),)
@@ -194,7 +194,7 @@ class TestPiecewiseTranslation:
     def test_two_pi_integrality_flag(self, shannon):
         tau = translation_congruence(shannon)
         assert tau.is_two_pi_integral
-        skew = PiecewiseTranslation.from_fragments([(Interval(rp(0), rp(1)), rp(1, 4))])
+        skew = PiecewiseTranslation.from_triples([(Fraction(0), Fraction(1), Fraction(1, 4))])
         assert not skew.is_two_pi_integral
 
 
