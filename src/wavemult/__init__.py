@@ -41,6 +41,7 @@ from .dimension import (
     DimensionIntegral,
     StepFunction,
     core_equivalence_regions,
+    dimension_function,
     dimension_integral,
     dimension_step_function,
     dimension_values,

@@ -1,9 +1,10 @@
 """Exact, integer-valued dimension functions of MSF wavelets.
 
-For a wavelet set W the dimension function at xi counts the lattice pairs
-(j, k), j >= 1, with 2**j * (xi + 2*pi*k) in W.  On a query window bounded
-away from 0 the count is a finite step function, computed here by exact
-indicator summation; no sampling happens anywhere on this path.  Values are
+For a wavelet set W the dimension function D at xi counts the lattice pairs
+(j, k), j >= 1, with 2**j * (xi + 2*pi*k) in W.  D is a finite step function
+on [-pi, pi) minus the single point 0: `dimension_function` builds it
+once per set by exact indicator summation, and every window and point is
+answered from it.  No sampling happens anywhere on this path, and values are
 nonnegative integers by construction.
 """
 
@@ -12,25 +13,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .exact import (
     MINUS_PI,
     PI,
     PreconditionError,
-    Interval,
     IntervalSet,
     Piecewise,
     RationalPi,
     ceil_log2,
-    merge_cells,
     sweep,
 )
-from .wavelet_sets import PRINCIPAL_WINDOW, _require_wavelet_set
+from .wavelet_sets import CACHE_SIZE, PRINCIPAL_WINDOW, _require_wavelet_set
 
 __all__ = [
     "StepFunction",
     "DimensionIntegral",
+    "dimension_function",
     "dimension_step_function",
     "dimension_values",
     "dimension_integral",
@@ -64,70 +65,69 @@ class StepFunction(Piecewise):
             raise ValueError(self.OVERLAP_ERROR)
 
     def restrict(self, sub: IntervalSet) -> "StepFunction":
-        if not sub.subset_of(self.window):
+        """The function on `sub`, from one sweep over its pieces (tag -1) and the rows."""
+        items = [(iv.lo.coef, iv.hi.coef, -1) for iv in sub]
+        items += [(iv.lo.coef, iv.hi.coef, value) for iv, value in self._rows]
+        cells = [(lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags]
+        if any(value < 0 for *_, value in cells):
             raise PreconditionError("restriction window must lie inside the window")
-        return StepFunction(
-            sub, tuple((piece.intersect(sub), value) for piece, value in self.pairs)
-        )
+        return StepFunction.from_triples(cells, window=sub)
 
     def constant_value(self) -> Optional[int]:
         return self.pairs[0][1] if len(self.pairs) == 1 else None
 
 
-def _step_from_covers(window: IntervalSet, covers: Iterable[tuple]) -> StepFunction:
-    """Sum of the indicators of the covers, coefficient pairs (lo, hi), as a step function
-    on `window`: one sweep over the window pieces (tagged True) and the covers (tagged
-    False); inside the window the value is the count less one."""
-    items = [(iv.lo.coef, iv.hi.coef, True) for iv in window]
-    items += [(lo, hi, False) for lo, hi in covers]
-    return StepFunction.from_triples(merge_cells(
-        (lo, hi, count - 1) for lo, hi, count, tags in sweep(items) if True in tags), window=window)
+@lru_cache(maxsize=CACHE_SIZE)
+def dimension_function(W: IntervalSet) -> StepFunction:
+    """Exact dimension function of W on all of [-pi, pi), built once per set.
 
-
-def _hit_sets(W: IntervalSet, query: IntervalSet) -> list[tuple]:
-    """Pieces (lo, hi) of the translates 2**-j * W - 2*pi*k, j >= 1, that can meet the query,
-    uncut (`_step_from_covers` keeps only the cells inside the query)."""
-    eps = query.dist_zero().coef
-    radius = W.max_abs().coef
-    pieces = [(iv.lo.coef, iv.hi.coef) for iv in W]
-    hits = []
-    scale = Fraction(1, 2)
-    while radius * scale >= eps:
-        k_max = math.floor((radius * scale + 1) / 2)
-        scaled = [(lo * scale, hi * scale) for lo, hi in pieces]
-        hits += [(lo - 2 * k, hi - 2 * k) for k in range(-k_max, k_max + 1) for lo, hi in scaled]
-        scale /= 2
-    return hits
+    The k = 0 terms add 1 off U, the union of the dilates 2**m * W (m >= 0) in
+    [-pi, pi): dyadic tiling gives each xi != 0 one j with 2**j * xi in W, and
+    j >= 1 exactly off U.  The k != 0 terms come from the finitely many
+    translates 2**-j * W - 2*pi*k with 2**j < max |W| that meet [-pi, pi).  One
+    sweep over the window (tag 0), U (tag 1) and the translates (tag 2) gives
+    each cell the value count - 2 * [cell in U].  At 0 the function takes its
+    right limit, one more than the lattice count there, which has no k = 0 term.
+    """
+    _require_wavelet_set(W)
+    items = [(Fraction(-1), Fraction(1), 0)]
+    for iv in W:
+        lo, hi = iv.lo.coef, iv.hi.coef
+        near = lo if lo > 0 else -hi
+        if hi - lo == near and near < 1:  # a whole octave: its dilates fill [lo, pi) or [-pi, hi)
+            items.append((lo, Fraction(1), 1) if lo > 0 else (Fraction(-1), hi, 1))
+            continue
+        scale = 1  # a shorter piece (none spans more): its dilates that start below pi
+        while near * scale < 1:
+            items.append((lo * scale, hi * scale, 1))
+            scale *= 2
+    for j in range(1, ceil_log2(W.max_abs().coef)):  # the levels with 2**j < max |W|
+        for iv in W:
+            lo, hi = iv.lo.coef / 2**j, iv.hi.coef / 2**j
+            # [lo - 2k, hi - 2k) meets [-1, 1) iff (lo - 1)/2 < k < (hi + 1)/2
+            items += [(lo - 2 * k, hi - 2 * k, 2)
+                      for k in range(math.floor((lo - 1) / 2) + 1, math.ceil((hi + 1) / 2)) if k]
+    return StepFunction.from_triples(
+        ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags),
+        window=PRINCIPAL_WINDOW)
 
 
 def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
-    """Exact dimension function of W on a query window inside [-pi, pi).
-
-    The query must keep 0 outside its closure so that only finitely many
-    (j, k) contribute.
-    """
+    """Exact dimension function of W on a query window inside [-pi, pi) that keeps 0
+    outside its closure: the restriction of `dimension_function(W)`."""
     _require_wavelet_set(W)
-    if query.is_empty:
-        return StepFunction(query, ())
     if not query.subset_of(PRINCIPAL_WINDOW):
         raise PreconditionError("query window must lie inside [-pi, pi)")
     if query.zero_in_closure():
         raise PreconditionError("query window must stay away from 0")
-    return _step_from_covers(query, _hit_sets(W, query))
-
-
-def _punctured_window(edge: RationalPi) -> IntervalSet:
-    """[-pi, -edge) u [edge, pi)."""
-    return IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)])
+    return dimension_function(W).restrict(query)
 
 
 def dimension_values(W: IntervalSet, points: Sequence[RationalPi]) -> list[int]:
     """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W, at each point xi.
 
-    Every xi must lie in [-pi, pi) and differ from 0 (breakpoints accumulate
-    at 0, so the value there is not defined by a finite computation).  The
-    counts are read from one step function on [-pi, -e) u [e, pi), where e is
-    the largest power of two times pi below every |xi|.
+    The counts are read from `dimension_function(W)`.  Every xi must lie in
+    [-pi, pi) and differ from 0, where that function holds its right limit.
     """
     if not points:
         return []
@@ -137,9 +137,7 @@ def dimension_values(W: IntervalSet, points: Sequence[RationalPi]) -> list[int]:
             raise PreconditionError("xi must lie in [-pi, pi)")
         if xi.is_zero:
             raise PreconditionError("the dimension function is not evaluated at 0")
-    edge = PI.times_pow2(ceil_log2(min(abs(xi.coef) for xi in points)) - 1)
-    step = dimension_step_function(W, _punctured_window(edge))
-    return [step.value_at(xi) for xi in points]
+    return list(map(dimension_function(W).value_at, points))
 
 
 @dataclass(frozen=True)
@@ -174,10 +172,9 @@ def core_equivalence_regions(
 
 
 def mra_consistent(W: IntervalSet) -> bool:
-    """Heuristic MRA test: is the dimension function constant 1 on [pi/2**10, pi)
-    and its mirror?  An MRA wavelet has D = 1 almost everywhere, but the window
-    leaves out a neighbourhood of 0, so True does not decide it."""
-    return dimension_step_function(W, _punctured_window(PI.times_pow2(-10))).constant_value() == 1
+    """Is W the wavelet set of an MRA wavelet?  Exactly when its dimension function
+    is 1 almost everywhere (Gripenberg 1995; X. Wang 1995), here on all of [-pi, pi)."""
+    return dimension_function(W).constant_value() == 1
 
 
 # Largest grid size `midpoint_grid` and `multiplicity.uniform_grid` accept.

@@ -17,6 +17,7 @@ from wavemult.exact import (
     RationalPi,
     ceil_log2,
     floor_log2,
+    merge_cells,
     sweep,
 )
 from wavemult.sigma import SigmaMap, compose
@@ -437,6 +438,38 @@ def object_wavelet_report(W: IntervalSet) -> tuple:
             trans_failure.union(dil_failure))
 
 
+def step_from_covers(window: IntervalSet, covers) -> StepFunction:
+    """Sum of the indicators of the covers, coefficient pairs (lo, hi), as a step function
+    on `window`: one sweep over the window pieces (tagged True) and the covers (tagged
+    False); inside the window the value is the count less one."""
+    items = [(iv.lo.coef, iv.hi.coef, True) for iv in window]
+    items += [(lo, hi, False) for lo, hi in covers]
+    return StepFunction.from_triples(merge_cells(
+        (lo, hi, count - 1) for lo, hi, count, tags in sweep(items) if True in tags), window=window)
+
+
+def hit_sets(W: IntervalSet, query: IntervalSet) -> list[tuple]:
+    """Pieces (lo, hi) of the translates 2**-j * W - 2*pi*k, j >= 1, that can meet the query,
+    uncut (`step_from_covers` keeps only the cells inside the query)."""
+    eps = query.dist_zero().coef
+    radius = W.max_abs().coef
+    pieces = [(iv.lo.coef, iv.hi.coef) for iv in W]
+    hits = []
+    scale = Fraction(1, 2)
+    while radius * scale >= eps:
+        k_max = math.floor((radius * scale + 1) / 2)
+        scaled = [(lo * scale, hi * scale) for lo, hi in pieces]
+        hits += [(lo - 2 * k, hi - 2 * k) for k in range(-k_max, k_max + 1) for lo, hi in scaled]
+        scale /= 2
+    return hits
+
+
+def windowed_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
+    """The dimension function of W on a nonempty query away from 0, built on the query
+    alone from every translate deep enough to reach it: the cost grows with the depth."""
+    return step_from_covers(query, hit_sets(W, query))
+
+
 def object_hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:
     """The translates 2**-j * W - 2*pi*k, j >= 1, that can meet the query, as sets."""
     eps = query.dist_zero()
@@ -515,3 +548,19 @@ def near_zero_wavelet_set(n: int) -> IntervalSet:
     a = Fraction(1, 2**n)
     return IntervalSet.from_intervals([Interval(RationalPi(-a), RationalPi(-a / 2)),
                                        Interval(RationalPi(2 - a / 2), RationalPi(4 - a))])
+
+
+def deep_piece_wavelet_set(n: int, t: int) -> IntervalSet:
+    """Q(n) u -Q(t) for n, t >= 2, with Q(n) = [x, y) u [2 + y, 3) u [6, 6 + x) in units of
+    pi, y = 2/(2**n - 1), z = 3/2**n and x = z/(2 - 2**(-n-1)).  Modulo 2pi the three
+    pieces are [x, y), [y, 1) and [0, x); the two far ones dilate by 2**-n and 2**(-n-1)
+    onto [y, z) and [z, 2x), so the octave [x, 2x) is tiled.  [x, y) is shorter than an
+    octave and about 2**-n from 0, so its dilates reach pi only after n steps."""
+    def positive(n: int) -> list[tuple[Fraction, Fraction]]:
+        y = Fraction(2, 2**n - 1)
+        x = Fraction(3, 2**n) / (2 - Fraction(1, 2**(n + 1)))
+        return [(x, y), (2 + y, Fraction(3)), (Fraction(6), 6 + x)]
+
+    return IntervalSet.from_intervals(
+        [Interval(RationalPi(lo), RationalPi(hi)) for lo, hi in positive(n)]
+        + [Interval(RationalPi(-hi), RationalPi(-lo)) for lo, hi in positive(t)])

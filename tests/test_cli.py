@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 import wavemult
 from wavemult import cli, dimension
 from wavemult.parsing import parse_set
-from wavemult.wavelet_sets import CATALOG_NAMES, catalog
+from wavemult.wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
+
+from _oracles import near_zero_wavelet_set
 
 # The child imports the same wavemult as the tests, installed or not.
 PACKAGE_ROOT = str(Path(wavemult.__file__).resolve().parents[1])
@@ -247,25 +250,33 @@ def test_infinite_tol_is_precondition_error(args):
     assert "finite tol > 0" in payload["detail"]
 
 
-def test_dimfn_msf_builds_one_step_function(monkeypatch, capsys):
-    calls = []
-    build = dimension.dimension_step_function
-
-    def counted(W, query):
-        calls.append(query)
-        return build(W, query)
-
-    monkeypatch.setattr(dimension, "dimension_step_function", counted)
-    monkeypatch.setattr(cli, "dimension_step_function", counted)
+def test_dimfn_msf_builds_one_step_function(capsys):
+    dimension.dimension_function.cache_clear()
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["dimfn", "--wavelet", "msf:journe", "--grid", "64"])
     assert exit_info.value.code == 0
     assert json.loads(capsys.readouterr().out)["all_agree"] is True
-    # one step function per stage: the grid's on the default window (`midpoint_grid`), then
-    # the exact column's on a punctured window inside it (`dimension_values`)
-    assert len(calls) == 2
-    assert calls[0] == parse_set(cli.DEFAULT_NUMERIC_WINDOW)
-    assert calls[1].subset_of(calls[0])
+    # one dimension function for both stages: the grid (`midpoint_grid`) builds it, and
+    # the exact column (`dimension_values`) reads it from the cache
+    assert dimension.dimension_function.cache_info().misses == 1
+
+
+def test_dimfn_set_window_far_below_a_near_zero_piece(capsys):
+    # a piece 2**-13001 pi from 0 and a window reaching 2**-13002 pi from it, with both
+    # caches cold: the whole-circle build does not grow with the depth
+    W = near_zero_wavelet_set(13000)
+    edge = str(2**13002)
+    window = f"[-1pi,-1/{edge}pi),[1/{edge}pi,1pi)"
+    dimension.dimension_function.cache_clear()
+    is_wavelet_set.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["dimfn", "--set", W.to_text(), "--window", window])
+    elapsed = time.perf_counter() - start
+    assert exit_info.value.code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["step_function"] == [{"piece": parse_set(window).to_text(), "value": 1}]
+    assert elapsed < 1.0
 
 
 def test_dimfn_numeric_mode_meyer():

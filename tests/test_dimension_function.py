@@ -1,0 +1,130 @@
+"""The whole-circle dimension function against the windowed reference, and its identities.
+
+`dimension_function(W)` builds D once on [-pi, pi) and every window is a
+restriction of it.  The reference in `tests/_oracles.py` builds D on the
+window alone from every translate 2**-j * W - 2*pi*k deep enough to reach
+it.  On the whole circle D must integrate to 2*pi, satisfy the consistency
+equation D(xi) + D(xi + pi) = D(2 xi) + 1 (Bownik, Rzeszotnik & Speegle 2001)
+and, next to 0, equal the direct lattice count.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from wavemult.dimension import dimension_function, dimension_step_function
+from wavemult.exact import Interval, IntervalSet, RationalPi
+from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, catalog
+
+from _oracles import (
+    brute_dimension_count,
+    deep_piece_wavelet_set,
+    near_zero_wavelet_set,
+    random_point_in,
+    two_interval_wavelet_set,
+    windowed_step_function,
+)
+
+DEPTHS = (1, 3, 12, 40, 100)
+SIDES = (0, 1, -1)  # both halves, the positive half, the negative half
+
+
+def window(depth: int, side: int) -> IntervalSet:
+    """[-pi, -pi/2**depth) u [pi/2**depth, pi), or one half of it."""
+    edge = Fraction(1, 2**depth)
+    ivs = [Interval(RationalPi(edge), RationalPi(1)), Interval(RationalPi(-1), RationalPi(-edge))]
+    return IntervalSet.from_intervals(ivs if side == 0 else ivs[side < 0:][:1])
+
+
+DEEP_PIECE = [(2, 2), (3, 5), (12, 12), (20, 3), (40, 64), (100, 7)]
+
+
+def two_interval_sets(seed: int, count: int) -> list[IntervalSet]:
+    rng = random.Random(seed)
+    return [two_interval_wavelet_set(rng) for _ in range(count)]
+
+
+class TestAgainstTheWindowedReference:
+    @pytest.mark.parametrize("W", [catalog(name) for name in CATALOG_NAMES]
+                             + [deep_piece_wavelet_set(n, t) for n, t in DEEP_PIECE],
+                             ids=[*CATALOG_NAMES, *(f"deep_piece{p}" for p in DEEP_PIECE)])
+    def test_every_window(self, W):
+        for depth in DEPTHS:
+            for side in SIDES:
+                query = window(depth, side)
+                assert dimension_step_function(W, query) == windowed_step_function(W, query)
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_near_zero_sets(self, n):
+        W = near_zero_wavelet_set(n)
+        for depth in (1, n + 3, 100):
+            for side in SIDES:
+                query = window(depth, side)
+                assert dimension_step_function(W, query) == windowed_step_function(W, query)
+
+    def test_seeded_two_interval_sets(self):
+        rng = random.Random(12)
+        for W in two_interval_sets(1200, 200):
+            query = window(rng.choice(DEPTHS), rng.choice(SIDES))
+            assert dimension_step_function(W, query) == windowed_step_function(W, query), W
+
+
+def wrap(x: Fraction) -> Fraction:
+    """x moved by a multiple of 2 into [-1, 1) (coefficients of pi)."""
+    return (x + 1) % 2 - 1
+
+
+def check_identities(W: IntervalSet, rng: random.Random, points: int = 8, k_max: int = 1000) -> None:
+    D = dimension_function(W)
+    rows = D.rows()
+    assert D.window == PRINCIPAL_WINDOW
+    assert sum(iv.length.coef * value for iv, value in rows) == 2, W
+
+    # Consistency equation, at row starts and seeded points; it fails only where an
+    # argument is 0 (xi = 0 or -pi), since D(0) is the right limit, not a finite count.
+    xs = [iv.lo.coef for iv, _ in rows]
+    xs += [random_point_in(rng, PRINCIPAL_WINDOW, 2**16).coef for _ in range(points)]
+    for x in xs:
+        if x in (0, -1):
+            continue
+        here, shifted, doubled = (D.value_at(RationalPi(wrap(y))) for y in (x, x + 1, 2 * x))
+        assert here + shifted == doubled + 1, (W, x)
+
+    # The rows next to 0 against the direct count at +-pi/2**k inside them, and at 0 the
+    # right limit, one more than the count (no k = 0 term).  Every set here has
+    # max |W| < 8 pi, so only |k| <= 1 and j < k + 3 can contribute at +-pi/2**k,
+    # and only |k| <= 2 and j <= 2 at 0.
+    left_iv, left = next(row for row in rows if row[0].lo.coef < 0 <= row[0].hi.coef)
+    right_iv, right = next(row for row in rows if row[0].lo.coef <= 0 < row[0].hi.coef)
+    zero = RationalPi(0)
+    assert D.value_at(zero) == right == brute_dimension_count(W, zero, j_cap=3, k_cap=2) + 1
+    reach = min(-left_iv.lo.coef, right_iv.hi.coef)
+    first = 1
+    while Fraction(1, 2**first) >= reach:
+        first += 1
+    k = rng.randint(first, max(first, k_max))
+    xi = RationalPi(Fraction(1, 2**k))
+    assert xi.coef < reach
+    assert brute_dimension_count(W, xi, j_cap=k + 3, k_cap=1) == right, (W, k)
+    assert brute_dimension_count(W, -xi, j_cap=k + 3, k_cap=1) == left, (W, k)
+
+
+class TestWholeCircleIdentities:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, name):
+        check_identities(catalog(name), random.Random(name), points=200)
+
+    @pytest.mark.parametrize("n", [*range(65), 1000, 13000])
+    def test_near_zero_sets(self, n):
+        check_identities(near_zero_wavelet_set(n), random.Random(n))
+
+    @pytest.mark.parametrize("n,t", DEEP_PIECE)
+    def test_deep_piece_sets(self, n, t):
+        check_identities(deep_piece_wavelet_set(n, t), random.Random(n * t), points=100)
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_seeded_two_interval_sets(self, block):
+        rng = random.Random(block)
+        for i, W in enumerate(two_interval_sets(2000 + block, 100)):
+            check_identities(W, rng, k_max=1000 if i % 10 == 0 else 64)

@@ -6,11 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wavemult.dimension import (
-    _step_from_covers,
-    core_equivalence_regions,
-    dimension_step_function,
-)
+from wavemult.dimension import core_equivalence_regions, dimension_step_function
 from wavemult.exact import Interval, IntervalSet, RationalPi, sweep
 from wavemult.parsing import parse_set
 from wavemult.sigma import build_sigma, compose_power, dyadic_extension
@@ -27,6 +23,7 @@ from _oracles import (
     random_point_in,
     random_rational_pi,
     sort_merge_intervals,
+    step_from_covers,
 )
 
 F = Fraction
@@ -132,7 +129,7 @@ class TestAgainstMidpointOracles:
         window = random_interval_set(rng)
         covers = [random_interval_set(rng) for _ in range(rng.randint(0, 6))]
         cover_pieces = coefs(iv for s in covers for iv in s)
-        assert _step_from_covers(window, cover_pieces) == midpoint_step_from_covers(window, covers)
+        assert step_from_covers(window, cover_pieces) == midpoint_step_from_covers(window, covers)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_core_equivalence_regions(self, seed):
