@@ -24,9 +24,7 @@ from .wavelet_sets import (
     PiecewiseTranslation,
     WaveletSetReport,
     catalog,
-    dilation_congruence,
     is_wavelet_set,
-    translation_congruence,
 )
 from .sigma import (
     CommutantVerdict,

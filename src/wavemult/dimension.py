@@ -26,7 +26,7 @@ from .exact import (
     ceil_log2,
     sweep,
 )
-from .wavelet_sets import CACHE_SIZE, PRINCIPAL_WINDOW, _require_wavelet_set
+from .wavelet_sets import CACHE_SIZE, _require_wavelet_set
 
 __all__ = [
     "StepFunction",
@@ -41,37 +41,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepFunction(Piecewise):
-    """Integer-valued step function on a window, in canonical form.
+    """Integer-valued step function on its domain, in canonical form.
 
-    Canonical as a `Piecewise` with nonnegative integer values whose pieces
-    partition the window exactly, so equality of step functions is equality
-    of dataclasses.
+    Canonical as a `Piecewise` with nonnegative integer values, so equality
+    of step functions is equality of dataclasses.
     """
 
-    window: IntervalSet
     pairs: tuple[tuple[IntervalSet, int], ...]
-
-    OVERLAP_ERROR = "step function pieces must partition the window"
-
-    _tag = int
 
     def _build(self, triples: list) -> None:
         if any(value < 0 for _, _, value in triples):
             raise ValueError("step function values must be nonnegative")
         super()._build(triples)
-        if self.domain != self.window:
-            raise ValueError(self.OVERLAP_ERROR)
-
-    def restrict(self, sub: IntervalSet) -> "StepFunction":
-        """The function on `sub`, from one sweep over its pieces (tag -1) and the rows."""
-        items = [(iv.lo.coef, iv.hi.coef, -1) for iv in sub]
-        items += [(iv.lo.coef, iv.hi.coef, value) for iv, value in self._rows]
-        cells = [(lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags]
-        if any(value < 0 for *_, value in cells):
-            raise PreconditionError("restriction window must lie inside the window")
-        return StepFunction.from_triples(cells, window=sub)
 
     def constant_value(self) -> Optional[int]:
         return self.pairs[0][1] if len(self.pairs) == 1 else None
@@ -108,19 +91,25 @@ def dimension_function(W: IntervalSet) -> StepFunction:
             items += [(lo - 2 * k, hi - 2 * k, 2)
                       for k in range(math.floor((lo - 1) / 2) + 1, math.ceil((hi + 1) / 2)) if k]
     return StepFunction.from_triples(
-        ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags),
-        window=PRINCIPAL_WINDOW)
+        ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags))
 
 
 def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     """Exact dimension function of W on a query window inside [-pi, pi) that keeps 0
-    outside its closure: the restriction of `dimension_function(W)`."""
+    outside its closure: the restriction of `dimension_function(W)`.
+
+    One sweep over the query (tag -1) and the rows of that function, whose values
+    are nonnegative: a query cell under no row lies outside [-pi, pi).
+    """
     _require_wavelet_set(W)
-    if not query.subset_of(PRINCIPAL_WINDOW):
+    items = [(iv.lo.coef, iv.hi.coef, -1) for iv in query]
+    items += [(iv.lo.coef, iv.hi.coef, value) for iv, value in dimension_function(W).rows()]
+    cells = [(lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags]
+    if any(value < 0 for *_, value in cells):
         raise PreconditionError("query window must lie inside [-pi, pi)")
     if query.zero_in_closure():
         raise PreconditionError("query window must stay away from 0")
-    return dimension_function(W).restrict(query)
+    return StepFunction.from_triples(cells)
 
 
 def dimension_values(W: IntervalSet, points: Sequence[RationalPi]) -> list[int]:

@@ -252,12 +252,6 @@ class Interval:
     def contains(self, x: RationalPi) -> bool:
         return self.lo <= x < self.hi
 
-    def scaled_pow2(self, n: int) -> "Interval":
-        return Interval(self.lo.times_pow2(n), self.hi.times_pow2(n))
-
-    def negated(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def to_text(self) -> str:
         return f"[{self.lo.pi_text()},{self.hi.pi_text()})"
 
@@ -340,13 +334,14 @@ class IntervalSet:
 
     def negate(self) -> "IntervalSet":
         """Pointwise negation, re-expressed half-open: -[a,b) becomes [-b,-a)."""
-        return IntervalSet(tuple(iv.negated() for iv in reversed(self.pieces)))
+        return IntervalSet(tuple(Interval(-iv.hi, -iv.lo) for iv in reversed(self.pieces)))
 
     def dilate(self, n: int) -> "IntervalSet":
         """Pointwise map x -> 2**n * x; measure scales by exactly 2**n."""
         if not isinstance(n, int):
             raise TypeError("dilation exponent must be an integer")
-        return IntervalSet(tuple(iv.scaled_pow2(n) for iv in self.pieces))
+        return IntervalSet(tuple(Interval(iv.lo.times_pow2(n), iv.hi.times_pow2(n))
+                                 for iv in self.pieces))
 
     def translate(self, t: RationalPi) -> "IntervalSet":
         return IntervalSet(tuple(Interval(iv.lo + t, iv.hi + t) for iv in self.pieces))
@@ -356,9 +351,6 @@ class IntervalSet:
 
     def contains(self, x: RationalPi) -> bool:
         return any(iv.contains(x) for iv in self.pieces)
-
-    def __contains__(self, x: RationalPi) -> bool:
-        return self.contains(x)
 
     def subset_of(self, other: "IntervalSet") -> bool:
         return self.difference(other).is_empty
@@ -396,27 +388,21 @@ class IntervalSet:
 class Piecewise:
     """A function constant on each piece of its domain, in canonical form.
 
-    Subclasses are frozen dataclasses with a `pairs` field of (piece, value)
-    pairs, each piece an IntervalSet.  One sweep over (lo, hi, tag) coefficient
-    triples (the constructor flattens its pairs; `from_triples` takes them from
-    a producer) rejects pieces of two values that overlap and merges touching
+    Subclasses are frozen dataclasses without an ``__init__`` whose one field,
+    `pairs`, holds (piece, value) pairs, each piece an IntervalSet; `from_triples`
+    is their only constructor.  One sweep over its (lo, hi, tag) coefficient
+    triples rejects pieces of two values that overlap and merges touching
     cells of one value into rows.  The objects are built once, from the rows:
     the pairs (each value once, in value order), the rows and `domain`.
     """
 
     OVERLAP_ERROR = "pieces of two values overlap"
-    _tag = _value = staticmethod(lambda value: value)  # value -> hashable tag -> value
-
-    def __post_init__(self) -> None:
-        tag = self._tag
-        self._build([(iv.lo.coef, iv.hi.coef, tag(v)) for piece, v in self.pairs for iv in piece])
+    _value = staticmethod(lambda tag: tag)  # hashable tag -> value
 
     @classmethod
-    def from_triples(cls, triples: Iterable[tuple[Fraction, Fraction, Hashable]], **fields):
-        """The instance with the given other fields whose pieces are the (lo, hi, tag) triples."""
+    def from_triples(cls, triples: Iterable[tuple[Fraction, Fraction, Hashable]]):
+        """The instance whose pieces are the (lo, hi, tag) triples."""
         self = cls.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
         self._build(list(triples))
         return self
 

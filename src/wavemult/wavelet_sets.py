@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, Optional
 
 from .exact import (
@@ -34,8 +33,6 @@ __all__ = [
     "PRINCIPAL_WINDOW",
     "PiecewiseTranslation",
     "WaveletSetReport",
-    "translation_congruence",
-    "dilation_congruence",
     "is_wavelet_set",
     "catalog",
     "CATALOG_NAMES",
@@ -44,7 +41,7 @@ __all__ = [
 PRINCIPAL_WINDOW = IntervalSet.single(MINUS_PI, PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewiseTranslation(Piecewise):
     """An injective map translating each piece of its domain by a constant.
 
@@ -57,7 +54,6 @@ class PiecewiseTranslation(Piecewise):
     pairs: tuple[tuple[IntervalSet, RationalPi], ...]
 
     OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
-    _tag = attrgetter("coef")
     _value = RationalPi
 
     def _build(self, triples: list) -> None:
@@ -130,21 +126,13 @@ def _principal_fragments(W: IntervalSet) -> list[tuple[Fraction, Fraction, int]]
 def _translation_result(
     W: IntervalSet,
 ) -> tuple[Optional[PiecewiseTranslation], IntervalSet]:
+    """The witness that the 2*pi*Z translates of W tile [-pi, pi), mapping W onto it
+    with one shift per maximal sub-piece, or None; and the failure region."""
     fragments = _principal_fragments(W)
     ok, failure = _tiling_check(((lo + s, hi + s) for lo, hi, s in fragments), PRINCIPAL_WINDOW)
     if not ok:
         return None, failure
     return PiecewiseTranslation.from_triples(fragments), failure
-
-
-def translation_congruence(W: IntervalSet) -> Optional[PiecewiseTranslation]:
-    """Witness that 2*pi*Z translates of W tile [-pi, pi), or None.
-
-    The witness maps W onto [-pi, pi); each maximal sub-piece carries its
-    unique shift 2*pi*k.
-    """
-    witness, _ = _translation_result(W)
-    return witness
 
 
 # The dyadic dilates of a wavelet set tile the punctured line iff they tile this annulus.
@@ -175,17 +163,12 @@ def _annulus_fragments(W: IntervalSet) -> list[tuple]:
 
 
 def _dilation_result(W: IntervalSet) -> tuple[bool, IntervalSet]:
+    """Do the dyadic dilates of W tile the punctured line?  (ok, failure region)."""
     if W.zero_in_closure():
         raise PreconditionError(
             "dilation congruence is undecidable with 0 in the closure of the set"
         )
     return _tiling_check(_annulus_fragments(W), _ANNULUS)
-
-
-def dilation_congruence(W: IntervalSet) -> bool:
-    """True iff the dyadic dilates 2**j * W tile the punctured real line."""
-    ok, _ = _dilation_result(W)
-    return ok
 
 
 # Reports held by the is_wavelet_set cache; the least recently used go first.

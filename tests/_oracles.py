@@ -152,7 +152,7 @@ def midpoint_tiling_failure(fragments: Sequence[Interval], target: IntervalSet) 
 def midpoint_step_from_covers(window: IntervalSet, covers: Sequence[IntervalSet]) -> StepFunction:
     """Sum of the indicator functions of `covers`, as a step function on `window`."""
     cut_coefs = {e.coef for s in covers for iv in s for e in (iv.lo, iv.hi)}
-    grouped: dict[int, list[Interval]] = {}
+    cells = []
     for piece in window:
         cuts = [piece.lo.coef]
         cuts += sorted(c for c in cut_coefs if piece.lo.coef < c < piece.hi.coef)
@@ -160,10 +160,8 @@ def midpoint_step_from_covers(window: IntervalSet, covers: Sequence[IntervalSet]
         for lo_c, hi_c in zip(cuts, cuts[1:]):
             mid = RationalPi((lo_c + hi_c) / 2)
             value = sum(1 for s in covers if s.contains(mid))
-            grouped.setdefault(value, []).append(Interval(RationalPi(lo_c), RationalPi(hi_c)))
-    return StepFunction(
-        window, tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in grouped.items())
-    )
+            cells.append((lo_c, hi_c, value))
+    return StepFunction.from_triples(cells)
 
 
 def midpoint_differing_regions(fa: StepFunction, fb: StepFunction, query: IntervalSet) -> IntervalSet:
@@ -319,7 +317,7 @@ def hull_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Pi
     """The extension on a region, from one sweep of the region (tagged -1) with the
     base pieces dilated to every level that meets the region's hull."""
     if region.is_empty:
-        return PiecewiseTranslation(())
+        return PiecewiseTranslation.from_triples(())
     if region.zero_in_closure():
         raise PreconditionError("region must stay away from 0")
     w_min = base.domain.dist_zero()
@@ -409,11 +407,11 @@ def object_annulus_fragments(W: IntervalSet) -> tuple[list[Interval], list[Inter
             if start >= RationalPi(0):
                 m = floor_log2(start.coef)
                 frag_hi = min(piece.hi, RationalPi(Fraction(2) ** (m + 1)))
-                positive.append(Interval(start, frag_hi).scaled_pow2(-m))
+                positive.append(Interval(start.times_pow2(-m), frag_hi.times_pow2(-m)))
             else:
                 m = ceil_log2(-start.coef) - 1
                 frag_hi = min(piece.hi, RationalPi(-(Fraction(2) ** m)))
-                negative.append(Interval(start, frag_hi).scaled_pow2(-m))
+                negative.append(Interval(start.times_pow2(-m), frag_hi.times_pow2(-m)))
             start = frag_hi
     return positive, negative
 
@@ -445,7 +443,7 @@ def step_from_covers(window: IntervalSet, covers) -> StepFunction:
     items = [(iv.lo.coef, iv.hi.coef, True) for iv in window]
     items += [(lo, hi, False) for lo, hi in covers]
     return StepFunction.from_triples(merge_cells(
-        (lo, hi, count - 1) for lo, hi, count, tags in sweep(items) if True in tags), window=window)
+        (lo, hi, count - 1) for lo, hi, count, tags in sweep(items) if True in tags))
 
 
 def hit_sets(W: IntervalSet, query: IntervalSet) -> list[tuple]:

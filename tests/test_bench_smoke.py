@@ -4,8 +4,9 @@ The benchmark under ``benches/`` calls the library by name (functions,
 methods, attributes) and its tracer patches the public functions and the
 `IntervalSet` methods it lists.  A renamed or removed name then makes an
 operation fail, crashes the tracer, or silently zeroes a per-layer counter;
-this test catches all three.  It imports ``benches/`` and writes nothing
-there.
+this test catches all three.  Like `run.drive`, it runs the workload's untraced
+warm-up first, so the caches are warm whatever ran before and the counters do
+not depend on test order.  It imports ``benches/`` and writes nothing there.
 """
 
 import json
@@ -63,9 +64,12 @@ def test_one_traced_pass(bench, name):
     run, tracing, workloads = bench
     workload = {"exact-session": workloads.ExactSession,
                 "numeric-sweep": workloads.NumericSweep}[name]()
+    rng = random.Random(1)
+    warmup = run.run_pass(workload, rng, limit=workload.warmup_ops)
+    assert warmup and not [r.label for r in warmup if not r.ok]
     before = namespaces()
     tracer = tracing.Tracer()
-    records = run.run_pass(workload, random.Random(1), tracer)
+    records = run.run_pass(workload, rng, tracer)
     assert namespaces() == before  # uninstall restored every patched name
     assert records and not [r.label for r in records if not r.ok]
 

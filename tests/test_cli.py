@@ -383,6 +383,13 @@ def test_dimfn_numeric_option_in_exact_mode_is_usage_error(monkeypatch, capsys, 
     assert json.loads(out) == {"error": "usage", "detail": detail}
 
 
+def test_dimfn_window_leaving_the_circle_is_reported_before_touching_zero(capsys):
+    code, out = run_main(capsys, "dimfn", "--set", "journe", "--window", "[-2pi,0pi)")
+    assert code == 3
+    assert json.loads(out) == {"error": "precondition",
+                               "detail": "query window must lie inside [-pi, pi)"}
+
+
 def test_multiplicity_certificate_covers_levels():
     code, payload = run_cli("multiplicity", "--wavelet", "meyer", "--xi", "1/64pi", "--J", "2")
     assert code == 0

@@ -103,7 +103,7 @@ class TestDimensionStepFunction:
             f = dimension_step_function(W, query)
             pairs, domain = object_step_pairs(W, query)
             assert f.pairs == pairs, (name, depth)
-            assert f.domain == domain == f.window == query
+            assert f.domain == domain == query
             assert f.rows() == sorted(((iv, v) for piece, v in pairs for iv in piece),
                                       key=lambda row: row[0].lo.coef)
 

@@ -25,7 +25,13 @@ from wavemult.exact import (
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
 
-from _oracles import brute_dimension_count, near_zero_wavelet_set, random_point_in
+from _oracles import (
+    brute_dimension_count,
+    deep_piece_wavelet_set,
+    near_zero_wavelet_set,
+    random_point_in,
+    two_interval_wavelet_set,
+)
 
 
 def rp(num, den=1):
@@ -117,7 +123,8 @@ class TestStepFunction:
         big = parse_set("[1/16pi,1pi)")
         sf_small = dimension_step_function(journe, small)
         sf_big = dimension_step_function(journe, big)
-        assert sf_big.restrict(small) == sf_small
+        restricted = ((piece.intersect(small), v) for piece, v in sf_big.pairs)
+        assert tuple((piece, v) for piece, v in restricted if not piece.is_empty) == sf_small.pairs
 
     def test_preconditions(self, shannon):
         with pytest.raises(PreconditionError):
@@ -126,6 +133,15 @@ class TestStepFunction:
             dimension_step_function(shannon, parse_set("[-1/4pi,1/4pi)"))
         with pytest.raises(PreconditionError):
             dimension_step_function(parse_set("[1pi,2pi)"), POS_WINDOW)
+
+    def test_precondition_order(self, shannon):
+        """Not a wavelet set, then a window leaving [-pi, pi), then a window touching 0."""
+        with pytest.raises(PreconditionError, match="not a wavelet set"):
+            dimension_step_function(parse_set("[1pi,2pi)"), parse_set("[-2pi,0pi)"))
+        with pytest.raises(PreconditionError, match=r"must lie inside \[-pi, pi\)"):
+            dimension_step_function(shannon, parse_set("[-2pi,0pi)"))
+        with pytest.raises(PreconditionError, match="must stay away from 0"):
+            dimension_step_function(shannon, parse_set("[-1/4pi,0pi)"))
 
     def test_empty_query(self, shannon):
         sf = dimension_step_function(shannon, IntervalSet.empty())
@@ -136,17 +152,11 @@ class TestStepFunction:
         for _, value in sf.pairs:
             assert isinstance(value, int) and value >= 0
 
-    def test_restrict_requires_subwindow(self, shannon):
-        sf = dimension_step_function(shannon, POS_WINDOW)
-        with pytest.raises(PreconditionError):
-            sf.restrict(parse_set("[-1/2pi,-1/4pi)"))
-
-    def test_partition_validation(self):
-        window = parse_set("[0pi,2pi)")
-        with pytest.raises(ValueError):
-            StepFunction(window, ((parse_set("[0pi,1pi)"), 1),))
-        with pytest.raises(ValueError):
-            StepFunction(window, ((window, -1),))
+    def test_piece_validation(self):
+        with pytest.raises(ValueError, match="pieces of two values overlap"):
+            StepFunction.from_triples([(Fraction(0), Fraction(2), 1), (Fraction(1), Fraction(3), 2)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            StepFunction.from_triples([(Fraction(0), Fraction(2), -1)])
 
 
 class TestMraDetection:
@@ -155,6 +165,21 @@ class TestMraDetection:
         assert mra_consistent(w1)
         assert mra_consistent(w2)
         assert not mra_consistent(journe)
+
+    def test_the_outer_octave_decides(self):
+        """By the consistency equation D(xi) + D(xi + pi) = D(2 xi) + 1 (Bownik, Rzeszotnik
+        & Speegle 2001), D = 1 on [-pi, -pi/2) u [pi/2, pi) forces D = 1 octave by octave
+        towards 0, so no wavelet set tells the exact test from that window's constant."""
+        sets = [catalog(name) for name in CATALOG_NAMES]
+        sets += [near_zero_wavelet_set(n) for n in range(40)]
+        sets += [deep_piece_wavelet_set(n, t) for n in (2, 3, 5, 12) for t in (2, 4, 12)]
+        rng = random.Random(13)
+        sets += [two_interval_wavelet_set(rng) for _ in range(300)]
+        outer = parse_set("[-1pi,-1/2pi),[1/2pi,1pi)")
+        verdicts = [mra_consistent(W) for W in sets]
+        for W, verdict in zip(sets, verdicts):
+            assert verdict == (dimension_step_function(W, outer).constant_value() == 1), W
+        assert 0 < verdicts.count(False) < verdicts.count(True), verdicts.count(True)
 
 
 NEAR_ZERO_N = [*range(65), 1000]

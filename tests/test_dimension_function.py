@@ -78,7 +78,7 @@ def wrap(x: Fraction) -> Fraction:
 def check_identities(W: IntervalSet, rng: random.Random, points: int = 8, k_max: int = 1000) -> None:
     D = dimension_function(W)
     rows = D.rows()
-    assert D.window == PRINCIPAL_WINDOW
+    assert D.domain == PRINCIPAL_WINDOW
     assert sum(iv.length.coef * value for iv, value in rows) == 2, W
 
     # Consistency equation, at row starts and seeded points; it fails only where an

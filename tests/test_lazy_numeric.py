@@ -24,18 +24,17 @@ NUMERIC_NAMES = {
     "uniform_grid", "verify_m_equals_d",
 }
 
-# `from wavemult import *`: 40 exact names and modules, the 12 numeric names
+# `from wavemult import *`: 38 exact names and modules, the 12 numeric names
 # (`multiplicity.__all__`) and the `multiplicity` module.
 STAR_NAMES = NUMERIC_NAMES | {
     "CATALOG_NAMES", "CommutantVerdict", "DimensionIntegral", "Interval", "IntervalSet",
     "MINUS_PI", "PI", "PRINCIPAL_WINDOW", "PiecewiseTranslation", "PreconditionError",
     "RationalPi", "SetSyntaxError", "SigmaMap", "StepFunction", "TWO_PI", "WaveletSetReport",
     "ZERO", "build_sigma", "catalog", "compose", "compose_power", "core_equivalence_regions",
-    "dilation_congruence", "dimension", "dimension_function", "dimension_integral",
-    "dimension_step_function", "dimension_values", "dyadic_extension", "exact",
-    "is_wavelet_set", "midpoint_grid", "mra_consistent", "multiplicity", "parse_scalar",
-    "parse_set", "parsing", "power_in_local_commutant", "sigma", "translation_congruence",
-    "wavelet_sets",
+    "dimension", "dimension_function", "dimension_integral", "dimension_step_function",
+    "dimension_values", "dyadic_extension", "exact", "is_wavelet_set", "midpoint_grid",
+    "mra_consistent", "multiplicity", "parse_scalar", "parse_set", "parsing",
+    "power_in_local_commutant", "sigma", "wavelet_sets",
 }
 
 CHILD = textwrap.dedent(

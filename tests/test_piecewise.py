@@ -2,6 +2,7 @@
 
 Seeded random (piece, value) lists on a coarse grid, so that empty pieces,
 overlaps of one value, overlaps of two values and touching pieces all occur.
+Each list reaches `from_triples`, the only constructor, as (lo, hi, tag) triples.
 The reference merges each value's pieces with `IntervalSet.union` and finds
 clashes with `IntervalSet.intersect`; it never groups, sorts or sweeps.
 """
@@ -33,6 +34,14 @@ def random_piece(rng):
 
 def random_pairs(rng, values):
     return [(random_piece(rng), rng.choice(values)) for _ in range(rng.randint(0, 4))]
+
+
+def triples(pairs, tag=lambda value: value):
+    return [(iv.lo.coef, iv.hi.coef, tag(value)) for piece, value in pairs for iv in piece]
+
+
+def translation(pairs):
+    return PiecewiseTranslation.from_triples(triples(pairs, lambda shift: shift.coef))
 
 
 def union_all(sets):
@@ -99,17 +108,17 @@ def test_piecewise_translation_matches_reference():
         if ref is None:
             seen["rejected overlap"] += 1
             with pytest.raises(ValueError, match="overlapping"):
-                PiecewiseTranslation(tuple(pairs))
+                translation(pairs)
             continue
         canonical, domain = ref
         images = [piece.translate(shift) for piece, shift in canonical]
         if not disjoint(images):
             seen["rejected injective"] += 1
             with pytest.raises(ValueError, match="injective"):
-                PiecewiseTranslation(tuple(pairs))
+                translation(pairs)
             continue
         seen["accepted"] += 1
-        pt = PiecewiseTranslation(tuple(pairs))
+        pt = translation(pairs)
         assert pt.pairs == canonical, seed
         assert pt.domain == domain, seed
         assert pt.image == union_all(images), seed
@@ -119,8 +128,8 @@ def test_piecewise_translation_matches_reference():
             assert pt.apply(iv.lo) == iv.lo + shift
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert PiecewiseTranslation(tuple(shuffled)) == pt
-        assert hash(PiecewiseTranslation(tuple(shuffled))) == hash(pt)
+        assert translation(shuffled) == pt
+        assert hash(translation(shuffled)) == hash(pt)
     assert min(seen[k] for k in ("accepted", "rejected overlap", "rejected injective",
                                  "empty piece", "same-value overlap", "touching")) >= 5, seen
 
@@ -132,23 +141,26 @@ def test_step_function_matches_reference():
         pairs = random_pairs(rng, (0, 1, 2, 3))
         ref = reference(pairs)
         seen.update(classify(pairs, ref and ref[0]))
-        window = union_all(piece for piece, _ in pairs)
-        if ref is not None and rng.random() < 0.25:
-            window = window.union(random_piece(rng))
-        if ref is None or ref[1] != window:
-            seen["rejected overlap" if ref is None else "rejected window"] += 1
-            with pytest.raises(ValueError, match="partition"):
-                StepFunction(window, tuple(pairs))
+        if ref is None:
+            seen["rejected overlap"] += 1
+            with pytest.raises(ValueError, match="overlap"):
+                StepFunction.from_triples(triples(pairs))
             continue
         seen["accepted"] += 1
         canonical, domain = ref
-        sf = StepFunction(window, tuple(pairs))
+        sf = StepFunction.from_triples(triples(pairs))
         assert sf.pairs == canonical, seed
-        assert sf.domain == domain == sf.window, seed
+        assert sf.domain == domain, seed
         check_lookup(sf, canonical)
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert StepFunction(window, tuple(shuffled)) == sf
-        assert hash(StepFunction(window, tuple(shuffled))) == hash(sf)
-    assert min(seen[k] for k in ("accepted", "rejected overlap", "rejected window", "empty piece",
+        assert StepFunction.from_triples(triples(shuffled)) == sf
+        assert hash(StepFunction.from_triples(triples(shuffled))) == hash(sf)
+    assert min(seen[k] for k in ("accepted", "rejected overlap", "empty piece",
                                  "same-value overlap", "touching")) >= 5, seen
+
+
+@pytest.mark.parametrize("cls", [PiecewiseTranslation, StepFunction])
+def test_pairs_are_no_constructor(cls):
+    with pytest.raises(TypeError):
+        cls(((IntervalSet.single(RationalPi(0), RationalPi(1)), 1),))

@@ -21,9 +21,7 @@ from wavemult.wavelet_sets import (
     _dilation_result,
     _translation_result,
     catalog,
-    dilation_congruence,
     is_wavelet_set,
-    translation_congruence,
 )
 
 
@@ -34,13 +32,17 @@ def rp(num, den=1):
     return RationalPi.of(num, den)
 
 
+def witness(W):
+    return is_wavelet_set(W).tau_witness
+
+
 def cases_text(pt):
     return [(iv.to_text(), shift.shift_text()) for iv, shift in pt.cases()]
 
 
 class TestTranslationCongruence:
     def test_shannon_witness(self, shannon):
-        tau = translation_congruence(shannon)
+        tau = witness(shannon)
         assert tau is not None
         assert cases_text(tau) == [
             ("[-2pi,-pi)", "2 pi"),
@@ -49,12 +51,12 @@ class TestTranslationCongruence:
         assert tau.image == PRINCIPAL_WINDOW
 
     def test_identity_window(self):
-        tau = translation_congruence(PRINCIPAL_WINDOW)
+        tau, _ = _translation_result(PRINCIPAL_WINDOW)  # 0 in the closure
         assert tau is not None
         assert tau.pairs == ((PRINCIPAL_WINDOW, ZERO),)
 
     def test_w1_witness(self, w1):
-        tau = translation_congruence(w1)
+        tau = witness(w1)
         assert tau is not None
         assert cases_text(tau) == [
             ("[-1/4pi,-1/8pi)", "0 pi"),
@@ -63,11 +65,11 @@ class TestTranslationCongruence:
         ]
 
     def test_half_annulus_fails(self):
-        assert translation_congruence(parse_set("[1pi,2pi)")) is None
+        assert witness(parse_set("[1pi,2pi)")) is None
 
     def test_witness_is_measure_preserving(self):
         for name in CATALOG_NAMES:
-            tau = translation_congruence(catalog(name))
+            tau = witness(catalog(name))
             assert tau.domain.measure() == TWO_PI
             assert tau.image.measure() == TWO_PI
             assert tau.image == PRINCIPAL_WINDOW
@@ -75,19 +77,19 @@ class TestTranslationCongruence:
 
 class TestDilationCongruence:
     def test_shannon(self, shannon):
-        assert dilation_congruence(shannon)
+        assert is_wavelet_set(shannon).is_dilation_congruent
 
     def test_w1(self, w1):
-        assert dilation_congruence(w1)
+        assert is_wavelet_set(w1).is_dilation_congruent
 
     def test_pi_to_3pi_fails(self):
-        assert not dilation_congruence(parse_set("[1pi,3pi)"))
+        assert not is_wavelet_set(parse_set("[1pi,3pi)")).is_dilation_congruent
 
     def test_zero_in_closure_rejected(self):
         with pytest.raises(PreconditionError):
-            dilation_congruence(parse_set("[-1/4pi,1/4pi)"))
+            _dilation_result(parse_set("[-1/4pi,1/4pi)"))
         with pytest.raises(PreconditionError):
-            dilation_congruence(parse_set("[0pi,1pi)"))
+            _dilation_result(parse_set("[0pi,1pi)"))
 
 
 class TestIsWaveletSet:
@@ -154,25 +156,25 @@ class TestCatalog:
 class TestPiecewiseTranslation:
     def test_overlapping_domain_rejected(self):
         with pytest.raises(ValueError, match="overlapping"):
-            PiecewiseTranslation(
-                (
-                    (parse_set("[0pi,2pi)"), rp(2)),
-                    (parse_set("[1pi,3pi)"), rp(4)),
-                )
+            PiecewiseTranslation.from_triples(
+                [
+                    (Fraction(0), Fraction(2), Fraction(2)),
+                    (Fraction(1), Fraction(3), Fraction(4)),
+                ]
             )
 
     def test_non_injective_rejected(self):
         # both pieces land on [2pi, 3pi)
         with pytest.raises(ValueError, match="injective"):
-            PiecewiseTranslation(
-                (
-                    (parse_set("[0pi,1pi)"), rp(2)),
-                    (parse_set("[2pi,3pi)"), ZERO),
-                )
+            PiecewiseTranslation.from_triples(
+                [
+                    (Fraction(0), Fraction(1), Fraction(2)),
+                    (Fraction(2), Fraction(3), Fraction(0)),
+                ]
             )
 
     def test_apply_and_inverse(self, shannon):
-        tau = translation_congruence(shannon)
+        tau = witness(shannon)
         assert tau.apply(rp(3, 2)) == rp(-1, 2)
         assert tau.apply(rp(-3, 2)) == rp(1, 2)
         with pytest.raises(PreconditionError):
@@ -192,7 +194,7 @@ class TestPiecewiseTranslation:
         assert pt.pairs == ((parse_set("[0pi,2pi)"), rp(2)),)
 
     def test_two_pi_integrality_flag(self, shannon):
-        tau = translation_congruence(shannon)
+        tau = witness(shannon)
         assert tau.is_two_pi_integral
         skew = PiecewiseTranslation.from_triples([(Fraction(0), Fraction(1), Fraction(1, 4))])
         assert not skew.is_two_pi_integral
