@@ -10,7 +10,6 @@ nonnegative integers by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +25,7 @@ from .exact import (
     ceil_log2,
     sweep,
 )
-from .wavelet_sets import CACHE_SIZE, _require_wavelet_set
+from .wavelet_sets import CACHE_SIZE, _principal_fragments, _require_wavelet_set
 
 __all__ = [
     "StepFunction",
@@ -84,12 +83,12 @@ def dimension_function(W: IntervalSet) -> StepFunction:
         while near * scale < 1:
             items.append((lo * scale, hi * scale, 1))
             scale *= 2
-    for j in range(1, ceil_log2(W.max_abs().coef)):  # the levels with 2**j < max |W|
-        for iv in W:
-            lo, hi = iv.lo.coef / 2**j, iv.hi.coef / 2**j
-            # [lo - 2k, hi - 2k) meets [-1, 1) iff (lo - 1)/2 < k < (hi + 1)/2
-            items += [(lo - 2 * k, hi - 2 * k, 2)
-                      for k in range(math.floor((lo - 1) / 2) + 1, math.ceil((hi + 1) / 2)) if k]
+    # The levels with 2**j < max |W|, folded into [-pi, pi); shift -2*pi*k, k != 0.  W has
+    # measure 2*pi, so each piece of 2**-j * W is at most pi long and meets at most two
+    # 2*pi cells: the fold's three-fragment cap never binds here.
+    pieces = [(iv.lo.coef / 2**j, iv.hi.coef / 2**j)
+              for j in range(1, ceil_log2(W.max_abs().coef)) for iv in W]
+    items += [(lo + s, hi + s, 2) for lo, hi, s in _principal_fragments(pieces) if s]
     return StepFunction.from_triples(
         ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags))
 

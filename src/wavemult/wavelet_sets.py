@@ -3,8 +3,8 @@
 A bounded interval set W with 0 outside its closure is accepted as a wavelet
 set when two exact tilings hold: the 2*pi*Z translates of its pieces tile
 [-pi, pi), and its dyadic dilates tile the punctured line (checked on the
-reference annulus [-2*pi, -pi) u [pi, 2*pi)).  Both checks split W along
-exact grid points, so acceptance and the translation witness are exact.
+reference annulus [-2*pi, -pi) u [pi, 2*pi)).  The two targets make up
+[-2*pi, 2*pi), so one exact sweep of it decides both tilings.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .exact import (
     MINUS_PI,
     PI,
     PreconditionError,
-    Interval,
     IntervalSet,
     Piecewise,
     RationalPi,
@@ -92,8 +91,8 @@ class WaveletSetReport:
         return self.is_translation_congruent and self.is_dilation_congruent
 
 
-def _tiling_check(fragments: Iterable[tuple], target: IntervalSet) -> tuple[bool, IntervalSet]:
-    """Do the fragments, coefficient pairs (lo, hi), tile the target?  (ok, failure region).
+def _tiling_check(fragments: Iterable[tuple], target: IntervalSet) -> IntervalSet:
+    """Where the fragments, coefficient pairs (lo, hi), fail to tile the target.
 
     One sweep over the target (tag 0) and the fragments (tag 1): a cell tiles
     when it lies under the target and exactly one fragment.  The failure
@@ -101,19 +100,18 @@ def _tiling_check(fragments: Iterable[tuple], target: IntervalSet) -> tuple[bool
     """
     items = [(iv.lo.coef, iv.hi.coef, 0) for iv in target]
     items += [(lo, hi, 1) for lo, hi in fragments]
-    failure = IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in sweep(items)
-                                     if count != 2 or len(tags) != 2)
-    return failure.is_empty, failure
+    return IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in sweep(items)
+                                  if count != 2 or len(tags) != 2)
 
 
-def _principal_fragments(W: IntervalSet) -> list[tuple[Fraction, Fraction, int]]:
-    """Split W at odd multiples of pi into triples (lo, hi, -2m) moving each into [-pi, pi).
+def _principal_fragments(pairs: Iterable[tuple]) -> list[tuple[Fraction, Fraction, int]]:
+    """Split each piece, a pair (lo, hi), at odd multiples of pi into triples (lo, hi, -2m)
+    moving it into [-pi, pi).
 
     At most three per piece: if a piece reaches a fourth 2*pi cell, its second
     and third fragments cover [-pi, pi) twice, and the rest change no result."""
     fragments = []
-    for piece in W:
-        start, end = piece.lo.coef, piece.hi.coef
+    for start, end in pairs:
         first = m = math.floor((start + 1) / 2)
         while start < end and m < first + 3:
             frag_hi = min(end, 2 * m + 1)
@@ -123,30 +121,14 @@ def _principal_fragments(W: IntervalSet) -> list[tuple[Fraction, Fraction, int]]
     return fragments
 
 
-def _translation_result(
-    W: IntervalSet,
-) -> tuple[Optional[PiecewiseTranslation], IntervalSet]:
-    """The witness that the 2*pi*Z translates of W tile [-pi, pi), mapping W onto it
-    with one shift per maximal sub-piece, or None; and the failure region."""
-    fragments = _principal_fragments(W)
-    ok, failure = _tiling_check(((lo + s, hi + s) for lo, hi, s in fragments), PRINCIPAL_WINDOW)
-    if not ok:
-        return None, failure
-    return PiecewiseTranslation.from_triples(fragments), failure
-
-
-# The dyadic dilates of a wavelet set tile the punctured line iff they tile this annulus.
-_ANNULUS = IntervalSet((Interval(RationalPi(-2), MINUS_PI), Interval(PI, RationalPi(2))))
-
-
-def _annulus_fragments(W: IntervalSet) -> list[tuple]:
-    """Scale every piece into the reference annulus as pairs (lo, hi), split at dyadic points.
+def _annulus_fragments(pairs: Iterable[tuple]) -> list[tuple]:
+    """Scale each piece, a pair (lo, hi), into the annulus [-2*pi, -pi) u [pi, 2*pi) as
+    pairs (lo, hi), split at dyadic points.
 
     At most three per piece: if a piece reaches a fourth octave, its second
     and third fragments cover the annulus twice, and the rest change no result."""
     fragments = []
-    for piece in W:
-        start, end = piece.lo.coef, piece.hi.coef
+    for start, end in pairs:
         for _ in range(3):
             if start >= end:
                 break
@@ -162,14 +144,8 @@ def _annulus_fragments(W: IntervalSet) -> list[tuple]:
     return fragments
 
 
-def _dilation_result(W: IntervalSet) -> tuple[bool, IntervalSet]:
-    """Do the dyadic dilates of W tile the punctured line?  (ok, failure region)."""
-    if W.zero_in_closure():
-        raise PreconditionError(
-            "dilation congruence is undecidable with 0 in the closure of the set"
-        )
-    return _tiling_check(_annulus_fragments(W), _ANNULUS)
-
+# [-pi, pi) and the annulus: together the targets of both tilings.
+_TILED = IntervalSet.single(RationalPi(-2), RationalPi(2))
 
 # Reports held by the is_wavelet_set cache; the least recently used go first.
 CACHE_SIZE = 256
@@ -177,14 +153,26 @@ CACHE_SIZE = 256
 
 @lru_cache(maxsize=CACHE_SIZE)
 def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
-    """Run both congruence checks; a set is accepted iff both hold."""
-    witness, trans_failure = _translation_result(W)
-    dil_ok, dil_failure = _dilation_result(W)
+    """Run both congruence checks; a set is accepted iff both hold.
+
+    One sweep tiles [-2*pi, 2*pi) with the translates of W folded into [-pi, pi) and
+    its dilates scaled into the annulus.  A failure piece breaks translation congruence
+    where it meets [-pi, pi), and dilation congruence where it meets the annulus.
+    """
+    if W.zero_in_closure():
+        raise PreconditionError(
+            "dilation congruence is undecidable with 0 in the closure of the set"
+        )
+    pairs = [(iv.lo.coef, iv.hi.coef) for iv in W]
+    fragments = _principal_fragments(pairs)
+    failure = _tiling_check([(lo + s, hi + s) for lo, hi, s in fragments] + _annulus_fragments(pairs),
+                            _TILED)
+    translation_ok = not any(iv.lo < PI and iv.hi > MINUS_PI for iv in failure)
     return WaveletSetReport(
-        is_translation_congruent=witness is not None,
-        is_dilation_congruent=dil_ok,
-        tau_witness=witness,
-        failure_regions=trans_failure.union(dil_failure),
+        is_translation_congruent=translation_ok,
+        is_dilation_congruent=not any(iv.lo < MINUS_PI or iv.hi > PI for iv in failure),
+        tau_witness=PiecewiseTranslation.from_triples(fragments) if translation_ok else None,
+        failure_regions=failure,
     )
 
 
@@ -193,7 +181,7 @@ def _require_wavelet_set(W: IntervalSet, label: str = "") -> PiecewiseTranslatio
     report = is_wavelet_set(W)
     if not report.accepted:
         prefix = f"{label} is " if label else ""
-        raise PreconditionError(f"{prefix}not a wavelet set: {W.to_text() or '(empty)'}")
+        raise PreconditionError(f"{prefix}not a wavelet set: {W}")
     assert report.tau_witness is not None
     return report.tau_witness
 

@@ -333,6 +333,12 @@ def run_main(capsys, *args):
     return stop.value.code, capsys.readouterr().out
 
 
+
+def test_sigma_names_an_empty_set(capsys):
+    code, out = run_main(capsys, "sigma", "--w1", "", "--w2", "shannon")
+    assert code == 3
+    assert json.loads(out) == {"error": "precondition", "detail": "w1 is not a wavelet set: (empty)"}
+
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))

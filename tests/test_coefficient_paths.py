@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from wavemult import exact
+from wavemult import exact, wavelet_sets
 from wavemult.dimension import core_equivalence_regions, dimension_step_function
 from wavemult.exact import Interval, IntervalSet, PreconditionError, RationalPi
+from wavemult.parsing import parse_set
 from wavemult.sigma import build_sigma, compose_power
 from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, catalog, is_wavelet_set
 
@@ -204,3 +205,31 @@ class TestIntervalBudget:
         built[0] = 0
         f = compose_power(paper_sigma, 12)
         assert built[0] <= 9 * len(f.rows()), (built[0], len(f.rows()))
+
+
+SWEEP_BUDGET = {
+    "journe": (lambda: catalog("journe"), 2),
+    "400 pieces": (lambda: random_wavelet_candidate(random.Random(400), 400), 2),
+    "translation fails": (lambda: parse_set("[-15/4pi,-15/8pi),[1/2pi,pi)"), 1),
+}
+
+
+class TestSweepBudget:
+    """`is_wavelet_set` decides both tilings in one sweep of [-2pi, 2pi) and builds the
+    witness, when the translates tile [-pi, pi), in one more."""
+
+    @pytest.mark.parametrize("name", list(SWEEP_BUDGET))
+    def test_is_wavelet_set(self, name, monkeypatch):
+        make, budget = SWEEP_BUDGET[name]
+        W = make()
+        calls = [0]
+        sweep = exact.sweep
+
+        def counting(items):
+            calls[0] += 1
+            return sweep(items)
+
+        monkeypatch.setattr(exact, "sweep", counting)
+        monkeypatch.setattr(wavelet_sets, "sweep", counting)
+        is_wavelet_set.__wrapped__(W)
+        assert 1 <= calls[0] <= budget, calls[0]

@@ -1,10 +1,13 @@
-"""Every function, class and method defined in the package is referenced outside its definition.
+"""Every function, class, method and module-level name defined in the package is
+referenced outside its definition.
 
-A stdlib `ast` check over the package, `tests/` and `benches/`.  A reference
+A stdlib `ast` check over the package, `tests/` and `benches/`.  A module-level
+name is one that an assignment (`X = ...` or `X: T = ...`) in a module's body
+binds; the assignment is its definition.  A reference
 is a name, an attribute, an imported name, or a string constant made of
 dotted identifiers (the way `benches/` names the methods and spans it
 traces); the strings of an `__all__` list and a definition's references to
-itself do not count.  Dunder methods, which Python calls, and click commands,
+itself do not count.  Dunder names, which Python reads, and click commands,
 which their group calls, are exempt.  Names are matched alone, so a method
 counts as referenced when any attribute of that name is.
 """
@@ -39,20 +42,36 @@ def references(tree: ast.AST) -> Counter:
     return counts
 
 
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def exempt(node) -> bool:
-    if node.name.startswith("__") and node.name.endswith("__"):
-        return True
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr == "command" for d in node.decorator_list)
+    return dunder(node.name) or any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                                    and d.func.attr == "command" for d in node.decorator_list)
 
 
-def unreferenced(modules: list[ast.AST], everything: list[ast.AST]) -> list:
-    """Definitions in `modules` that no tree of `everything` (which holds `modules`)
-    references outside the definition itself."""
+def definitions(tree: ast.Module):
+    """(name, defining node) for every function, class and method of the tree, and for
+    every name bound by an assignment in its body."""
+    for node in ast.walk(tree):
+        if isinstance(node, DEFS) and not exempt(node):
+            yield node.name, node
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not dunder(name.id):
+                    yield name.id, node
+
+
+def unreferenced(modules: list[ast.Module], everything: list[ast.AST]) -> list[tuple[str, int]]:
+    """(name, line) of the definitions in `modules` that no tree of `everything` (which
+    holds `modules`) references outside the definition itself."""
     total = sum((references(tree) for tree in everything), Counter())
-    return [node for tree in modules for node in ast.walk(tree)
-            if isinstance(node, DEFS) and not exempt(node)
-            and total[node.name] <= references(node)[node.name]]
+    return [(name, node.lineno) for tree in modules for name, node in definitions(tree)
+            if total[name] <= references(node)[name]]
 
 
 def test_the_check_sees_unreferenced_definitions():
@@ -61,14 +80,15 @@ def test_the_check_sees_unreferenced_definitions():
         "class A:\n    def __init__(self): ...\n    def used(self): return self.other()\n"
         "    def other(self): ...\n    def gone(self): return self.gone()\n"
         "def f(n): return f(n - 1)\ndef g(): ...\n__all__ = ['f']\nTRACED = ('A.used', 'g')\n"
+        "__version__ = '1'\nUSED, LEFT = 1, 2\nTYPED: int = USED\nNOTED: int\nA.attr = 3\n"
     )
     tree = ast.parse(source)
-    assert sorted(node.name for node in unreferenced([tree], [tree])) == ["f", "gone"]
+    assert sorted(name for name, _ in unreferenced([tree], [tree])) == [
+        "LEFT", "NOTED", "TRACED", "TYPED", "f", "gone"]
 
 
 def test_every_definition_is_referenced():
     modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     others = [ast.parse(path.read_text()) for folder in ("tests", "benches")
               for path in sorted((ROOT / folder).glob("*.py"))]
-    assert [f"{node.name} (line {node.lineno})"
-            for node in unreferenced(modules, modules + others)] == []
+    assert [f"{name} (line {line})" for name, line in unreferenced(modules, modules + others)] == []

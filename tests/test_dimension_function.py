@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from wavemult.dimension import dimension_function, dimension_step_function
-from wavemult.exact import Interval, IntervalSet, RationalPi
-from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, catalog
+from wavemult.exact import Interval, IntervalSet, RationalPi, ceil_log2
+from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _principal_fragments, catalog
 
 from _oracles import (
     brute_dimension_count,
@@ -128,3 +128,24 @@ class TestWholeCircleIdentities:
         rng = random.Random(block)
         for i, W in enumerate(two_interval_sets(2000 + block, 100)):
             check_identities(W, rng, k_max=1000 if i % 10 == 0 else 64)
+
+
+FOLD_SETS = [catalog(name) for name in CATALOG_NAMES]
+FOLD_SETS += [near_zero_wavelet_set(n) for n in range(65)]
+FOLD_SETS += [deep_piece_wavelet_set(n, t) for n in (2, 3, 5, 12) for t in (2, 4, 12)]
+FOLD_SETS += two_interval_sets(3000, 300)
+
+
+def test_the_fold_cap_never_binds_on_the_translates():
+    """Each piece of 2**-j * W (j >= 1) is at most pi long, so the fold into [-pi, pi)
+    cuts it into at most two fragments, and they make up the whole piece: the cap of
+    three, meant for hostile tiling inputs, never drops a translate of D."""
+    for W in FOLD_SETS:
+        for j in range(1, ceil_log2(W.max_abs().coef)):
+            for iv in W:
+                lo, hi = iv.lo.coef / 2**j, iv.hi.coef / 2**j
+                fragments = _principal_fragments([(lo, hi)])
+                assert len(fragments) <= 2, (W, j)
+                ends = [lo] + [b for _, b, _ in fragments]
+                assert [(a, b) for a, b, _ in fragments] == list(zip(ends, ends[1:])), (W, j)
+                assert ends[-1] == hi, (W, j)

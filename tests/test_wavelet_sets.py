@@ -18,14 +18,23 @@ from wavemult.wavelet_sets import (
     CATALOG_NAMES,
     PRINCIPAL_WINDOW,
     PiecewiseTranslation,
-    _dilation_result,
-    _translation_result,
+    _annulus_fragments,
+    _principal_fragments,
+    _tiling_check,
     catalog,
     is_wavelet_set,
 )
 
 
-from _oracles import annulus_images, midpoint_tiling_failure, principal_images, random_interval_set
+from _oracles import (
+    annulus_images,
+    midpoint_tiling_failure,
+    object_wavelet_report,
+    principal_images,
+    random_interval_set,
+)
+
+ANNULUS = parse_set("[-2pi,-1pi),[1pi,2pi)")
 
 
 def rp(num, den=1):
@@ -34,6 +43,16 @@ def rp(num, den=1):
 
 def witness(W):
     return is_wavelet_set(W).tau_witness
+
+
+def coefs(W):
+    return [(iv.lo.coef, iv.hi.coef) for iv in W]
+
+
+def translation_failure(W):
+    """Where the 2*pi*Z translates of W, folded into [-pi, pi), fail to tile it."""
+    folded = ((lo + s, hi + s) for lo, hi, s in _principal_fragments(coefs(W)))
+    return _tiling_check(folded, PRINCIPAL_WINDOW)
 
 
 def cases_text(pt):
@@ -51,8 +70,9 @@ class TestTranslationCongruence:
         assert tau.image == PRINCIPAL_WINDOW
 
     def test_identity_window(self):
-        tau, _ = _translation_result(PRINCIPAL_WINDOW)  # 0 in the closure
-        assert tau is not None
+        fragments = _principal_fragments(coefs(PRINCIPAL_WINDOW))  # 0 in the closure
+        assert translation_failure(PRINCIPAL_WINDOW).is_empty
+        tau = PiecewiseTranslation.from_triples(fragments)
         assert tau.pairs == ((PRINCIPAL_WINDOW, ZERO),)
 
     def test_w1_witness(self, w1):
@@ -86,10 +106,10 @@ class TestDilationCongruence:
         assert not is_wavelet_set(parse_set("[1pi,3pi)")).is_dilation_congruent
 
     def test_zero_in_closure_rejected(self):
-        with pytest.raises(PreconditionError):
-            _dilation_result(parse_set("[-1/4pi,1/4pi)"))
-        with pytest.raises(PreconditionError):
-            _dilation_result(parse_set("[0pi,1pi)"))
+        with pytest.raises(PreconditionError, match="undecidable with 0 in the closure"):
+            is_wavelet_set(parse_set("[-1/4pi,1/4pi)"))
+        with pytest.raises(PreconditionError, match="undecidable with 0 in the closure"):
+            is_wavelet_set(parse_set("[0pi,1pi)"))
 
 
 class TestIsWaveletSet:
@@ -136,6 +156,30 @@ class TestIsWaveletSet:
     def test_journe_structure(self, journe):
         assert len(journe) == 4
         assert journe.measure() == TWO_PI
+
+
+class TestFailureAttribution:
+    """One sweep tiles [-2pi, 2pi); a failure piece breaks translation congruence where it
+    meets [-pi, pi) and dilation congruence where it meets the annulus."""
+
+    CASES = [
+        ("[-3pi,-pi)", True, False, "[-3/2pi,-pi),[pi,2pi)"),
+        ("[-15/4pi,-15/8pi),[1/2pi,pi)", False, True, "[1/8pi,1/4pi),[1/2pi,pi)"),
+        ("[-2pi,-1/2pi)", False, False, "[-2pi,-pi),[-1/2pi,0pi),[pi,2pi)"),
+        ("[-31/8pi,-1/2pi),[7/2pi,49/8pi)", False, False, "[-2pi,pi),[49/32pi,7/4pi)"),  # crosses -pi
+    ]
+    CASES += [(catalog(name).to_text(), True, True, "") for name in CATALOG_NAMES]
+
+    @pytest.mark.parametrize("text,translation,dilation,failure", CASES)
+    def test_matches_the_two_separate_tilings(self, text, translation, dilation, failure):
+        W = parse_set(text)
+        report = is_wavelet_set(W)
+        assert (report.is_translation_congruent, report.is_dilation_congruent) == (translation, dilation)
+        assert report.failure_regions.to_text() == failure
+        witness = report.tau_witness
+        got = (report.is_translation_congruent, report.is_dilation_congruent,
+               None if witness is None else witness.pairs, report.failure_regions)
+        assert got == object_wavelet_report(W)
 
 
 class TestCatalog:
@@ -237,9 +281,12 @@ class TestHostileInputs:
             hi = first + 2 * (cells - 1) + Fraction(rng.randint(1, 15), 8)
             long_pieces.append(Interval(RationalPi(lo), RationalPi(hi)))
         W = IntervalSet.from_intervals(long_pieces).union(random_interval_set(rng, 3))
-        witness, failure = _translation_result(W)
+        failure = translation_failure(W)
         assert failure == midpoint_tiling_failure(principal_images(W), PRINCIPAL_WINDOW)
-        assert (witness is None) == (not failure.is_empty)
+        if not W.zero_in_closure():
+            report = is_wavelet_set(W)
+            assert report.failure_regions.intersect(PRINCIPAL_WINDOW) == failure
+            assert (report.tau_witness is None) == (not failure.is_empty)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_long_octave_pieces_match_the_full_split(self, seed):
@@ -260,6 +307,8 @@ class TestHostileInputs:
         want = midpoint_tiling_failure(positive, IntervalSet.single(rp(1), rp(2))).union(
             midpoint_tiling_failure(negative, IntervalSet.single(rp(-2), rp(-1)))
         )
-        ok, failure = _dilation_result(W)
+        failure = _tiling_check(_annulus_fragments(coefs(W)), ANNULUS)
         assert failure == want
-        assert ok == failure.is_empty
+        report = is_wavelet_set(W)
+        assert report.failure_regions.difference(PRINCIPAL_WINDOW) == failure
+        assert report.is_dilation_congruent == failure.is_empty
