@@ -7,6 +7,7 @@ multiplicity ranks, and lattice dimension sums, cross-checked against the
 exact counts for MSF profiles.
 """
 
+# `exact.__all__` also names the sweep kernel, which the package keeps internal.
 from .exact import (
     Interval,
     IntervalSet,
@@ -17,35 +18,12 @@ from .exact import (
     MINUS_PI,
     ZERO,
 )
-from .parsing import SetSyntaxError, parse_scalar, parse_set
-from .wavelet_sets import (
-    CATALOG_NAMES,
-    PRINCIPAL_WINDOW,
-    PiecewiseTranslation,
-    WaveletSetReport,
-    catalog,
-    is_wavelet_set,
-)
-from .sigma import (
-    CommutantVerdict,
-    SigmaMap,
-    build_sigma,
-    compose,
-    compose_power,
-    dyadic_extension,
-    power_in_local_commutant,
-)
-from .dimension import (
-    DimensionIntegral,
-    StepFunction,
-    core_equivalence_regions,
-    dimension_function,
-    dimension_integral,
-    dimension_step_function,
-    dimension_values,
-    midpoint_grid,
-    mra_consistent,
-)
+# Each module's `__all__` is its public API; the package republishes it.
+from .parsing import *
+from .wavelet_sets import *
+from .sigma import *
+from .dimension import *
+
 __version__ = "0.1.0"
 
 # The numeric names load `multiplicity`, and numpy with it, on first access

@@ -130,22 +130,19 @@ def dimension_values(W: IntervalSet, points: Sequence[RationalPi]) -> list[int]:
 
 @dataclass(frozen=True)
 class DimensionIntegral:
-    """Partial sums of the integral identity sum_j 2**-j * |W| = |W|."""
+    """Integral of D over [-pi, pi) (`limit`) and partial sums of sum_j 2**-j * |W| = |W|."""
 
     limit: RationalPi
     partial_sums: tuple[RationalPi, ...]
 
 
 def dimension_integral(W: IntervalSet, terms: int = 30) -> DimensionIntegral:
-    """Exact partial sums converging to the total mass |W| (= 2*pi when accepted)."""
-    _require_wavelet_set(W)
+    """Exact integral of `dimension_function(W)` from its rows (2*pi for a wavelet set),
+    and the exact partial sums sum_{j <= terms} 2**-j * |W|, converging to |W|."""
+    limit = sum(iv.length.coef * value for iv, value in dimension_function(W).rows())
     mu = W.measure().coef
-    acc = Fraction(0)
-    partials = []
-    for j in range(1, terms + 1):
-        acc += mu / 2**j
-        partials.append(RationalPi(acc))
-    return DimensionIntegral(RationalPi(mu), tuple(partials))
+    partials = tuple(RationalPi(mu - mu / 2**j) for j in range(1, terms + 1))
+    return DimensionIntegral(RationalPi(limit), partials)
 
 
 def core_equivalence_regions(
@@ -186,7 +183,7 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
     per_row = -(-count // len(rows)) if rows else 0
     points = []
     for iv, _ in rows:
-        width = iv.length / per_row
-        for i in range(per_row):
-            points.append(iv.lo + width * i + width / 2)
+        lo, hi = iv.lo.coef, iv.hi.coef
+        half = (hi - lo) / (2 * per_row)
+        points += [RationalPi(lo + half * (2 * i + 1)) for i in range(per_row)]
     return points

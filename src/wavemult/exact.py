@@ -362,15 +362,9 @@ class IntervalSet:
         """Distance from 0 to the closure (0 if the closure meets the origin)."""
         if self.is_empty:
             raise ValueError("empty set has no distance to 0")
-        best: Optional[RationalPi] = None
-        for iv in self.pieces:
-            if iv.lo <= ZERO <= iv.hi:
-                return ZERO
-            d = iv.lo if iv.lo > ZERO else abs(iv.hi)
-            if best is None or d < best:
-                best = d
-        assert best is not None
-        return best
+        if self.zero_in_closure():
+            return ZERO
+        return min(min(abs(iv.lo), abs(iv.hi)) for iv in self.pieces)
 
     def max_abs(self) -> RationalPi:
         """Largest |x| over the closure (attained at an endpoint)."""

@@ -16,23 +16,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import _NUMERIC
 from .exact import IntervalSet, PreconditionError, RationalPi
 from .dimension import _require_grid_size, dimension_values
 
-__all__ = [
-    "SpectralProfile",
-    "GramSchmidtState",
-    "DimensionSum",
-    "GridRecord",
-    "AgreementReport",
-    "msf_profile",
-    "meyer_profile",
-    "sampled_profile",
-    "gram_schmidt",
-    "dimension_sum",
-    "verify_m_equals_d",
-    "uniform_grid",
-]
+# The package holds the list: its lazy `__getattr__` must know the names without numpy.
+__all__ = list(_NUMERIC)
 
 TWO_PI_F = 2.0 * math.pi
 

@@ -36,7 +36,6 @@ __all__ = [
     "build_sigma",
     "compose",
     "dyadic_extension",
-    "MAX_POWER",
     "compose_power",
     "power_in_local_commutant",
 ]

@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from wavemult.dimension import StepFunction
+from wavemult.dimension import StepFunction, dimension_step_function
 from wavemult.exact import (
     Interval,
     IntervalSet,
@@ -444,6 +444,19 @@ def step_from_covers(window: IntervalSet, covers) -> StepFunction:
     items += [(lo, hi, False) for lo, hi in covers]
     return StepFunction.from_triples(merge_cells(
         (lo, hi, count - 1) for lo, hi, count, tags in sweep(items) if True in tags))
+
+
+def loop_midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[RationalPi]:
+    """Midpoints of `per_row` even cells of every row of W's dimension function on the
+    window, each point formed by `RationalPi` arithmetic on the row's interval."""
+    rows = dimension_step_function(W, window).rows()
+    per_row = -(-count // len(rows)) if rows else 0
+    points = []
+    for iv, _ in rows:
+        width = iv.length / per_row
+        for i in range(per_row):
+            points.append(iv.lo + width * i + width / 2)
+    return points
 
 
 def hit_sets(W: IntervalSet, query: IntervalSet) -> list[tuple]:

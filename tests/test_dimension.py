@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from wavemult import dimension
 from wavemult.dimension import (
     StepFunction,
     core_equivalence_regions,
+    dimension_function,
     dimension_integral,
     dimension_step_function,
     dimension_values,
@@ -28,6 +30,7 @@ from wavemult.wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
 from _oracles import (
     brute_dimension_count,
     deep_piece_wavelet_set,
+    loop_midpoint_grid,
     near_zero_wavelet_set,
     random_point_in,
     two_interval_wavelet_set,
@@ -226,6 +229,19 @@ class TestDimensionIntegral:
             assert gap == TWO_PI.times_pow2(-30)
             assert gap.coef <= (TWO_PI.times_pow2(-29)).coef
 
+    def test_limit_integrates_the_dimension_function(self, monkeypatch, journe):
+        rows = dimension_function(journe).rows()
+        raised = StepFunction.from_triples(
+            (iv.lo.coef, iv.hi.coef, value + (i == 0)) for i, (iv, value) in enumerate(rows))
+        monkeypatch.setattr(dimension, "dimension_function", lambda W: raised)
+        report = dimension_integral(journe)
+        assert report.limit == TWO_PI + rows[0][0].length
+        assert report.partial_sums[-1] == TWO_PI - TWO_PI.times_pow2(-30)
+
+    def test_rejects_a_non_wavelet_set(self):
+        with pytest.raises(PreconditionError, match="not a wavelet set"):
+            dimension_integral(parse_set("[1pi,2pi)"))
+
 
 class TestCoreEquivalence:
     def test_mirror_pair_equivalent(self, w1, w2):
@@ -254,3 +270,16 @@ class TestMidpointGrid:
 
     def test_empty_window_gives_empty_grid(self, journe):
         assert midpoint_grid(journe, IntervalSet.empty(), 16) == []
+
+    @pytest.mark.parametrize("depth", [1, 6, 12, 100])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_matches_the_loop_reference(self, name, depth):
+        W, edge = catalog(name), PI.times_pow2(-depth)
+        windows = (
+            IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)]),
+            IntervalSet.single(edge, PI),
+            IntervalSet.single(MINUS_PI, -edge),
+        )
+        for window in windows:
+            for count in (1, 7, 64, 513):
+                assert midpoint_grid(W, window, count) == loop_midpoint_grid(W, window, count)

@@ -253,6 +253,10 @@ class TestGeometry:
         assert w1.dist_zero() == rp(1, 8)
         assert w1.max_abs() == rp(15, 4)
         assert parse_set("[-1pi,1pi)").dist_zero() == ZERO
+        assert parse_set("[-1pi,0pi)").dist_zero() == ZERO
+        assert parse_set("[-2pi,-1/2pi),[-1/4pi,-1/8pi)").dist_zero() == rp(1, 8)
+        assert parse_set("[-1pi,-1/3pi),[1/4pi,1pi)").dist_zero() == rp(1, 4)
+        assert parse_set("[-1/5pi,-1/6pi),[1/4pi,1pi)").dist_zero() == rp(1, 6)
         assert parse_set("[-1pi,1pi)").zero_in_closure()
         assert not w1.zero_in_closure()
 

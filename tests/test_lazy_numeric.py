@@ -5,6 +5,8 @@ without numpy; the package still exports the numeric names, which load
 `wavemult.multiplicity` on first access.
 """
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -87,6 +89,26 @@ def test_numeric_names_resolve_to_the_multiplicity_module():
     assert set(wavemult._NUMERIC) == set(multiplicity.__all__)
     for name in NUMERIC_NAMES:
         assert getattr(wavemult, name) is getattr(multiplicity, name)
+
+
+def public_definitions(module) -> set:
+    """Names of the public functions and classes that `module` itself defines."""
+    return {name for name, obj in vars(module).items() if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__}
+
+
+@pytest.mark.parametrize("name", ["parsing", "wavelet_sets", "sigma", "dimension"])
+def test_each_exact_name_is_declared_once_and_republished(name):
+    module = importlib.import_module(f"wavemult.{name}")
+    assert public_definitions(module) <= set(module.__all__)
+    for attr in module.__all__:
+        assert getattr(wavemult, attr) is getattr(module, attr), attr
+
+
+def test_numeric_names_are_declared_once():
+    import wavemult.multiplicity as multiplicity
+
+    assert public_definitions(multiplicity) == set(wavemult._NUMERIC) == set(multiplicity.__all__)
 
 
 def test_star_import_and_dir_keep_every_name():
