@@ -73,8 +73,7 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     """
     _require_wavelet_set(W)
     items = [(Fraction(-1), Fraction(1), 0)]
-    for iv in W:
-        lo, hi = iv.lo.coef, iv.hi.coef
+    for lo, hi in W.coefs:
         near = lo if lo > 0 else -hi
         if hi - lo == near and near < 1:  # a whole octave: its dilates fill [lo, pi) or [-pi, hi)
             items.append((lo, Fraction(1), 1) if lo > 0 else (Fraction(-1), hi, 1))
@@ -86,8 +85,7 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     # The levels with 2**j < max |W|, folded into [-pi, pi); shift -2*pi*k, k != 0.  W has
     # measure 2*pi, so each piece of 2**-j * W is at most pi long and meets at most two
     # 2*pi cells: the fold's three-fragment cap never binds here.
-    pieces = [(iv.lo.coef / 2**j, iv.hi.coef / 2**j)
-              for j in range(1, ceil_log2(W.max_abs().coef)) for iv in W]
+    pieces = [(lo / 2**j, hi / 2**j) for j in range(1, ceil_log2(W.max_abs().coef)) for lo, hi in W.coefs]
     items += [(lo + s, hi + s, 2) for lo, hi, s in _principal_fragments(pieces) if s]
     return StepFunction.from_triples(
         ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags))
@@ -101,8 +99,8 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     are nonnegative: a query cell under no row lies outside [-pi, pi).
     """
     _require_wavelet_set(W)
-    items = [(iv.lo.coef, iv.hi.coef, -1) for iv in query]
-    items += [(iv.lo.coef, iv.hi.coef, value) for iv, value in dimension_function(W).rows()]
+    items = [(lo, hi, -1) for lo, hi in query.coefs]
+    items += dimension_function(W).coefs
     cells = [(lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags]
     if any(value < 0 for *_, value in cells):
         raise PreconditionError("query window must lie inside [-pi, pi)")
@@ -139,7 +137,7 @@ class DimensionIntegral:
 def dimension_integral(W: IntervalSet, terms: int = 30) -> DimensionIntegral:
     """Exact integral of `dimension_function(W)` from its rows (2*pi for a wavelet set),
     and the exact partial sums sum_{j <= terms} 2**-j * |W|, converging to |W|."""
-    limit = sum(iv.length.coef * value for iv, value in dimension_function(W).rows())
+    limit = sum((hi - lo) * value for lo, hi, value in dimension_function(W).coefs)
     mu = W.measure().coef
     partials = tuple(RationalPi(mu - mu / 2**j) for j in range(1, terms + 1))
     return DimensionIntegral(RationalPi(limit), partials)
@@ -152,7 +150,7 @@ def core_equivalence_regions(
     fa, fb = dimension_step_function(Wa, query), dimension_step_function(Wb, query)
     # Both functions partition the query, so every cell lies under one row of
     # each; its distinct tags (the row values) are two exactly where they differ.
-    rows = ((iv.lo.coef, iv.hi.coef, value) for f in (fa, fb) for iv, value in f.rows())
+    rows = (row for f in (fa, fb) for row in f.coefs)
     return IntervalSet.from_cells((lo, hi) for lo, hi, _, values in sweep(rows) if len(values) == 2)
 
 
@@ -179,11 +177,10 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
     breakpoint.
     """
     _require_grid_size(count)  # before the step function is built
-    rows = dimension_step_function(W, window).rows()
+    rows = dimension_step_function(W, window).coefs
     per_row = -(-count // len(rows)) if rows else 0
     points = []
-    for iv, _ in rows:
-        lo, hi = iv.lo.coef, iv.hi.coef
+    for lo, hi, _ in rows:
         half = (hi - lo) / (2 * per_row)
         points += [RationalPi(lo + half * (2 * i + 1)) for i in range(per_row)]
     return points

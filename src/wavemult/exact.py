@@ -4,7 +4,10 @@ Every scalar in this module is q*pi with q a `fractions.Fraction`, so
 comparisons, measures and set algebra are exact; floating point appears only
 in explicit `float()` conversions.  Interval sets are finite disjoint unions
 of half-open intervals [lo, hi) kept in a unique canonical form: pieces
-sorted, pairwise disjoint, never adjacent.
+sorted, pairwise disjoint, never adjacent.  The data of an interval set or a
+piecewise-constant function is its `coefs`, tuples of `Fraction` coefficients;
+`Interval` and `RationalPi` objects are built from them only at the edge:
+iteration, `pieces`, `rows()`, `value_at` and text.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Any, Hashable, Iterable, Iterator, Optional, Union
 
@@ -187,10 +191,6 @@ class RationalPi:
     def __truediv__(self, k: RationalLike) -> "RationalPi":
         return RationalPi(self.coef / _exact(k))
 
-    def times_pow2(self, n: int) -> "RationalPi":
-        """Exact scaling by 2**n (n may be negative)."""
-        return RationalPi(self.coef * _pow2(n))
-
     def __float__(self) -> float:
         try:
             value = float(self.coef) * math.pi
@@ -245,13 +245,6 @@ class Interval:
                 f"degenerate interval [{self.lo.pi_text()},{self.hi.pi_text()})"
             )
 
-    @property
-    def length(self) -> RationalPi:
-        return self.hi - self.lo
-
-    def contains(self, x: RationalPi) -> bool:
-        return self.lo <= x < self.hi
-
     def to_text(self) -> str:
         return f"[{self.lo.pi_text()},{self.hi.pi_text()})"
 
@@ -259,23 +252,42 @@ class Interval:
         return self.to_text()
 
 
-@dataclass(frozen=True)
+def _interval(lo: Fraction, hi: Fraction) -> Interval:
+    return Interval(RationalPi(lo), RationalPi(hi))
+
+
+@dataclass(frozen=True, init=False)
 class IntervalSet:
     """Finite disjoint union of half-open intervals in canonical form.
 
-    The representation is unique: pieces sorted by left endpoint, pairwise
-    disjoint, and no two adjacent (a gap of positive length separates
-    consecutive pieces).  Construct through :meth:`from_intervals` unless the
-    input is already canonical.
+    The data is `coefs`, the (lo, hi) `Fraction` coefficient pairs of the pieces:
+    sorted, pairwise disjoint and never adjacent (a gap of positive length
+    separates consecutive pieces), so the representation is unique, and
+    equality and hashing compare it.  `Interval` objects are built from it only
+    for `pieces`, iteration and text.  ``IntervalSet(intervals)`` takes
+    already canonical intervals; :meth:`from_intervals` canonicalizes any.
     """
 
-    pieces: tuple[Interval, ...] = ()
+    coefs: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        for a, b in zip(self.pieces, self.pieces[1:]):
-            if not a.hi < b.lo:
-                raise ValueError("interval set is not canonical; use from_intervals")
+    def __init__(self, pieces: Iterable[Interval] = ()) -> None:
+        pieces = tuple(pieces)
+        coefs = tuple((iv.lo.coef, iv.hi.coef) for iv in pieces)
+        if any(a[1] >= b[0] for a, b in zip(coefs, coefs[1:])):
+            raise ValueError("interval set is not canonical; use from_intervals")
+        object.__setattr__(self, "coefs", coefs)
+        object.__setattr__(self, "pieces", pieces)
+
+    @classmethod
+    def _of(cls, coefs: tuple) -> "IntervalSet":
+        """The set whose data is `coefs`, already canonical."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "coefs", coefs)
+        return self
+
+    @cached_property
+    def pieces(self) -> tuple[Interval, ...]:
+        return tuple(_interval(lo, hi) for lo, hi in self.coefs)
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
@@ -286,9 +298,8 @@ class IntervalSet:
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
         """Canonical set of sorted, pairwise disjoint coefficient pairs (lo, hi), such as
-        sweep cells: touching pairs merge, and each interval is built once."""
-        return cls(tuple(Interval(RationalPi(lo), RationalPi(hi))
-                         for lo, hi, _ in merge_cells((lo, hi, None) for lo, hi in cells)))
+        sweep cells: touching pairs merge."""
+        return cls._of(tuple((lo, hi) for lo, hi, _ in merge_cells((lo, hi, None) for lo, hi in cells)))
 
     @classmethod
     def from_disjoint(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> Optional["IntervalSet"]:
@@ -301,7 +312,7 @@ class IntervalSet:
 
     @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls(())
+        return cls._of(())
 
     @classmethod
     def single(cls, lo: RationalPi, hi: RationalPi) -> "IntervalSet":
@@ -309,21 +320,20 @@ class IntervalSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.pieces
+        return not self.coefs
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.pieces)
 
     def __len__(self) -> int:
-        return len(self.pieces)
+        return len(self.coefs)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(self.pieces + other.pieces)
+        return self._select(other, lambda tags: True)
 
     def _select(self, other: "IntervalSet", keep) -> "IntervalSet":
         """Cells of one sweep over self (tag 0) and other (tag 1) whose tags `keep` accepts."""
-        items = [(iv.lo.coef, iv.hi.coef, 0) for iv in self.pieces]
-        items += [(iv.lo.coef, iv.hi.coef, 1) for iv in other.pieces]
+        items = [(lo, hi, 0) for lo, hi in self.coefs] + [(lo, hi, 1) for lo, hi in other.coefs]
         return IntervalSet.from_cells((lo, hi) for lo, hi, _, tags in sweep(items) if keep(tags))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
@@ -334,29 +344,29 @@ class IntervalSet:
 
     def negate(self) -> "IntervalSet":
         """Pointwise negation, re-expressed half-open: -[a,b) becomes [-b,-a)."""
-        return IntervalSet(tuple(Interval(-iv.hi, -iv.lo) for iv in reversed(self.pieces)))
+        return IntervalSet._of(tuple((-hi, -lo) for lo, hi in reversed(self.coefs)))
 
     def dilate(self, n: int) -> "IntervalSet":
         """Pointwise map x -> 2**n * x; measure scales by exactly 2**n."""
         if not isinstance(n, int):
             raise TypeError("dilation exponent must be an integer")
-        return IntervalSet(tuple(Interval(iv.lo.times_pow2(n), iv.hi.times_pow2(n))
-                                 for iv in self.pieces))
+        scale = _pow2(n)
+        return IntervalSet._of(tuple((lo * scale, hi * scale) for lo, hi in self.coefs))
 
     def translate(self, t: RationalPi) -> "IntervalSet":
-        return IntervalSet(tuple(Interval(iv.lo + t, iv.hi + t) for iv in self.pieces))
+        return IntervalSet._of(tuple((lo + t.coef, hi + t.coef) for lo, hi in self.coefs))
 
     def measure(self) -> RationalPi:
-        return RationalPi(sum((iv.length.coef for iv in self.pieces), Fraction(0)))
+        return RationalPi(sum((hi - lo for lo, hi in self.coefs), Fraction(0)))
 
     def contains(self, x: RationalPi) -> bool:
-        return any(iv.contains(x) for iv in self.pieces)
+        return any(lo <= x.coef < hi for lo, hi in self.coefs)
 
     def subset_of(self, other: "IntervalSet") -> bool:
         return self.difference(other).is_empty
 
     def zero_in_closure(self) -> bool:
-        return any(iv.lo <= ZERO <= iv.hi for iv in self.pieces)
+        return any(lo <= 0 <= hi for lo, hi in self.coefs)
 
     def dist_zero(self) -> RationalPi:
         """Distance from 0 to the closure (0 if the closure meets the origin)."""
@@ -364,19 +374,19 @@ class IntervalSet:
             raise ValueError("empty set has no distance to 0")
         if self.zero_in_closure():
             return ZERO
-        return min(min(abs(iv.lo), abs(iv.hi)) for iv in self.pieces)
+        return RationalPi(min(min(abs(lo), abs(hi)) for lo, hi in self.coefs))
 
     def max_abs(self) -> RationalPi:
         """Largest |x| over the closure (attained at an endpoint)."""
         if self.is_empty:
             raise ValueError("empty set has no magnitude bound")
-        return max(max(abs(iv.lo), abs(iv.hi)) for iv in self.pieces)
+        return RationalPi(max(max(abs(lo), abs(hi)) for lo, hi in self.coefs))
 
     def to_text(self) -> str:
         return ",".join(iv.to_text() for iv in self.pieces)
 
     def __str__(self) -> str:
-        return self.to_text() if self.pieces else "(empty)"
+        return self.to_text() if self.coefs else "(empty)"
 
 
 class Piecewise:
@@ -385,9 +395,12 @@ class Piecewise:
     Subclasses are frozen dataclasses without an ``__init__`` whose one field,
     `pairs`, holds (piece, value) pairs, each piece an IntervalSet; `from_triples`
     is their only constructor.  One sweep over its (lo, hi, tag) coefficient
-    triples rejects pieces of two values that overlap and merges touching
-    cells of one value into rows.  The objects are built once, from the rows:
-    the pairs (each value once, in value order), the rows and `domain`.
+    triples rejects pieces of two tags that overlap and merges touching cells of
+    one tag into rows.  The data is `coefs`, the rows as (lo, hi, tag) triples
+    ordered by left endpoint; `pairs` (each value once, in value order), `domain`
+    and `value_at` read them, and `rows()` builds `Interval` rows when called.
+    A tag is a value as `_value` takes it, for a translation the shift's
+    `Fraction` coefficient.
     """
 
     OVERLAP_ERROR = "pieces of two values overlap"
@@ -405,31 +418,23 @@ class Piecewise:
         cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
         if any(len(tags) > 1 for *_, tags in cells):
             raise ValueError(self.OVERLAP_ERROR)
-        values = [self._value(tag) for tag in index]
-        by_value: list[list[Interval]] = [[] for _ in values]
-        rows, runs = [], []  # runs: [first, last] row of each domain interval
-        for lo, hi, t in merge_cells((lo, hi, tags[0]) for lo, hi, _, tags in cells):
-            touching = bool(rows) and rows[-1][0].hi.coef == lo
-            iv = Interval(rows[-1][0].hi if touching else RationalPi(lo), RationalPi(hi))
-            by_value[t].append(iv)
-            rows.append((iv, values[t]))
-            if touching:
-                runs[-1][1] = iv
-            else:
-                runs.append([iv, iv])
-        order = sorted(range(len(values)), key=values.__getitem__)
+        tags = list(index)
+        coefs = tuple((lo, hi, tags[t]) for lo, hi, t in merge_cells(
+            (lo, hi, cell_tags[0]) for lo, hi, _, cell_tags in cells))
+        by_tag: dict = {}
+        for lo, hi, tag in coefs:
+            by_tag.setdefault(tag, []).append((lo, hi))
+        object.__setattr__(self, "coefs", coefs)
         object.__setattr__(self, "pairs", tuple(
-            (IntervalSet(tuple(by_value[t])), values[t]) for t in order if by_value[t]))
-        object.__setattr__(self, "domain", IntervalSet(tuple(
-            first if first is last else Interval(first.lo, last.hi) for first, last in runs)))
-        object.__setattr__(self, "_rows", tuple(rows))
+            (IntervalSet._of(tuple(by_tag[tag])), self._value(tag)) for tag in sorted(by_tag)))
+        object.__setattr__(self, "domain", IntervalSet.from_cells((lo, hi) for lo, hi, _ in coefs))
 
     def value_at(self, x: RationalPi) -> Any:
-        i = bisect_right(self._rows, x.coef, key=lambda row: row[0].lo.coef) - 1
-        if i >= 0 and x < self._rows[i][0].hi:
-            return self._rows[i][1]
+        i = bisect_right(self.coefs, x.coef, key=itemgetter(0)) - 1
+        if i >= 0 and x.coef < self.coefs[i][1]:
+            return self._value(self.coefs[i][2])
         raise PreconditionError(f"{x} lies outside the domain")
 
     def rows(self) -> list[tuple[Interval, Any]]:
         """Atomic (interval, value) rows ordered by left endpoint."""
-        return list(self._rows)
+        return [(_interval(lo, hi), self._value(tag)) for lo, hi, tag in self.coefs]

@@ -70,15 +70,13 @@ def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
     """Composite map then(first(x)); image of `first` must lie in `then`'s domain.
 
-    One sweep overlays the image pieces of `first` with the domain pieces of
+    One sweep overlays the image rows of `first` with the domain rows of
     `then`, each tagged by its index in `shifts`; both families are disjoint,
     so a cell covered twice carries one tag of each, the first's the smaller.
     """
-    shifts = [shift.coef for _, shift in first.pairs + then.pairs]
-    items = [(iv.lo.coef + shifts[i], iv.hi.coef + shifts[i], i)
-             for i, (piece, _) in enumerate(first.pairs) for iv in piece]
-    items += [(iv.lo.coef, iv.hi.coef, i)
-              for i, (piece, _) in enumerate(then.pairs, len(first.pairs)) for iv in piece]
+    shifts = [shift for *_, shift in first.coefs + then.coefs]
+    items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(first.coefs)]
+    items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(then.coefs, len(first.coefs))]
     fragments = []
     for lo, hi, count, tags in sweep(items):
         if count == 2:
@@ -97,23 +95,24 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
     any wavelet set).  On a fragment carried into the domain by 2**n, the
     extension translates by the base shift scaled by 2**-n.  Each region
     interval is dilated only by the 2**n that can meet the domain's hull; one
-    sweep overlays those dilates (tagged n) with the base pieces (tagged by
+    sweep overlays those dilates (tagged (2**-n,)) with the base rows (tagged by
     shift), and each cell covered by both is scaled back by 2**-n.
     """
     if region.zero_in_closure():
         raise PreconditionError("region must stay away from 0")
     w_min, w_max = base.domain.dist_zero().coef, base.domain.max_abs().coef
-    items = [(iv.lo.coef, iv.hi.coef, shift) for piece, shift in base.pairs for iv in piece]
-    for iv in region:
-        near, far = sorted((abs(iv.lo.coef), abs(iv.hi.coef)))
+    items = list(base.coefs)
+    for lo, hi in region.coefs:
+        near, far = sorted((abs(lo), abs(hi)))
         for n in range(ceil_log2(w_min / far), floor_log2(w_max / near) + 1):
-            items.append((iv.lo.coef * Fraction(2) ** n, iv.hi.coef * Fraction(2) ** n, n))
+            up = Fraction(2) ** n
+            items.append((lo * up, hi * up, (1 / up,)))
     fragments = []
     for lo, hi, _, tags in sweep(items):
-        shift = next((t for t in tags if isinstance(t, RationalPi)), None)
+        shift = next((t for t in tags if type(t) is not tuple), None)
         if shift is not None:
-            fragments += [(lo * scale, hi * scale, shift.coef * scale)
-                          for n in tags if n is not shift for scale in (Fraction(2) ** -n,)]
+            fragments += [(lo * scale, hi * scale, shift * scale)
+                          for t in tags if t is not shift for scale in t]
     result = PiecewiseTranslation.from_triples(fragments)
     if result.domain != region:
         raise PreconditionError(
@@ -154,12 +153,6 @@ class CommutantVerdict:
 def power_in_local_commutant(sigma: SigmaMap, power: int) -> CommutantVerdict:
     """Decide membership of the p-th power; on failure expose one offending piece."""
     composed = compose_power(sigma, power)
-    witness = next(
-        (
-            (iv, shift)
-            for iv, shift in composed.cases()
-            if not shift.is_two_pi_multiple
-        ),
-        None,
-    )
+    witness = next(((Interval(RationalPi(lo), RationalPi(hi)), RationalPi(shift))
+                    for lo, hi, shift in composed.coefs if shift % 2), None)
     return CommutantVerdict(power, witness is None, composed, witness)

@@ -57,8 +57,7 @@ class PiecewiseTranslation(Piecewise):
 
     def _build(self, triples: list) -> None:
         super()._build(triples)
-        image = IntervalSet.from_disjoint((iv.lo.coef + shift.coef, iv.hi.coef + shift.coef)
-                                          for iv, shift in self._rows)
+        image = IntervalSet.from_disjoint((lo + shift, hi + shift) for lo, hi, shift in self.coefs)
         if image is None:
             raise ValueError("piecewise translation is not injective")
         object.__setattr__(self, "image", image)
@@ -73,8 +72,7 @@ class PiecewiseTranslation(Piecewise):
     cases = Piecewise.rows
 
     def inverse(self) -> "PiecewiseTranslation":
-        return PiecewiseTranslation.from_triples((iv.lo.coef + s.coef, iv.hi.coef + s.coef, -s.coef)
-                                                 for iv, s in self._rows)
+        return PiecewiseTranslation.from_triples((lo + s, hi + s, -s) for lo, hi, s in self.coefs)
 
 
 @dataclass(frozen=True)
@@ -98,13 +96,13 @@ def _tiling_check(fragments: Iterable[tuple], target: IntervalSet) -> IntervalSe
     when it lies under the target and exactly one fragment.  The failure
     region is where the fragments miss the target, leave it or overlap.
     """
-    items = [(iv.lo.coef, iv.hi.coef, 0) for iv in target]
+    items = [(lo, hi, 0) for lo, hi in target.coefs]
     items += [(lo, hi, 1) for lo, hi in fragments]
     return IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in sweep(items)
                                   if count != 2 or len(tags) != 2)
 
 
-def _principal_fragments(pairs: Iterable[tuple]) -> list[tuple[Fraction, Fraction, int]]:
+def _principal_fragments(pairs: Iterable[tuple]) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Split each piece, a pair (lo, hi), at odd multiples of pi into triples (lo, hi, -2m)
     moving it into [-pi, pi).
 
@@ -114,8 +112,9 @@ def _principal_fragments(pairs: Iterable[tuple]) -> list[tuple[Fraction, Fractio
     for start, end in pairs:
         first = m = math.floor((start + 1) / 2)
         while start < end and m < first + 3:
-            frag_hi = min(end, 2 * m + 1)
-            fragments.append((start, frag_hi, -2 * m))
+            odd = Fraction(2 * m + 1)
+            frag_hi = min(end, odd)
+            fragments.append((start, frag_hi, 1 - odd))
             start = frag_hi
             m += 1
     return fragments
@@ -163,14 +162,13 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
         raise PreconditionError(
             "dilation congruence is undecidable with 0 in the closure of the set"
         )
-    pairs = [(iv.lo.coef, iv.hi.coef) for iv in W]
-    fragments = _principal_fragments(pairs)
-    failure = _tiling_check([(lo + s, hi + s) for lo, hi, s in fragments] + _annulus_fragments(pairs),
+    fragments = _principal_fragments(W.coefs)
+    failure = _tiling_check([(lo + s, hi + s) for lo, hi, s in fragments] + _annulus_fragments(W.coefs),
                             _TILED)
-    translation_ok = not any(iv.lo < PI and iv.hi > MINUS_PI for iv in failure)
+    translation_ok = not any(lo < 1 and hi > -1 for lo, hi in failure.coefs)
     return WaveletSetReport(
         is_translation_congruent=translation_ok,
-        is_dilation_congruent=not any(iv.lo < MINUS_PI or iv.hi > PI for iv in failure),
+        is_dilation_congruent=not any(lo < -1 or hi > 1 for lo, hi in failure.coefs),
         tau_witness=PiecewiseTranslation.from_triples(fragments) if translation_ok else None,
         failure_regions=failure,
     )

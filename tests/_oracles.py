@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from wavemult.dimension import StepFunction, dimension_step_function
 from wavemult.exact import (
+    ZERO,
     Interval,
     IntervalSet,
     PreconditionError,
@@ -77,7 +79,7 @@ def random_point_in(rng: random.Random, S: IntervalSet, max_den: int = 512) -> R
     piece = rng.choice(S.pieces)
     den = rng.randint(2, max_den)
     num = rng.randint(0, den - 1)
-    return piece.lo + piece.length * Fraction(num, den)
+    return piece.lo + (piece.hi - piece.lo) * Fraction(num, den)
 
 
 def random_interval_set(rng: random.Random, max_pieces: int = 5) -> IntervalSet:
@@ -145,7 +147,7 @@ def midpoint_tiling_failure(fragments: Sequence[Interval], target: IntervalSet) 
     return _set_of(
         (lo, hi)
         for lo, hi, mid in _cells(coefs)
-        if sum(1 for iv in fragments if iv.contains(mid)) != (1 if target.contains(mid) else 0)
+        if sum(1 for iv in fragments if iv.lo <= mid < iv.hi) != (1 if target.contains(mid) else 0)
     )
 
 
@@ -307,9 +309,9 @@ def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
     n_lo = ceil_log2(w_min.coef / abs(x.coef))
     n_hi = floor_log2(w_max.coef / abs(x.coef))
     for n in range(n_lo, n_hi + 1):
-        y = x.times_pow2(n)
+        y = x * Fraction(2) ** n
         if base.domain.contains(y):
-            return base.apply(y).times_pow2(-n)
+            return base.apply(y) * Fraction(2) ** -n
     raise PreconditionError(f"no dyadic dilate of {x} lands in the map domain")
 
 
@@ -407,11 +409,11 @@ def object_annulus_fragments(W: IntervalSet) -> tuple[list[Interval], list[Inter
             if start >= RationalPi(0):
                 m = floor_log2(start.coef)
                 frag_hi = min(piece.hi, RationalPi(Fraction(2) ** (m + 1)))
-                positive.append(Interval(start.times_pow2(-m), frag_hi.times_pow2(-m)))
+                positive.append(Interval(start * Fraction(2) ** -m, frag_hi * Fraction(2) ** -m))
             else:
                 m = ceil_log2(-start.coef) - 1
                 frag_hi = min(piece.hi, RationalPi(-(Fraction(2) ** m)))
-                negative.append(Interval(start.times_pow2(-m), frag_hi.times_pow2(-m)))
+                negative.append(Interval(start * Fraction(2) ** -m, frag_hi * Fraction(2) ** -m))
             start = frag_hi
     return positive, negative
 
@@ -453,7 +455,7 @@ def loop_midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[
     per_row = -(-count // len(rows)) if rows else 0
     points = []
     for iv, _ in rows:
-        width = iv.length / per_row
+        width = (iv.hi - iv.lo) / per_row
         for i in range(per_row):
             points.append(iv.lo + width * i + width / 2)
     return points
@@ -513,6 +515,117 @@ def object_core_regions(Wa: IntervalSet, Wb: IntervalSet, query: IntervalSet) ->
             for W in (Wa, Wb) for piece, value in object_step_pairs(W, query)[0] for iv in piece]
     return IntervalSet.from_intervals(Interval(RationalPi(lo), RationalPi(hi))
                                       for lo, hi, _, values in sweep(rows) if len(values) == 2)
+
+
+# ---------------------------------------------------------------------------
+# Interval sets, piecewise-constant functions and the sigma sweeps as they were
+# written on Interval and RationalPi objects, before coefficient pairs became
+# the stored data.
+
+
+def object_set_ops(S: IntervalSet, n: int, t: RationalPi, points) -> dict:
+    """negate, dilate(n), translate(t), measure, contains at each point, zero_in_closure,
+    and for a nonempty S dist_zero and max_abs, each computed on the Interval pieces."""
+    pieces = S.pieces
+    ops = {
+        "negate": IntervalSet(tuple(Interval(-iv.hi, -iv.lo) for iv in reversed(pieces))),
+        "dilate": IntervalSet(tuple(Interval(iv.lo * Fraction(2) ** n, iv.hi * Fraction(2) ** n)
+                                    for iv in pieces)),
+        "translate": IntervalSet(tuple(Interval(iv.lo + t, iv.hi + t) for iv in pieces)),
+        "measure": RationalPi(sum(((iv.hi - iv.lo).coef for iv in pieces), Fraction(0))),
+        "contains": [any(iv.lo <= x < iv.hi for iv in pieces) for x in points],
+        "zero_in_closure": any(iv.lo <= ZERO <= iv.hi for iv in pieces),
+    }
+    if pieces:
+        ops["dist_zero"] = (ZERO if ops["zero_in_closure"]
+                            else min(min(abs(iv.lo), abs(iv.hi)) for iv in pieces))
+        ops["max_abs"] = max(max(abs(iv.lo), abs(iv.hi)) for iv in pieces)
+    return ops
+
+
+def object_piecewise(triples, value=lambda tag: tag) -> tuple[tuple, IntervalSet, tuple]:
+    """(pairs, domain, rows) of (lo, hi, tag) triples, built from Interval objects: rows
+    from the merged sweep cells, a row touching the last one reusing its end, and the
+    domain joined from each run of touching rows; ValueError when two tags overlap."""
+    index: dict = {}
+    cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
+    if any(len(tags) > 1 for *_, tags in cells):
+        raise ValueError("pieces of two values overlap")
+    values = [value(tag) for tag in index]
+    by_value: list[list[Interval]] = [[] for _ in values]
+    rows, runs = [], []  # runs: [first, last] row of each domain interval
+    for lo, hi, t in merge_cells((lo, hi, tags[0]) for lo, hi, _, tags in cells):
+        touching = bool(rows) and rows[-1][0].hi.coef == lo
+        iv = Interval(rows[-1][0].hi if touching else RationalPi(lo), RationalPi(hi))
+        by_value[t].append(iv)
+        rows.append((iv, values[t]))
+        if touching:
+            runs[-1][1] = iv
+        else:
+            runs.append([iv, iv])
+    order = sorted(range(len(values)), key=values.__getitem__)
+    pairs = tuple((IntervalSet(tuple(by_value[t])), values[t]) for t in order if by_value[t])
+    domain = IntervalSet(tuple(first if first is last else Interval(first.lo, last.hi)
+                               for first, last in runs))
+    return pairs, domain, tuple(rows)
+
+
+def object_value_at(rows, x: RationalPi):
+    """Value at x by bisection over (Interval, value) rows ordered by left endpoint."""
+    i = bisect_right(rows, x.coef, key=lambda row: row[0].lo.coef) - 1
+    if i >= 0 and x < rows[i][0].hi:
+        return rows[i][1]
+    raise PreconditionError(f"{x} lies outside the domain")
+
+
+def object_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
+    """then(first(x)) from one sweep over the image pieces of `first` and the domain
+    pieces of `then`, each tagged by the index of its (piece, shift) pair."""
+    shifts = [shift.coef for _, shift in first.pairs + then.pairs]
+    items = [(iv.lo.coef + shifts[i], iv.hi.coef + shifts[i], i)
+             for i, (piece, _) in enumerate(first.pairs) for iv in piece]
+    items += [(iv.lo.coef, iv.hi.coef, i)
+              for i, (piece, _) in enumerate(then.pairs, len(first.pairs)) for iv in piece]
+    fragments = []
+    for lo, hi, count, tags in sweep(items):
+        if count == 2:
+            back, forth = shifts[min(tags)], shifts[max(tags)]
+            fragments.append((lo - back, hi - back, back + forth))
+    result = PiecewiseTranslation.from_triples(fragments)
+    if result.domain != first.domain:
+        raise PreconditionError("image of the first map escapes the second map's domain")
+    return result
+
+
+def object_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> PiecewiseTranslation:
+    """The extension of `base` on a region, from one sweep of the region's useful
+    dilates (tagged n) and the base pieces (tagged by their RationalPi shift)."""
+    if region.zero_in_closure():
+        raise PreconditionError("region must stay away from 0")
+    w_min, w_max = base.domain.dist_zero().coef, base.domain.max_abs().coef
+    items = [(iv.lo.coef, iv.hi.coef, shift) for piece, shift in base.pairs for iv in piece]
+    for iv in region:
+        near, far = sorted((abs(iv.lo.coef), abs(iv.hi.coef)))
+        for n in range(ceil_log2(w_min / far), floor_log2(w_max / near) + 1):
+            items.append((iv.lo.coef * Fraction(2) ** n, iv.hi.coef * Fraction(2) ** n, n))
+    fragments = []
+    for lo, hi, _, tags in sweep(items):
+        shift = next((t for t in tags if isinstance(t, RationalPi)), None)
+        if shift is not None:
+            fragments += [(lo * scale, hi * scale, shift.coef * scale)
+                          for n in tags if n is not shift for scale in (Fraction(2) ** -n,)]
+    result = PiecewiseTranslation.from_triples(fragments)
+    if result.domain != region:
+        raise PreconditionError(
+            "region is not exactly covered by dyadic dilates of the map domain"
+        )
+    return result
+
+
+def object_commutant_witness(composed: PiecewiseTranslation):
+    """The first (Interval, shift) row whose shift leaves the 2*pi*Z lattice, or None."""
+    return next(((iv, shift) for iv, shift in composed.cases() if not shift.is_two_pi_multiple),
+                None)
 
 
 def scan_value_at(f, x: RationalPi):

@@ -9,6 +9,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def test_criterion_6_dimension_integral_identity():
             sums = report.partial_sums
             assert all(a < b for a, b in zip(sums, sums[1:]))
             assert all(s < report.limit for s in sums)
-            assert (report.limit - sums[-1]).coef <= TWO_PI.times_pow2(-29).coef
+            assert (report.limit - sums[-1]).coef <= TWO_PI.coef * Fraction(2) ** -29
 
 
 def test_criterion_7_gram_schmidt_suite():

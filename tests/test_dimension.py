@@ -201,7 +201,7 @@ class TestNearZeroWaveletSets:
     @pytest.mark.parametrize("n", NEAR_ZERO_N)
     def test_constant_one_past_the_near_piece(self, n):
         W = near_zero_wavelet_set(n)
-        edge = PI.times_pow2(-n - 2)
+        edge = PI * Fraction(2) ** (-n - 2)
         window = IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)])
         sf = dimension_step_function(W, window)
         assert sf.constant_value() == 1
@@ -226,8 +226,8 @@ class TestDimensionIntegral:
             assert all(a < b for a, b in zip(sums, sums[1:]))
             assert all(s < report.limit for s in sums)
             gap = report.limit - sums[-1]
-            assert gap == TWO_PI.times_pow2(-30)
-            assert gap.coef <= (TWO_PI.times_pow2(-29)).coef
+            assert gap == TWO_PI * Fraction(2) ** -30
+            assert gap.coef <= TWO_PI.coef * Fraction(2) ** -29
 
     def test_limit_integrates_the_dimension_function(self, monkeypatch, journe):
         rows = dimension_function(journe).rows()
@@ -235,8 +235,8 @@ class TestDimensionIntegral:
             (iv.lo.coef, iv.hi.coef, value + (i == 0)) for i, (iv, value) in enumerate(rows))
         monkeypatch.setattr(dimension, "dimension_function", lambda W: raised)
         report = dimension_integral(journe)
-        assert report.limit == TWO_PI + rows[0][0].length
-        assert report.partial_sums[-1] == TWO_PI - TWO_PI.times_pow2(-30)
+        assert report.limit == TWO_PI + (rows[0][0].hi - rows[0][0].lo)
+        assert report.partial_sums[-1] == TWO_PI - TWO_PI * Fraction(2) ** -30
 
     def test_rejects_a_non_wavelet_set(self):
         with pytest.raises(PreconditionError, match="not a wavelet set"):
@@ -274,7 +274,7 @@ class TestMidpointGrid:
     @pytest.mark.parametrize("depth", [1, 6, 12, 100])
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_matches_the_loop_reference(self, name, depth):
-        W, edge = catalog(name), PI.times_pow2(-depth)
+        W, edge = catalog(name), PI * Fraction(2) ** -depth
         windows = (
             IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)]),
             IntervalSet.single(edge, PI),

@@ -79,7 +79,7 @@ def check_identities(W: IntervalSet, rng: random.Random, points: int = 8, k_max:
     D = dimension_function(W)
     rows = D.rows()
     assert D.domain == PRINCIPAL_WINDOW
-    assert sum(iv.length.coef * value for iv, value in rows) == 2, W
+    assert sum((iv.hi.coef - iv.lo.coef) * value for iv, value in rows) == 2, W
 
     # Consistency equation, at row starts and seeded points; it fails only where an
     # argument is 0 (xi = 0 or -pi), since D(0) is the right limit, not a finite count.

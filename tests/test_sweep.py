@@ -85,7 +85,7 @@ class TestSweep:
         for lo, hi, count, tags in cells:
             assert lo < hi
             mid = RationalPi((lo + hi) / 2)
-            inside = [i for i, iv in enumerate(ivs) if iv.contains(mid)]
+            inside = [i for i, iv in enumerate(ivs) if iv.lo <= mid < iv.hi]
             assert count == len(inside)
             assert sorted(tags) == inside
         assert all(a[1] <= b[0] for a, b in zip(cells, cells[1:]))
