@@ -25,7 +25,7 @@ from .exact import (
     ceil_log2,
     sweep,
 )
-from .wavelet_sets import CACHE_SIZE, _principal_fragments, _require_wavelet_set
+from .wavelet_sets import CACHE_SIZE, _fold, _require_wavelet_set
 
 __all__ = [
     "StepFunction",
@@ -40,15 +40,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
 class StepFunction(Piecewise):
     """Integer-valued step function on its domain, in canonical form.
 
     Canonical as a `Piecewise` with nonnegative integer values, so equality
     of step functions is equality of dataclasses.
     """
-
-    pairs: tuple[tuple[IntervalSet, int], ...]
 
     def _build(self, triples: list) -> None:
         if any(value < 0 for _, _, value in triples):
@@ -86,7 +83,7 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     # measure 2*pi, so each piece of 2**-j * W is at most pi long and meets at most two
     # 2*pi cells: the fold's three-fragment cap never binds here.
     pieces = [(lo / 2**j, hi / 2**j) for j in range(1, ceil_log2(W.max_abs().coef)) for lo, hi in W.coefs]
-    items += [(lo + s, hi + s, 2) for lo, hi, s in _principal_fragments(pieces) if s]
+    items += [(lo + s, hi + s, 2) for lo, hi, s in _fold(pieces, Fraction(1)) if s]  # Fraction splits
     return StepFunction.from_triples(
         ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags))
 

@@ -7,14 +7,16 @@ of half-open intervals [lo, hi) kept in a unique canonical form: pieces
 sorted, pairwise disjoint, never adjacent.  The data of an interval set or a
 piecewise-constant function is its `coefs`, tuples of `Fraction` coefficients;
 `Interval` and `RationalPi` objects are built from them only at the edge:
-iteration, `pieces`, `rows()`, `value_at` and text.
+iteration, `pieces`, `rows()`, `value_at` and text.  `sweep` and the log2
+helpers take ints as well, so a caller may run them on integer coordinates
+x * unit over one common unit, as the wavelet-set check does.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,30 +45,25 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its documented domain."""
 
 
-def _pow2(n: int) -> Fraction:
-    return Fraction(2) ** n
-
-
 def _exact(k: RationalLike) -> Fraction:
     if isinstance(k, float):
         raise TypeError("exact scalars take int, str or Fraction, not float")
     return Fraction(k)
 
 
-def floor_log2(q: Fraction) -> int:
-    """Largest m with 2**m <= q, computed exactly (q must be positive)."""
-    if q <= 0:
+def floor_log2(q: Fraction, unit: Union[int, Fraction] = 1) -> int:
+    """Largest m with 2**m <= q / unit, computed exactly (q, unit positive ints or Fractions)."""
+    if q <= 0 or unit <= 0:
         raise ValueError("floor_log2 requires a positive argument")
-    n, d = q.numerator, q.denominator
-    m = n.bit_length() - d.bit_length()  # q lies in [2**(m-1), 2**(m+1))
+    n, d = q.numerator * unit.denominator, q.denominator * unit.numerator
+    m = n.bit_length() - d.bit_length()  # q / unit lies in [2**(m-1), 2**(m+1))
     below = n < d << m if m >= 0 else n << -m < d
     return m - 1 if below else m
 
 
-def ceil_log2(q: Fraction) -> int:
-    """Smallest m with 2**m >= q, computed exactly (q must be positive)."""
-    m = floor_log2(q)
-    return m if _pow2(m) == q else m + 1
+def ceil_log2(q: Fraction, unit: Union[int, Fraction] = 1) -> int:
+    """Smallest m with 2**m >= q / unit, computed exactly (q must be positive)."""
+    return -floor_log2(unit, q)
 
 
 def _order_key(x: Fraction) -> tuple:
@@ -350,7 +347,7 @@ class IntervalSet:
         """Pointwise map x -> 2**n * x; measure scales by exactly 2**n."""
         if not isinstance(n, int):
             raise TypeError("dilation exponent must be an integer")
-        scale = _pow2(n)
+        scale = Fraction(2) ** n
         return IntervalSet._of(tuple((lo * scale, hi * scale) for lo, hi in self.coefs))
 
     def translate(self, t: RationalPi) -> "IntervalSet":
@@ -366,7 +363,8 @@ class IntervalSet:
         return self.difference(other).is_empty
 
     def zero_in_closure(self) -> bool:
-        return any(lo <= 0 <= hi for lo, hi in self.coefs)
+        i = bisect_left(self.coefs, 0, key=itemgetter(1))  # the first piece with hi >= 0
+        return i < len(self.coefs) and self.coefs[i][0] <= 0
 
     def dist_zero(self) -> RationalPi:
         """Distance from 0 to the closure (0 if the closure meets the origin)."""
@@ -389,19 +387,21 @@ class IntervalSet:
         return self.to_text() if self.coefs else "(empty)"
 
 
+@dataclass(frozen=True, init=False)
 class Piecewise:
     """A function constant on each piece of its domain, in canonical form.
 
-    Subclasses are frozen dataclasses without an ``__init__`` whose one field,
-    `pairs`, holds (piece, value) pairs, each piece an IntervalSet; `from_triples`
-    is their only constructor.  One sweep over its (lo, hi, tag) coefficient
-    triples rejects pieces of two tags that overlap and merges touching cells of
-    one tag into rows.  The data is `coefs`, the rows as (lo, hi, tag) triples
-    ordered by left endpoint; `pairs` (each value once, in value order), `domain`
-    and `value_at` read them, and `rows()` builds `Interval` rows when called.
-    A tag is a value as `_value` takes it, for a translation the shift's
-    `Fraction` coefficient.
+    The data is `coefs`, the rows as (lo, hi, tag) coefficient triples ordered by
+    left endpoint, touching rows of one tag merged; equality and hashing compare
+    it.  `from_triples` is the only constructor.  Triples already sorted,
+    non-empty and pairwise disjoint (sweep cells, a witness) take one linear pass;
+    others take one sweep, which rejects pieces of two tags that overlap.
+    `domain`, and `pairs` (each value once, in value order, with its IntervalSet),
+    are built when first read; `rows()` builds `Interval` rows when called.  A tag
+    is a value as `_value` takes it, for a translation the shift's coefficient.
     """
+
+    coefs: tuple[tuple[Fraction, Fraction, Hashable], ...]
 
     OVERLAP_ERROR = "pieces of two values overlap"
     _value = staticmethod(lambda tag: tag)  # hashable tag -> value
@@ -414,20 +414,28 @@ class Piecewise:
         return self
 
     def _build(self, triples: list) -> None:
-        index: dict = {}  # tag -> small int, so the sweep hashes ints
-        cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
-        if any(len(tags) > 1 for *_, tags in cells):
-            raise ValueError(self.OVERLAP_ERROR)
-        tags = list(index)
-        coefs = tuple((lo, hi, tags[t]) for lo, hi, t in merge_cells(
-            (lo, hi, cell_tags[0]) for lo, hi, _, cell_tags in cells))
+        if all(a[1] <= b[0] for a, b in zip(triples, triples[1:])) and all(lo < hi for lo, hi, _ in triples):
+            rows = merge_cells(triples)
+        else:
+            index: dict = {}  # tag -> small int, so the sweep hashes ints
+            cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
+            if any(len(tags) > 1 for *_, tags in cells):
+                raise ValueError(self.OVERLAP_ERROR)
+            tags = list(index)
+            rows = [(lo, hi, tags[t]) for lo, hi, t in merge_cells(
+                (lo, hi, cell_tags[0]) for lo, hi, _, cell_tags in cells)]
+        object.__setattr__(self, "coefs", tuple(map(tuple, rows)))
+
+    @cached_property
+    def domain(self) -> IntervalSet:
+        return IntervalSet.from_cells((lo, hi) for lo, hi, _ in self.coefs)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[IntervalSet, Any], ...]:
         by_tag: dict = {}
-        for lo, hi, tag in coefs:
+        for lo, hi, tag in self.coefs:
             by_tag.setdefault(tag, []).append((lo, hi))
-        object.__setattr__(self, "coefs", coefs)
-        object.__setattr__(self, "pairs", tuple(
-            (IntervalSet._of(tuple(by_tag[tag])), self._value(tag)) for tag in sorted(by_tag)))
-        object.__setattr__(self, "domain", IntervalSet.from_cells((lo, hi) for lo, hi, _ in coefs))
+        return tuple((IntervalSet._of(tuple(by_tag[tag])), self._value(tag)) for tag in sorted(by_tag))
 
     def value_at(self, x: RationalPi) -> Any:
         i = bisect_right(self.coefs, x.coef, key=itemgetter(0)) - 1

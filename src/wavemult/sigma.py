@@ -88,31 +88,38 @@ def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> Piecewis
     return result
 
 
+def _octaves(lo: Fraction, hi: Fraction) -> range:
+    """Octaves m of a piece [lo, hi) away from 0: x in [2**m, 2**(m+1)) or [-2**(m+1), -2**m)."""
+    near, far = sorted((abs(lo), abs(hi)))
+    return range(floor_log2(near), ceil_log2(far))
+
+
 def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> PiecewiseTranslation:
     """Restrict the dilation-commuting extension of `base` to a bounded region.
 
     The domain of `base` must tile the punctured line dyadically (true for
     any wavelet set).  On a fragment carried into the domain by 2**n, the
-    extension translates by the base shift scaled by 2**-n.  Each region
-    interval is dilated only by the 2**n that can meet the domain's hull; one
-    sweep overlays those dilates (tagged (2**-n,)) with the base rows (tagged by
-    shift), and each cell covered by both is scaled back by 2**-n.
+    extension translates by the base shift scaled by 2**-n.  Each region piece is
+    dilated only by the 2**n that carry its octaves onto those of the domain's pieces;
+    one sweep overlays those dilates (the j-th tagged ~j) with the base rows (tagged by
+    index), and each cell covered by both is scaled back by 2**-n.
     """
     if region.zero_in_closure():
         raise PreconditionError("region must stay away from 0")
-    w_min, w_max = base.domain.dist_zero().coef, base.domain.max_abs().coef
-    items = list(base.coefs)
+    octaves = {(lo > 0, m) for lo, hi in base.domain.coefs for m in _octaves(lo, hi)}
+    items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(base.coefs)]
+    scales = []
     for lo, hi in region.coefs:
-        near, far = sorted((abs(lo), abs(hi)))
-        for n in range(ceil_log2(w_min / far), floor_log2(w_max / near) + 1):
+        for n in {m - k for k in _octaves(lo, hi) for sign, m in octaves if sign == (lo > 0)}:
             up = Fraction(2) ** n
-            items.append((lo * up, hi * up, (1 / up,)))
+            items.append((lo * up, hi * up, ~len(scales)))
+            scales.append(1 / up)
     fragments = []
     for lo, hi, _, tags in sweep(items):
-        shift = next((t for t in tags if type(t) is not tuple), None)
-        if shift is not None:
-            fragments += [(lo * scale, hi * scale, shift * scale)
-                          for t in tags if t is not shift for scale in t]
+        row = max(tags)
+        if row >= 0:
+            fragments += [(lo * scale, hi * scale, base.coefs[row][2] * scale)
+                          for t in tags if t < 0 for scale in (scales[~t],)]
     result = PiecewiseTranslation.from_triples(fragments)
     if result.domain != region:
         raise PreconditionError(

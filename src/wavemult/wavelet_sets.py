@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Optional
 
 from .exact import (
@@ -24,6 +25,7 @@ from .exact import (
     RationalPi,
     floor_log2,
     ceil_log2,
+    merge_cells,
     sweep,
 )
 from .parsing import parse_set
@@ -40,7 +42,6 @@ __all__ = [
 PRINCIPAL_WINDOW = IntervalSet.single(MINUS_PI, PI)
 
 
-@dataclass(frozen=True, init=False)
 class PiecewiseTranslation(Piecewise):
     """An injective map translating each piece of its domain by a constant.
 
@@ -49,8 +50,6 @@ class PiecewiseTranslation(Piecewise):
     (injectivity) and stores their union as `image`, so every instance is a
     measure-preserving bijection onto its image.
     """
-
-    pairs: tuple[tuple[IntervalSet, RationalPi], ...]
 
     OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
     _value = RationalPi
@@ -64,7 +63,7 @@ class PiecewiseTranslation(Piecewise):
 
     @property
     def is_two_pi_integral(self) -> bool:
-        return all(shift.is_two_pi_multiple for _, shift in self.pairs)
+        return all(shift % 2 == 0 for *_, shift in self.coefs)
 
     def apply(self, x: RationalPi) -> RationalPi:
         return x + self.value_at(x)
@@ -89,62 +88,77 @@ class WaveletSetReport:
         return self.is_translation_congruent and self.is_dilation_congruent
 
 
-def _tiling_check(fragments: Iterable[tuple], target: IntervalSet) -> IntervalSet:
-    """Where the fragments, coefficient pairs (lo, hi), fail to tile the target.
+def _coordinates(pairs: tuple) -> tuple:
+    """(unit, the sorted pairs (lo, hi) as coordinates x * unit, the map back to x).
 
-    One sweep over the target (tag 0) and the fragments (tag 1): a cell tiles
-    when it lies under the target and exactly one fragment.  The failure
-    region is where the fragments miss the target, leave it or overlap.
+    The unit D * 2**K (D the common denominator, 2**K the largest |x|'s octave) makes each
+    coordinate and its rescaling into the annulus an int.  D grows one denominator at a
+    time; at the first that takes it past COORD_BITS bits, the unit is 1 (Fraction coordinates).
     """
-    items = [(lo, hi, 0) for lo, hi in target.coefs]
-    items += [(lo, hi, 1) for lo, hi in fragments]
-    return IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in sweep(items)
-                                  if count != 2 or len(tags) != 2)
+    shift = max(0, floor_log2(max(-pairs[0][0], pairs[-1][1]))) if pairs else 0
+    den = 1
+    for x in chain.from_iterable(pairs):
+        if den % x.denominator:
+            den = math.lcm(den, x.denominator)
+            if den.bit_length() + shift > COORD_BITS:
+                break
+    if den.bit_length() + shift > COORD_BITS:
+        return 1, pairs, lambda x: Fraction(x) if type(x) is int else x
+    unit = den << shift
+    coords = [(lo.numerator * (unit // lo.denominator), hi.numerator * (unit // hi.denominator))
+              for lo, hi in pairs]
+    own = dict(zip(chain.from_iterable(coords), chain.from_iterable(pairs)))  # W's own Fractions
+    return unit, coords, lambda x: own[x] if x in own else Fraction(x, unit)
 
 
-def _principal_fragments(pairs: Iterable[tuple]) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Split each piece, a pair (lo, hi), at odd multiples of pi into triples (lo, hi, -2m)
-    moving it into [-pi, pi).
+def _times_pow2(x, m: int):
+    """x * 2**m by shifts of an int coordinate (which 2**-m divides if m < 0) or of a Fraction's."""
+    if type(x) is int:
+        return x << m if m >= 0 else x >> -m
+    return Fraction(x.numerator << max(m, 0), x.denominator << max(-m, 0))
+
+
+def _fold(pairs: Iterable[tuple], unit) -> list[tuple]:
+    """Split each piece, a pair (lo, hi) of coordinates, at odd multiples of pi into
+    triples (lo, hi, s), s the multiple of 2*pi that moves the fragment into [-pi, pi).
 
     At most three per piece: if a piece reaches a fourth 2*pi cell, its second
     and third fragments cover [-pi, pi) twice, and the rest change no result."""
     fragments = []
+    two = 2 * unit
     for start, end in pairs:
-        first = m = math.floor((start + 1) / 2)
-        while start < end and m < first + 3:
-            odd = Fraction(2 * m + 1)
-            frag_hi = min(end, odd)
-            fragments.append((start, frag_hi, 1 - odd))
-            start = frag_hi
-            m += 1
+        s = -two * ((start + unit) // two)
+        for _ in range(3):
+            if start >= end:
+                break
+            frag_hi = min(end, unit - s)
+            fragments.append((start, frag_hi, s))
+            start, s = frag_hi, s - two
     return fragments
 
 
-def _annulus_fragments(pairs: Iterable[tuple]) -> list[tuple]:
-    """Scale each piece, a pair (lo, hi), into the annulus [-2*pi, -pi) u [pi, 2*pi) as
-    pairs (lo, hi), split at dyadic points.
+def _annulus(pairs: Iterable[tuple], unit) -> list[tuple]:
+    """Scale each piece, a pair (lo, hi) of coordinates (0 outside its closure), into
+    the annulus [-2*pi, -pi) u [pi, 2*pi) as pairs (lo, hi), split at dyadic points.
 
     At most three per piece: if a piece reaches a fourth octave, its second
     and third fragments cover the annulus twice, and the rest change no result."""
     fragments = []
     for start, end in pairs:
+        if start > 0:  # start in [2**m * pi, 2**(m+1) * pi); each next octave is halved
+            m, cut, wrap, step = floor_log2(start, unit), 2 * unit, unit, -1
+        else:  # start in [-2**(m+1) * pi, -2**m * pi); each next octave is doubled
+            m, cut, wrap, step = ceil_log2(-start, unit) - 1, -unit, -2 * unit, 1
+        lo, hi = _times_pow2(start, -m), _times_pow2(end, -m)
         for _ in range(3):
-            if start >= end:
+            fragments.append((lo, min(hi, cut)))
+            if hi <= cut:
                 break
-            if start >= 0:
-                m = floor_log2(start)  # start in [2**m * pi, 2**(m+1) * pi)
-                frag_hi = min(end, Fraction(2) ** (m + 1))
-            else:
-                m = ceil_log2(-start) - 1  # start in [-2**(m+1) * pi, -2**m * pi)
-                frag_hi = min(end, -(Fraction(2) ** m))
-            scale = Fraction(2) ** -m
-            fragments.append((start * scale, frag_hi * scale))
-            start = frag_hi
+            lo, hi = wrap, _times_pow2(hi, step)
     return fragments
 
 
-# [-pi, pi) and the annulus: together the targets of both tilings.
-_TILED = IntervalSet.single(RationalPi(-2), RationalPi(2))
+COORD_BITS = 1024  # largest unit, in bits, for the int coordinates of is_wavelet_set
 
 # Reports held by the is_wavelet_set cache; the least recently used go first.
 CACHE_SIZE = 256
@@ -155,22 +169,26 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
     """Run both congruence checks; a set is accepted iff both hold.
 
     One sweep tiles [-2*pi, 2*pi) with the translates of W folded into [-pi, pi) and
-    its dilates scaled into the annulus.  A failure piece breaks translation congruence
-    where it meets [-pi, pi), and dilation congruence where it meets the annulus.
+    its dilates scaled into the annulus, on int `_coordinates` when they fit.  A failure
+    piece breaks translation congruence where it meets [-pi, pi), and dilation
+    congruence where it meets the annulus.
     """
     if W.zero_in_closure():
         raise PreconditionError(
             "dilation congruence is undecidable with 0 in the closure of the set"
         )
-    fragments = _principal_fragments(W.coefs)
-    failure = _tiling_check([(lo + s, hi + s) for lo, hi, s in fragments] + _annulus_fragments(W.coefs),
-                            _TILED)
-    translation_ok = not any(lo < 1 and hi > -1 for lo, hi in failure.coefs)
+    unit, pairs, coef = _coordinates(W.coefs)
+    fragments = _fold(pairs, unit)
+    items = [(-2 * unit, 2 * unit, 0)] + [(lo, hi, 1) for lo, hi in _annulus(pairs, unit)]
+    items += [(lo + s, hi + s, 1) for lo, hi, s in fragments]
+    failure = merge_cells((lo, hi, None) for lo, hi, n, tags in sweep(items) if n != 2 or len(tags) != 2)
+    translation_ok = not any(lo < unit and hi > -unit for lo, hi, _ in failure)
     return WaveletSetReport(
         is_translation_congruent=translation_ok,
-        is_dilation_congruent=not any(lo < -1 or hi > 1 for lo, hi in failure.coefs),
-        tau_witness=PiecewiseTranslation.from_triples(fragments) if translation_ok else None,
-        failure_regions=failure,
+        is_dilation_congruent=not any(lo < -unit or hi > unit for lo, hi, _ in failure),
+        tau_witness=PiecewiseTranslation.from_triples(
+            (coef(lo), coef(hi), Fraction(s // unit)) for lo, hi, s in fragments) if translation_ok else None,
+        failure_regions=IntervalSet._of(tuple((coef(lo), coef(hi)) for lo, hi, _ in failure)),
     )
 
 

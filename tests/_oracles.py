@@ -23,7 +23,7 @@ from wavemult.exact import (
     sweep,
 )
 from wavemult.sigma import SigmaMap, compose
-from wavemult.wavelet_sets import PiecewiseTranslation
+from wavemult.wavelet_sets import PiecewiseTranslation, WaveletSetReport
 
 
 def brute_dimension_count(W: IntervalSet, xi: RationalPi, j_cap: int = 16, k_cap: int = 8) -> int:
@@ -292,6 +292,84 @@ def annulus_images(W: IntervalSet) -> tuple[list[Interval], list[Interval]]:
             else:
                 negative.append(Interval(RationalPi(-hi * scale), RationalPi(-lo * scale)))
     return positive, negative
+
+
+# ---------------------------------------------------------------------------
+# The wavelet-set check on Fraction coefficients, as the library ran it before
+# its coordinates became ints over one common unit: the same fold, scaling into
+# the annulus and one tiling sweep of [-2pi, 2pi).
+
+
+def fraction_tiling_check(fragments, target: IntervalSet) -> IntervalSet:
+    """Where the fragments, coefficient pairs (lo, hi), fail to tile the target.
+
+    One sweep over the target (tag 0) and the fragments (tag 1): a cell tiles
+    when it lies under the target and exactly one fragment.  The failure
+    region is where the fragments miss the target, leave it or overlap.
+    """
+    items = [(lo, hi, 0) for lo, hi in target.coefs]
+    items += [(lo, hi, 1) for lo, hi in fragments]
+    return IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in sweep(items)
+                                  if count != 2 or len(tags) != 2)
+
+
+def fraction_principal_fragments(pairs) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Split each piece, a pair (lo, hi), at odd multiples of pi into triples (lo, hi, -2m)
+    moving it into [-pi, pi).
+
+    At most three per piece: if a piece reaches a fourth 2*pi cell, its second
+    and third fragments cover [-pi, pi) twice, and the rest change no result."""
+    fragments = []
+    for start, end in pairs:
+        first = m = math.floor((start + 1) / 2)
+        while start < end and m < first + 3:
+            odd = Fraction(2 * m + 1)
+            frag_hi = min(end, odd)
+            fragments.append((start, frag_hi, 1 - odd))
+            start = frag_hi
+            m += 1
+    return fragments
+
+
+def fraction_annulus_fragments(pairs) -> list[tuple]:
+    """Scale each piece, a pair (lo, hi), into the annulus [-2*pi, -pi) u [pi, 2*pi) as
+    pairs (lo, hi), split at dyadic points.
+
+    At most three per piece: if a piece reaches a fourth octave, its second
+    and third fragments cover the annulus twice, and the rest change no result."""
+    fragments = []
+    for start, end in pairs:
+        for _ in range(3):
+            if start >= end:
+                break
+            if start >= 0:
+                m = floor_log2(start)  # start in [2**m * pi, 2**(m+1) * pi)
+                frag_hi = min(end, Fraction(2) ** (m + 1))
+            else:
+                m = ceil_log2(-start) - 1  # start in [-2**(m+1) * pi, -2**m * pi)
+                frag_hi = min(end, -(Fraction(2) ** m))
+            scale = Fraction(2) ** -m
+            fragments.append((start * scale, frag_hi * scale))
+            start = frag_hi
+    return fragments
+
+
+def fraction_wavelet_report(W: IntervalSet) -> WaveletSetReport:
+    """`is_wavelet_set` on Fraction coefficients: one sweep of [-2pi, 2pi) against the
+    folded translates and the annulus dilates, the witness from the fold."""
+    if W.zero_in_closure():
+        raise PreconditionError("dilation congruence is undecidable with 0 in the closure of the set")
+    fragments = fraction_principal_fragments(W.coefs)
+    failure = fraction_tiling_check(
+        [(lo + s, hi + s) for lo, hi, s in fragments] + fraction_annulus_fragments(W.coefs),
+        IntervalSet.single(RationalPi(-2), RationalPi(2)))
+    translation_ok = not any(lo < 1 and hi > -1 for lo, hi in failure.coefs)
+    return WaveletSetReport(
+        is_translation_congruent=translation_ok,
+        is_dilation_congruent=not any(lo < -1 or hi > 1 for lo, hi in failure.coefs),
+        tau_witness=PiecewiseTranslation.from_triples(fragments) if translation_ok else None,
+        failure_regions=failure,
+    )
 
 
 # ---------------------------------------------------------------------------

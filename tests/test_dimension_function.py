@@ -15,7 +15,7 @@ import pytest
 
 from wavemult.dimension import dimension_function, dimension_step_function
 from wavemult.exact import Interval, IntervalSet, RationalPi, ceil_log2
-from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _principal_fragments, catalog
+from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _fold, catalog
 
 from _oracles import (
     brute_dimension_count,
@@ -144,7 +144,7 @@ def test_the_fold_cap_never_binds_on_the_translates():
         for j in range(1, ceil_log2(W.max_abs().coef)):
             for iv in W:
                 lo, hi = iv.lo.coef / 2**j, iv.hi.coef / 2**j
-                fragments = _principal_fragments([(lo, hi)])
+                fragments = _fold([(lo, hi)], Fraction(1))
                 assert len(fragments) <= 2, (W, j)
                 ends = [lo] + [b for _, b, _ in fragments]
                 assert [(a, b) for a, b, _ in fragments] == list(zip(ends, ends[1:])), (W, j)

@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from fractions import Fraction
+
 from wavemult.exact import (
     IntervalSet,
     PreconditionError,
@@ -23,7 +25,16 @@ from wavemult.sigma import (
 )
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
-from _oracles import extension_at, loop_compose_powers, random_point_in
+from wavemult import sigma as sigma_module
+
+from _oracles import (
+    extension_at,
+    hull_dyadic_extension,
+    loop_compose_powers,
+    near_zero_wavelet_set,
+    object_dyadic_extension,
+    random_point_in,
+)
 
 
 def rp(num, den=1):
@@ -146,6 +157,48 @@ class TestRestrictExtended:
 
     def test_empty_region(self, paper_sigma):
         assert dyadic_extension(paper_sigma.mapping, IntervalSet.empty()).pairs == ()
+
+
+EDGE = Fraction(1, 2**60)
+WINDOWS = [parse_set("[-1pi,-1/1024pi),[1/1024pi,1pi)"), parse_set(f"[-3pi,-{EDGE}pi),[{EDGE}pi,5pi)")]
+# (set, powers, extra regions); the hull-wide references take seconds on the deep set.
+OCTAVE_CASES = [pytest.param(catalog(name), (1, 2), WINDOWS, id=name) for name in CATALOG_NAMES]
+OCTAVE_CASES += [pytest.param(near_zero_wavelet_set(n), (1, 2), WINDOWS, id=f"near_zero {n}") for n in (2, 50)]
+OCTAVE_CASES += [pytest.param(near_zero_wavelet_set(1000), (1,), [], id="near_zero 1000")]
+
+
+class TestOctaveExtension:
+    """`dyadic_extension` dilates each region piece only by the 2**n that carry one of its
+    octaves onto an octave of the map domain; it must give the extension that the
+    object-level and hull-wide references build from every level of the domain's hull."""
+
+    @pytest.mark.parametrize("W,powers,windows", OCTAVE_CASES)
+    def test_matches_the_hull_references(self, W, powers, windows, shannon):
+        for sigma in (build_sigma(W, W.negate()), build_sigma(W, shannon)):
+            for p in powers:
+                current = compose_power(sigma, p)
+                for base, region in itertools.product((current, sigma.mapping), [current.image] + windows):
+                    ext = dyadic_extension(base, region)
+                    assert ext == object_dyadic_extension(base, region), (p, region)
+                    assert ext == hull_dyadic_extension(base, region), (p, region)
+
+    def test_a_piece_near_zero_adds_no_levels_elsewhere(self, monkeypatch):
+        """sigma**2 for a wavelet set 2**-10000 pi from 0 has 8 rows; each extension sweeps
+        a few dilates per region piece, not one per octave between the set's two ends."""
+        sizes = []
+        sweep = sigma_module.sweep
+
+        def recording(items):
+            items = list(items)
+            sizes.append(len(items))
+            return sweep(items)
+
+        W = near_zero_wavelet_set(10000)
+        sigma = build_sigma(W, W.negate())
+        monkeypatch.setattr(sigma_module, "sweep", recording)
+        squared = compose_power(sigma, 2)
+        assert len(squared.coefs) == 8
+        assert sizes and max(sizes) <= 32, sizes
 
 
 class TestComposePower:

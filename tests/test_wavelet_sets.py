@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,7 @@ from wavemult.wavelet_sets import (
     CATALOG_NAMES,
     PRINCIPAL_WINDOW,
     PiecewiseTranslation,
-    _annulus_fragments,
-    _principal_fragments,
-    _tiling_check,
+    _coordinates,
     catalog,
     is_wavelet_set,
 )
@@ -28,10 +27,17 @@ from wavemult.wavelet_sets import (
 
 from _oracles import (
     annulus_images,
+    fraction_annulus_fragments,
+    fraction_principal_fragments,
+    fraction_tiling_check,
+    fraction_wavelet_report,
     midpoint_tiling_failure,
+    near_zero_wavelet_set,
     object_wavelet_report,
     principal_images,
     random_interval_set,
+    random_wavelet_candidate,
+    two_interval_wavelet_set,
 )
 
 ANNULUS = parse_set("[-2pi,-1pi),[1pi,2pi)")
@@ -51,8 +57,8 @@ def coefs(W):
 
 def translation_failure(W):
     """Where the 2*pi*Z translates of W, folded into [-pi, pi), fail to tile it."""
-    folded = ((lo + s, hi + s) for lo, hi, s in _principal_fragments(coefs(W)))
-    return _tiling_check(folded, PRINCIPAL_WINDOW)
+    folded = ((lo + s, hi + s) for lo, hi, s in fraction_principal_fragments(coefs(W)))
+    return fraction_tiling_check(folded, PRINCIPAL_WINDOW)
 
 
 def cases_text(pt):
@@ -70,7 +76,7 @@ class TestTranslationCongruence:
         assert tau.image == PRINCIPAL_WINDOW
 
     def test_identity_window(self):
-        fragments = _principal_fragments(coefs(PRINCIPAL_WINDOW))  # 0 in the closure
+        fragments = fraction_principal_fragments(coefs(PRINCIPAL_WINDOW))  # 0 in the closure
         assert translation_failure(PRINCIPAL_WINDOW).is_empty
         tau = PiecewiseTranslation.from_triples(fragments)
         assert tau.pairs == ((PRINCIPAL_WINDOW, ZERO),)
@@ -307,8 +313,100 @@ class TestHostileInputs:
         want = midpoint_tiling_failure(positive, IntervalSet.single(rp(1), rp(2))).union(
             midpoint_tiling_failure(negative, IntervalSet.single(rp(-2), rp(-1)))
         )
-        failure = _tiling_check(_annulus_fragments(coefs(W)), ANNULUS)
+        failure = fraction_tiling_check(fraction_annulus_fragments(coefs(W)), ANNULUS)
         assert failure == want
         report = is_wavelet_set(W)
         assert report.failure_regions.difference(PRINCIPAL_WINDOW) == failure
         assert report.is_dilation_congruent == failure.is_empty
+
+
+DEEP = Fraction(1, 2**10000)
+
+
+def primes(lo, count):
+    out = []
+    while len(out) < count:
+        if all(lo % p for p in range(2, int(lo**0.5) + 1)):
+            out.append(lo)
+        lo += 1
+    return out
+
+
+def coprime_set(rng, count):
+    """`count` pieces in [1pi, 3pi) and [-3pi, -1pi) whose endpoints have distinct prime
+    denominators, so that no unit of at most COORD_BITS bits clears them."""
+    ends = sorted(Fraction(rng.randrange(p, 2 * p), p) for p in primes(1000, 2 * count))
+    pieces = list(zip(ends[::2], ends[1::2]))
+    return IntervalSet.from_intervals(Interval(RationalPi(lo if k % 2 else -hi), RationalPi(hi if k % 2 else -lo))
+                                      for k, (lo, hi) in enumerate(pieces))
+
+
+def integer_side_sets():
+    """Seeded sets whose unit fits: cut-and-shift candidates (their folded and scaled
+    fragments tie and touch), sets on a 1/64 grid with endpoints on odd multiples of pi
+    and on powers of two, wavelet sets up to 2**-1000 pi from 0, hostile [pi, ~2000pi)
+    and [2**-e pi, pi) for e up to 1000."""
+    rng = random.Random(1717)
+    sets = [random_wavelet_candidate(rng, rng.randint(1, 24)) for _ in range(150)]
+    sets += [random_interval_set(rng) for _ in range(150)]
+    sets += [two_interval_wavelet_set(rng) for _ in range(10)]
+    sets += [near_zero_wavelet_set(n) for n in (0, 1, 5, 30, 1000)]
+    sets += [W.negate() for W in sets[-15:]]
+    sets += [IntervalSet.single(rp(1), RationalPi(2000 - Fraction(rng.randrange(1, 2**16), 2**16)))
+             for _ in range(4)]
+    sets += [IntervalSet.single(RationalPi(Fraction(1, 2**e)), RationalPi(1 - Fraction(1, 2**17)))
+             for e in (50, 100, 200, 1000)]
+    sets += [catalog(name) for name in CATALOG_NAMES]
+    return sets
+
+
+def fraction_side_sets():
+    """Seeded sets whose unit would pass COORD_BITS bits: 2**-10000 pi endpoints, coprime
+    denominators, 1600 pieces plus one 2**-10000 pi endpoint, and a long octave range."""
+    rng = random.Random(1718)
+    many = random_wavelet_candidate(rng, 1600)
+    return [
+        IntervalSet.single(RationalPi(DEEP), rp(1)),
+        near_zero_wavelet_set(10000),
+        coprime_set(rng, 120),
+        coprime_set(rng, 400),
+        IntervalSet.from_intervals(list(many) + [Interval(RationalPi(DEEP), RationalPi(3 * DEEP / 2))]),
+        IntervalSet.single(rp(1), RationalPi(Fraction(2) ** 1100)),
+    ]
+
+
+class TestIntegerCoordinates:
+    """The check on int coordinates against the Fraction reference it replaced: the same
+    verdicts, failure regions and witness rows, and each input on the side it should take."""
+
+    @pytest.mark.parametrize("side,sets", [(int, integer_side_sets), (Fraction, fraction_side_sets)],
+                             ids=["int", "Fraction"])
+    def test_matches_the_fraction_reference(self, side, sets):
+        seen = Counter()
+        for W in sets():
+            if W.zero_in_closure():
+                seen["zero in closure"] += 1
+                with pytest.raises(PreconditionError, match="undecidable"):
+                    is_wavelet_set.__wrapped__(W)
+                continue
+            assert {type(x) for pair in _coordinates(W.coefs)[1] for x in pair} <= {side}, W
+            got, want = is_wavelet_set.__wrapped__(W), fraction_wavelet_report(W)
+            assert got.is_translation_congruent == want.is_translation_congruent, W
+            assert got.is_dilation_congruent == want.is_dilation_congruent, W
+            assert got.failure_regions == want.failure_regions, W
+            assert (got.tau_witness is None) == (want.tau_witness is None), W
+            if got.tau_witness is not None:
+                assert got.tau_witness.coefs == want.tau_witness.coefs, W
+                seen["witness"] += 1
+            seen["accepted" if got.accepted else "rejected"] += 1
+        assert seen["witness"] and seen["rejected"], seen
+        if side is int:
+            assert min(seen[k] for k in ("accepted", "zero in closure")) >= 5, seen
+
+    def test_the_unit_clears_every_rescaling(self):
+        W = parse_set("[-5/2pi,-2pi),[1/3pi,2/5pi),[5/2pi,11/4pi)")
+        unit, coords, coef = _coordinates(W.coefs)
+        assert unit == 60 * 2  # D = lcm(2, 3, 5, 4) = 60, 2**K = 2 for max |x| = 11/4
+        assert coords == [(-300, -240), (40, 48), (300, 330)]
+        assert [coef(x) for pair in coords for x in pair] == [x for pair in W.coefs for x in pair]
+        assert coef(-2 * unit) == Fraction(-2)
