@@ -114,7 +114,20 @@ def merge_cells(cells: Iterable[tuple[Fraction, Fraction, Any]]) -> list[list]:
     return runs
 
 
-@dataclass(frozen=True, slots=True)
+def _disjoint_rows(triples: Iterable[tuple]) -> Optional[list[list]]:
+    """The non-empty (lo, hi, tag) triples as `merge_cells` runs, or None when two overlap.
+
+    They are sorted by left end only when they do not already come sorted and pairwise
+    disjoint, as sweep cells and the fragments of a wavelet set do."""
+    rows = [row for row in triples if row[0] < row[1]]
+    if any(a[1] > b[0] for a, b in zip(rows, rows[1:])):
+        rows.sort(key=lambda row: _order_key(row[0]))
+        if any(a[1] > b[0] for a, b in zip(rows, rows[1:])):
+            return None
+    return merge_cells(rows)
+
+
+@dataclass(frozen=True, slots=True, order=True)
 class RationalPi:
     """An exact scalar (num/den)*pi.
 
@@ -149,18 +162,6 @@ class RationalPi:
     def is_two_pi_multiple(self) -> bool:
         """True when the value lies on the 2*pi*Z lattice."""
         return self.coef % 2 == 0
-
-    def __lt__(self, other: "RationalPi") -> bool:
-        return self.coef < other.coef if isinstance(other, RationalPi) else NotImplemented
-
-    def __le__(self, other: "RationalPi") -> bool:
-        return self.coef <= other.coef if isinstance(other, RationalPi) else NotImplemented
-
-    def __gt__(self, other: "RationalPi") -> bool:
-        return self.coef > other.coef if isinstance(other, RationalPi) else NotImplemented
-
-    def __ge__(self, other: "RationalPi") -> bool:
-        return self.coef >= other.coef if isinstance(other, RationalPi) else NotImplemented
 
     def __add__(self, other: "RationalPi") -> "RationalPi":
         if not isinstance(other, RationalPi):
@@ -299,15 +300,6 @@ class IntervalSet:
         return cls._of(tuple((lo, hi) for lo, hi, _ in merge_cells((lo, hi, None) for lo, hi in cells)))
 
     @classmethod
-    def from_disjoint(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> Optional["IntervalSet"]:
-        """Union of pairwise disjoint coefficient pairs (lo, hi), or None when two
-        overlap (one sort)."""
-        items = sorted(pairs, key=lambda pair: _order_key(pair[0]))
-        if any(a[1] > b[0] for a, b in zip(items, items[1:])):
-            return None
-        return cls.from_cells(items)
-
-    @classmethod
     def empty(cls) -> "IntervalSet":
         return cls._of(())
 
@@ -393,9 +385,9 @@ class Piecewise:
 
     The data is `coefs`, the rows as (lo, hi, tag) coefficient triples ordered by
     left endpoint, touching rows of one tag merged; equality and hashing compare
-    it.  `from_triples` is the only constructor.  Triples already sorted,
-    non-empty and pairwise disjoint (sweep cells, a witness) take one linear pass;
-    others take one sweep, which rejects pieces of two tags that overlap.
+    it.  `from_triples` is the only constructor.  It drops empty triples, sorts the
+    rest by left endpoint unless they come sorted, and rejects any two that overlap,
+    of one tag or of two.
     `domain`, and `pairs` (each value once, in value order, with its IntervalSet),
     are built when first read; `rows()` builds `Interval` rows when called.  A tag
     is a value as `_value` takes it, for a translation the shift's coefficient.
@@ -414,16 +406,9 @@ class Piecewise:
         return self
 
     def _build(self, triples: list) -> None:
-        if all(a[1] <= b[0] for a, b in zip(triples, triples[1:])) and all(lo < hi for lo, hi, _ in triples):
-            rows = merge_cells(triples)
-        else:
-            index: dict = {}  # tag -> small int, so the sweep hashes ints
-            cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
-            if any(len(tags) > 1 for *_, tags in cells):
-                raise ValueError(self.OVERLAP_ERROR)
-            tags = list(index)
-            rows = [(lo, hi, tags[t]) for lo, hi, t in merge_cells(
-                (lo, hi, cell_tags[0]) for lo, hi, _, cell_tags in cells)]
+        rows = _disjoint_rows(triples)
+        if rows is None:
+            raise ValueError(self.OVERLAP_ERROR)
         object.__setattr__(self, "coefs", tuple(map(tuple, rows)))
 
     @cached_property

@@ -124,8 +124,6 @@ def _lattice_blocks(
             f"need 1 <= J <= {MAX_LEVEL}, K >= 1, finite tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}"
         )
     size = BLOCK_ELEMENTS // per_point
-    # Every dropped |k| > k_max satisfies 2**j (2 pi |k| - pi) > support at every j >= 1.
-    k_exact = 2.0 * (TWO_PI_F * (k_max + 1) - math.pi) > profile.support_radius
     shifts = TWO_PI_F * np.arange(-k_max, k_max + 1)
     dilations = np.array([2.0**level for level in range(1, j_max + 1)])[:, None]
     scales = np.array([2.0 ** (level / 2) for level in range(1, j_max + 1)])[:, None]
@@ -134,9 +132,12 @@ def _lattice_blocks(
         points = dilations * (x[:, None] + shifts)[:, None, :]
         values = profile.evaluate_array(points.ravel()).reshape(points.shape)
         sums = np.cumsum(np.sum(np.abs(values) ** 2, axis=2), axis=1)[:, -1]
-        # Levels j > j_max vanish once 2**(j_max+1) * dist(x, 2*pi*Z) > support.
+        # Dropped |k| > k_max lie at 2**j |x + 2 pi k| >= 2 (2 pi (k_max+1) - max(pi, |x|)), and
+        # levels j > j_max at >= 2**(j_max+1) dist(x, 2*pi*Z): exact when both pass the support.
+        reach = np.fmax(math.pi, np.abs(x))
         nearest = np.abs(x - TWO_PI_F * np.round(x / TWO_PI_F))
-        exact = k_exact & (2.0**j_max * 2.0 * nearest > profile.support_radius)
+        exact = ((2.0 * (TWO_PI_F * (k_max + 1) - reach) > profile.support_radius)
+                 & (2.0**j_max * 2.0 * nearest > profile.support_radius))
         yield scales * values, sums, exact
 
 
@@ -289,7 +290,7 @@ def verify_m_equals_d(
 
 
 def uniform_grid(window: IntervalSet, count: int) -> list[float]:
-    """Midpoints of `count` equal cells spread over the window pieces (floats)."""
+    """Midpoints of ceil(count / pieces) equal cells in each window piece (floats)."""
     _require_grid_size(count)
     per_piece = -(-count // len(window)) if window else 0
     points = []

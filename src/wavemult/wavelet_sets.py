@@ -23,6 +23,7 @@ from .exact import (
     IntervalSet,
     Piecewise,
     RationalPi,
+    _disjoint_rows,
     floor_log2,
     ceil_log2,
     merge_cells,
@@ -56,10 +57,10 @@ class PiecewiseTranslation(Piecewise):
 
     def _build(self, triples: list) -> None:
         super()._build(triples)
-        image = IntervalSet.from_disjoint((lo + shift, hi + shift) for lo, hi, shift in self.coefs)
+        image = _disjoint_rows((lo + shift, hi + shift, None) for lo, hi, shift in self.coefs)
         if image is None:
             raise ValueError("piecewise translation is not injective")
-        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "image", IntervalSet._of(tuple((lo, hi) for lo, hi, _ in image)))
 
     @property
     def is_two_pi_integral(self) -> bool:

@@ -17,6 +17,7 @@ from wavemult.exact import (
     IntervalSet,
     PreconditionError,
     RationalPi,
+    _order_key,
     ceil_log2,
     floor_log2,
     merge_cells,
@@ -646,6 +647,32 @@ def object_piecewise(triples, value=lambda tag: tag) -> tuple[tuple, IntervalSet
     domain = IntervalSet(tuple(first if first is last else Interval(first.lo, last.hi)
                                for first, last in runs))
     return pairs, domain, tuple(rows)
+
+
+def two_path_rows(triples) -> list[list]:
+    """Canonical (lo, hi, tag) rows as `Piecewise` built them with two paths: triples
+    already sorted, non-empty and pairwise disjoint merged in one pass, any others
+    overlaid by one sweep over small-int tags, which merges overlaps of one tag;
+    ValueError when two tags overlap."""
+    triples = list(triples)
+    if all(a[1] <= b[0] for a, b in zip(triples, triples[1:])) and all(lo < hi for lo, hi, _ in triples):
+        return merge_cells(triples)
+    index: dict = {}
+    cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
+    if any(len(tags) > 1 for *_, tags in cells):
+        raise ValueError("pieces of two values overlap")
+    tags = list(index)
+    return [[lo, hi, tags[t]] for lo, hi, t in merge_cells(
+        (lo, hi, cell_tags[0]) for lo, hi, _, cell_tags in cells)]
+
+
+def sorted_disjoint_union(pairs):
+    """Union of pairwise disjoint coefficient pairs (lo, hi) by one sort, or None when two
+    overlap: the image check of `PiecewiseTranslation` before it shared `Piecewise`'s rule."""
+    items = sorted(pairs, key=lambda pair: _order_key(pair[0]))
+    if any(a[1] > b[0] for a, b in zip(items, items[1:])):
+        return None
+    return IntervalSet.from_cells(items)
 
 
 def object_value_at(rows, x: RationalPi):

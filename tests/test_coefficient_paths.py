@@ -400,10 +400,15 @@ class TestObjectLevelReferences:
                 with pytest.raises(ValueError, match="overlap"):
                     StepFunction.from_triples(triples)
                 continue
+            if any(max(a[0], b[0]) < min(a[1], b[1]) for a, b in itertools.combinations(triples, 2)):
+                seen["merged by the reference"] += 1  # an overlap of one value: rejected too
+                with pytest.raises(ValueError, match=StepFunction.OVERLAP_ERROR):
+                    StepFunction.from_triples(triples)
+                continue
             seen["touching" if any(a[0].hi == b[0].lo for a, b in zip(want[2], want[2][1:]))
                  else "apart"] += 1
             same_piecewise(StepFunction.from_triples(triples), want)
-        assert min(seen[k] for k in ("rejected", "touching", "apart")) >= 20, seen
+        assert min(seen[k] for k in ("rejected", "merged by the reference", "touching", "apart")) >= 20, seen
 
     def test_witnesses(self):
         for W in seeded_sets()[::5] + deep_sets():

@@ -116,6 +116,21 @@ class TestFiber:
             flag = gram_schmidt(meyer_profile(), xi, j_max, 8).truncation_exact
             assert flag is dimension_sum(meyer_profile(), xi, j_max, 8).truncation_exact
 
+    @pytest.mark.parametrize("xi_pi", [3, -3, 5, -5])
+    def test_truncation_flag_outside_the_principal_window(self, xi_pi):
+        """Off [-pi, pi) a dropped |k| > K term can land nearer 0 than any kept one: the flag
+        holds only where every dropped term, evaluated directly over a wide range, vanishes."""
+        profile, xi, j_max = meyer_profile(), xi_pi * math.pi, 4
+        flags = []
+        for k_max in range(1, 8):
+            dropped = [2.0**j * (xi + 2 * math.pi * k) for j in range(1, j_max + 12)
+                       for k in range(-60, 61) if abs(k) > k_max or j > j_max]
+            flag = dimension_sum(profile, xi, j_max, k_max).truncation_exact
+            assert flag is gram_schmidt(profile, xi, j_max, k_max).truncation_exact
+            assert not flag or not profile.evaluate_array(dropped).any(), k_max
+            flags.append(flag)
+        assert flags[0] is False and flags[-1] is True
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             gram_schmidt(ZERO_PROFILE, 0.1, 0, 4)

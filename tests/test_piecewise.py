@@ -2,9 +2,10 @@
 
 Seeded random (piece, value) lists on a coarse grid, so that empty pieces,
 overlaps of one value, overlaps of two values and touching pieces all occur.
-Each list reaches `from_triples`, the only constructor, as (lo, hi, tag) triples.
-The reference merges each value's pieces with `IntervalSet.union` and finds
-clashes with `IntervalSet.intersect`; it never groups, sorts or sweeps.
+Each list reaches `from_triples`, the only constructor, as (lo, hi, tag) triples,
+which must reject any two pieces that overlap, of one value or of two.  The
+reference merges each value's pieces with `IntervalSet.union` and finds clashes
+with `IntervalSet.intersect`; it never groups, sorts or sweeps.
 """
 
 import itertools
@@ -15,12 +16,12 @@ from fractions import Fraction
 
 import pytest
 
-from wavemult import exact
+from wavemult import exact, wavelet_sets
 from wavemult.dimension import StepFunction
 from wavemult.exact import Interval, IntervalSet, PreconditionError, Piecewise, RationalPi
-from wavemult.wavelet_sets import PiecewiseTranslation
+from wavemult.wavelet_sets import PiecewiseTranslation, is_wavelet_set
 
-from _oracles import object_piecewise
+from _oracles import object_piecewise, random_wavelet_candidate, sorted_disjoint_union, two_path_rows
 
 SEEDS = range(300)
 SHIFTS = tuple(RationalPi(Fraction(k, 2)) for k in (-4, -1, 0, 1, 4))
@@ -109,8 +110,9 @@ def test_piecewise_translation_matches_reference():
         pairs = random_pairs(rng, SHIFTS)
         ref = reference(pairs)
         seen.update(classify(pairs, ref and ref[0]))
-        if ref is None:
+        if not disjoint([piece for piece, _ in pairs]):
             seen["rejected overlap"] += 1
+            seen["merged by the reference"] += ref is not None
             with pytest.raises(ValueError, match="overlapping"):
                 translation(pairs)
             continue
@@ -135,7 +137,8 @@ def test_piecewise_translation_matches_reference():
         assert translation(shuffled) == pt
         assert hash(translation(shuffled)) == hash(pt)
     assert min(seen[k] for k in ("accepted", "rejected overlap", "rejected injective",
-                                 "empty piece", "same-value overlap", "touching")) >= 5, seen
+                                 "empty piece", "same-value overlap", "touching",
+                                 "merged by the reference")) >= 5, seen
 
 
 def test_step_function_matches_reference():
@@ -145,8 +148,9 @@ def test_step_function_matches_reference():
         pairs = random_pairs(rng, (0, 1, 2, 3))
         ref = reference(pairs)
         seen.update(classify(pairs, ref and ref[0]))
-        if ref is None:
+        if not disjoint([piece for piece, _ in pairs]):
             seen["rejected overlap"] += 1
+            seen["merged by the reference"] += ref is not None
             with pytest.raises(ValueError, match="overlap"):
                 StepFunction.from_triples(triples(pairs))
             continue
@@ -161,7 +165,7 @@ def test_step_function_matches_reference():
         assert StepFunction.from_triples(triples(shuffled)) == sf
         assert hash(StepFunction.from_triples(triples(shuffled))) == hash(sf)
     assert min(seen[k] for k in ("accepted", "rejected overlap", "empty piece",
-                                 "same-value overlap", "touching")) >= 5, seen
+                                 "same-value overlap", "touching", "merged by the reference")) >= 5, seen
 
 
 @pytest.mark.parametrize("cls", [PiecewiseTranslation, StepFunction])
@@ -182,6 +186,10 @@ def ordered_triples(rng):
     return triples
 
 
+def overlapping(triples) -> bool:
+    return any(max(a[0], b[0]) < min(a[1], b[1]) for a, b in itertools.combinations(triples, 2))
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """Calls of exact.sweep, counted."""
@@ -196,37 +204,85 @@ def sweeps(monkeypatch):
     return count
 
 
-class TestLinearBuild:
-    """Triples already sorted, non-empty and pairwise disjoint take one linear pass; any
-    others take the sweep.  Both must give what the object-level build gives."""
+@pytest.fixture
+def sort_keys(monkeypatch):
+    """Calls of exact._order_key, the sort key of `from_triples` (and of the sweep), counted."""
+    count = [0]
+    key = exact._order_key
 
-    def test_matches_the_object_level_build(self, sweeps):
+    def counting(x):
+        count[0] += 1
+        return key(x)
+
+    monkeypatch.setattr(exact, "_order_key", counting)
+    return count
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """(triples, sort keys) of each run of the construction rule, on a domain or an image."""
+    log = []
+    key, rule = exact._order_key, exact._disjoint_rows
+
+    def recording(triples):
+        triples = list(triples)
+        keys = [0]
+
+        def counting(x):
+            keys[0] += 1
+            return key(x)
+
+        exact._order_key = counting
+        try:
+            return rule(triples)
+        finally:
+            exact._order_key = key
+            log.append((len(triples), keys[0]))
+
+    monkeypatch.setattr(exact, "_disjoint_rows", recording)
+    monkeypatch.setattr(wavelet_sets, "_disjoint_rows", recording)
+    return log
+
+
+class TestLinearBuild:
+    """`from_triples` drops empty triples, sorts the rest (one sort key per triple) only when
+    they do not come sorted and pairwise disjoint, and raises on any overlap; it never
+    sweeps.  The result is what the object-level build gives."""
+
+    def test_matches_the_object_level_build(self, sweeps, sort_keys):
         seen = Counter()
         for seed in SEEDS:
-            triples = ordered_triples(random.Random(seed))
-            linear = (all(lo < hi for lo, hi, _ in triples)
-                      and all(a[1] <= b[0] for a, b in zip(triples, triples[1:])))
-            sweeps[0] = 0
+            rng = random.Random(seed)
+            triples = ordered_triples(rng)
+            overlap = overlapping([t for t in triples if t[0] < t[1]])
             try:
                 want = object_piecewise(triples)
             except ValueError:
-                with pytest.raises(ValueError, match=Piecewise.OVERLAP_ERROR):
-                    StepFunction.from_triples(triples)
-                seen["overlap"] += 1
-                assert not linear and sweeps[0] == 1
-                continue
-            f = StepFunction.from_triples(triples)
-            assert (f.pairs, f.domain, tuple(f.rows())) == want, seed
-            assert sweeps[0] == (not linear), seed
-            seen["linear" if linear else "sweep"] += 1
-            seen["merged" if len(f.coefs) < len(triples) and linear else "kept"] += 1
-            seen["empty triple"] += any(lo == hi for lo, hi, _ in triples)
-        assert min(seen[k] for k in ("overlap", "linear", "sweep", "merged", "empty triple")) >= 10, seen
+                assert overlap
+                want = None
+            for case in (triples, rng.sample(triples, len(triples))):
+                kept = [t for t in case if t[0] < t[1]]
+                in_order = all(a[1] <= b[0] for a, b in zip(kept, kept[1:]))
+                sweeps[0] = sort_keys[0] = 0
+                if overlap:
+                    with pytest.raises(ValueError, match=Piecewise.OVERLAP_ERROR):
+                        StepFunction.from_triples(case)
+                    seen["one-value overlap" if want else "two-value overlap"] += 1
+                    assert (sweeps[0], sort_keys[0]) == (0, len(kept)), seed
+                    continue
+                f = StepFunction.from_triples(case)
+                assert (f.pairs, f.domain, tuple(f.rows())) == want, seed
+                assert (sweeps[0], sort_keys[0]) == (0, 0 if in_order else len(kept)), seed
+                seen["in order" if in_order else "sorted"] += 1
+                seen["merged" if len(f.coefs) < len(kept) else "kept"] += 1
+                seen["empty triple"] += len(kept) < len(case)
+        assert min(seen[k] for k in ("one-value overlap", "two-value overlap", "in order", "sorted",
+                                     "merged", "empty triple")) >= 10, seen
 
-    def test_an_empty_triple_goes_to_the_sweep(self, sweeps):
+    def test_an_empty_triple_is_dropped(self, sort_keys):
         f = StepFunction.from_triples([(Fraction(0), Fraction(1), 1), (Fraction(1), Fraction(1), 2),
-                                       (Fraction(1), Fraction(2), 1)])
-        assert sweeps[0] == 1
+                                       (Fraction(1), Fraction(2), 1), (Fraction(-5), Fraction(-5), 0)])
+        assert sort_keys[0] == 0
         assert f.coefs == ((0, 2, 1),)
 
     def test_touching_cells_of_one_tag_merge(self, sweeps):
@@ -236,11 +292,79 @@ class TestLinearBuild:
         assert sweeps[0] == 0
         assert f.coefs == ((0, 2, 2), (2, 3, -2))
 
-    def test_an_overlap_goes_to_the_sweep_and_raises(self, sweeps):
+    def test_an_overlap_raises(self, sweeps, sort_keys):
         with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
             PiecewiseTranslation.from_triples([(Fraction(0), Fraction(2), Fraction(2)),
                                                (Fraction(1), Fraction(3), Fraction(4))])
-        assert sweeps[0] == 1
+        assert (sweeps[0], sort_keys[0]) == (0, 2)
+
+    @pytest.mark.parametrize("cls", [Piecewise, StepFunction, PiecewiseTranslation])
+    @pytest.mark.parametrize("rows", [
+        [(0, 2, 2), (1, 3, 2)],
+        [(0, 2, 2), (1, 3, 4)],
+        [(1, 3, 2), (0, 2, 2)],
+        [(0, 4, 2), (1, 2, 2)],
+        [(0, 1, 2), (0, 1, 2)],
+        [(2, 3, 4), (0, 1, 2), (1, 2, 2), (Fraction(3, 2), Fraction(5, 2), 2)],
+    ], ids=["one value", "two values", "out of order", "nested", "repeated", "among touching"])
+    def test_every_overlap_raises(self, cls, rows):
+        with pytest.raises(ValueError, match=cls.OVERLAP_ERROR):
+            cls.from_triples([(Fraction(lo), Fraction(hi), Fraction(tag)) for lo, hi, tag in rows])
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 1, 2), (2, 3, 0)],
+        [(2, 3, 0), (0, 1, 2)],
+        [(0, 2, 2), (3, 4, 0)],
+        [(0, 1, 4), (5, 6, -2), (Fraction(7, 2), 4, 0)],
+    ], ids=["equal images", "out of order", "partial", "among three"])
+    def test_an_overlapping_image_raises(self, rows):
+        triples = [(Fraction(lo), Fraction(hi), Fraction(s)) for lo, hi, s in rows]
+        assert not overlapping(triples)
+        with pytest.raises(ValueError, match="not injective"):
+            PiecewiseTranslation.from_triples(triples)
+
+    def test_a_witness_sorts_its_image_only(self, rule_calls):
+        """A 400-piece witness comes in domain order (no sort key); its image is sorted once.
+        The same rows shuffled take one sort, one key per row."""
+        witness = is_wavelet_set.__wrapped__(random_wavelet_candidate(random.Random(400), 400)).tau_witness
+        n = len(witness.coefs)
+        assert n >= 300
+        assert rule_calls == [(n, 0), (n, n)]
+        rule_calls.clear()
+        shuffled = random.Random(1).sample(witness.coefs, n)
+        assert Piecewise.from_triples(shuffled).coefs == witness.coefs
+        assert rule_calls == [(n, n)]
+
+
+def test_the_rule_matches_the_replaced_builds():
+    """Against the two-path build and the sorted image union it replaced, on seeded
+    triples in order and shuffled: the same rows and image, except that an overlap of one
+    value, which the two-path build merged, is now rejected."""
+    seen = Counter()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        ordered = ordered_triples(rng)
+        for triples in (ordered, rng.sample(ordered, len(ordered))):
+            rows = exact._disjoint_rows(triples)
+            try:
+                want = two_path_rows(triples)
+            except ValueError:
+                assert rows is None
+                seen["two-value overlap"] += 1
+                continue
+            if rows is None:
+                assert overlapping([t for t in triples if t[0] < t[1]])
+                seen["one-value overlap"] += 1
+                continue
+            assert rows == want, seed
+            images = [(lo + tag, hi + tag) for lo, hi, tag in rows]
+            union = sorted_disjoint_union(images)
+            image = exact._disjoint_rows((lo, hi, None) for lo, hi in images)
+            assert (image is None) is (union is None), seed
+            if image is not None:
+                assert tuple((lo, hi) for lo, hi, _ in image) == union.coefs, seed
+            seen["injective" if image is not None else "not injective"] += 1
+    assert min(seen[k] for k in ("two-value overlap", "one-value overlap", "injective", "not injective")) >= 10, seen
 
 
 @pytest.mark.parametrize("make", [
