@@ -7,9 +7,10 @@ of half-open intervals [lo, hi) kept in a unique canonical form: pieces
 sorted, pairwise disjoint, never adjacent.  The data of an interval set or a
 piecewise-constant function is its `coefs`, tuples of `Fraction` coefficients;
 `Interval` and `RationalPi` objects are built from them only at the edge:
-iteration, `pieces`, `rows()`, `value_at` and text.  `sweep` and the log2
-helpers take ints as well, so a caller may run them on integer coordinates
-x * unit over one common unit, as the wavelet-set check does.
+iteration, `pieces`, `rows()`, `value_at` and text.  `sweep`, the log2
+helpers and `Piecewise.from_triples` also take the integer coordinates x * unit
+of `_coordinates`, so a caller may compare and add ints, as the wavelet-set
+check, composition and dyadic extension do.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Hashable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Union
 
 __all__ = [
     "PreconditionError",
@@ -82,12 +84,19 @@ def sweep(
 
     Sorts the 2n endpoints once and walks them, keeping the number of open
     intervals and their distinct tags.  Yields (lo, hi, count, tags) for each
-    covered cell between consecutive endpoints, in increasing order.
+    covered cell between consecutive endpoints, in increasing order.  Ints are
+    their own sort keys; `_order_key` keys the endpoints when any is not an int.
     """
+    items = list(items)
     events = []
-    for lo, hi, tag in items:
-        events.append((_order_key(lo), lo, 1, tag))
-        events.append((_order_key(hi), hi, -1, tag))
+    if all(type(lo) is int and type(hi) is int for lo, hi, _ in items):
+        for lo, hi, tag in items:
+            events.append((lo, lo, 1, tag))
+            events.append((hi, hi, -1, tag))
+    else:
+        for lo, hi, tag in items:
+            events.append((_order_key(lo), lo, 1, tag))
+            events.append((_order_key(hi), hi, -1, tag))
     events.sort(key=itemgetter(0))
     count = 0
     open_tags: dict = {}
@@ -118,13 +127,54 @@ def _disjoint_rows(triples: Iterable[tuple]) -> Optional[list[list]]:
     """The non-empty (lo, hi, tag) triples as `merge_cells` runs, or None when two overlap.
 
     They are sorted by left end only when they do not already come sorted and pairwise
-    disjoint, as sweep cells and the fragments of a wavelet set do."""
+    disjoint, as sweep cells and the fragments of a wavelet set do: by the ends themselves
+    when all are ints, else by their `_order_key`s."""
     rows = [row for row in triples if row[0] < row[1]]
     if any(a[1] > b[0] for a, b in zip(rows, rows[1:])):
-        rows.sort(key=lambda row: _order_key(row[0]))
+        ints = all(type(row[0]) is int for row in rows)
+        rows.sort(key=itemgetter(0) if ints else lambda row: _order_key(row[0]))
         if any(a[1] > b[0] for a, b in zip(rows, rows[1:])):
             return None
     return merge_cells(rows)
+
+
+COORD_BITS = 1024  # largest unit, in bits, of `_coordinates` by default (the wavelet-set check)
+
+
+def _coordinates(rows: list, shift: int = 0, bits: int = COORD_BITS) -> tuple:
+    """(unit, the rows of Fraction coefficients x as coordinates x * unit, the map back to x).
+
+    The unit is D * 2**shift, D the common denominator, grown one denominator at a time;
+    the map back reuses the rows' own Fractions.  Past `bits` bits the unit is 1 and the
+    coordinates are the coefficients themselves, so the caller runs the same code on them.
+    """
+    den = 1
+    for x in chain.from_iterable(rows):
+        if den % x.denominator:
+            den = math.lcm(den, x.denominator)
+            if den.bit_length() + shift > bits:
+                break
+    if den.bit_length() + shift > bits:
+        return 1, rows, lambda c: Fraction(c) if type(c) is int else c
+    unit = den << shift
+    coords = [tuple([x.numerator * (unit // x.denominator) for x in row]) for row in rows]
+    own = dict(zip(chain.from_iterable(coords), chain.from_iterable(rows)))
+
+    def coefficient(c: int) -> Fraction:
+        x = own.get(c)
+        if x is None:
+            x = own[c] = Fraction(c, unit)
+        return x
+
+    return unit, coords, coefficient
+
+
+def _times_pow2(x, m: int):
+    """x * 2**m: a shift of an int coordinate (which 2**-m divides if m < 0), else a Fraction
+    times or over an int power of two, which reduces by gcds with that power only."""
+    if type(x) is int:
+        return x << m if m >= 0 else x >> -m
+    return x * (1 << m) if m >= 0 else x / (1 << -m)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -395,20 +445,28 @@ class Piecewise:
 
     coefs: tuple[tuple[Fraction, Fraction, Hashable], ...]
 
-    OVERLAP_ERROR = "pieces of two values overlap"
+    OVERLAP_ERROR = "pieces overlap"
     _value = staticmethod(lambda tag: tag)  # hashable tag -> value
 
     @classmethod
-    def from_triples(cls, triples: Iterable[tuple[Fraction, Fraction, Hashable]]):
-        """The instance whose pieces are the (lo, hi, tag) triples."""
+    def from_triples(cls, triples: Iterable[tuple], coefficient: Optional[Callable] = None):
+        """The instance whose pieces are the (lo, hi, tag) triples.  Given `coefficient`, the
+        map back that `_coordinates` returns, lo and hi (and a translation's shift) are
+        coordinates, turned into `Fraction` coefficients once the rows are built."""
         self = cls.__new__(cls)
-        self._build(list(triples))
+        self._build(list(triples), coefficient)
         return self
 
-    def _build(self, triples: list) -> None:
+    def _rows(self, triples: list) -> list[list]:
         rows = _disjoint_rows(triples)
         if rows is None:
             raise ValueError(self.OVERLAP_ERROR)
+        return rows
+
+    def _build(self, triples: list, coef: Optional[Callable]) -> None:
+        rows = self._rows(triples)
+        if coef is not None:
+            rows = [(coef(lo), coef(hi), tag) for lo, hi, tag in rows]
         object.__setattr__(self, "coefs", tuple(map(tuple, rows)))
 
     @cached_property

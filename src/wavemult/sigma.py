@@ -7,6 +7,7 @@ extends to the punctured line by commuting with dyadic dilation.  Powers come
 from binary powering: O(log p) compositions of a power with the extension of
 itself or of the map.  A power corresponds to a unitary in the local
 commutant exactly when all of its shifts stay on the 2*pi*Z lattice.
+Composition and extension run on integer `_coordinates` when the unit fits.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .exact import (
     Interval,
     IntervalSet,
     RationalPi,
+    _coordinates,
+    _times_pow2,
     ceil_log2,
     floor_log2,
     sweep,
@@ -29,6 +32,9 @@ from .wavelet_sets import PiecewiseTranslation, _require_wavelet_set
 # Largest power compose_power accepts: pieces and shift-denominator bits of
 # the result grow linearly in p, so p = 1024 already takes seconds.
 MAX_POWER = 1024
+# Largest unit, in bits, of the int coordinates of compose and dyadic_extension:
+# ints measured faster up to about 3000 bits on catalog powers, Fractions beyond.
+SIGMA_COORD_BITS = 3072
 
 __all__ = [
     "SigmaMap",
@@ -70,22 +76,24 @@ def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
     """Composite map then(first(x)); image of `first` must lie in `then`'s domain.
 
-    One sweep overlays the image rows of `first` with the domain rows of
-    `then`, each tagged by its index in `shifts`; both families are disjoint,
-    so a cell covered twice carries one tag of each, the first's the smaller.
+    One sweep over the `_coordinates` of both maps overlays the image rows of `first`
+    with the domain rows of `then`, each tagged by its index in `shifts`; both families
+    are disjoint, so a cell covered twice carries one tag of each, the first's the
+    smaller, and a cell covered once by an image row lies outside `then`'s domain.
     """
-    shifts = [shift for *_, shift in first.coefs + then.coefs]
-    items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(first.coefs)]
-    items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(then.coefs, len(first.coefs))]
+    n = len(first.coefs)
+    _, rows, coef = _coordinates(first.coefs + then.coefs, 0, SIGMA_COORD_BITS)
+    shifts = [shift for *_, shift in rows]
+    items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(rows[:n])]
+    items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[n:], n)]
     fragments = []
     for lo, hi, count, tags in sweep(items):
         if count == 2:
             back, forth = shifts[min(tags)], shifts[max(tags)]
             fragments.append((lo - back, hi - back, back + forth))
-    result = PiecewiseTranslation.from_triples(fragments)
-    if result.domain != first.domain:
-        raise PreconditionError("image of the first map escapes the second map's domain")
-    return result
+        elif tags[0] < n:
+            raise PreconditionError("image of the first map escapes the second map's domain")
+    return PiecewiseTranslation.from_triples(fragments, coef)
 
 
 def _octaves(lo: Fraction, hi: Fraction) -> range:
@@ -102,25 +110,30 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
     extension translates by the base shift scaled by 2**-n.  Each region piece is
     dilated only by the 2**n that carry its octaves onto those of the domain's pieces;
     one sweep overlays those dilates (the j-th tagged ~j) with the base rows (tagged by
-    index), and each cell covered by both is scaled back by 2**-n.
+    index), and each cell covered by both is scaled back by 2**-n.  The unit of the
+    `_coordinates` holds 2**N, N the largest |n|, so each scaling is an exact shift.
     """
     if region.zero_in_closure():
         raise PreconditionError("region must stay away from 0")
     octaves = {(lo > 0, m) for lo, hi in base.domain.coefs for m in _octaves(lo, hi)}
-    items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(base.coefs)]
+    dilations = [{m - k for k in _octaves(lo, hi) for sign, m in octaves if sign == (lo > 0)}
+                 for lo, hi in region.coefs]
+    top = max((abs(n) for ns in dilations for n in ns), default=0)
+    _, rows, coef = _coordinates(base.coefs + region.coefs, top, SIGMA_COORD_BITS)
+    pieces = rows[len(base.coefs):]
+    items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[:len(base.coefs)])]
     scales = []
-    for lo, hi in region.coefs:
-        for n in {m - k for k in _octaves(lo, hi) for sign, m in octaves if sign == (lo > 0)}:
-            up = Fraction(2) ** n
-            items.append((lo * up, hi * up, ~len(scales)))
-            scales.append(1 / up)
+    for (lo, hi), ns in zip(pieces, dilations):
+        for n in ns:
+            items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(scales)))
+            scales.append(-n)
     fragments = []
     for lo, hi, _, tags in sweep(items):
         row = max(tags)
         if row >= 0:
-            fragments += [(lo * scale, hi * scale, base.coefs[row][2] * scale)
-                          for t in tags if t < 0 for scale in (scales[~t],)]
-    result = PiecewiseTranslation.from_triples(fragments)
+            fragments += [(_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(rows[row][2], m))
+                          for t in tags if t < 0 for m in (scales[~t],)]
+    result = PiecewiseTranslation.from_triples(fragments, coef)
     if result.domain != region:
         raise PreconditionError(
             "region is not exactly covered by dyadic dilates of the map domain"

@@ -4,17 +4,16 @@ A bounded interval set W with 0 outside its closure is accepted as a wavelet
 set when two exact tilings hold: the 2*pi*Z translates of its pieces tile
 [-pi, pi), and its dyadic dilates tile the punctured line (checked on the
 reference annulus [-2*pi, -pi) u [pi, 2*pi)).  The two targets make up
-[-2*pi, 2*pi), so one exact sweep of it decides both tilings.
+[-2*pi, 2*pi), so one exact sweep of it decides both tilings, on integer
+coordinates when they fit; the translation witness is built from the same
+integer fragments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .exact import (
     MINUS_PI,
@@ -23,7 +22,9 @@ from .exact import (
     IntervalSet,
     Piecewise,
     RationalPi,
+    _coordinates,
     _disjoint_rows,
+    _times_pow2,
     floor_log2,
     ceil_log2,
     merge_cells,
@@ -55,12 +56,18 @@ class PiecewiseTranslation(Piecewise):
     OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
     _value = RationalPi
 
-    def _build(self, triples: list) -> None:
-        super()._build(triples)
-        image = _disjoint_rows((lo + shift, hi + shift, None) for lo, hi, shift in self.coefs)
+    def _build(self, triples: list, coef: Optional[Callable]) -> None:
+        rows = self._rows(triples)
+        image = _disjoint_rows((lo + shift, hi + shift, None) for lo, hi, shift in rows)
         if image is None:
             raise ValueError("piecewise translation is not injective")
-        object.__setattr__(self, "image", IntervalSet._of(tuple((lo, hi) for lo, hi, _ in image)))
+        if coef is None:
+            rows, image = map(tuple, rows), ((lo, hi) for lo, hi, _ in image)
+        else:
+            rows = [(coef(lo), coef(hi), coef(shift)) for lo, hi, shift in rows]
+            image = ((coef(lo), coef(hi)) for lo, hi, _ in image)
+        object.__setattr__(self, "coefs", tuple(rows))
+        object.__setattr__(self, "image", IntervalSet._of(tuple(image)))
 
     @property
     def is_two_pi_integral(self) -> bool:
@@ -87,36 +94,6 @@ class WaveletSetReport:
     @property
     def accepted(self) -> bool:
         return self.is_translation_congruent and self.is_dilation_congruent
-
-
-def _coordinates(pairs: tuple) -> tuple:
-    """(unit, the sorted pairs (lo, hi) as coordinates x * unit, the map back to x).
-
-    The unit D * 2**K (D the common denominator, 2**K the largest |x|'s octave) makes each
-    coordinate and its rescaling into the annulus an int.  D grows one denominator at a
-    time; at the first that takes it past COORD_BITS bits, the unit is 1 (Fraction coordinates).
-    """
-    shift = max(0, floor_log2(max(-pairs[0][0], pairs[-1][1]))) if pairs else 0
-    den = 1
-    for x in chain.from_iterable(pairs):
-        if den % x.denominator:
-            den = math.lcm(den, x.denominator)
-            if den.bit_length() + shift > COORD_BITS:
-                break
-    if den.bit_length() + shift > COORD_BITS:
-        return 1, pairs, lambda x: Fraction(x) if type(x) is int else x
-    unit = den << shift
-    coords = [(lo.numerator * (unit // lo.denominator), hi.numerator * (unit // hi.denominator))
-              for lo, hi in pairs]
-    own = dict(zip(chain.from_iterable(coords), chain.from_iterable(pairs)))  # W's own Fractions
-    return unit, coords, lambda x: own[x] if x in own else Fraction(x, unit)
-
-
-def _times_pow2(x, m: int):
-    """x * 2**m by shifts of an int coordinate (which 2**-m divides if m < 0) or of a Fraction's."""
-    if type(x) is int:
-        return x << m if m >= 0 else x >> -m
-    return Fraction(x.numerator << max(m, 0), x.denominator << max(-m, 0))
 
 
 def _fold(pairs: Iterable[tuple], unit) -> list[tuple]:
@@ -159,8 +136,6 @@ def _annulus(pairs: Iterable[tuple], unit) -> list[tuple]:
     return fragments
 
 
-COORD_BITS = 1024  # largest unit, in bits, for the int coordinates of is_wavelet_set
-
 # Reports held by the is_wavelet_set cache; the least recently used go first.
 CACHE_SIZE = 256
 
@@ -178,7 +153,8 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
         raise PreconditionError(
             "dilation congruence is undecidable with 0 in the closure of the set"
         )
-    unit, pairs, coef = _coordinates(W.coefs)
+    shift = max(0, floor_log2(max(-W.coefs[0][0], W.coefs[-1][1]))) if W.coefs else 0
+    unit, pairs, coef = _coordinates(W.coefs, shift)
     fragments = _fold(pairs, unit)
     items = [(-2 * unit, 2 * unit, 0)] + [(lo, hi, 1) for lo, hi in _annulus(pairs, unit)]
     items += [(lo + s, hi + s, 1) for lo, hi, s in fragments]
@@ -187,8 +163,7 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
     return WaveletSetReport(
         is_translation_congruent=translation_ok,
         is_dilation_congruent=not any(lo < -unit or hi > unit for lo, hi, _ in failure),
-        tau_witness=PiecewiseTranslation.from_triples(
-            (coef(lo), coef(hi), Fraction(s // unit)) for lo, hi, s in fragments) if translation_ok else None,
+        tau_witness=PiecewiseTranslation.from_triples(fragments, coef) if translation_ok else None,
         failure_regions=IntervalSet._of(tuple((coef(lo), coef(hi)) for lo, hi, _ in failure)),
     )
 

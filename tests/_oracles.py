@@ -376,7 +376,8 @@ def fraction_wavelet_report(W: IntervalSet) -> WaveletSetReport:
 # ---------------------------------------------------------------------------
 # The dilation-commuting extension and the powers of sigma as the library
 # first computed them: pointwise, over every level of the region's hull, and
-# by one composition per power.
+# by one composition per power; then compose and the extension as they ran on
+# Fraction coefficients, before int coordinates.
 
 
 def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
@@ -430,6 +431,55 @@ def loop_compose_powers(sigma: SigmaMap) -> Iterator[PiecewiseTranslation]:
         current = compose(current, hull_dyadic_extension(sigma.mapping, current.image))
 
 
+def fraction_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
+    """`compose` on Fraction coefficients: one sweep of the image rows of `first` (each
+    tagged by its index in `shifts`) with the domain rows of `then`, and the domain
+    compared with the first map's."""
+    shifts = [shift for *_, shift in first.coefs + then.coefs]
+    items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(first.coefs)]
+    items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(then.coefs, len(first.coefs))]
+    fragments = []
+    for lo, hi, count, tags in sweep(items):
+        if count == 2:
+            back, forth = shifts[min(tags)], shifts[max(tags)]
+            fragments.append((lo - back, hi - back, back + forth))
+    result = PiecewiseTranslation.from_triples(fragments)
+    if result.domain != first.domain:
+        raise PreconditionError("image of the first map escapes the second map's domain")
+    return result
+
+
+def fraction_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> PiecewiseTranslation:
+    """`dyadic_extension` on Fraction coefficients: each region piece dilated by 2**n
+    (a Fraction power of two) into the octaves of the base domain, one sweep with the base
+    rows, each cell scaled back by 2**-n, and the domain compared with the region."""
+    if region.zero_in_closure():
+        raise PreconditionError("region must stay away from 0")
+
+    def octaves(lo, hi):
+        near, far = sorted((abs(lo), abs(hi)))
+        return range(floor_log2(near), ceil_log2(far))
+
+    domain = {(lo > 0, m) for lo, hi in base.domain.coefs for m in octaves(lo, hi)}
+    items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(base.coefs)]
+    scales = []
+    for lo, hi in region.coefs:
+        for n in {m - k for k in octaves(lo, hi) for sign, m in domain if sign == (lo > 0)}:
+            up = Fraction(2) ** n
+            items.append((lo * up, hi * up, ~len(scales)))
+            scales.append(1 / up)
+    fragments = []
+    for lo, hi, _, tags in sweep(items):
+        row = max(tags)
+        if row >= 0:
+            fragments += [(lo * scale, hi * scale, base.coefs[row][2] * scale)
+                          for t in tags if t < 0 for scale in (scales[~t],)]
+    result = PiecewiseTranslation.from_triples(fragments)
+    if result.domain != region:
+        raise PreconditionError("region is not exactly covered by dyadic dilates of the map domain")
+    return result
+
+
 # ---------------------------------------------------------------------------
 # The object-level exact paths that coefficient triples replaced: fragments,
 # translates and covers built as Interval/IntervalSet objects, and a
@@ -446,7 +496,7 @@ def grouped_piecewise(pairs) -> tuple[tuple, IntervalSet]:
     canonical = tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
     ivs = sorted((iv for piece, _ in canonical for iv in piece), key=lambda iv: iv.lo.coef)
     if any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
-        raise ValueError("pieces of two values overlap")
+        raise ValueError("pieces overlap")
     return canonical, IntervalSet.from_intervals(ivs)
 
 
@@ -629,7 +679,7 @@ def object_piecewise(triples, value=lambda tag: tag) -> tuple[tuple, IntervalSet
     index: dict = {}
     cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
     if any(len(tags) > 1 for *_, tags in cells):
-        raise ValueError("pieces of two values overlap")
+        raise ValueError("pieces overlap")
     values = [value(tag) for tag in index]
     by_value: list[list[Interval]] = [[] for _ in values]
     rows, runs = [], []  # runs: [first, last] row of each domain interval
@@ -660,7 +710,7 @@ def two_path_rows(triples) -> list[list]:
     index: dict = {}
     cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
     if any(len(tags) > 1 for *_, tags in cells):
-        raise ValueError("pieces of two values overlap")
+        raise ValueError("pieces overlap")
     tags = list(index)
     return [[lo, hi, tags[t]] for lo, hi, t in merge_cells(
         (lo, hi, cell_tags[0]) for lo, hi, _, cell_tags in cells)]

@@ -156,7 +156,7 @@ class TestStepFunction:
             assert isinstance(value, int) and value >= 0
 
     def test_piece_validation(self):
-        with pytest.raises(ValueError, match="pieces of two values overlap"):
+        with pytest.raises(ValueError, match="pieces overlap"):
             StepFunction.from_triples([(Fraction(0), Fraction(2), 1), (Fraction(1), Fraction(3), 2)])
         with pytest.raises(ValueError, match="nonnegative"):
             StepFunction.from_triples([(Fraction(0), Fraction(2), -1)])

@@ -220,7 +220,8 @@ def sort_keys(monkeypatch):
 
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """(triples, sort keys) of each run of the construction rule, on a domain or an image."""
+    """(triples, sort keys, whether they came sorted and disjoint) of each run of the
+    construction rule, on a domain or an image."""
     log = []
     key, rule = exact._order_key, exact._disjoint_rows
 
@@ -232,22 +233,36 @@ def rule_calls(monkeypatch):
             keys[0] += 1
             return key(x)
 
+        kept = [t for t in triples if t[0] < t[1]]
         exact._order_key = counting
         try:
             return rule(triples)
         finally:
             exact._order_key = key
-            log.append((len(triples), keys[0]))
+            log.append((len(triples), keys[0], all(a[1] <= b[0] for a, b in zip(kept, kept[1:]))))
 
     monkeypatch.setattr(exact, "_disjoint_rows", recording)
     monkeypatch.setattr(wavelet_sets, "_disjoint_rows", recording)
     return log
 
 
+def scaled(triples, unit=4):
+    """The (lo, hi, tag) triples with lo and hi as int coordinates x * unit (exact); the map
+    back is `over(unit)`."""
+    coords = [(lo * unit, hi * unit, tag) for lo, hi, tag in triples]
+    assert all(Fraction(x).denominator == 1 for lo, hi, _ in coords for x in (lo, hi))
+    return [(int(lo), int(hi), tag) for lo, hi, tag in coords]
+
+
+def over(unit):
+    return lambda c: Fraction(c, unit)
+
+
 class TestLinearBuild:
-    """`from_triples` drops empty triples, sorts the rest (one sort key per triple) only when
-    they do not come sorted and pairwise disjoint, and raises on any overlap; it never
-    sweeps.  The result is what the object-level build gives."""
+    """`from_triples` drops empty triples, sorts the rest only when they do not come sorted
+    and pairwise disjoint (int coordinates by themselves, any others by one sort key per
+    triple), and raises on any overlap; it never sweeps.  The result is what the
+    object-level build gives."""
 
     def test_matches_the_object_level_build(self, sweeps, sort_keys):
         seen = Counter()
@@ -263,21 +278,25 @@ class TestLinearBuild:
             for case in (triples, rng.sample(triples, len(triples))):
                 kept = [t for t in case if t[0] < t[1]]
                 in_order = all(a[1] <= b[0] for a, b in zip(kept, kept[1:]))
-                sweeps[0] = sort_keys[0] = 0
-                if overlap:
-                    with pytest.raises(ValueError, match=Piecewise.OVERLAP_ERROR):
-                        StepFunction.from_triples(case)
-                    seen["one-value overlap" if want else "two-value overlap"] += 1
-                    assert (sweeps[0], sort_keys[0]) == (0, len(kept)), seed
-                    continue
-                f = StepFunction.from_triples(case)
-                assert (f.pairs, f.domain, tuple(f.rows())) == want, seed
-                assert (sweeps[0], sort_keys[0]) == (0, 0 if in_order else len(kept)), seed
-                seen["in order" if in_order else "sorted"] += 1
-                seen["merged" if len(f.coefs) < len(kept) else "kept"] += 1
-                seen["empty triple"] += len(kept) < len(case)
+                for side, build in (("Fraction", lambda: StepFunction.from_triples(case)),
+                                    ("int", lambda: StepFunction.from_triples(scaled(case), over(4)))):
+                    sweeps[0] = sort_keys[0] = 0
+                    keys = 0 if side == "int" else len(kept)
+                    if overlap:
+                        with pytest.raises(ValueError, match=Piecewise.OVERLAP_ERROR):
+                            build()
+                        seen["one-value overlap" if want else "two-value overlap"] += 1
+                        assert (sweeps[0], sort_keys[0]) == (0, keys), seed
+                        continue
+                    f = build()
+                    assert (f.pairs, f.domain, tuple(f.rows())) == want, seed
+                    assert (sweeps[0], sort_keys[0]) == (0, 0 if in_order else keys), seed
+                    seen["in order" if in_order else "sorted"] += 1
+                    seen["merged" if len(f.coefs) < len(kept) else "kept"] += 1
+                    seen["empty triple"] += len(kept) < len(case)
+                    seen[side] += 1
         assert min(seen[k] for k in ("one-value overlap", "two-value overlap", "in order", "sorted",
-                                     "merged", "empty triple")) >= 10, seen
+                                     "merged", "empty triple", "Fraction", "int")) >= 10, seen
 
     def test_an_empty_triple_is_dropped(self, sort_keys):
         f = StepFunction.from_triples([(Fraction(0), Fraction(1), 1), (Fraction(1), Fraction(1), 2),
@@ -324,16 +343,20 @@ class TestLinearBuild:
             PiecewiseTranslation.from_triples(triples)
 
     def test_a_witness_sorts_its_image_only(self, rule_calls):
-        """A 400-piece witness comes in domain order (no sort key); its image is sorted once.
-        The same rows shuffled take one sort, one key per row."""
+        """A 400-piece witness on int coordinates comes in domain order; its image is sorted
+        once, by the ints themselves (no sort key).  The same rows shuffled as Fraction
+        coefficients take one sort, one key per row, and as int coordinates no key."""
         witness = is_wavelet_set.__wrapped__(random_wavelet_candidate(random.Random(400), 400)).tau_witness
         n = len(witness.coefs)
         assert n >= 300
-        assert rule_calls == [(n, 0), (n, n)]
+        assert rule_calls == [(n, 0, True), (n, 0, False)]
         rule_calls.clear()
         shuffled = random.Random(1).sample(witness.coefs, n)
         assert Piecewise.from_triples(shuffled).coefs == witness.coefs
-        assert rule_calls == [(n, n)]
+        assert rule_calls == [(n, n, False)]
+        rule_calls.clear()
+        assert Piecewise.from_triples(scaled(shuffled, 2**20), over(2**20)).coefs == witness.coefs
+        assert rule_calls == [(n, 0, False)]
 
 
 def test_the_rule_matches_the_replaced_builds():
@@ -365,6 +388,28 @@ def test_the_rule_matches_the_replaced_builds():
                 assert tuple((lo, hi) for lo, hi, _ in image) == union.coefs, seed
             seen["injective" if image is not None else "not injective"] += 1
     assert min(seen[k] for k in ("two-value overlap", "one-value overlap", "injective", "not injective")) >= 10, seen
+
+
+def test_a_sweep_keys_int_endpoints_by_themselves(sort_keys):
+    """A sweep over int coordinates takes no sort key and gives the cells of the same items
+    as Fraction coefficients, in coordinates; one Fraction endpoint keys every endpoint."""
+    seen = Counter()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        triples = ordered_triples(rng)
+        triples = rng.sample(triples, len(triples))
+        sort_keys[0] = 0
+        cells = list(exact.sweep(scaled(triples)))
+        assert sort_keys[0] == 0, seed
+        want = list(exact.sweep(triples))
+        assert sort_keys[0] == 2 * len(triples), seed
+        assert cells == [(lo * 4, hi * 4, count, tags) for lo, hi, count, tags in want], seed
+        if triples:
+            sort_keys[0] = 0
+            list(exact.sweep(scaled(triples) + [(Fraction(-9), Fraction(-9), None)]))
+            assert sort_keys[0] == 2 * len(triples) + 2, seed
+        seen["overlap" if any(count > 1 for _, _, count, _ in want) else "disjoint"] += 1
+    assert min(seen["overlap"], seen["disjoint"]) >= 10, seen
 
 
 @pytest.mark.parametrize("make", [

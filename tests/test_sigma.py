@@ -7,6 +7,7 @@ import pytest
 from fractions import Fraction
 
 from wavemult.exact import (
+    Interval,
     IntervalSet,
     PreconditionError,
     RationalPi,
@@ -23,17 +24,20 @@ from wavemult.sigma import (
     dyadic_extension,
     power_in_local_commutant,
 )
-from wavemult.wavelet_sets import CATALOG_NAMES, catalog
+from wavemult.wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog
 
 from wavemult import sigma as sigma_module
 
 from _oracles import (
     extension_at,
+    fraction_compose,
+    fraction_dyadic_extension,
     hull_dyadic_extension,
     loop_compose_powers,
     near_zero_wavelet_set,
     object_dyadic_extension,
     random_point_in,
+    two_interval_wavelet_set,
 )
 
 
@@ -271,6 +275,94 @@ class TestComposePower:
                 head = compose_power(sigma, p)
                 tail = dyadic_extension(compose_power(sigma, q), head.image)
                 assert left == compose(head, tail)
+
+
+def two_interval(c):
+    """The two-interval wavelet set [-(4pi - 2c), -(2pi - c)) u [c, 2c)."""
+    return IntervalSet.from_intervals([Interval(RationalPi(-(4 - 2 * c)), RationalPi(-(2 - c))),
+                                       Interval(RationalPi(c), RationalPi(2 * c))])
+
+
+def integer_side_sigmas():
+    """(sigma, powers): the 12 ordered catalog pairs and seeded two-interval pairs."""
+    cases = [(build_sigma(catalog(a), catalog(b)), range(1, 17))
+             for a, b in itertools.permutations(CATALOG_NAMES, 2)]
+    rng = random.Random(1919)
+    sets = [two_interval_wavelet_set(rng) for _ in range(6)]
+    cases += [(build_sigma(a, b), range(1, 9)) for a, b in zip(sets, sets[1:])]
+    cases += [(build_sigma(sets[0], catalog(name)), range(1, 9)) for name in CATALOG_NAMES]
+    return cases
+
+
+def fraction_side_sigmas():
+    """(sigma, powers) whose unit passes the budget: a set 2**-10000 pi from 0 and its
+    mirror, and two two-interval sets whose denominators 3**1000 and 5**700 are coprime
+    (their sigma**4 is the identity, whose rows keep only 3**1000 and fit)."""
+    W = near_zero_wavelet_set(10000)
+    coprime = build_sigma(two_interval(1 + Fraction(1, 3**1000)), two_interval(1 - Fraction(1, 5**700)))
+    return [(build_sigma(W, W.negate()), range(1, 3)), (coprime, range(1, 4))]
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Every compose and dyadic_extension call of the sigma module, and the side of the
+    budget each took: int coordinates, or Fraction ones over unit 1."""
+    calls, units = [], []
+    compose_, extension_, coordinates = sigma_module.compose, sigma_module.dyadic_extension, sigma_module._coordinates
+
+    def recording(reference, fn):
+        def call(*args):
+            result = fn(*args)
+            calls.append((reference, args, result))
+            return result
+        return call
+
+    def coordinates_(*args):
+        unit, rows, coef = coordinates(*args)
+        types = {type(x) for row in rows for x in row}
+        units.append("int" if types <= {int} else "Fraction" if unit == 1 and types == {Fraction} else "mixed")
+        return unit, rows, coef
+
+    monkeypatch.setattr(sigma_module, "compose", recording(fraction_compose, compose_))
+    monkeypatch.setattr(sigma_module, "dyadic_extension", recording(fraction_dyadic_extension, extension_))
+    monkeypatch.setattr(sigma_module, "_coordinates", coordinates_)
+    return calls, units
+
+
+class TestIntegerCoordinates:
+    """compose and dyadic_extension on int coordinates against their Fraction bodies: each
+    call of a binary powering gives the same rows and image on the same arguments, and
+    each input takes the side of the budget it should."""
+
+    @pytest.mark.parametrize("side,cases", [("int", integer_side_sigmas), ("Fraction", fraction_side_sigmas)],
+                             ids=["int", "Fraction"])
+    def test_steps_match_the_fraction_bodies(self, side, cases, steps):
+        calls, units = steps
+        checked = set()
+        for sigma, powers in cases():
+            for p in powers:
+                compose_power(sigma, p)
+            for reference, args, got in calls:
+                if (reference, args) not in checked:
+                    checked.add((reference, args))
+                    want = reference(*args)
+                    assert (got.coefs, got.image) == (want.coefs, want.image), reference.__name__
+            calls.clear()
+        assert len(checked) >= (100 if side == "int" else 8) and set(units) == {side}, (len(checked), set(units))
+
+    def test_construction_errors_on_int_coordinates(self, paper_sigma, steps):
+        _, units = steps
+        with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
+            PiecewiseTranslation.from_triples([(0, 8, 8), (4, 12, 16)], lambda c: Fraction(c, 4))
+        with pytest.raises(ValueError, match="not injective"):
+            PiecewiseTranslation.from_triples([(0, 4, 8), (8, 12, 0)], lambda c: Fraction(c, 4))
+        half_octave = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(3, 2), Fraction(0))])
+        with pytest.raises(PreconditionError, match="not exactly covered"):
+            dyadic_extension(half_octave, parse_set("[1pi,2pi)"))
+        part = PiecewiseTranslation.from_triples([(lo, hi, Fraction(0)) for lo, hi in paper_sigma.w2.coefs[1:]])
+        with pytest.raises(PreconditionError, match="escapes"):
+            compose(paper_sigma.mapping, part)
+        assert units == ["int", "int"]
 
 
 class TestRoundTrips:

@@ -12,6 +12,8 @@ from wavemult.exact import (
     RationalPi,
     TWO_PI,
     ZERO,
+    _coordinates,
+    floor_log2,
 )
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import (
@@ -19,7 +21,6 @@ from wavemult.wavelet_sets import (
     CATALOG_NAMES,
     PRINCIPAL_WINDOW,
     PiecewiseTranslation,
-    _coordinates,
     catalog,
     is_wavelet_set,
 )
@@ -375,6 +376,12 @@ def fraction_side_sets():
     ]
 
 
+def set_coordinates(W):
+    """`_coordinates` of W as `is_wavelet_set` takes them: the unit also times the octave
+    2**K of the largest |x|, so that every rescaling into the annulus is an int."""
+    return _coordinates(W.coefs, max(0, floor_log2(W.max_abs().coef)) if W.coefs else 0)
+
+
 class TestIntegerCoordinates:
     """The check on int coordinates against the Fraction reference it replaced: the same
     verdicts, failure regions and witness rows, and each input on the side it should take."""
@@ -389,7 +396,7 @@ class TestIntegerCoordinates:
                 with pytest.raises(PreconditionError, match="undecidable"):
                     is_wavelet_set.__wrapped__(W)
                 continue
-            assert {type(x) for pair in _coordinates(W.coefs)[1] for x in pair} <= {side}, W
+            assert {type(x) for pair in set_coordinates(W)[1] for x in pair} <= {side}, W
             got, want = is_wavelet_set.__wrapped__(W), fraction_wavelet_report(W)
             assert got.is_translation_congruent == want.is_translation_congruent, W
             assert got.is_dilation_congruent == want.is_dilation_congruent, W
@@ -397,6 +404,7 @@ class TestIntegerCoordinates:
             assert (got.tau_witness is None) == (want.tau_witness is None), W
             if got.tau_witness is not None:
                 assert got.tau_witness.coefs == want.tau_witness.coefs, W
+                assert got.tau_witness.image == want.tau_witness.image, W
                 seen["witness"] += 1
             seen["accepted" if got.accepted else "rejected"] += 1
         assert seen["witness"] and seen["rejected"], seen
@@ -405,7 +413,7 @@ class TestIntegerCoordinates:
 
     def test_the_unit_clears_every_rescaling(self):
         W = parse_set("[-5/2pi,-2pi),[1/3pi,2/5pi),[5/2pi,11/4pi)")
-        unit, coords, coef = _coordinates(W.coefs)
+        unit, coords, coef = set_coordinates(W)
         assert unit == 60 * 2  # D = lcm(2, 3, 5, 4) = 60, 2**K = 2 for max |x| = 11/4
         assert coords == [(-300, -240), (40, 48), (300, 330)]
         assert [coef(x) for pair in coords for x in pair] == [x for pair in W.coefs for x in pair]
