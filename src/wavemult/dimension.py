@@ -47,10 +47,10 @@ class StepFunction(Piecewise):
     of step functions is equality of dataclasses.
     """
 
-    def _build(self, triples: list, coef) -> None:
+    def _build(self, triples: list) -> None:
         if any(value < 0 for _, _, value in triples):
             raise ValueError("step function values must be nonnegative")
-        super()._build(triples, coef)
+        super()._build(triples)
 
     def constant_value(self) -> Optional[int]:
         return self.pairs[0][1] if len(self.pairs) == 1 else None

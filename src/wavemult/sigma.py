@@ -32,9 +32,6 @@ from .wavelet_sets import PiecewiseTranslation, _require_wavelet_set
 # Largest power compose_power accepts: pieces and shift-denominator bits of
 # the result grow linearly in p, so p = 1024 already takes seconds.
 MAX_POWER = 1024
-# Largest unit, in bits, of the int coordinates of compose and dyadic_extension:
-# ints measured faster up to about 3000 bits on catalog powers, Fractions beyond.
-SIGMA_COORD_BITS = 3072
 
 __all__ = [
     "SigmaMap",
@@ -82,7 +79,7 @@ def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> Piecewis
     smaller, and a cell covered once by an image row lies outside `then`'s domain.
     """
     n = len(first.coefs)
-    _, rows, coef = _coordinates(first.coefs + then.coefs, 0, SIGMA_COORD_BITS)
+    _, rows, coef = _coordinates(first.coefs + then.coefs)
     shifts = [shift for *_, shift in rows]
     items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(rows[:n])]
     items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[n:], n)]
@@ -111,7 +108,10 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
     dilated only by the 2**n that carry its octaves onto those of the domain's pieces;
     one sweep overlays those dilates (the j-th tagged ~j) with the base rows (tagged by
     index), and each cell covered by both is scaled back by 2**-n.  The unit of the
-    `_coordinates` holds 2**N, N the largest |n|, so each scaling is an exact shift.
+    `_coordinates` holds 2**N, N the largest |n|, so each dilation is an exact shift, and so is
+    scaling back an end of the cell's own dilate or base row.  The shift floors an end from
+    another dilate, but that end lies inside a run of cells of one dilate and base row,
+    whose fragments still touch and merge into one exact row.
     """
     if region.zero_in_closure():
         raise PreconditionError("region must stay away from 0")
@@ -119,7 +119,7 @@ def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Piecewi
     dilations = [{m - k for k in _octaves(lo, hi) for sign, m in octaves if sign == (lo > 0)}
                  for lo, hi in region.coefs]
     top = max((abs(n) for ns in dilations for n in ns), default=0)
-    _, rows, coef = _coordinates(base.coefs + region.coefs, top, SIGMA_COORD_BITS)
+    _, rows, coef = _coordinates(base.coefs + region.coefs, top)
     pieces = rows[len(base.coefs):]
     items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[:len(base.coefs)])]
     scales = []

@@ -56,7 +56,7 @@ class PiecewiseTranslation(Piecewise):
     OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
     _value = RationalPi
 
-    def _build(self, triples: list, coef: Optional[Callable]) -> None:
+    def _build(self, triples: list, coef: Optional[Callable] = None) -> None:
         rows = self._rows(triples)
         image = _disjoint_rows((lo + shift, hi + shift, None) for lo, hi, shift in rows)
         if image is None:

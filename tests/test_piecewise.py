@@ -265,31 +265,36 @@ class TestLinearBuild:
     object-level build gives."""
 
     def test_matches_the_object_level_build(self, sweeps, sort_keys):
+        """Each case as a StepFunction of Fraction coefficients, and as a translation on int
+        coordinates over unit 4 whose shifts, 10 * value, keep the images of values apart."""
         seen = Counter()
         for seed in SEEDS:
             rng = random.Random(seed)
             triples = ordered_triples(rng)
             overlap = overlapping([t for t in triples if t[0] < t[1]])
             try:
-                want = object_piecewise(triples)
+                wants = {"Fraction": object_piecewise(triples),
+                         "int": object_piecewise(triples, lambda tag: RationalPi(Fraction(10 * tag)))}
             except ValueError:
                 assert overlap
-                want = None
+                wants = None
             for case in (triples, rng.sample(triples, len(triples))):
                 kept = [t for t in case if t[0] < t[1]]
                 in_order = all(a[1] <= b[0] for a, b in zip(kept, kept[1:]))
-                for side, build in (("Fraction", lambda: StepFunction.from_triples(case)),
-                                    ("int", lambda: StepFunction.from_triples(scaled(case), over(4)))):
+                shifted = [(lo, hi, 40 * tag) for lo, hi, tag in scaled(case)]
+                for side, cls, build in (
+                        ("Fraction", StepFunction, lambda: StepFunction.from_triples(case)),
+                        ("int", PiecewiseTranslation, lambda: PiecewiseTranslation.from_triples(shifted, over(4)))):
                     sweeps[0] = sort_keys[0] = 0
                     keys = 0 if side == "int" else len(kept)
                     if overlap:
-                        with pytest.raises(ValueError, match=Piecewise.OVERLAP_ERROR):
+                        with pytest.raises(ValueError, match=cls.OVERLAP_ERROR):
                             build()
-                        seen["one-value overlap" if want else "two-value overlap"] += 1
+                        seen["one-value overlap" if wants else "two-value overlap"] += 1
                         assert (sweeps[0], sort_keys[0]) == (0, keys), seed
                         continue
                     f = build()
-                    assert (f.pairs, f.domain, tuple(f.rows())) == want, seed
+                    assert (f.pairs, f.domain, tuple(f.rows())) == wants[side], seed
                     assert (sweeps[0], sort_keys[0]) == (0, 0 if in_order else keys), seed
                     seen["in order" if in_order else "sorted"] += 1
                     seen["merged" if len(f.coefs) < len(kept) else "kept"] += 1
@@ -345,7 +350,7 @@ class TestLinearBuild:
     def test_a_witness_sorts_its_image_only(self, rule_calls):
         """A 400-piece witness on int coordinates comes in domain order; its image is sorted
         once, by the ints themselves (no sort key).  The same rows shuffled as Fraction
-        coefficients take one sort, one key per row, and as int coordinates no key."""
+        coefficients take one sort, one key per row, and as int coordinates none."""
         witness = is_wavelet_set.__wrapped__(random_wavelet_candidate(random.Random(400), 400)).tau_witness
         n = len(witness.coefs)
         assert n >= 300
@@ -355,8 +360,10 @@ class TestLinearBuild:
         assert Piecewise.from_triples(shuffled).coefs == witness.coefs
         assert rule_calls == [(n, n, False)]
         rule_calls.clear()
-        assert Piecewise.from_triples(scaled(shuffled, 2**20), over(2**20)).coefs == witness.coefs
-        assert rule_calls == [(n, 0, False)]
+        coords = [(lo, hi, int(shift * 2**20)) for lo, hi, shift in scaled(shuffled, 2**20)]
+        got = PiecewiseTranslation.from_triples(coords, over(2**20))
+        assert (got.coefs, got.image) == (witness.coefs, witness.image)
+        assert rule_calls == [(n, 0, False), (n, 0, False)]
 
 
 def test_the_rule_matches_the_replaced_builds():

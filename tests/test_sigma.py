@@ -13,6 +13,7 @@ from wavemult.exact import (
     RationalPi,
     TWO_PI,
     ZERO,
+    _coordinates,
 )
 from wavemult.parsing import parse_set
 from wavemult.sigma import (
@@ -363,6 +364,19 @@ class TestIntegerCoordinates:
         with pytest.raises(PreconditionError, match="escapes"):
             compose(paper_sigma.mapping, part)
         assert units == ["int", "int"]
+
+    def test_an_extension_cell_may_end_off_its_scale(self, steps):
+        """[1/3, 2/5) is dilated by 4 and [11, 12) by 1/8 into one base row: unit 15 * 2**3,
+        the dilates [160, 192) and [165, 180).  The first's cells end at 165, which 4 does
+        not divide; scaled back they meet at 165 >> 2 = 41 and merge into [40, 48)."""
+        _, units = steps
+        base = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(2), Fraction(2))])
+        region = parse_set("[1/3pi,2/5pi),[11pi,12pi)")
+        got = dyadic_extension(base, region)
+        want = fraction_dyadic_extension(base, region)
+        assert (got.coefs, got.image) == (want.coefs, want.image)
+        assert got.coefs == ((Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)), (11, 12, 16))
+        assert units == ["int"] and _coordinates(base.coefs + region.coefs, 3)[0] == 15 * 2**3
 
 
 class TestRoundTrips:

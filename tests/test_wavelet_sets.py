@@ -346,7 +346,8 @@ def integer_side_sets():
     """Seeded sets whose unit fits: cut-and-shift candidates (their folded and scaled
     fragments tie and touch), sets on a 1/64 grid with endpoints on odd multiples of pi
     and on powers of two, wavelet sets up to 2**-1000 pi from 0, hostile [pi, ~2000pi)
-    and [2**-e pi, pi) for e up to 1000."""
+    and [2**-e pi, pi) for e up to 1000, 240 coprime denominators (a unit of about 2500
+    bits) and the long octave range [pi, 2**1100 pi)."""
     rng = random.Random(1717)
     sets = [random_wavelet_candidate(rng, rng.randint(1, 24)) for _ in range(150)]
     sets += [random_interval_set(rng) for _ in range(150)]
@@ -358,6 +359,7 @@ def integer_side_sets():
     sets += [IntervalSet.single(RationalPi(Fraction(1, 2**e)), RationalPi(1 - Fraction(1, 2**17)))
              for e in (50, 100, 200, 1000)]
     sets += [catalog(name) for name in CATALOG_NAMES]
+    sets += [coprime_set(rng, 120), IntervalSet.single(rp(1), RationalPi(Fraction(2) ** 1100))]
     return sets
 
 
@@ -369,10 +371,10 @@ def fraction_side_sets():
     return [
         IntervalSet.single(RationalPi(DEEP), rp(1)),
         near_zero_wavelet_set(10000),
-        coprime_set(rng, 120),
+        coprime_set(rng, 200),
         coprime_set(rng, 400),
         IntervalSet.from_intervals(list(many) + [Interval(RationalPi(DEEP), RationalPi(3 * DEEP / 2))]),
-        IntervalSet.single(rp(1), RationalPi(Fraction(2) ** 1100)),
+        IntervalSet.single(rp(1), RationalPi(Fraction(2) ** 3100)),
     ]
 
 
