@@ -114,13 +114,13 @@ def dimension_values(W: IntervalSet, points: Sequence[RationalPi]) -> list[int]:
     """
     if not points:
         return []
-    _require_wavelet_set(W)
+    D = dimension_function(W)
     for xi in points:
         if not (MINUS_PI <= xi < PI):
             raise PreconditionError("xi must lie in [-pi, pi)")
         if xi.is_zero:
             raise PreconditionError("the dimension function is not evaluated at 0")
-    return list(map(dimension_function(W).value_at, points))
+    return list(map(D.value_at, points))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ piecewise-constant function is its `coefs`, tuples of `Fraction` coefficients;
 iteration, `pieces`, `rows()`, `value_at` and text.  `sweep`, the log2
 helpers and `PiecewiseTranslation.from_triples` also take the integer coordinates
 x * unit of `_coordinates`, so a caller may compare and add ints, as the
-wavelet-set check, composition and dyadic extension do.
+wavelet-set check, composition, dyadic extension and every translation map do.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Union
+from typing import Any, Hashable, Iterable, Iterator, Optional, Union
 
 __all__ = [
     "PreconditionError",
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 RationalLike = Union[int, str, Fraction]
+FLOAT_ERROR = "exact scalars take int, str or Fraction, not float"
 
 
 class PreconditionError(ValueError):
@@ -49,8 +50,16 @@ class PreconditionError(ValueError):
 
 def _exact(k: RationalLike) -> Fraction:
     if isinstance(k, float):
-        raise TypeError("exact scalars take int, str or Fraction, not float")
+        raise TypeError(FLOAT_ERROR)
     return Fraction(k)
+
+
+def _exact_rows(triples: Iterable[tuple]) -> list:
+    """The triples as a list; TypeError when one holds a float."""
+    rows = list(triples)
+    if any(isinstance(x, float) for row in rows for x in row):
+        raise TypeError(FLOAT_ERROR)
+    return rows
 
 
 def floor_log2(q: Fraction, unit: Union[int, Fraction] = 1) -> int:
@@ -437,9 +446,9 @@ class Piecewise:
 
     The data is `coefs`, the rows as (lo, hi, tag) coefficient triples ordered by
     left endpoint, touching rows of one tag merged; equality and hashing compare
-    it.  `from_triples` is the only constructor.  It drops empty triples, sorts the
-    rest by left endpoint unless they come sorted, and rejects any two that overlap,
-    of one tag or of two.
+    it.  `from_triples` is the only constructor.  It rejects floats, drops empty triples,
+    sorts the rest by left endpoint unless they come sorted, and rejects any two that
+    overlap, of one tag or of two.
     `domain`, and `pairs` (each value once, in value order, with its IntervalSet),
     are built when first read; `rows()` builds `Interval` rows when called.  A tag
     is a value as `_value` takes it, for a translation the shift's coefficient.
@@ -451,15 +460,11 @@ class Piecewise:
     _value = staticmethod(lambda tag: tag)  # hashable tag -> value
 
     @classmethod
-    def from_triples(cls, triples: Iterable[tuple], coefficient: Optional[Callable] = None):
-        """The instance whose pieces are the (lo, hi, tag) triples.  A `PiecewiseTranslation`
-        also takes `coefficient`, the map back that `_coordinates` returns: lo, hi and the
-        shift are then coordinates, turned into `Fraction` coefficients once the rows are built."""
+    def from_triples(cls, triples: Iterable[tuple]):
+        """The instance whose pieces are the (lo, hi, tag) triples of int or `Fraction`
+        coefficients; a float raises TypeError."""
         self = cls.__new__(cls)
-        if coefficient is None:
-            self._build(list(triples))
-        else:
-            self._build(list(triples), coefficient)
+        self._build(_exact_rows(triples))
         return self
 
     def _rows(self, triples: list) -> list[list]:

@@ -7,7 +7,7 @@ extends to the punctured line by commuting with dyadic dilation.  Powers come
 from binary powering: O(log p) compositions of a power with the extension of
 itself or of the map.  A power corresponds to a unitary in the local
 commutant exactly when all of its shifts stay on the 2*pi*Z lattice.
-Composition and extension run on integer `_coordinates` when the unit fits.
+Every map here is built on integer `_coordinates` when the unit fits.
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SigmaMap:
-    """Canonical 2*pi-shift bijection from one wavelet set onto another."""
+    """Canonical 2*pi-shift bijection `mapping` from one wavelet set onto another; `w1`
+    and `w2` are its domain and image."""
 
     mapping: PiecewiseTranslation
-    w1: IntervalSet
-    w2: IntervalSet
+    w1 = property(lambda self: self.mapping.domain)
+    w2 = property(lambda self: self.mapping.image)
 
     def __post_init__(self) -> None:
-        if self.mapping.domain != self.w1 or self.mapping.image != self.w2:
-            raise ValueError("mapping is not a bijection between the stated sets")
         if not self.mapping.is_two_pi_integral:
             raise ValueError("sigma shifts must be integer multiples of 2*pi")
 
@@ -67,7 +66,7 @@ def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
     """
     tau1 = _require_wavelet_set(w1, "w1")
     tau2 = _require_wavelet_set(w2, "w2")
-    return SigmaMap(compose(tau1, tau2.inverse()), w1, w2)
+    return SigmaMap(compose(tau1, tau2.inverse()))
 
 
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:

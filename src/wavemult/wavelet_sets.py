@@ -24,6 +24,7 @@ from .exact import (
     RationalPi,
     _coordinates,
     _disjoint_rows,
+    _exact_rows,
     _times_pow2,
     floor_log2,
     ceil_log2,
@@ -47,27 +48,32 @@ PRINCIPAL_WINDOW = IntervalSet.single(MINUS_PI, PI)
 class PiecewiseTranslation(Piecewise):
     """An injective map translating each piece of its domain by a constant.
 
-    Canonical as a `Piecewise` whose values are the shifts.  Construction
-    also validates that the shifted pieces are pairwise disjoint
-    (injectivity) and stores their union as `image`, so every instance is a
+    Canonical as a `Piecewise` whose values are the shifts.  Construction, on the
+    coordinates of `_coordinates`, also validates that the shifted pieces are pairwise
+    disjoint (injectivity) and stores their union as `image`, so every instance is a
     measure-preserving bijection onto its image.
     """
 
     OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
     _value = RationalPi
 
-    def _build(self, triples: list, coef: Optional[Callable] = None) -> None:
+    @classmethod
+    def from_triples(cls, triples: Iterable[tuple], coefficient: Optional[Callable] = None):
+        """The translation of the (lo, hi, shift) triples: coordinates when `coefficient`, the
+        map back of `_coordinates`, is given, else int or `Fraction` coefficients (a float raises
+        TypeError), which `_coordinates` scales first.  One rule builds both."""
+        if coefficient is None:
+            _, triples, coefficient = _coordinates(_exact_rows(triples))
+        self = cls.__new__(cls)
         rows = self._rows(triples)
         image = _disjoint_rows((lo + shift, hi + shift, None) for lo, hi, shift in rows)
         if image is None:
             raise ValueError("piecewise translation is not injective")
-        if coef is None:
-            rows, image = map(tuple, rows), ((lo, hi) for lo, hi, _ in image)
-        else:
-            rows = [(coef(lo), coef(hi), coef(shift)) for lo, hi, shift in rows]
-            image = ((coef(lo), coef(hi)) for lo, hi, _ in image)
+        rows = [(coefficient(lo), coefficient(hi), coefficient(shift)) for lo, hi, shift in rows]
+        image = [(coefficient(lo), coefficient(hi)) for lo, hi, _ in image]
         object.__setattr__(self, "coefs", tuple(rows))
         object.__setattr__(self, "image", IntervalSet._of(tuple(image)))
+        return self
 
     @property
     def is_two_pi_integral(self) -> bool:
@@ -79,7 +85,8 @@ class PiecewiseTranslation(Piecewise):
     cases = Piecewise.rows
 
     def inverse(self) -> "PiecewiseTranslation":
-        return PiecewiseTranslation.from_triples((lo + s, hi + s, -s) for lo, hi, s in self.coefs)
+        _, rows, coef = _coordinates(self.coefs)
+        return PiecewiseTranslation.from_triples([(lo + s, hi + s, -s) for lo, hi, s in rows], coef)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from wavemult.exact import (
     IntervalSet,
     PreconditionError,
     RationalPi,
+    _disjoint_rows,
     _order_key,
     ceil_log2,
     floor_log2,
@@ -429,6 +430,19 @@ def loop_compose_powers(sigma: SigmaMap) -> Iterator[PiecewiseTranslation]:
     while True:
         yield current
         current = compose(current, hull_dyadic_extension(sigma.mapping, current.image))
+
+
+def fraction_translation(triples) -> tuple[tuple, IntervalSet]:
+    """(coefs, image) of the translation with (lo, hi, shift) coefficient triples, built on
+    the Fractions themselves as `PiecewiseTranslation` built a map given as coefficients
+    before every map went through `_coordinates`: one rule for the rows, one for the image."""
+    rows = _disjoint_rows(triples)
+    if rows is None:
+        raise ValueError(PiecewiseTranslation.OVERLAP_ERROR)
+    image = _disjoint_rows((lo + shift, hi + shift, None) for lo, hi, shift in rows)
+    if image is None:
+        raise ValueError("piecewise translation is not injective")
+    return tuple(map(tuple, rows)), IntervalSet._of(tuple((lo, hi) for lo, hi, _ in image))
 
 
 def fraction_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:

@@ -29,6 +29,8 @@ CASES = [
     ("readme_multiplicity", ["multiplicity", "--wavelet", "msf:journe", "--xi", "1/12pi"], 0),
     ("readme_core_equiv",
      ["core-equiv", "--a", "paper_w1", "--b", "paper_w2", "--window", "[1/64pi,1pi)"], 0),
+    ("sigma_paper_w1_paper_w2", ["sigma", "--w1", "paper_w1", "--w2", "paper_w2"], 0),
+    ("sigma_journe_paper_w2", ["sigma", "--w1", "journe", "--w2", "paper_w2"], 0),
     ("sigma_paper_power8", ["sigma", "--w1", "paper_w1", "--w2", "paper_w2", "--power", "8"], 1),
     ("sigma_shannon_journe_power12", ["sigma", "--w1", "shannon", "--w2", "journe", "--power", "12"], 1),
     ("sigma_journe_paper_w2_power5", ["sigma", "--w1", "journe", "--w2", "paper_w2", "--power", "5"], 1),

@@ -76,6 +76,17 @@ class TestDimensionAt:
         with pytest.raises(PreconditionError, match="not a wavelet set"):
             dimension_values(parse_set("[1pi,3pi)"), [rp(1, 2)])
 
+    def test_the_set_is_checked_once_and_before_the_points(self, monkeypatch, shannon):
+        with pytest.raises(PreconditionError, match="not a wavelet set"):
+            dimension_values(parse_set("[1pi,3pi)"), [ZERO])
+        assert dimension_values(parse_set("[1pi,3pi)"), []) == []
+        checks = []
+        check = dimension._require_wavelet_set
+        monkeypatch.setattr(dimension, "_require_wavelet_set", lambda W: checks.append(W) or check(W))
+        dimension.dimension_function.cache_clear()
+        assert dimension_values(shannon, [rp(1, 2), rp(-1, 3)]) == [1, 1]
+        assert checks == [shannon]
+
 
 class TestStepFunction:
     def test_shannon_constant_one(self, shannon):

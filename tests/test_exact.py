@@ -163,6 +163,10 @@ class TestNormalize:
         with pytest.raises(ValueError):
             IntervalSet((Interval(rp(0), rp(2)), Interval(rp(1), rp(3))))
 
+    def test_degenerate_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"degenerate interval \[pi,pi\)"):
+            Interval(rp(1), rp(1))
+
     @given(interval_sets())
     def test_idempotent(self, s):
         assert IntervalSet.from_intervals(s.pieces) == s
@@ -230,6 +234,10 @@ class TestGeometry:
         assert IntervalSet.empty().dilate(5).is_empty
         assert parse_set("[15/8pi,15/4pi)").dilate(4) == parse_set("[30pi,60pi)")
 
+    def test_dilate_takes_an_integer_exponent(self):
+        with pytest.raises(TypeError, match="dilation exponent must be an integer"):
+            parse_set("[1pi,2pi)").dilate(1.5)
+
     def test_translate_examples(self):
         assert parse_set("[17/8pi,18/8pi)").translate(-TWO_PI) == parse_set("[1/8pi,1/4pi)")
         s = parse_set("[15/8pi,17/8pi)")
@@ -258,6 +266,12 @@ class TestGeometry:
         assert parse_set("[-1/5pi,-1/6pi),[1/4pi,1pi)").dist_zero() == rp(1, 6)
         assert parse_set("[-1pi,1pi)").zero_in_closure()
         assert not w1.zero_in_closure()
+
+    def test_empty_set_has_no_distance_or_magnitude(self):
+        with pytest.raises(ValueError, match="empty set has no distance to 0"):
+            IntervalSet.empty().dist_zero()
+        with pytest.raises(ValueError, match="empty set has no magnitude bound"):
+            IntervalSet.empty().max_abs()
 
     @given(interval_sets(), st.integers(-6, 6))
     def test_dilation_scales_measure(self, s, n):

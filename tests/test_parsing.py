@@ -42,6 +42,14 @@ def test_syntax_error_carries_position():
     assert "position 4" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message", [("[1/pi,2pi)", "expected an integer"),
+                                           ("[1px,2pi)", "expected 'pi'")])
+def test_scalar_errors_carry_position(text, message):
+    with pytest.raises(SetSyntaxError, match=message) as exc:
+        parse_set(text)
+    assert exc.value.position == 3
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(SetSyntaxError, match="trailing"):
         parse_set("[1pi,2pi) extra")

@@ -317,10 +317,29 @@ class TestLinearBuild:
         assert f.coefs == ((0, 2, 2), (2, 3, -2))
 
     def test_an_overlap_raises(self, sweeps, sort_keys):
+        """Fraction triples within the budget of `_coordinates` sort as ints: no sort key."""
         with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
             PiecewiseTranslation.from_triples([(Fraction(0), Fraction(2), Fraction(2)),
                                                (Fraction(1), Fraction(3), Fraction(4))])
+        assert (sweeps[0], sort_keys[0]) == (0, 0)
+
+    def test_an_overlap_past_the_budget_raises(self, sweeps, sort_keys):
+        """A 2**-4000 endpoint keeps the coordinates Fractions: one sort key per triple."""
+        with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
+            PiecewiseTranslation.from_triples([(Fraction(0), Fraction(2), Fraction(2)),
+                                               (Fraction(1), 3 + Fraction(1, 2**4000), Fraction(4))])
         assert (sweeps[0], sort_keys[0]) == (0, 2)
+
+    @pytest.mark.parametrize("cls", [Piecewise, StepFunction, PiecewiseTranslation])
+    @pytest.mark.parametrize("triple", [(0.5, 1.0, 2), (Fraction(0), Fraction(1), 2.0),
+                                        (Fraction(0), Fraction(1, 2**4000), 2.0)],
+                             ids=["endpoints", "tag", "tag past the budget"])
+    def test_a_float_raises_at_construction(self, cls, triple):
+        with pytest.raises(TypeError) as scalar:
+            RationalPi(0.5)
+        with pytest.raises(TypeError) as built:
+            cls.from_triples([(Fraction(-1), Fraction(0), 2), triple])
+        assert str(built.value) == str(scalar.value)
 
     @pytest.mark.parametrize("cls", [Piecewise, StepFunction, PiecewiseTranslation])
     @pytest.mark.parametrize("rows", [

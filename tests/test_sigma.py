@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -94,9 +95,18 @@ class TestBuildSigma:
         with pytest.raises(PreconditionError):
             build_sigma(w1, parse_set("[1pi,3pi)"))
 
-    def test_sigma_map_validates_invariants(self, w1, w2, paper_sigma):
-        with pytest.raises(ValueError):
-            SigmaMap(paper_sigma.mapping, w1, w1)
+    def test_sigma_map_validates_invariants(self, paper_sigma):
+        """Its one invariant: every shift lies on the 2*pi*Z lattice."""
+        skew = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(2), Fraction(-1))])
+        with pytest.raises(ValueError, match=r"integer multiples of 2\*pi"):
+            SigmaMap(skew)
+        assert SigmaMap(paper_sigma.mapping) == paper_sigma
+
+    def test_sets_are_read_off_the_mapping(self):
+        assert [field.name for field in fields(SigmaMap)] == ["mapping"]
+        for a, b in itertools.product(CATALOG_NAMES, repeat=2):
+            sigma = build_sigma(catalog(a), catalog(b))
+            assert (sigma.w1, sigma.w2) == (catalog(a), catalog(b)), (a, b)
 
 
 class TestExtendAt:

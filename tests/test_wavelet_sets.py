@@ -31,6 +31,7 @@ from _oracles import (
     fraction_annulus_fragments,
     fraction_principal_fragments,
     fraction_tiling_check,
+    fraction_translation,
     fraction_wavelet_report,
     midpoint_tiling_failure,
     near_zero_wavelet_set,
@@ -420,3 +421,74 @@ class TestIntegerCoordinates:
         assert coords == [(-300, -240), (40, 48), (300, 330)]
         assert [coef(x) for pair in coords for x in pair] == [x for pair in W.coefs for x in pair]
         assert coef(-2 * unit) == Fraction(-2)
+
+
+def translation_triples(rng):
+    """Up to eight (lo, hi, shift) Fraction triples, shuffled: pieces on the (1/8)pi grid that
+    start where the last ends or near it, some empty, with shifts in (1/4)pi steps, so that
+    touching rows of one shift, overlapping rows and overlapping images all occur."""
+    triples = []
+    lo = Fraction(rng.randint(-16, 8), 8)
+    for _ in range(rng.randint(0, 8)):
+        hi = lo + Fraction(rng.randint(0, 6), 8)
+        triples.append((lo, hi, Fraction(rng.choice((-8, -4, -3, 0, 0, 1, 4, 8)), 4)))
+        lo = hi + Fraction(rng.choice((0, 0, 1, -1, 3)), 8)
+    rng.shuffle(triples)
+    return triples
+
+
+def coprime_translates(rng, count):
+    """[-pi, pi) cut at `count` points with distinct prime denominators, so that no unit of at
+    most COORD_BITS bits clears them, each piece moved by a seeded nonzero 2*pi*k: a wavelet
+    set candidate with a translation witness, away from 0."""
+    cuts = sorted(Fraction(rng.choice((-1, 1)) * rng.randrange(1, p), p) for p in primes(1000, count))
+    ends = [Fraction(-1)] + cuts + [Fraction(1)]
+    return IntervalSet.from_intervals(Interval(RationalPi(lo + k), RationalPi(hi + k))
+                                      for lo, hi in zip(ends, ends[1:]) for k in (rng.choice((-4, -2, 2, 4)),))
+
+
+def reversed_triples(tau):
+    return [(lo + s, hi + s, -s) for lo, hi, s in tau.coefs]
+
+
+class TestCoefficientTriples:
+    """A translation given as coefficient triples is scaled by `_coordinates` and built by the
+    rule of the witness, `compose` and `dyadic_extension`: the same coefs and image, or the
+    same error, as the Fraction reference it replaced, on both sides of the budget."""
+
+    def test_seeded_triples_match_the_fraction_reference(self):
+        seen = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            triples = translation_triples(rng)
+            for side, case in ((int, triples), (Fraction, [(lo + DEEP, hi + DEEP, s) for lo, hi, s in triples])):
+                assert {type(x) for row in _coordinates(case)[1] for x in row} <= {side}, seed
+                try:
+                    want = fraction_translation(case)
+                except ValueError as err:
+                    with pytest.raises(ValueError) as raised:
+                        PiecewiseTranslation.from_triples(case)
+                    assert str(raised.value) == str(err), seed
+                    seen[str(err)] += 1
+                    continue
+                got = PiecewiseTranslation.from_triples(case)
+                assert (got.coefs, got.image) == want, seed
+                seen["merged" if len(got.coefs) < len([t for t in case if t[0] < t[1]]) else "built"] += 1
+        assert min(seen[k] for k in ("merged", "built", PiecewiseTranslation.OVERLAP_ERROR,
+                                     "piecewise translation is not injective")) >= 10, seen
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_inverse_of_a_catalog_witness(self, name):
+        tau = witness(catalog(name))
+        inverse = tau.inverse()
+        assert (inverse.coefs, inverse.image) == fraction_translation(reversed_triples(tau))
+        assert (inverse.domain, inverse.image) == (PRINCIPAL_WINDOW, catalog(name))
+
+    @pytest.mark.parametrize("W", [near_zero_wavelet_set(10000), coprime_translates(random.Random(20), 400)],
+                             ids=["2**-10000 pi endpoint", "coprime denominators"])
+    def test_inverse_past_the_budget(self, W):
+        tau = witness(W)
+        assert _coordinates(tau.coefs)[0] == 1  # the unit of Fractions past COORD_BITS
+        inverse = tau.inverse()
+        assert (inverse.coefs, inverse.image) == fraction_translation(reversed_triples(tau))
+        assert (inverse.domain, inverse.image) == (PRINCIPAL_WINDOW, W)
