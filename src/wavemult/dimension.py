@@ -2,16 +2,15 @@
 
 For a wavelet set W the dimension function D at xi counts the lattice pairs
 (j, k), j >= 1, with 2**j * (xi + 2*pi*k) in W.  D is a finite step function
-on [-pi, pi) minus the single point 0: `dimension_function` builds it
-once per set by exact indicator summation, and every window and point is
-answered from it.  No sampling happens anywhere on this path, and values are
-nonnegative integers by construction.
+on [-pi, pi) minus the single point 0: `dimension_function` builds it once per
+set by exact indicator summation on the integer `_coordinates` of W, as every
+other exact builder does, and every window and point is answered from it.  No
+sampling happens on this path, and values are nonnegative integers by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -22,6 +21,8 @@ from .exact import (
     IntervalSet,
     Piecewise,
     RationalPi,
+    _coordinates,
+    _times_pow2,
     ceil_log2,
     sweep,
 )
@@ -69,23 +70,22 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     right limit, one more than the lattice count there, which has no k = 0 term.
     """
     _require_wavelet_set(W)
-    items = [(Fraction(-1), Fraction(1), 0)]
-    for lo, hi in W.coefs:
+    top = ceil_log2(W.max_abs().coef)  # the unit holds 2**(top - 1): each level below is a shift
+    unit, pairs, coef = _coordinates(W.coefs, max(0, top - 1))
+    items = [(-unit, unit, 0)]
+    for lo, hi in pairs:
         near = lo if lo > 0 else -hi
-        if hi - lo == near and near < 1:  # a whole octave: its dilates fill [lo, pi) or [-pi, hi)
-            items.append((lo, Fraction(1), 1) if lo > 0 else (Fraction(-1), hi, 1))
-            continue
-        scale = 1  # a shorter piece (none spans more): its dilates that start below pi
-        while near * scale < 1:
-            items.append((lo * scale, hi * scale, 1))
-            scale *= 2
+        if hi - lo == near and near < unit:  # a whole octave: its dilates fill [lo, pi) or [-pi, hi)
+            items.append((lo, unit, 1) if lo > 0 else (-unit, hi, 1))
+        else:  # a shorter piece (none spans more): its dilates that start below pi
+            items += [(_times_pow2(lo, m), _times_pow2(hi, m), 1) for m in range(ceil_log2(unit, near))]
     # The levels with 2**j < max |W|, folded into [-pi, pi); shift -2*pi*k, k != 0.  W has
     # measure 2*pi, so each piece of 2**-j * W is at most pi long and meets at most two
     # 2*pi cells: the fold's three-fragment cap never binds here.
-    pieces = [(lo / 2**j, hi / 2**j) for j in range(1, ceil_log2(W.max_abs().coef)) for lo, hi in W.coefs]
-    items += [(lo + s, hi + s, 2) for lo, hi, s in _fold(pieces, Fraction(1)) if s]  # Fraction splits
-    return StepFunction.from_triples(
-        ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags))
+    pieces = [(_times_pow2(lo, -j), _times_pow2(hi, -j)) for j in range(1, top) for lo, hi in pairs]
+    items += [(lo + s, hi + s, 2) for lo, hi, s in _fold(pieces, unit) if s]
+    return StepFunction.from_triples((coef(lo), coef(hi), count - 2 * (1 in tags))
+                                     for lo, hi, count, tags in sweep(items) if 0 in tags)
 
 
 def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:

@@ -7,10 +7,10 @@ of half-open intervals [lo, hi) kept in a unique canonical form: pieces
 sorted, pairwise disjoint, never adjacent.  The data of an interval set or a
 piecewise-constant function is its `coefs`, tuples of `Fraction` coefficients;
 `Interval` and `RationalPi` objects are built from them only at the edge:
-iteration, `pieces`, `rows()`, `value_at` and text.  `sweep`, the log2
-helpers and `PiecewiseTranslation.from_triples` also take the integer coordinates
-x * unit of `_coordinates`, so a caller may compare and add ints, as the
-wavelet-set check, composition, dyadic extension and every translation map do.
+iteration, `pieces`, `rows()`, `value_at` and text.  `sweep`, the log2 helpers and
+`PiecewiseTranslation.from_triples` also take the integer coordinates x * unit of
+`_coordinates`, so a caller may compare and add ints, as the wavelet-set check, the
+dimension function, composition, dyadic extension and every translation map do.
 """
 
 from __future__ import annotations
@@ -55,10 +55,12 @@ def _exact(k: RationalLike) -> Fraction:
 
 
 def _exact_rows(triples: Iterable[tuple]) -> list:
-    """The triples as a list; TypeError when one holds a float."""
+    """The triples as a list; TypeError when an entry's type is not int or Fraction."""
     rows = list(triples)
-    if any(isinstance(x, float) for row in rows for x in row):
-        raise TypeError(FLOAT_ERROR)
+    kinds = set(map(type, chain.from_iterable(rows))) - {int, Fraction}
+    if kinds:
+        raise TypeError(FLOAT_ERROR if float in kinds else "exact coefficients are int or "
+                        f"Fraction, not {', '.join(sorted(kind.__name__ for kind in kinds))}")
     return rows
 
 
@@ -78,10 +80,10 @@ def ceil_log2(q: Fraction, unit: Union[int, Fraction] = 1) -> int:
 
 
 def _order_key(x: Fraction) -> tuple:
-    """Exact sort and equality key for x that mostly compares ints, not Fractions.
-
-    (q,) when x = q / 2**64 exactly, else (q, x) with q = floor(x * 2**64).
-    """
+    """Exact sort and equality key for x that mostly compares ints: (q,) when x = q / 2**64, else
+    (q, x), q = floor(x * 2**64).  Within the `COORD_BITS` budget only Fraction rows come here:
+    the step and core-equivalence functions, the `IntervalSet` algebra, unsorted `Piecewise`
+    rows.  Plain Fraction keys measured 1.4-2.8x slower there and past the budget (ROADMAP)."""
     q, r = divmod(x.numerator << 64, x.denominator)
     return (q, x) if r else (q,)
 
@@ -91,10 +93,10 @@ def sweep(
 ) -> Iterator[tuple[Fraction, Fraction, int, tuple]]:
     """Overlay tagged half-open intervals [lo, hi), given as coefficient triples.
 
-    Sorts the 2n endpoints once and walks them, keeping the number of open
-    intervals and their distinct tags.  Yields (lo, hi, count, tags) for each
-    covered cell between consecutive endpoints, in increasing order.  Ints are
-    their own sort keys; `_order_key` keys the endpoints when any is not an int.
+    Sorts the 2n endpoints once and walks them, keeping the number of open intervals and
+    their distinct tags.  Yields (lo, hi, count, tags) for each covered cell between
+    consecutive endpoints, in increasing order.  Ints, which every builder on `_coordinates`
+    passes, are their own sort keys; `_order_key` keys the rest (it names who passes them).
     """
     items = list(items)
     events = []
@@ -446,15 +448,15 @@ class Piecewise:
 
     The data is `coefs`, the rows as (lo, hi, tag) coefficient triples ordered by
     left endpoint, touching rows of one tag merged; equality and hashing compare
-    it.  `from_triples` is the only constructor.  It rejects floats, drops empty triples,
-    sorts the rest by left endpoint unless they come sorted, and rejects any two that
-    overlap, of one tag or of two.
+    it.  `from_triples` is the only constructor.  It rejects entries other than ints and
+    Fractions, drops empty triples, sorts the rest by left endpoint unless they come
+    sorted, and rejects any two that overlap, of one tag or of two.
     `domain`, and `pairs` (each value once, in value order, with its IntervalSet),
     are built when first read; `rows()` builds `Interval` rows when called.  A tag
     is a value as `_value` takes it, for a translation the shift's coefficient.
     """
 
-    coefs: tuple[tuple[Fraction, Fraction, Hashable], ...]
+    coefs: tuple[tuple[Fraction, Fraction, Union[int, Fraction]], ...]
 
     OVERLAP_ERROR = "pieces overlap"
     _value = staticmethod(lambda tag: tag)  # hashable tag -> value
@@ -462,7 +464,7 @@ class Piecewise:
     @classmethod
     def from_triples(cls, triples: Iterable[tuple]):
         """The instance whose pieces are the (lo, hi, tag) triples of int or `Fraction`
-        coefficients; a float raises TypeError."""
+        coefficients; any other entry raises TypeError."""
         self = cls.__new__(cls)
         self._build(_exact_rows(triples))
         return self

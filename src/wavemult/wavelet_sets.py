@@ -60,8 +60,8 @@ class PiecewiseTranslation(Piecewise):
     @classmethod
     def from_triples(cls, triples: Iterable[tuple], coefficient: Optional[Callable] = None):
         """The translation of the (lo, hi, shift) triples: coordinates when `coefficient`, the
-        map back of `_coordinates`, is given, else int or `Fraction` coefficients (a float raises
-        TypeError), which `_coordinates` scales first.  One rule builds both."""
+        map back of `_coordinates`, is given, else int or `Fraction` coefficients (any other
+        entry raises TypeError), which `_coordinates` scales first.  One rule builds both."""
         if coefficient is None:
             _, triples, coefficient = _coordinates(_exact_rows(triples))
         self = cls.__new__(cls)

@@ -25,7 +25,7 @@ from wavemult.exact import (
     sweep,
 )
 from wavemult.sigma import SigmaMap, compose
-from wavemult.wavelet_sets import PiecewiseTranslation, WaveletSetReport
+from wavemult.wavelet_sets import PiecewiseTranslation, WaveletSetReport, _fold, _require_wavelet_set
 
 
 def brute_dimension_count(W: IntervalSet, xi: RationalPi, j_cap: int = 16, k_cap: int = 8) -> int:
@@ -624,6 +624,28 @@ def windowed_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     """The dimension function of W on a nonempty query away from 0, built on the query
     alone from every translate deep enough to reach it: the cost grows with the depth."""
     return step_from_covers(query, hit_sets(W, query))
+
+
+def fraction_dimension_function(W: IntervalSet) -> StepFunction:
+    """`dimension_function` on Fraction coefficients, as it ran before the integer
+    coordinates: a Fraction window, each shorter piece dilated by doubling scales while
+    it starts below pi, the levels 2**-j * W divided by 2**j and folded with a Fraction
+    unit, and one sweep whose cells are already coefficients."""
+    _require_wavelet_set(W)
+    items = [(Fraction(-1), Fraction(1), 0)]
+    for lo, hi in W.coefs:
+        near = lo if lo > 0 else -hi
+        if hi - lo == near and near < 1:
+            items.append((lo, Fraction(1), 1) if lo > 0 else (Fraction(-1), hi, 1))
+            continue
+        scale = 1
+        while near * scale < 1:
+            items.append((lo * scale, hi * scale, 1))
+            scale *= 2
+    pieces = [(lo / 2**j, hi / 2**j) for j in range(1, ceil_log2(W.max_abs().coef)) for lo, hi in W.coefs]
+    items += [(lo + s, hi + s, 2) for lo, hi, s in _fold(pieces, Fraction(1)) if s]
+    return StepFunction.from_triples(
+        ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags))
 
 
 def object_hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:

@@ -10,16 +10,20 @@ and, next to 0, equal the direct lattice count.
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+import _oracles
+from wavemult import dimension
 from wavemult.dimension import dimension_function, dimension_step_function
-from wavemult.exact import Interval, IntervalSet, RationalPi, ceil_log2
+from wavemult.exact import Interval, IntervalSet, RationalPi, _coordinates, ceil_log2
 from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _fold, catalog
 
 from _oracles import (
     brute_dimension_count,
     deep_piece_wavelet_set,
+    fraction_dimension_function,
     near_zero_wavelet_set,
     random_point_in,
     two_interval_wavelet_set,
@@ -149,3 +153,42 @@ def test_the_fold_cap_never_binds_on_the_translates():
                 ends = [lo] + [b for _, b, _ in fragments]
                 assert [(a, b) for a, b, _ in fragments] == list(zip(ends, ends[1:])), (W, j)
                 assert ends[-1] == hi, (W, j)
+
+
+# Each family with the side of the `COORD_BITS` budget that `_coordinates` puts it on:
+# near_zero_wavelet_set(n) has an (n + 3)-bit unit and deep_piece_wavelet_set(n, n) a
+# (2n + 1)-bit one.
+FRACTION_BUILD_FAMILIES = {
+    "catalog": (lambda: [catalog(name) for name in CATALOG_NAMES], "int"),
+    "two-interval": (lambda: two_interval_sets(2100, 20), "int"),
+    "deep-piece": (lambda: [deep_piece_wavelet_set(n, t) for n, t in DEEP_PIECE], "int"),
+    "near-zero up to 1000": (lambda: [near_zero_wavelet_set(n) for n in (0, 1, 5, 30, 1000)], "int"),
+    "near-zero 10000": (lambda: [near_zero_wavelet_set(10000)], "Fraction"),
+    "deep-piece 400": (lambda: [deep_piece_wavelet_set(400, 400)], "int"),
+    "deep-piece 1600": (lambda: [deep_piece_wavelet_set(1600, 1600)], "Fraction"),
+}
+
+
+@pytest.mark.parametrize("family", FRACTION_BUILD_FAMILIES)
+def test_the_same_rows_as_the_fraction_build(monkeypatch, family):
+    """`dimension_function` on the `_coordinates` of W, whose unit holds 2**(top - 1) for
+    2**top >= max |W|, against the Fraction build it replaced: the same rows, from the same
+    sweep items scaled by the unit (the whole-octave shortcut, the dilate range and the
+    levels all show in the items).  Past the budget the unit is 1 and the coordinates are
+    the coefficients themselves."""
+    make, side = FRACTION_BUILD_FAMILIES[family]
+    swept = {}
+    for module in (dimension, _oracles):
+        def recording(items, module=module, sweep=module.sweep):
+            swept[module] = list(items)
+            return sweep(swept[module])
+
+        monkeypatch.setattr(module, "sweep", recording)
+    for W in make():
+        unit, coords, coef = _coordinates(W.coefs, max(0, ceil_log2(W.max_abs().coef) - 1))
+        ints = all(type(x) is int for x in chain.from_iterable(coords))
+        assert ("int" if ints else "Fraction") == side and (ints or unit == 1), (W, unit)
+        got = dimension_function.__wrapped__(W)
+        assert got.coefs == fraction_dimension_function(W).coefs, W
+        items = [(coef(lo), coef(hi), tag) for lo, hi, tag in swept[dimension]]
+        assert items == swept[_oracles], W

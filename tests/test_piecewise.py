@@ -342,6 +342,16 @@ class TestLinearBuild:
         assert str(built.value) == str(scalar.value)
 
     @pytest.mark.parametrize("cls", [Piecewise, StepFunction, PiecewiseTranslation])
+    @pytest.mark.parametrize("rows", [[("0", "1", 2)], [("10", "9", 1), ("0", "1", 2)],
+                                      [(Fraction(0), Fraction(1), "2")]],
+                             ids=["one sorted row", "unsorted rows", "str shift"])
+    def test_a_str_raises_at_construction(self, cls, rows):
+        """Only ints and Fractions are coefficients, though `RationalPi` parses text."""
+        assert RationalPi("1/3").coef == Fraction(1, 3)
+        with pytest.raises(TypeError, match="int or Fraction, not str"):
+            cls.from_triples(rows)
+
+    @pytest.mark.parametrize("cls", [Piecewise, StepFunction, PiecewiseTranslation])
     @pytest.mark.parametrize("rows", [
         [(0, 2, 2), (1, 3, 2)],
         [(0, 2, 2), (1, 3, 4)],
