@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .exact import (
     MINUS_PI,
@@ -106,12 +106,14 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     return StepFunction.from_triples(cells)
 
 
-def dimension_values(W: IntervalSet, points: Sequence[RationalPi]) -> list[int]:
+def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
     """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W, at each point xi.
 
     The counts are read from `dimension_function(W)`.  Every xi must lie in
     [-pi, pi) and differ from 0, where that function holds its right limit.
+    The points may be any iterable; they are read once.
     """
+    points = list(points)
     if not points:
         return []
     D = dimension_function(W)

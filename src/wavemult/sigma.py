@@ -3,18 +3,22 @@
 Between any two wavelet sets there is a canonical measurable bijection made
 of 2*pi*Z shifts: push the first set onto [-pi, pi) with its translation
 witness, then pull back with the inverse of the second witness.  The map
-extends to the punctured line by commuting with dyadic dilation.  Powers come
-from binary powering: O(log p) compositions of a power with the extension of
-itself or of the map.  A power corresponds to a unitary in the local
-commutant exactly when all of its shifts stay on the 2*pi*Z lattice.
-Every map here is built on integer `_coordinates` when the unit fits.
+extends to the punctured line by commuting with dyadic dilation.  Composition
+and the extension are one pull-back sweep: image pieces of a first map, each
+dilated by a power of two (only 2**0 for composition), overlaid with a second
+map's rows and pulled back, with one length rule for coverage.  Powers come
+from binary powering: O(log p) steps, each one `dyadic_extension` of the power
+(squaring) or of the map (a set bit) after the power so far.  A power
+corresponds to a unitary in the local commutant exactly when all of its
+shifts stay on the 2*pi*Z lattice.  Every map here is built on integer
+`_coordinates` when the unit fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .exact import (
     PreconditionError,
@@ -69,90 +73,107 @@ def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
     return SigmaMap(compose(tau1, tau2.inverse()))
 
 
+def _pull_back(rows: list, cut: int, coef, error: str,
+               dilations=lambda lo, hi: (0,)) -> PiecewiseTranslation:
+    """The map x -> then(2**n * first(x)) * 2**-n from one sweep of coordinate rows (lo, hi, shift),
+    `first` the rows before `cut` and `then` the rest.
+
+    The image piece [lo, hi) of each `first` row, dilated by each 2**n in `dilations(lo, hi)`
+    (the j-th dilate tagged ~j), overlays the `then` rows (tagged by index).  Each cell covered
+    by both is scaled back by 2**-n and moved back by its first row's shift.  The fragments lie
+    inside the `first` rows, and `from_triples` forbids two to overlap, so they cover those rows
+    exactly when their lengths, summed on the coordinates, equal the rows' lengths; else `error`.
+    """
+    first, then = rows[:cut], rows[cut:]
+    items = [(lo, hi, j) for j, (lo, hi, _) in enumerate(then)]
+    pulls, total = [], 0
+    for lo, hi, s in first:
+        total += hi - lo
+        lo, hi = lo + s, hi + s
+        for n in dilations(lo, hi):
+            items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(pulls)) if n else (lo, hi, ~len(pulls)))
+            pulls.append((-n, s))
+    fragments, covered = [], 0
+    for lo, hi, _, tags in sweep(items):
+        row = max(tags)
+        for tag in tags:
+            if tag < 0 <= row:
+                (m, s), t = pulls[~tag], then[row][2]
+                a, b, t = (_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(t, m)) if m else (lo, hi, t)
+                fragments.append((a - s, b - s, s + t))
+                covered += b - a
+    result = PiecewiseTranslation.from_triples(fragments, coef)
+    if covered != total:
+        raise PreconditionError(error)
+    return result
+
+
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
     """Composite map then(first(x)); image of `first` must lie in `then`'s domain.
 
-    One sweep over the `_coordinates` of both maps overlays the image rows of `first`
-    with the domain rows of `then`, each tagged by its index in `shifts`; both families
-    are disjoint, so a cell covered twice carries one tag of each, the first's the
-    smaller, and a cell covered once by an image row lies outside `then`'s domain.
+    The pull-back sweep with n = 0 on the `_coordinates` of both maps; both families of rows
+    are disjoint, so each cell holds at most one image row of `first` and one row of `then`.
     """
-    n = len(first.coefs)
     _, rows, coef = _coordinates(first.coefs + then.coefs)
-    shifts = [shift for *_, shift in rows]
-    items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(rows[:n])]
-    items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[n:], n)]
-    fragments = []
-    for lo, hi, count, tags in sweep(items):
-        if count == 2:
-            back, forth = shifts[min(tags)], shifts[max(tags)]
-            fragments.append((lo - back, hi - back, back + forth))
-        elif tags[0] < n:
-            raise PreconditionError("image of the first map escapes the second map's domain")
-    return PiecewiseTranslation.from_triples(fragments, coef)
+    return _pull_back(rows, len(first.coefs), coef, "image of the first map escapes the second map's domain")
 
 
-def _octaves(lo: Fraction, hi: Fraction) -> range:
-    """Octaves m of a piece [lo, hi) away from 0: x in [2**m, 2**(m+1)) or [-2**(m+1), -2**m)."""
+def _octaves(lo, hi, unit=1) -> range:
+    """Octaves m of a piece [lo, hi) away from 0, as coefficients or as coordinates over `unit`:
+    x in [2**m, 2**(m+1)) or [-2**(m+1), -2**m)."""
     near, far = sorted((abs(lo), abs(hi)))
-    return range(floor_log2(near), ceil_log2(far))
+    return range(floor_log2(near, unit), ceil_log2(far, unit))
 
 
-def dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> PiecewiseTranslation:
-    """Restrict the dilation-commuting extension of `base` to a bounded region.
+def dyadic_extension(base: PiecewiseTranslation,
+                     region: Union[IntervalSet, PiecewiseTranslation]) -> PiecewiseTranslation:
+    """The dilation-commuting extension of `base` on a bounded region, or after a map.
 
-    The domain of `base` must tile the punctured line dyadically (true for
-    any wavelet set).  On a fragment carried into the domain by 2**n, the
-    extension translates by the base shift scaled by 2**-n.  Each region piece is
-    dilated only by the 2**n that carry its octaves onto those of the domain's pieces;
-    one sweep overlays those dilates (the j-th tagged ~j) with the base rows (tagged by
-    index), and each cell covered by both is scaled back by 2**-n.  The unit of the
-    `_coordinates` holds 2**N, N the largest |n|, so each dilation is an exact shift, and so is
-    scaling back an end of the cell's own dilate or base row.  The shift floors an end from
-    another dilate, but that end lies inside a run of cells of one dilate and base row,
-    whose fragments still touch and merge into one exact row.
+    The domain of `base` must tile the punctured line dyadically (true for any wavelet
+    set).  On a fragment carried into the domain by 2**n, the extension translates by the
+    base shift scaled by 2**-n.  `region` takes two forms: a set is the identity map on
+    itself, and a map m gives the extension after m, x -> ext(m(x)) on m's domain, which is
+    `compose(m, dyadic_extension(base, m.image))` built in one sweep.
+
+    The pull-back sweep dilates each image piece of m only by the 2**n that carry its octaves
+    onto those of the domain's pieces, and overlays the dilates with the base rows.  The length
+    rule: the fragments cover m's rows exactly when their coordinate lengths sum to the rows'.
+    The unit of the `_coordinates` holds 2**N, N the largest |n|, so each dilation is an exact
+    shift, and so is scaling back an end of the cell's own dilate or base row.  The shift floors
+    an end from another dilate, but that end lies inside a run of cells of one dilate and base
+    row: the floored fragments still touch and merge into one exact row, and their lengths
+    telescope to the exact length of the run.
     """
-    if region.zero_in_closure():
+    rows, image = ((tuple((lo, hi, Fraction(0)) for lo, hi in region.coefs), region)  # the identity
+                   if isinstance(region, IntervalSet) else (region.coefs, region.image))
+    if image.zero_in_closure():
         raise PreconditionError("region must stay away from 0")
     octaves = {(lo > 0, m) for lo, hi in base.domain.coefs for m in _octaves(lo, hi)}
-    dilations = [{m - k for k in _octaves(lo, hi) for sign, m in octaves if sign == (lo > 0)}
-                 for lo, hi in region.coefs]
-    top = max((abs(n) for ns in dilations for n in ns), default=0)
-    _, rows, coef = _coordinates(base.coefs + region.coefs, top)
-    pieces = rows[len(base.coefs):]
-    items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[:len(base.coefs)])]
-    scales = []
-    for (lo, hi), ns in zip(pieces, dilations):
-        for n in ns:
-            items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(scales)))
-            scales.append(-n)
-    fragments = []
-    for lo, hi, _, tags in sweep(items):
-        row = max(tags)
-        if row >= 0:
-            fragments += [(_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(rows[row][2], m))
-                          for t in tags if t < 0 for m in (scales[~t],)]
-    result = PiecewiseTranslation.from_triples(fragments, coef)
-    if result.domain != region:
-        raise PreconditionError(
-            "region is not exactly covered by dyadic dilates of the map domain"
-        )
-    return result
+
+    def dilations(lo, hi, unit=1) -> set:
+        return {m - k for k in _octaves(lo, hi, unit) for sign, m in octaves if sign == (lo > 0)}
+
+    # The image's pieces meet the octaves that its rows' image pieces meet: the same largest |n|.
+    top = max((abs(n) for lo, hi in image.coefs for n in dilations(lo, hi)), default=0)
+    unit, coords, coef = _coordinates(rows + base.coefs, top)
+    return _pull_back(coords, len(rows), coef, "region is not exactly covered by dyadic dilates "
+                      "of the map domain", lambda lo, hi: dilations(lo, hi, unit))
 
 
 def compose_power(sigma: SigmaMap, power: int) -> PiecewiseTranslation:
     """The p-th power of the extended map on w1, by binary powering over the bits of p.
 
-    The extension of a power restricted to w1 is that power itself, so squaring
-    composes with its own extension.  Shifts pick up dyadic denominators.
+    The extension of a power restricted to w1 is that power itself, so each squaring is
+    the extension of the power after itself, and each set bit the extension of the map
+    after the power: one `dyadic_extension` call each.  Shifts pick up dyadic denominators.
     """
     if not 1 <= power <= MAX_POWER:
         raise PreconditionError(f"power must lie in 1..{MAX_POWER}, got {power}")
     current = sigma.mapping
     for bit in bin(power)[3:]:
-        current = compose(current, dyadic_extension(current, current.image))
+        current = dyadic_extension(current, current)
         if bit == "1":
-            current = compose(current, dyadic_extension(sigma.mapping, current.image))
+            current = dyadic_extension(sigma.mapping, current)
     return current
 
 

@@ -17,8 +17,10 @@ from wavemult.exact import (
     IntervalSet,
     PreconditionError,
     RationalPi,
+    _coordinates,
     _disjoint_rows,
     _order_key,
+    _times_pow2,
     ceil_log2,
     floor_log2,
     merge_cells,
@@ -378,7 +380,8 @@ def fraction_wavelet_report(W: IntervalSet) -> WaveletSetReport:
 # The dilation-commuting extension and the powers of sigma as the library
 # first computed them: pointwise, over every level of the region's hull, and
 # by one composition per power; then compose and the extension as they ran on
-# Fraction coefficients, before int coordinates.
+# Fraction coefficients, before int coordinates, and on int coordinates, each
+# with its own sweep and coverage check, before they shared one pull-back sweep.
 
 
 def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
@@ -489,6 +492,62 @@ def fraction_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -
             fragments += [(lo * scale, hi * scale, base.coefs[row][2] * scale)
                           for t in tags if t < 0 for scale in (scales[~t],)]
     result = PiecewiseTranslation.from_triples(fragments)
+    if result.domain != region:
+        raise PreconditionError("region is not exactly covered by dyadic dilates of the map domain")
+    return result
+
+
+def int_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
+    """`compose` with its own sweep over the `_coordinates` of both maps: image rows of `first`
+    and domain rows of `then`, each tagged by its index in `shifts`.  Both families are
+    disjoint, so a cell covered twice carries one tag of each, the first's the smaller, and a
+    cell covered once by an image row lies outside `then`'s domain."""
+    n = len(first.coefs)
+    _, rows, coef = _coordinates(first.coefs + then.coefs)
+    shifts = [shift for *_, shift in rows]
+    items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(rows[:n])]
+    items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[n:], n)]
+    fragments = []
+    for lo, hi, count, tags in sweep(items):
+        if count == 2:
+            back, forth = shifts[min(tags)], shifts[max(tags)]
+            fragments.append((lo - back, hi - back, back + forth))
+        elif tags[0] < n:
+            raise PreconditionError("image of the first map escapes the second map's domain")
+    return PiecewiseTranslation.from_triples(fragments, coef)
+
+
+def int_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> PiecewiseTranslation:
+    """`dyadic_extension` on a set with its own sweep over int `_coordinates`: each region
+    piece dilated by the 2**n that carry its octaves onto the domain's (the unit holds 2**N,
+    N the largest |n|), the dilates (the j-th tagged ~j) overlaid with the base rows, each
+    cell scaled back by 2**-n, and the result's domain compared with the region."""
+    if region.zero_in_closure():
+        raise PreconditionError("region must stay away from 0")
+
+    def octaves_of(lo, hi):
+        near, far = sorted((abs(lo), abs(hi)))
+        return range(floor_log2(near), ceil_log2(far))
+
+    octaves = {(lo > 0, m) for lo, hi in base.domain.coefs for m in octaves_of(lo, hi)}
+    dilations = [{m - k for k in octaves_of(lo, hi) for sign, m in octaves if sign == (lo > 0)}
+                 for lo, hi in region.coefs]
+    top = max((abs(n) for ns in dilations for n in ns), default=0)
+    _, rows, coef = _coordinates(base.coefs + region.coefs, top)
+    pieces = rows[len(base.coefs):]
+    items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[:len(base.coefs)])]
+    scales = []
+    for (lo, hi), ns in zip(pieces, dilations):
+        for n in ns:
+            items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(scales)))
+            scales.append(-n)
+    fragments = []
+    for lo, hi, _, tags in sweep(items):
+        row = max(tags)
+        if row >= 0:
+            fragments += [(_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(rows[row][2], m))
+                          for t in tags if t < 0 for m in (scales[~t],)]
+    result = PiecewiseTranslation.from_triples(fragments, coef)
     if result.domain != region:
         raise PreconditionError("region is not exactly covered by dyadic dilates of the map domain")
     return result

@@ -1,0 +1,35 @@
+"""The stdlib-only step of the CI workflow, run here as CI runs it.
+
+CI runs that step first, on each Python it tests, without click or numpy
+installed.  This test takes the script between ``python - <<'EOF'`` and
+``EOF`` out of ``.github/workflows/tier1.yml`` and runs it in a fresh
+interpreter with ``PYTHONPATH=src`` from the repository root, so a change
+that breaks the step fails tier-1 too.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def stdlib_step() -> str:
+    """The heredoc of the step, dedented as the YAML block scalar that holds it is."""
+    found = re.search(r"python - <<'EOF'\n(.*?\n)[ ]*EOF\n", WORKFLOW.read_text(), re.S)
+    assert found, "no python heredoc in the workflow"
+    return textwrap.dedent(found.group(1))
+
+
+def test_the_stdlib_only_step_passes():
+    script = stdlib_step()
+    assert "import wavemult" in script and "compose_power" in script
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-"], input=script, cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "stdlib-only exact check passed" in done.stdout

@@ -57,6 +57,16 @@ class TestDimensionAt:
         assert dimension_values(journe, [rp(1, 8), rp(3, 4), rp(5, 7), rp(1, 2)]) == [2, 0, 0, 1]
         assert dimension_values(journe, []) == []
 
+    def test_any_iterable_of_points(self, monkeypatch, journe):
+        """The points are read once, before the check that they are not empty."""
+        points = [rp(1, 3), rp(-5, 7)]
+        assert dimension_values(journe, points) == [1, 0]
+        for form in (tuple, iter, lambda xs: (x for x in xs)):
+            assert dimension_values(journe, form(points)) == [1, 0], form
+        builds = []
+        monkeypatch.setattr(dimension, "dimension_function", builds.append)
+        assert dimension_values(journe, iter(())) == [] and builds == []
+
     def test_brute_force_agreement(self):
         rng = random.Random(42)
         for name in CATALOG_NAMES:

@@ -35,6 +35,8 @@ from _oracles import (
     fraction_compose,
     fraction_dyadic_extension,
     hull_dyadic_extension,
+    int_compose,
+    int_dyadic_extension,
     loop_compose_powers,
     near_zero_wavelet_set,
     object_dyadic_extension,
@@ -307,11 +309,20 @@ def integer_side_sigmas():
 
 def fraction_side_sigmas():
     """(sigma, powers) whose unit passes the budget: a set 2**-10000 pi from 0 and its
-    mirror, and two two-interval sets whose denominators 3**1000 and 5**700 are coprime
-    (their sigma**4 is the identity, whose rows keep only 3**1000 and fit)."""
+    mirror, and two two-interval sets whose denominators 3**1000 and 5**700 are coprime.
+    The second sigma**2 is the identity, whose rows keep only 3**1000 and fit, so its
+    square runs on ints and sigma**3 = sigma: its powers stop at 3."""
     W = near_zero_wavelet_set(10000)
     coprime = build_sigma(two_interval(1 + Fraction(1, 3**1000)), two_interval(1 - Fraction(1, 5**700)))
-    return [(build_sigma(W, W.negate()), range(1, 3)), (coprime, range(1, 4))]
+    return [(build_sigma(W, W.negate()), range(1, 6)), (coprime, range(1, 4))]
+
+
+def fraction_extension_after(base, region):
+    """The Fraction bodies in both forms of `dyadic_extension`: on a set, the extension
+    there; after a map m, m composed with the extension on m's image."""
+    if isinstance(region, IntervalSet):
+        return fraction_dyadic_extension(base, region)
+    return fraction_compose(region, fraction_dyadic_extension(base, region.image))
 
 
 @pytest.fixture
@@ -335,7 +346,7 @@ def steps(monkeypatch):
         return unit, rows, coef
 
     monkeypatch.setattr(sigma_module, "compose", recording(fraction_compose, compose_))
-    monkeypatch.setattr(sigma_module, "dyadic_extension", recording(fraction_dyadic_extension, extension_))
+    monkeypatch.setattr(sigma_module, "dyadic_extension", recording(fraction_extension_after, extension_))
     monkeypatch.setattr(sigma_module, "_coordinates", coordinates_)
     return calls, units
 
@@ -387,6 +398,67 @@ class TestIntegerCoordinates:
         assert (got.coefs, got.image) == (want.coefs, want.image)
         assert got.coefs == ((Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)), (11, 12, 16))
         assert units == ["int"] and _coordinates(base.coefs + region.coefs, 3)[0] == 15 * 2**3
+
+
+def after_a_map_cases():
+    """(sigma, k_max): the 12 ordered catalog pairs, six seeded two-interval pairs, and the
+    mirror pair of a set 2**-10000 pi from 0, which runs on Fractions."""
+    cases = [(build_sigma(catalog(a), catalog(b)), 12) for a, b in itertools.permutations(CATALOG_NAMES, 2)]
+    rng = random.Random(1999)
+    sets = [two_interval_wavelet_set(rng) for _ in range(7)]
+    cases += [(build_sigma(a, b), 12) for a, b in zip(sets, sets[1:])]
+    W = near_zero_wavelet_set(10000)
+    return cases + [(build_sigma(W, W.negate()), 2)]
+
+
+class TestExtensionAfterAMap:
+    """`dyadic_extension(b, m)` is the extension of b after the map m in one sweep: the same
+    rows and image as m composed with the extension of b on m's image, built by the set form
+    and by the two int bodies it replaced, for both steps of binary powering."""
+
+    def test_matches_the_composed_set_form(self, steps):
+        _, units = steps
+        for sigma, k_max in after_a_map_cases():
+            for k in range(1, k_max + 1):
+                m = compose_power(sigma, k)
+                for b in (sigma.mapping, m):
+                    got = dyadic_extension(b, m)
+                    for want in (compose(m, dyadic_extension(b, m.image)),
+                                 int_compose(m, int_dyadic_extension(b, m.image))):
+                        assert (got.coefs, got.image) == (want.coefs, want.image), (k, b is m)
+        assert {"int", "Fraction"} <= set(units), set(units)
+
+    def test_preconditions_keep_their_messages(self, paper_sigma):
+        """A region near 0 and one the dilates do not cover raise as they did on a set, in
+        either form; dilates of one piece that overlap in the domain still raise the overlap."""
+        half_octave = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(3, 2), Fraction(0))])
+        onto_an_octave = PiecewiseTranslation.from_triples([(Fraction(-3), Fraction(-2), Fraction(4))])
+        onto_zero = PiecewiseTranslation.from_triples([(Fraction(2), Fraction(3), Fraction(-2))])
+        for region in (parse_set("[1pi,2pi)"), onto_an_octave):
+            with pytest.raises(PreconditionError, match="not exactly covered"):
+                dyadic_extension(half_octave, region)
+        for region in (parse_set("[0pi,1pi)"), onto_zero):
+            with pytest.raises(PreconditionError, match="stay away from 0"):
+                dyadic_extension(paper_sigma.mapping, region)
+        for extension in (dyadic_extension, int_dyadic_extension):
+            with pytest.raises(PreconditionError, match="not exactly covered"):
+                extension(half_octave, onto_an_octave.image)
+        doubled = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(2), Fraction(0)),
+                                                     (Fraction(5, 2), Fraction(7, 2), Fraction(0))])
+        for region in (parse_set("[5/4pi,7/4pi)"), doubled):
+            with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
+                dyadic_extension(doubled, region)
+
+    def test_one_extension_per_powering_step_and_no_compose(self, monkeypatch, paper_sigma):
+        calls = []
+        extension = sigma_module.dyadic_extension
+        monkeypatch.setattr(sigma_module, "dyadic_extension", lambda b, m: calls.append(m) or extension(b, m))
+        monkeypatch.setattr(sigma_module, "compose", lambda *args: pytest.fail("compose_power called compose"))
+        for p in (1, 2, 3, 7, 12, 64, 100):
+            calls.clear()
+            assert compose_power(paper_sigma, p).domain == paper_sigma.w1
+            assert len(calls) == p.bit_length() - 1 + bin(p).count("1") - 1, p
+            assert all(isinstance(m, PiecewiseTranslation) for m in calls)
 
 
 class TestRoundTrips:
