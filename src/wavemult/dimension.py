@@ -92,37 +92,35 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     """Exact dimension function of W on a query window inside [-pi, pi) that keeps 0
     outside its closure: the restriction of `dimension_function(W)`.
 
-    One sweep over the query (tag -1) and the rows of that function, whose values
-    are nonnegative: a query cell under no row lies outside [-pi, pi).
+    W, then the query, is checked before that function is built: the query's first start
+    and last end, its first and last coefficients, must lie in [-pi, pi], the closure of
+    that function's domain.  One sweep over the query (tag -1) and its rows, whose values
+    are nonnegative, then gives each query cell its row's value.
     """
     _require_wavelet_set(W)
-    items = [(lo, hi, -1) for lo, hi in query.coefs]
-    items += dimension_function(W).coefs
-    cells = [(lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags]
-    if any(value < 0 for *_, value in cells):
+    if query.coefs and not (-1 <= query.coefs[0][0] and query.coefs[-1][1] <= 1):
         raise PreconditionError("query window must lie inside [-pi, pi)")
     if query.zero_in_closure():
         raise PreconditionError("query window must stay away from 0")
-    return StepFunction.from_triples(cells)
+    items = [(lo, hi, -1) for lo, hi in query.coefs] + list(dimension_function(W).coefs)
+    return StepFunction.from_triples((lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags)
 
 
 def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
     """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W, at each point xi.
 
     The counts are read from `dimension_function(W)`.  Every xi must lie in
-    [-pi, pi) and differ from 0, where that function holds its right limit.
-    The points may be any iterable; they are read once.
+    [-pi, pi) and differ from 0, where that function holds its right limit; a point that
+    does not raises before that function is built, after W's own check.  The points may
+    be any iterable; they are read once.
     """
     points = list(points)
-    if not points:
-        return []
-    D = dimension_function(W)
-    for xi in points:
-        if not (MINUS_PI <= xi < PI):
-            raise PreconditionError("xi must lie in [-pi, pi)")
-        if xi.is_zero:
-            raise PreconditionError("the dimension function is not evaluated at 0")
-    return list(map(D.value_at, points))
+    bad = next((xi for xi in points if xi.is_zero or not MINUS_PI <= xi < PI), None)
+    if bad is not None:
+        _require_wavelet_set(W)
+        raise PreconditionError("the dimension function is not evaluated at 0" if bad.is_zero
+                                else "xi must lie in [-pi, pi)")
+    return list(map(dimension_function(W).value_at, points)) if points else []
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ iteration, `pieces`, `rows()`, `value_at` and text.  `sweep`, the log2 helpers a
 `PiecewiseTranslation.from_triples` also take the integer coordinates x * unit of
 `_coordinates`, so a caller may compare and add ints, as the wavelet-set check, the
 dimension function, composition, dyadic extension and every translation map do.
+`sweep` overlays unsorted or overlapping intervals; sorted rows are found by bisection.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def _order_key(x: Fraction) -> tuple:
     """Exact sort and equality key for x that mostly compares ints: (q,) when x = q / 2**64, else
     (q, x), q = floor(x * 2**64).  Within the `COORD_BITS` budget only Fraction rows come here:
     the step and core-equivalence functions, the `IntervalSet` algebra, unsorted `Piecewise`
-    rows.  Plain Fraction keys measured 1.4-2.8x slower there and past the budget (ROADMAP)."""
+    rows.  Past it so do the Fraction coordinates of the wavelet-set check and the dimension
+    function, and unsorted sigma fragments.  Plain Fraction keys measured 1.4-2.8x slower
+    there and past the budget (ROADMAP)."""
     q, r = divmod(x.numerator << 64, x.denominator)
     return (q, x) if r else (q,)
 
@@ -95,8 +98,10 @@ def sweep(
 
     Sorts the 2n endpoints once and walks them, keeping the number of open intervals and
     their distinct tags.  Yields (lo, hi, count, tags) for each covered cell between
-    consecutive endpoints, in increasing order.  Ints, which every builder on `_coordinates`
-    passes, are their own sort keys; `_order_key` keys the rest (it names who passes them).
+    consecutive endpoints, in increasing order.  Ints, which the wavelet-set check and the
+    dimension function pass from `_coordinates`, are their own sort keys; `_order_key` keys
+    the rest (it names who passes them).  Sorted, disjoint rows need no sweep to be overlaid
+    with a few intervals: sigma's pull-back looks them up by bisection instead.
     """
     items = list(items)
     events = []

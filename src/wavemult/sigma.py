@@ -4,18 +4,19 @@ Between any two wavelet sets there is a canonical measurable bijection made
 of 2*pi*Z shifts: push the first set onto [-pi, pi) with its translation
 witness, then pull back with the inverse of the second witness.  The map
 extends to the punctured line by commuting with dyadic dilation.  Composition
-and the extension are one pull-back sweep: image pieces of a first map, each
-dilated by a power of two (only 2**0 for composition), overlaid with a second
-map's rows and pulled back, with one length rule for coverage.  Powers come
-from binary powering: O(log p) steps, each one `dyadic_extension` of the power
-(squaring) or of the map (a set bit) after the power so far.  A power
-corresponds to a unitary in the local commutant exactly when all of its
-shifts stay on the 2*pi*Z lattice.  Every map here is built on integer
-`_coordinates` when the unit fits.
+and the extension are one pull-back: each image piece of a first map, dilated
+by a power of two (only 2**0 for composition), finds the second map's rows it
+meets by bisection, and the common parts are pulled back, with one length rule
+for coverage.  Powers come from binary powering: O(log p) steps, each one
+`dyadic_extension` of the power (squaring) or of the map (a set bit) after the
+power so far.  A power corresponds to a unitary in the local commutant exactly
+when all of its shifts stay on the 2*pi*Z lattice.  Every map here is built on
+integer `_coordinates` when the unit fits.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -29,7 +30,6 @@ from .exact import (
     _times_pow2,
     ceil_log2,
     floor_log2,
-    sweep,
 )
 from .wavelet_sets import PiecewiseTranslation, _require_wavelet_set
 
@@ -75,33 +75,30 @@ def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
 
 def _pull_back(rows: list, cut: int, coef, error: str,
                dilations=lambda lo, hi: (0,)) -> PiecewiseTranslation:
-    """The map x -> then(2**n * first(x)) * 2**-n from one sweep of coordinate rows (lo, hi, shift),
-    `first` the rows before `cut` and `then` the rest.
+    """The map x -> then(2**n * first(x)) * 2**-n on coordinate rows (lo, hi, shift), `first`
+    the rows before `cut` and `then` the rest, which are a map's sorted, disjoint rows.
 
-    The image piece [lo, hi) of each `first` row, dilated by each 2**n in `dilations(lo, hi)`
-    (the j-th dilate tagged ~j), overlays the `then` rows (tagged by index).  Each cell covered
-    by both is scaled back by 2**-n and moved back by its first row's shift.  The fragments lie
-    inside the `first` rows, and `from_triples` forbids two to overlap, so they cover those rows
-    exactly when their lengths, summed on the coordinates, equal the rows' lengths; else `error`.
+    The image piece of each `first` row, dilated by each 2**n in `dilations(lo, hi)` to [a, b),
+    finds the `then` rows it meets by bisection on their starts, as `value_at` finds a row.
+    Each common part is scaled back by 2**-n and moved back by the first row's shift; its ends
+    are ends of the dilate or of a `then` row, so both stay exact.  The fragments lie inside the
+    `first` rows, and `from_triples` forbids two to overlap, so they cover those rows exactly
+    when their lengths, summed on the coordinates, equal the rows' lengths; else `error`.
     """
     first, then = rows[:cut], rows[cut:]
-    items = [(lo, hi, j) for j, (lo, hi, _) in enumerate(then)]
-    pulls, total = [], 0
+    starts = [lo for lo, _, _ in then]
+    fragments, total, covered = [], 0, 0
     for lo, hi, s in first:
         total += hi - lo
         lo, hi = lo + s, hi + s
         for n in dilations(lo, hi):
-            items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(pulls)) if n else (lo, hi, ~len(pulls)))
-            pulls.append((-n, s))
-    fragments, covered = [], 0
-    for lo, hi, _, tags in sweep(items):
-        row = max(tags)
-        for tag in tags:
-            if tag < 0 <= row:
-                (m, s), t = pulls[~tag], then[row][2]
-                a, b, t = (_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(t, m)) if m else (lo, hi, t)
-                fragments.append((a - s, b - s, s + t))
-                covered += b - a
+            a, b = (_times_pow2(lo, n), _times_pow2(hi, n)) if n else (lo, hi)
+            for c, d, t in then[max(bisect_right(starts, a) - 1, 0):bisect_left(starts, b)]:
+                if a < d:
+                    c, d = max(a, c), min(b, d)
+                    c, d, t = (_times_pow2(c, -n), _times_pow2(d, -n), _times_pow2(t, -n)) if n else (c, d, t)
+                    fragments.append((c - s, d - s, s + t))
+                    covered += d - c
     result = PiecewiseTranslation.from_triples(fragments, coef)
     if covered != total:
         raise PreconditionError(error)
@@ -111,8 +108,7 @@ def _pull_back(rows: list, cut: int, coef, error: str,
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
     """Composite map then(first(x)); image of `first` must lie in `then`'s domain.
 
-    The pull-back sweep with n = 0 on the `_coordinates` of both maps; both families of rows
-    are disjoint, so each cell holds at most one image row of `first` and one row of `then`.
+    The pull-back with n = 0 on the `_coordinates` of both maps.
     """
     _, rows, coef = _coordinates(first.coefs + then.coefs)
     return _pull_back(rows, len(first.coefs), coef, "image of the first map escapes the second map's domain")
@@ -133,16 +129,13 @@ def dyadic_extension(base: PiecewiseTranslation,
     set).  On a fragment carried into the domain by 2**n, the extension translates by the
     base shift scaled by 2**-n.  `region` takes two forms: a set is the identity map on
     itself, and a map m gives the extension after m, x -> ext(m(x)) on m's domain, which is
-    `compose(m, dyadic_extension(base, m.image))` built in one sweep.
+    `compose(m, dyadic_extension(base, m.image))` built in one pull-back.
 
-    The pull-back sweep dilates each image piece of m only by the 2**n that carry its octaves
-    onto those of the domain's pieces, and overlays the dilates with the base rows.  The length
+    The pull-back dilates each image piece of m only by the 2**n that carry its octaves onto
+    those of the domain's pieces, and looks up the base rows each dilate meets.  The length
     rule: the fragments cover m's rows exactly when their coordinate lengths sum to the rows'.
     The unit of the `_coordinates` holds 2**N, N the largest |n|, so each dilation is an exact
-    shift, and so is scaling back an end of the cell's own dilate or base row.  The shift floors
-    an end from another dilate, but that end lies inside a run of cells of one dilate and base
-    row: the floored fragments still touch and merge into one exact row, and their lengths
-    telescope to the exact length of the run.
+    shift, and so is scaling back a fragment, whose ends are ends of its dilate or base row.
     """
     rows, image = ((tuple((lo, hi, Fraction(0)) for lo, hi in region.coefs), region)  # the identity
                    if isinstance(region, IntervalSet) else (region.coefs, region.image))

@@ -553,6 +553,38 @@ def int_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Pie
     return result
 
 
+def sweep_pull_back(rows, cut: int, coef, error: str, dilations=lambda lo, hi: (0,)) -> PiecewiseTranslation:
+    """`sigma._pull_back` as one sweep of coordinate rows: the image piece of each `first` row
+    (the rows before `cut`), dilated by each 2**n in `dilations(lo, hi)` (the j-th dilate
+    tagged ~j), overlaid with the `then` rows (tagged by index); each cell covered by both is
+    scaled back by 2**-n and moved back by its first row's shift.  A cell end from another
+    dilate may not scale back exactly on ints, but it lies inside a run of cells of one dilate
+    and one `then` row, so the floored fragments still touch, merge into one exact row and
+    their lengths telescope.  Coverage is the same length rule."""
+    first, then = rows[:cut], rows[cut:]
+    items = [(lo, hi, j) for j, (lo, hi, _) in enumerate(then)]
+    pulls, total = [], 0
+    for lo, hi, s in first:
+        total += hi - lo
+        lo, hi = lo + s, hi + s
+        for n in dilations(lo, hi):
+            items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(pulls)))
+            pulls.append((-n, s))
+    fragments, covered = [], 0
+    for lo, hi, _, tags in sweep(items):
+        row = max(tags)
+        for tag in tags:
+            if tag < 0 <= row:
+                (m, s), t = pulls[~tag], then[row][2]
+                a, b = _times_pow2(lo, m), _times_pow2(hi, m)
+                fragments.append((a - s, b - s, s + _times_pow2(t, m)))
+                covered += b - a
+    result = PiecewiseTranslation.from_triples(fragments, coef)
+    if covered != total:
+        raise PreconditionError(error)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # The object-level exact paths that coefficient triples replaced: fragments,
 # translates and covers built as Interval/IntervalSet objects, and a

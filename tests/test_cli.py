@@ -13,7 +13,7 @@ from wavemult import cli, dimension
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
 
-from _oracles import near_zero_wavelet_set
+from _oracles import deep_piece_wavelet_set, near_zero_wavelet_set
 
 # The child imports the same wavemult as the tests, installed or not.
 PACKAGE_ROOT = str(Path(wavemult.__file__).resolve().parents[1])
@@ -331,6 +331,17 @@ def run_main(capsys, *args):
     with pytest.raises(SystemExit) as stop:
         cli.main(list(args))
     return stop.value.code, capsys.readouterr().out
+
+
+def test_a_window_outside_the_circle_builds_no_dimension_function(capsys):
+    """`dimfn --set` on a deep-piece set rejects a window that leaves [-pi, pi) (exit 3)
+    before the dimension function is built."""
+    W = deep_piece_wavelet_set(400, 400)
+    dimension.dimension_function.cache_clear()
+    code, out = run_main(capsys, "dimfn", "--set", W.to_text(), "--window", "[-2pi,0pi)")
+    assert code == 3 and json.loads(out) == {"error": "precondition",
+                                             "detail": "query window must lie inside [-pi, pi)"}
+    assert dimension.dimension_function.cache_info().misses == 0
 
 
 

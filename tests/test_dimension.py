@@ -97,6 +97,27 @@ class TestDimensionAt:
         assert dimension_values(shannon, [rp(1, 2), rp(-1, 3)]) == [1, 1]
         assert checks == [shannon]
 
+    def test_a_bad_query_or_point_builds_no_dimension_function(self):
+        """On a deep-piece set, checked already, whose D takes a while to build, each invalid
+        window or point raises its message before D is built: the cache records no miss."""
+        W = deep_piece_wavelet_set(400, 400)
+        assert is_wavelet_set(W).accepted
+        dimension.dimension_function.cache_clear()
+        for window, message in (("[-2pi,0pi)", r"must lie inside \[-pi, pi\)"),
+                                ("[-1pi,-1/2pi),[1/2pi,3/2pi)", r"must lie inside \[-pi, pi\)"),
+                                ("[-1/4pi,0pi)", "must stay away from 0"),
+                                ("[-1pi,-1/2pi),[0pi,1pi)", "must stay away from 0")):
+            with pytest.raises(PreconditionError, match=message):
+                dimension_step_function(W, parse_set(window))
+        for points, message in (([rp(1, 2), rp(3, 2)], r"xi must lie in \[-pi, pi\)"),
+                                ([rp(-1, 2), rp(1)], r"xi must lie in \[-pi, pi\)"),
+                                ([rp(-1, 2), ZERO], "not evaluated at 0")):
+            with pytest.raises(PreconditionError, match=message):
+                dimension_values(W, points)
+        assert dimension.dimension_function.cache_info().misses == 0
+        assert dimension_step_function(W, parse_set("[-1pi,-1/2pi),[1/2pi,1pi)")).pairs
+        assert dimension_values(W, [MINUS_PI, rp(1, 2)]) and dimension.dimension_function.cache_info().misses == 1
+
 
 class TestStepFunction:
     def test_shannon_constant_one(self, shannon):

@@ -15,6 +15,8 @@ from wavemult.exact import (
     TWO_PI,
     ZERO,
     _coordinates,
+    _times_pow2,
+    merge_cells,
 )
 from wavemult.parsing import parse_set
 from wavemult.sigma import (
@@ -41,6 +43,7 @@ from _oracles import (
     near_zero_wavelet_set,
     object_dyadic_extension,
     random_point_in,
+    sweep_pull_back,
     two_interval_wavelet_set,
 )
 
@@ -200,22 +203,29 @@ class TestOctaveExtension:
                     assert ext == hull_dyadic_extension(base, region), (p, region)
 
     def test_a_piece_near_zero_adds_no_levels_elsewhere(self, monkeypatch):
-        """sigma**2 for a wavelet set 2**-10000 pi from 0 has 8 rows; each extension sweeps
-        a few dilates per region piece, not one per octave between the set's two ends."""
+        """sigma**2 for a wavelet set 2**-10000 pi from 0 has 8 rows; each extension looks up
+        a few dilates per region piece, not one per octave between the set's two ends.  Per
+        `_pull_back` call, [first rows, `then` rows, dilates looked up (one `bisect_right`
+        each)]; every first row is looked up at least once."""
         sizes = []
-        sweep = sigma_module.sweep
+        pull_back, bisect_right = sigma_module._pull_back, sigma_module.bisect_right
 
-        def recording(items):
-            items = list(items)
-            sizes.append(len(items))
-            return sweep(items)
+        def pulling(rows, cut, *rest):
+            sizes.append([cut, len(rows) - cut, 0])
+            return pull_back(rows, cut, *rest)
+
+        def looking_up(starts, x):
+            sizes[-1][2] += 1
+            return bisect_right(starts, x)
 
         W = near_zero_wavelet_set(10000)
         sigma = build_sigma(W, W.negate())
-        monkeypatch.setattr(sigma_module, "sweep", recording)
+        monkeypatch.setattr(sigma_module, "_pull_back", pulling)
+        monkeypatch.setattr(sigma_module, "bisect_right", looking_up)
         squared = compose_power(sigma, 2)
         assert len(squared.coefs) == 8
-        assert sizes and max(sizes) <= 32, sizes
+        assert sizes and max(rows + dilates for _, rows, dilates in sizes) <= 32, sizes
+        assert all(dilates >= first for first, _, dilates in sizes), sizes
 
 
 class TestComposePower:
@@ -327,10 +337,12 @@ def fraction_extension_after(base, region):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """Every compose and dyadic_extension call of the sigma module, and the side of the
-    budget each took: int coordinates, or Fraction ones over unit 1."""
-    calls, units = [], []
+    """Every compose and dyadic_extension call of the sigma module, the side of the budget
+    each took (int coordinates, or Fraction ones over unit 1), and every `_pull_back` call
+    with its arguments and result."""
+    calls, units, pulls = [], [], []
     compose_, extension_, coordinates = sigma_module.compose, sigma_module.dyadic_extension, sigma_module._coordinates
+    pull_back = sigma_module._pull_back
 
     def recording(reference, fn):
         def call(*args):
@@ -345,22 +357,29 @@ def steps(monkeypatch):
         units.append("int" if types <= {int} else "Fraction" if unit == 1 and types == {Fraction} else "mixed")
         return unit, rows, coef
 
+    def pull_back_(*args):
+        result = pull_back(*args)
+        pulls.append((args, result))
+        return result
+
     monkeypatch.setattr(sigma_module, "compose", recording(fraction_compose, compose_))
     monkeypatch.setattr(sigma_module, "dyadic_extension", recording(fraction_extension_after, extension_))
     monkeypatch.setattr(sigma_module, "_coordinates", coordinates_)
-    return calls, units
+    monkeypatch.setattr(sigma_module, "_pull_back", pull_back_)
+    return calls, units, pulls
 
 
 class TestIntegerCoordinates:
-    """compose and dyadic_extension on int coordinates against their Fraction bodies: each
-    call of a binary powering gives the same rows and image on the same arguments, and
-    each input takes the side of the budget it should."""
+    """compose and dyadic_extension on int coordinates against their Fraction bodies, and
+    each `_pull_back` call against the sweep it replaced: each call of a binary powering
+    gives the same rows and image on the same arguments, and each input takes the side of
+    the budget it should."""
 
     @pytest.mark.parametrize("side,cases", [("int", integer_side_sigmas), ("Fraction", fraction_side_sigmas)],
                              ids=["int", "Fraction"])
     def test_steps_match_the_fraction_bodies(self, side, cases, steps):
-        calls, units = steps
-        checked = set()
+        calls, units, pulls = steps
+        checked, pulled = set(), 0
         for sigma, powers in cases():
             for p in powers:
                 compose_power(sigma, p)
@@ -369,11 +388,17 @@ class TestIntegerCoordinates:
                     checked.add((reference, args))
                     want = reference(*args)
                     assert (got.coefs, got.image) == (want.coefs, want.image), reference.__name__
+            for args, got in pulls:
+                want = sweep_pull_back(*args)
+                assert (got.coefs, got.image) == (want.coefs, want.image), args[3]
             calls.clear()
+            pulled += len(pulls)
+            pulls.clear()
         assert len(checked) >= (100 if side == "int" else 8) and set(units) == {side}, (len(checked), set(units))
+        assert pulled >= len(checked), (pulled, len(checked))
 
     def test_construction_errors_on_int_coordinates(self, paper_sigma, steps):
-        _, units = steps
+        _, units, _ = steps
         with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
             PiecewiseTranslation.from_triples([(0, 8, 8), (4, 12, 16)], lambda c: Fraction(c, 4))
         with pytest.raises(ValueError, match="not injective"):
@@ -388,9 +413,10 @@ class TestIntegerCoordinates:
 
     def test_an_extension_cell_may_end_off_its_scale(self, steps):
         """[1/3, 2/5) is dilated by 4 and [11, 12) by 1/8 into one base row: unit 15 * 2**3,
-        the dilates [160, 192) and [165, 180).  The first's cells end at 165, which 4 does
-        not divide; scaled back they meet at 165 >> 2 = 41 and merge into [40, 48)."""
-        _, units = steps
+        the dilates [160, 192) and [165, 180), which overlap inside that row.  Each dilate is
+        clipped only to its own ends and the row's, never cut at 165, which 4 does not divide:
+        scaled back, the two fragments are exactly [40, 48) and [1320, 1440)."""
+        _, units, _ = steps
         base = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(2), Fraction(2))])
         region = parse_set("[1/3pi,2/5pi),[11pi,12pi)")
         got = dyadic_extension(base, region)
@@ -398,6 +424,119 @@ class TestIntegerCoordinates:
         assert (got.coefs, got.image) == (want.coefs, want.image)
         assert got.coefs == ((Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)), (11, 12, 16))
         assert units == ["int"] and _coordinates(base.coefs + region.coefs, 3)[0] == 15 * 2**3
+
+
+U = 1 << 10  # the image pieces lie in [U, 2U); coordinates are multiples of 8
+EXTENSION_ERROR = "region is not exactly covered by dyadic dilates of the map domain"
+COMPOSE_ERROR = "image of the first map escapes the second map's domain"
+
+
+def lookup_rows(rng, n):
+    """(rows, cut): seeded `first` rows and the sorted, disjoint `then` rows that the dilates
+    2**0 and 2**n of their image pieces meet, on int coordinates.  Each image piece [p, q)
+    is split at r: [p, r) lies in `then` rows and its 2**n-dilate in a gap, and the other
+    way round on [r, q); between the pieces `then` holds random parts at either scale.
+    The union at each scale is cut into rows at random points, so a row may run across a
+    piece's end; touching rows may share a shift, as may the first rows of touching pieces,
+    and the shifts keep the result one-to-one."""
+    points = sorted(rng.sample(range(U, 2 * U + 1, 8), 9))
+    pieces = [(p, q) for p, q in zip(points, points[1:]) if rng.random() < 0.7] or [tuple(points[:2])]
+    near, far = [], []
+    for p, q in pieces:
+        r = rng.choice([p, q, rng.randrange(p, q + 1, 8)])
+        near.append((p, r))
+        far.append((r, q))
+    ends = [U] + [x for piece in pieces for x in piece] + [2 * U]
+    for g0, g1 in zip(ends[::2], ends[1::2]):  # the gaps between the pieces
+        for part in (near, far):
+            lo, hi = sorted(rng.choice([g0, g1, rng.randrange(g0, g1 + 1, 8)]) for _ in range(2))
+            part.append((lo, hi))
+    then = []
+    for part, m, offset in ((near, 0, 0), (far, n, 128 * U)):
+        runs = merge_cells(sorted((lo, hi, None) for lo, hi in part if lo < hi))
+        cuts = sorted({x for lo, hi, _ in runs for x in (lo, hi)} | set(rng.sample(range(U, 2 * U, 8), 6)))
+        inside = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if any(a <= lo and hi <= b for a, b, _ in runs)]
+        k = 0
+        for i, (lo, hi) in enumerate(inside):
+            if not (i and inside[i - 1][1] == lo and rng.random() < 0.4):
+                k += 1
+            then.append((_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(256 * U * k + offset, m)))
+    first, j = [], 0
+    for i, (p, q) in enumerate(pieces):
+        if not (i and pieces[i - 1][1] == p and rng.random() < 0.5):
+            j += 1
+        first.append((p + 4 * U * j, q + 4 * U * j, -4 * U * j))
+    return first + sorted(then), len(first)
+
+
+def lookup_edges(rows, cut, n) -> set:
+    """The edges of the bisection that the dilates 2**0 and 2**n of the first rows meet."""
+    then = rows[cut:]
+    starts, ends = {row[0] for row in then}, {row[1] for row in then}
+    seen = {"touching rows of equal shift"} if any(
+        x[1] == y[0] and x[2] == y[2] for x, y in zip(then, then[1:])) else set()
+    for lo, hi, s in rows[:cut]:
+        for m in (0, n):
+            a, b = _times_pow2(lo + s, m), _times_pow2(hi + s, m)
+            met = [row for row in then if row[0] < b and a < row[1]]
+            seen |= {edge for edge, hit in (("starts at a row's start", a in starts),
+                                            ("starts at a row's end", a in ends),
+                                            ("ends at a row's start", b in starts),
+                                            ("spans several rows", len(met) > 1)) if hit}
+            if not met:
+                seen.add("before the first row" if b <= then[0][0] else
+                         "after the last row" if a >= then[-1][1] else "in a gap")
+    return seen
+
+
+def on_fractions(rows):
+    return [tuple(Fraction(x, 3) for x in row) for row in rows]
+
+
+def pulled(pull_back, rows, cut, n, error=EXTENSION_ERROR):
+    """(coefs, image) of the pull-back, or the type and message of the ValueError it raises."""
+    coef = (lambda c: c) if type(rows[0][0]) is Fraction else (lambda c: Fraction(c, 24))
+    try:
+        result = pull_back(rows, cut, coef, error, lambda lo, hi: (0, n))
+    except ValueError as e:
+        return type(e), str(e)
+    return result.coefs, result.image
+
+
+class TestPullBackLookup:
+    """`_pull_back` reads the `then` rows each dilate meets by bisection on their starts; on
+    seeded rows that hit every edge of that lookup, on ints and on Fractions, it gives the
+    rows and image of the sweep it replaced, and both raise the same coverage error."""
+
+    @pytest.mark.parametrize("side", ["int", "Fraction"])
+    def test_matches_the_sweep_on_every_edge(self, side):
+        rng, seen = random.Random(2323), set()
+        for case in range(120):
+            n = (1, -1, 2, -2)[case % 4]
+            rows, cut = lookup_rows(rng, n)
+            seen |= lookup_edges(rows, cut, n)
+            rows = rows if side == "int" else on_fractions(rows)
+            got = pulled(sigma_module._pull_back, rows, cut, n)
+            assert got == pulled(sweep_pull_back, rows, cut, n), (case, rows, cut, n)
+            assert not isinstance(got[0], type), (case, got)
+        assert seen == {"starts at a row's start", "starts at a row's end", "ends at a row's start",
+                        "spans several rows", "before the first row", "after the last row",
+                        "in a gap", "touching rows of equal shift"}, seen
+
+    @pytest.mark.parametrize("side", ["int", "Fraction"])
+    @pytest.mark.parametrize("error", [COMPOSE_ERROR, EXTENSION_ERROR])
+    def test_both_raise_the_coverage_error(self, side, error):
+        """Each case loses one `then` row that a dilate meets, so one fragment goes missing."""
+        rng = random.Random(2324)
+        for case in range(40):
+            n = (1, -1)[case % 2]
+            rows, cut = lookup_rows(rng, n)
+            dilates = [(_times_pow2(lo + s, m), _times_pow2(hi + s, m)) for lo, hi, s in rows[:cut] for m in (0, n)]
+            del rows[rng.choice([i for i in range(cut, len(rows)) if any(
+                rows[i][0] < b and a < rows[i][1] for a, b in dilates)])]
+            rows = rows if side == "int" else on_fractions(rows)
+            for pull_back in (sigma_module._pull_back, sweep_pull_back):
+                assert pulled(pull_back, rows, cut, n, error) == (PreconditionError, error), case
 
 
 def after_a_map_cases():
@@ -417,7 +556,7 @@ class TestExtensionAfterAMap:
     and by the two int bodies it replaced, for both steps of binary powering."""
 
     def test_matches_the_composed_set_form(self, steps):
-        _, units = steps
+        _, units, _ = steps
         for sigma, k_max in after_a_map_cases():
             for k in range(1, k_max + 1):
                 m = compose_power(sigma, k)
