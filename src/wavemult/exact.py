@@ -474,10 +474,11 @@ class Piecewise:
         self._build(_exact_rows(triples))
         return self
 
-    def _rows(self, triples: list) -> list[list]:
+    @classmethod
+    def _rows(cls, triples: list) -> list[list]:
         rows = _disjoint_rows(triples)
         if rows is None:
-            raise ValueError(self.OVERLAP_ERROR)
+            raise ValueError(cls.OVERLAP_ERROR)
         return rows
 
     def _build(self, triples: list) -> None:

@@ -4,14 +4,10 @@ Between any two wavelet sets there is a canonical measurable bijection made
 of 2*pi*Z shifts: push the first set onto [-pi, pi) with its translation
 witness, then pull back with the inverse of the second witness.  The map
 extends to the punctured line by commuting with dyadic dilation.  Composition
-and the extension are one pull-back: each image piece of a first map, dilated
-by a power of two (only 2**0 for composition), finds the second map's rows it
-meets by bisection, and the common parts are pulled back, with one length rule
-for coverage.  Powers come from binary powering: O(log p) steps, each one
-`dyadic_extension` of the power (squaring) or of the map (a set bit) after the
-power so far.  A power corresponds to a unitary in the local commutant exactly
-when all of its shifts stay on the 2*pi*Z lattice.  Every map here is built on
-integer `_coordinates` when the unit fits.
+and the extension are one pull-back step on integer coordinate rows; a power
+is O(log p) such steps on one chain of int rows, its `Fraction`s built once.
+It corresponds to a unitary in the local commutant exactly when all of its
+shifts stay on the 2*pi*Z lattice.
 """
 
 from __future__ import annotations
@@ -19,9 +15,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 from .exact import (
+    COORD_BITS,
     PreconditionError,
     Interval,
     IntervalSet,
@@ -33,9 +31,9 @@ from .exact import (
 )
 from .wavelet_sets import PiecewiseTranslation, _require_wavelet_set
 
-# Largest power compose_power accepts: pieces and shift-denominator bits of
-# the result grow linearly in p, so p = 1024 already takes seconds.
+# Largest power compose_power accepts; rows and shift bits grow linearly in p, to 0.35 s at 1024 (2 cores).
 MAX_POWER = 1024
+EXTENSION_ERROR = "region is not exactly covered by dyadic dilates of the map domain"
 
 __all__ = [
     "SigmaMap",
@@ -73,101 +71,95 @@ def build_sigma(w1: IntervalSet, w2: IntervalSet) -> SigmaMap:
     return SigmaMap(compose(tau1, tau2.inverse()))
 
 
-def _pull_back(rows: list, cut: int, coef, error: str,
-               dilations=lambda lo, hi: (0,)) -> PiecewiseTranslation:
-    """The map x -> then(2**n * first(x)) * 2**-n on coordinate rows (lo, hi, shift), `first`
-    the rows before `cut` and `then` the rest, which are a map's sorted, disjoint rows.
+def _octaves(lo, hi, unit=1) -> range:
+    """Octaves m of a piece [lo, hi) away from 0, over `unit`: x in [2**m, 2**(m+1)), or mirrored."""
+    return range(floor_log2(min(abs(lo), abs(hi)), unit), ceil_log2(max(abs(lo), abs(hi)), unit))
 
-    The image piece of each `first` row, dilated by each 2**n in `dilations(lo, hi)` to [a, b),
-    finds the `then` rows it meets by bisection on their starts, as `value_at` finds a row.
-    Each common part is scaled back by 2**-n and moved back by the first row's shift; its ends
-    are ends of the dilate or of a `then` row, so both stay exact.  The fragments lie inside the
-    `first` rows, and `from_triples` forbids two to overlap, so they cover those rows exactly
-    when their lengths, summed on the coordinates, equal the rows' lengths; else `error`.
-    """
-    first, then = rows[:cut], rows[cut:]
-    starts = [lo for lo, _, _ in then]
-    fragments, total, covered = [], 0, 0
-    for lo, hi, s in first:
-        total += hi - lo
+
+def _pull_back(unit, first: list, then: list, error: str, octaves: Optional[set] = None) -> tuple:
+    """(unit, rows, image) of x -> then(2**n * first(x)) * 2**-n on (lo, hi, shift) rows over `unit`,
+    `then` a map's sorted, disjoint rows: n = 0 in a composition; in an extension each image piece
+    of a `first` row stays off 0 and takes each 2**n carrying one of its octaves onto `octaves`,
+    those of `then`'s domain, int rows first shifted left until 2**N divides each coordinate, N the
+    largest |n|.  A dilate finds the `then` rows it meets by bisection; each common part goes back
+    exactly, as its ends are ends of the dilate or of a row.  The fragments may not overlap and lie
+    in the `first` rows: they cover them iff both unions have the same ends, the starts and ends of
+    rows that no other row ends or starts at; else `error`."""
+    if octaves is not None and any(lo + s <= 0 <= hi + s for lo, hi, s in first):
+        raise PreconditionError("region must stay away from 0")
+    dilations = [(0,)] * len(first) if octaves is None else [{m - k for k in _octaves(lo + s, hi + s, unit)
+                 for sign, m in octaves if sign == (lo + s > 0)} for lo, hi, s in first]
+    top, low = (0 if octaves is None else max(map(abs, chain.from_iterable(dilations)), default=0)), 0
+    for x in chain.from_iterable(chain(first, then)) if top and type(first[0][0]) is int else ():
+        low |= x  # its lowest set bit is 2**v, v the coordinates' least trailing-zero count
+    k = top + 1 - (low & -low).bit_length() if low else 0  # top - v
+    if k > 0:  # shift both families, and the unit, left by the bits missing
+        first, then = ([(lo << k, hi << k, s << k) for lo, hi, s in rows] for rows in (first, then))
+        unit <<= k
+    starts, fragments = [lo for lo, _, _ in then], []
+    for (lo, hi, s), ns in zip(first, dilations):
         lo, hi = lo + s, hi + s
-        for n in dilations(lo, hi):
+        for n in ns:
             a, b = (_times_pow2(lo, n), _times_pow2(hi, n)) if n else (lo, hi)
             for c, d, t in then[max(bisect_right(starts, a) - 1, 0):bisect_left(starts, b)]:
                 if a < d:
                     c, d = max(a, c), min(b, d)
                     c, d, t = (_times_pow2(c, -n), _times_pow2(d, -n), _times_pow2(t, -n)) if n else (c, d, t)
                     fragments.append((c - s, d - s, s + t))
-                    covered += d - c
-    result = PiecewiseTranslation.from_triples(fragments, coef)
-    if covered != total:
+    rows, image = PiecewiseTranslation._canonical(fragments)
+    if {r[0] for r in rows} ^ {r[1] for r in rows} != {r[0] for r in first} ^ {r[1] for r in first}:
         raise PreconditionError(error)
-    return result
+    return unit, rows, image
+
+
+def _chain(first: tuple, then: tuple, error: str, extend: bool = False, steps="") -> PiecewiseTranslation:
+    """x -> then(first(x)) for coefficient rows on their `_coordinates`, `then` extended if `extend`; then
+    per letter of `steps`, "S" the result after itself or "M" `then` after it.  Fractions once."""
+    start, coords, coef = _coordinates(first if first is then else first + then)
+    base = coords if first is then else coords[len(first):]
+    octaves = {(lo > 0, m) for lo, hi, _ in base for m in _octaves(lo, hi, start)} if extend else None
+    unit, rows, image = _pull_back(start, coords[:len(first)], base, error, octaves)
+    for step in steps:
+        if type(rows[0][0]) is int and unit.bit_length() > COORD_BITS:  # Fractions over unit 1
+            rows, unit, start, coef = [tuple(Fraction(x, unit) for x in row) for row in rows], 1, 1, Fraction
+        k = unit.bit_length() - start.bit_length()  # `then` follows the unit, or its Fractions
+        again = [(lo << k, hi << k, s << k) for lo, hi, s in base] if type(rows[0][0]) is int else then
+        unit, rows, image = _pull_back(unit, rows, rows if step == "S" else again, error, octaves)
+    k, low = unit.bit_length() - start.bit_length(), unit & -unit
+
+    def coefficient(c: int) -> Fraction:  # over `start` if 2**k divides c; else shifts out 2**t first
+        t = min(c & -c or low, low).bit_length() - 1
+        return coef(c >> k) if t >= k else Fraction(c >> t, unit >> t)
+
+    return PiecewiseTranslation._mapped(rows, image, coef if unit == start else coefficient)
 
 
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
-    """Composite map then(first(x)); image of `first` must lie in `then`'s domain.
-
-    The pull-back with n = 0 on the `_coordinates` of both maps.
-    """
-    _, rows, coef = _coordinates(first.coefs + then.coefs)
-    return _pull_back(rows, len(first.coefs), coef, "image of the first map escapes the second map's domain")
-
-
-def _octaves(lo, hi, unit=1) -> range:
-    """Octaves m of a piece [lo, hi) away from 0, as coefficients or as coordinates over `unit`:
-    x in [2**m, 2**(m+1)) or [-2**(m+1), -2**m)."""
-    near, far = sorted((abs(lo), abs(hi)))
-    return range(floor_log2(near, unit), ceil_log2(far, unit))
+    """Composite map then(first(x)); image of `first` must lie in `then`'s domain."""
+    return _chain(first.coefs, then.coefs, "image of the first map escapes the second map's domain")
 
 
 def dyadic_extension(base: PiecewiseTranslation,
                      region: Union[IntervalSet, PiecewiseTranslation]) -> PiecewiseTranslation:
     """The dilation-commuting extension of `base` on a bounded region, or after a map.
 
-    The domain of `base` must tile the punctured line dyadically (true for any wavelet
-    set).  On a fragment carried into the domain by 2**n, the extension translates by the
-    base shift scaled by 2**-n.  `region` takes two forms: a set is the identity map on
-    itself, and a map m gives the extension after m, x -> ext(m(x)) on m's domain, which is
-    `compose(m, dyadic_extension(base, m.image))` built in one pull-back.
-
-    The pull-back dilates each image piece of m only by the 2**n that carry its octaves onto
-    those of the domain's pieces, and looks up the base rows each dilate meets.  The length
-    rule: the fragments cover m's rows exactly when their coordinate lengths sum to the rows'.
-    The unit of the `_coordinates` holds 2**N, N the largest |n|, so each dilation is an exact
-    shift, and so is scaling back a fragment, whose ends are ends of its dilate or base row.
-    """
-    rows, image = ((tuple((lo, hi, Fraction(0)) for lo, hi in region.coefs), region)  # the identity
-                   if isinstance(region, IntervalSet) else (region.coefs, region.image))
-    if image.zero_in_closure():
-        raise PreconditionError("region must stay away from 0")
-    octaves = {(lo > 0, m) for lo, hi in base.domain.coefs for m in _octaves(lo, hi)}
-
-    def dilations(lo, hi, unit=1) -> set:
-        return {m - k for k in _octaves(lo, hi, unit) for sign, m in octaves if sign == (lo > 0)}
-
-    # The image's pieces meet the octaves that its rows' image pieces meet: the same largest |n|.
-    top = max((abs(n) for lo, hi in image.coefs for n in dilations(lo, hi)), default=0)
-    unit, coords, coef = _coordinates(rows + base.coefs, top)
-    return _pull_back(coords, len(rows), coef, "region is not exactly covered by dyadic dilates "
-                      "of the map domain", lambda lo, hi: dilations(lo, hi, unit))
+    The domain of `base` must tile the punctured line dyadically (true for any wavelet set).  On
+    a fragment carried into the domain by 2**n, the extension translates by the base shift times
+    2**-n.  A set `region` is the identity on itself; a map m gives the extension after m."""
+    rows = (tuple((lo, hi, Fraction(0)) for lo, hi in region.coefs)  # the identity
+            if isinstance(region, IntervalSet) else region.coefs)
+    return _chain(rows, base.coefs, EXTENSION_ERROR, True)
 
 
 def compose_power(sigma: SigmaMap, power: int) -> PiecewiseTranslation:
-    """The p-th power of the extended map on w1, by binary powering over the bits of p.
-
-    The extension of a power restricted to w1 is that power itself, so each squaring is
-    the extension of the power after itself, and each set bit the extension of the map
-    after the power: one `dyadic_extension` call each.  Shifts pick up dyadic denominators.
-    """
+    """The p-th power of the extended map on w1 by binary powering in one `_chain`: a squaring (S)
+    extends the power after itself, a set bit (M) the map after it.  sigma**2 is one extension."""
     if not 1 <= power <= MAX_POWER:
         raise PreconditionError(f"power must lie in 1..{MAX_POWER}, got {power}")
-    current = sigma.mapping
-    for bit in bin(power)[3:]:
-        current = dyadic_extension(current, current)
-        if bit == "1":
-            current = dyadic_extension(sigma.mapping, current)
-    return current
+    if power <= 2:
+        return sigma.mapping if power == 1 else dyadic_extension(sigma.mapping, sigma.mapping)
+    steps = "".join("S" + "M" * int(bit) for bit in bin(power)[3:])[1:]
+    return _chain(sigma.mapping.coefs, sigma.mapping.coefs, EXTENSION_ERROR, True, steps)
 
 
 @dataclass(frozen=True)

@@ -59,25 +59,32 @@ class PiecewiseTranslation(Piecewise):
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple], coefficient: Optional[Callable] = None):
-        """The translation of the (lo, hi, shift) triples: coordinates when `coefficient`, the
-        map back of `_coordinates`, is given, else int or `Fraction` coefficients (any other
-        entry raises TypeError), which `_coordinates` scales first.  One rule builds both."""
+        """The translation of the (lo, hi, shift) triples: coordinates with their map back `coefficient`,
+        or int or `Fraction` coefficients (else TypeError), which `_coordinates` scales first."""
         if coefficient is None:
             _, triples, coefficient = _coordinates(_exact_rows(triples))
-        self = cls.__new__(cls)
-        rows = self._rows(triples)
+        return cls._mapped(*cls._canonical(triples), coefficient)
+
+    @classmethod
+    def _canonical(cls, triples: Iterable[tuple]) -> tuple[list, list]:
+        """Canonical rows of (lo, hi, shift) coordinates and their image runs, if neither overlaps."""
+        rows = cls._rows(triples)
         image = _disjoint_rows((lo + shift, hi + shift, None) for lo, hi, shift in rows)
         if image is None:
             raise ValueError("piecewise translation is not injective")
-        rows = [(coefficient(lo), coefficient(hi), coefficient(shift)) for lo, hi, shift in rows]
-        image = [(coefficient(lo), coefficient(hi)) for lo, hi, _ in image]
-        object.__setattr__(self, "coefs", tuple(rows))
-        object.__setattr__(self, "image", IntervalSet._of(tuple(image)))
+        return rows, image
+
+    @classmethod
+    def _mapped(cls, rows: list, image: list, back: Callable):
+        """The translation of canonical coordinate rows and image runs, mapped to Fractions by `back`."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "coefs", tuple([(back(lo), back(hi), back(s)) for lo, hi, s in rows]))
+        object.__setattr__(self, "image", IntervalSet._of(tuple([(back(a), back(b)) for a, b, _ in image])))
         return self
 
     @property
     def is_two_pi_integral(self) -> bool:
-        return all(shift % 2 == 0 for *_, shift in self.coefs)
+        return all(shift.denominator == 1 and not shift.numerator % 2 for *_, shift in self.coefs)
 
     def apply(self, x: RationalPi) -> RationalPi:
         return x + self.value_at(x)

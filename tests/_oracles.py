@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -381,7 +381,9 @@ def fraction_wavelet_report(W: IntervalSet) -> WaveletSetReport:
 # first computed them: pointwise, over every level of the region's hull, and
 # by one composition per power; then compose and the extension as they ran on
 # Fraction coefficients, before int coordinates, and on int coordinates, each
-# with its own sweep and coverage check, before they shared one pull-back sweep.
+# with its own sweep and coverage check, before they shared one pull-back sweep;
+# then that pull-back as a lookup with a length rule, one call per step, each
+# scaling its own `_coordinates` and mapping back, before powers ran one chain.
 
 
 def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
@@ -583,6 +585,76 @@ def sweep_pull_back(rows, cut: int, coef, error: str, dilations=lambda lo, hi: (
     if covered != total:
         raise PreconditionError(error)
     return result
+
+
+COMPOSE_ERROR = "image of the first map escapes the second map's domain"
+EXTENSION_ERROR = "region is not exactly covered by dyadic dilates of the map domain"
+
+
+def lookup_pull_back(rows, cut: int, coef, error: str, dilations=lambda lo, hi: (0,)) -> PiecewiseTranslation:
+    """The pull-back of one call on coordinate rows: the image piece of each `first` row (the
+    rows before `cut`), dilated by each 2**n in `dilations(lo, hi)` to [a, b), finds the `then`
+    rows it meets by bisection on their starts; each common part is scaled back by 2**-n and
+    moved back by the first row's shift.  The result is built and mapped back by `coef` at once;
+    the fragments cover the first rows exactly when their lengths, summed, equal the rows'."""
+    first, then = rows[:cut], rows[cut:]
+    starts = [lo for lo, _, _ in then]
+    fragments, total, covered = [], 0, 0
+    for lo, hi, s in first:
+        total += hi - lo
+        lo, hi = lo + s, hi + s
+        for n in dilations(lo, hi):
+            a, b = (_times_pow2(lo, n), _times_pow2(hi, n)) if n else (lo, hi)
+            for c, d, t in then[max(bisect_right(starts, a) - 1, 0):bisect_left(starts, b)]:
+                if a < d:
+                    c, d = max(a, c), min(b, d)
+                    c, d, t = (_times_pow2(c, -n), _times_pow2(d, -n), _times_pow2(t, -n)) if n else (c, d, t)
+                    fragments.append((c - s, d - s, s + t))
+                    covered += d - c
+    result = PiecewiseTranslation.from_triples(fragments, coef)
+    if covered != total:
+        raise PreconditionError(error)
+    return result
+
+
+def per_call_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
+    """`compose` as one `lookup_pull_back` with n = 0 on the `_coordinates` of both maps."""
+    _, rows, coef = _coordinates(first.coefs + then.coefs)
+    return lookup_pull_back(rows, len(first.coefs), coef, COMPOSE_ERROR)
+
+
+def per_call_dyadic_extension(base: PiecewiseTranslation, region) -> PiecewiseTranslation:
+    """`dyadic_extension` in both forms as one `lookup_pull_back`: the dilation sets are found on
+    the region's image pieces for the largest |n|, N, then again on the coordinates, whose unit
+    `_coordinates` makes hold 2**N; the zero check runs on the image as a set."""
+    rows, image = ((tuple((lo, hi, Fraction(0)) for lo, hi in region.coefs), region)
+                   if isinstance(region, IntervalSet) else (region.coefs, region.image))
+    if image.zero_in_closure():
+        raise PreconditionError("region must stay away from 0")
+
+    def octaves_of(lo, hi, unit=1):
+        near, far = sorted((abs(lo), abs(hi)))
+        return range(floor_log2(near, unit), ceil_log2(far, unit))
+
+    octaves = {(lo > 0, m) for lo, hi in base.domain.coefs for m in octaves_of(lo, hi)}
+
+    def dilations(lo, hi, unit=1) -> set:
+        return {m - k for k in octaves_of(lo, hi, unit) for sign, m in octaves if sign == (lo > 0)}
+
+    top = max((abs(n) for lo, hi in image.coefs for n in dilations(lo, hi)), default=0)
+    unit, coords, coef = _coordinates(rows + base.coefs, top)
+    return lookup_pull_back(coords, len(rows), coef, EXTENSION_ERROR, lambda lo, hi: dilations(lo, hi, unit))
+
+
+def per_call_compose_power(sigma: SigmaMap, power: int) -> PiecewiseTranslation:
+    """`compose_power` by binary powering with one `per_call_dyadic_extension` per squaring and
+    per set bit, each step a finished map of Fractions."""
+    current = sigma.mapping
+    for bit in bin(power)[3:]:
+        current = per_call_dyadic_extension(current, current)
+        if bit == "1":
+            current = per_call_dyadic_extension(sigma.mapping, current)
+    return current
 
 
 # ---------------------------------------------------------------------------

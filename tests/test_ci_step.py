@@ -29,6 +29,7 @@ def test_the_stdlib_only_step_passes():
     script = stdlib_step()
     assert "import wavemult" in script and "compose_power" in script
     assert "(11, 12, 16)" in script  # overlapping dilates in one base row, exact on ints
+    assert "wm.compose_power(mirror, 3) == wm.dyadic_extension(mirror.mapping, squared)" in script
     env = {**os.environ, "PYTHONPATH": "src"}
     done = subprocess.run([sys.executable, "-"], input=script, cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)

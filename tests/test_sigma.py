@@ -8,14 +8,16 @@ import pytest
 from fractions import Fraction
 
 from wavemult.exact import (
+    COORD_BITS,
     Interval,
     IntervalSet,
     PreconditionError,
     RationalPi,
     TWO_PI,
     ZERO,
-    _coordinates,
     _times_pow2,
+    ceil_log2,
+    floor_log2,
     merge_cells,
 )
 from wavemult.parsing import parse_set
@@ -39,9 +41,13 @@ from _oracles import (
     hull_dyadic_extension,
     int_compose,
     int_dyadic_extension,
+    lookup_pull_back,
     loop_compose_powers,
     near_zero_wavelet_set,
     object_dyadic_extension,
+    per_call_compose,
+    per_call_compose_power,
+    per_call_dyadic_extension,
     random_point_in,
     sweep_pull_back,
     two_interval_wavelet_set,
@@ -205,14 +211,14 @@ class TestOctaveExtension:
     def test_a_piece_near_zero_adds_no_levels_elsewhere(self, monkeypatch):
         """sigma**2 for a wavelet set 2**-10000 pi from 0 has 8 rows; each extension looks up
         a few dilates per region piece, not one per octave between the set's two ends.  Per
-        `_pull_back` call, [first rows, `then` rows, dilates looked up (one `bisect_right`
+        `_pull_back` step, [first rows, `then` rows, dilates looked up (one `bisect_right`
         each)]; every first row is looked up at least once."""
         sizes = []
         pull_back, bisect_right = sigma_module._pull_back, sigma_module.bisect_right
 
-        def pulling(rows, cut, *rest):
-            sizes.append([cut, len(rows) - cut, 0])
-            return pull_back(rows, cut, *rest)
+        def pulling(unit, first, then, *rest):
+            sizes.append([len(first), len(then), 0])
+            return pull_back(unit, first, then, *rest)
 
         def looking_up(starts, x):
             sizes[-1][2] += 1
@@ -320,8 +326,7 @@ def integer_side_sigmas():
 def fraction_side_sigmas():
     """(sigma, powers) whose unit passes the budget: a set 2**-10000 pi from 0 and its
     mirror, and two two-interval sets whose denominators 3**1000 and 5**700 are coprime.
-    The second sigma**2 is the identity, whose rows keep only 3**1000 and fit, so its
-    square runs on ints and sigma**3 = sigma: its powers stop at 3."""
+    The second sigma**2 is the identity, so sigma**3 = sigma: its powers stop at 3."""
     W = near_zero_wavelet_set(10000)
     coprime = build_sigma(two_interval(1 + Fraction(1, 3**1000)), two_interval(1 - Fraction(1, 5**700)))
     return [(build_sigma(W, W.negate()), range(1, 6)), (coprime, range(1, 4))]
@@ -335,70 +340,78 @@ def fraction_extension_after(base, region):
     return fraction_compose(region, fraction_dyadic_extension(base, region.image))
 
 
+def fractions_of(rows, unit) -> list:
+    """Coordinate rows over `unit` as rows of Fractions; Fraction coordinates are over unit 1."""
+    return [tuple(Fraction(x, unit) if type(x) is int else x for x in row) for row in rows]
+
+
 @pytest.fixture
 def steps(monkeypatch):
-    """Every compose and dyadic_extension call of the sigma module, the side of the budget
-    each took (int coordinates, or Fraction ones over unit 1), and every `_pull_back` call
-    with its arguments and result."""
-    calls, units, pulls = [], [], []
-    compose_, extension_, coordinates = sigma_module.compose, sigma_module.dyadic_extension, sigma_module._coordinates
+    """Every pull-back step of the sigma module as (arguments, result), and the side of the
+    budget each took, by the types of its coordinates (int, or Fraction ones over unit 1),
+    recorded when the step starts."""
+    calls, sides = [], []
     pull_back = sigma_module._pull_back
 
-    def recording(reference, fn):
-        def call(*args):
-            result = fn(*args)
-            calls.append((reference, args, result))
-            return result
-        return call
-
-    def coordinates_(*args):
-        unit, rows, coef = coordinates(*args)
-        types = {type(x) for row in rows for x in row}
-        units.append("int" if types <= {int} else "Fraction" if unit == 1 and types == {Fraction} else "mixed")
-        return unit, rows, coef
-
-    def pull_back_(*args):
-        result = pull_back(*args)
-        pulls.append((args, result))
+    def step(unit, first, then, *rest):
+        types = {type(x) for row in itertools.chain(first, then) for x in row}
+        sides.append("int" if types <= {int} else "Fraction" if types == {Fraction} else "mixed")
+        result = pull_back(unit, first, then, *rest)
+        calls.append(((unit, first, then, *rest), result))
         return result
 
-    monkeypatch.setattr(sigma_module, "compose", recording(fraction_compose, compose_))
-    monkeypatch.setattr(sigma_module, "dyadic_extension", recording(fraction_extension_after, extension_))
-    monkeypatch.setattr(sigma_module, "_coordinates", coordinates_)
-    monkeypatch.setattr(sigma_module, "_pull_back", pull_back_)
-    return calls, units, pulls
+    monkeypatch.setattr(sigma_module, "_pull_back", step)
+    return calls, sides
+
+
+def octaves_of(domain) -> set:
+    """The octaves (sign, m) of a set's pieces, each m with 2**m <= |x| < 2**(m+1) on the piece."""
+    def octaves(lo, hi):
+        near, far = sorted((abs(lo), abs(hi)))
+        return range(floor_log2(near), ceil_log2(far))
+
+    return {(lo > 0, m) for lo, hi in domain.coefs for m in octaves(lo, hi)}
+
+
+def reference_steps(unit, first, then, error, octaves):
+    """The replaced bodies on the Fraction maps of a step's coordinate rows: for a composition
+    the per-call lookup and the Fraction sweep; for an extension after the map `first`, those
+    of `dyadic_extension`, whose domain octaves must be `octaves`."""
+    m = PiecewiseTranslation.from_triples(fractions_of(first, unit))
+    t = PiecewiseTranslation.from_triples(fractions_of(then, unit))
+    if octaves is None:
+        return per_call_compose(m, t), fraction_compose(m, t)
+    assert octaves == octaves_of(t.domain)
+    return per_call_dyadic_extension(t, m), fraction_extension_after(t, m)
 
 
 class TestIntegerCoordinates:
-    """compose and dyadic_extension on int coordinates against their Fraction bodies, and
-    each `_pull_back` call against the sweep it replaced: each call of a binary powering
-    gives the same rows and image on the same arguments, and each input takes the side of
-    the budget it should."""
+    """Every pull-back step, on int coordinates or past the budget on Fraction ones, against
+    the bodies it replaced: each step of a chain of powers, mapped to Fractions, gives the rows
+    and image that the per-call lookup and the Fraction sweep give on the same arguments, and
+    each input takes the side of the budget it should."""
 
     @pytest.mark.parametrize("side,cases", [("int", integer_side_sigmas), ("Fraction", fraction_side_sigmas)],
                              ids=["int", "Fraction"])
     def test_steps_match_the_fraction_bodies(self, side, cases, steps):
-        calls, units, pulls = steps
-        checked, pulled = set(), 0
+        calls, sides = steps
+        checked = set()
         for sigma, powers in cases():
             for p in powers:
                 compose_power(sigma, p)
-            for reference, args, got in calls:
-                if (reference, args) not in checked:
-                    checked.add((reference, args))
-                    want = reference(*args)
-                    assert (got.coefs, got.image) == (want.coefs, want.image), reference.__name__
-            for args, got in pulls:
-                want = sweep_pull_back(*args)
-                assert (got.coefs, got.image) == (want.coefs, want.image), args[3]
+            for (unit, first, then, error, octaves), (scaled, rows, image) in calls:
+                key = (unit, tuple(map(tuple, first)), tuple(map(tuple, then)), error,
+                       octaves and frozenset(octaves))
+                if key not in checked:
+                    checked.add(key)
+                    got = (tuple(fractions_of(rows, scaled)), tuple(fractions_of(image, scaled)))
+                    for want in reference_steps(unit, first, then, error, octaves):
+                        assert got == (want.coefs, tuple((lo, hi, None) for lo, hi in want.image.coefs))
             calls.clear()
-            pulled += len(pulls)
-            pulls.clear()
-        assert len(checked) >= (100 if side == "int" else 8) and set(units) == {side}, (len(checked), set(units))
-        assert pulled >= len(checked), (pulled, len(checked))
+        assert len(checked) >= (100 if side == "int" else 8) and set(sides) == {side}, (len(checked), set(sides))
 
     def test_construction_errors_on_int_coordinates(self, paper_sigma, steps):
-        _, units, _ = steps
+        _, units = steps
         with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
             PiecewiseTranslation.from_triples([(0, 8, 8), (4, 12, 16)], lambda c: Fraction(c, 4))
         with pytest.raises(ValueError, match="not injective"):
@@ -412,18 +425,19 @@ class TestIntegerCoordinates:
         assert units == ["int", "int"]
 
     def test_an_extension_cell_may_end_off_its_scale(self, steps):
-        """[1/3, 2/5) is dilated by 4 and [11, 12) by 1/8 into one base row: unit 15 * 2**3,
-        the dilates [160, 192) and [165, 180), which overlap inside that row.  Each dilate is
-        clipped only to its own ends and the row's, never cut at 165, which 4 does not divide:
-        scaled back, the two fragments are exactly [40, 48) and [1320, 1440)."""
-        _, units, _ = steps
+        """[1/3, 2/5) is dilated by 4 and [11, 12) by 1/8 into one base row: the step shifts
+        the coordinates over 15 left by 3 bits, to unit 15 * 2**3, so the dilates are [160, 192)
+        and [165, 180), which overlap inside that row.  Each dilate is clipped only to its own
+        ends and the row's, never cut at 165, which 4 does not divide: scaled back, the two
+        fragments are exactly [40, 48) and [1320, 1440)."""
+        calls, units = steps
         base = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(2), Fraction(2))])
         region = parse_set("[1/3pi,2/5pi),[11pi,12pi)")
         got = dyadic_extension(base, region)
         want = fraction_dyadic_extension(base, region)
         assert (got.coefs, got.image) == (want.coefs, want.image)
         assert got.coefs == ((Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)), (11, 12, 16))
-        assert units == ["int"] and _coordinates(base.coefs + region.coefs, 3)[0] == 15 * 2**3
+        assert units == ["int"] and (calls[0][0][0], calls[0][1][0]) == (15, 15 * 2**3)
 
 
 U = 1 << 10  # the image pieces lie in [U, 2U); coordinates are multiples of 8
@@ -494,19 +508,32 @@ def on_fractions(rows):
 
 
 def pulled(pull_back, rows, cut, n, error=EXTENSION_ERROR):
-    """(coefs, image) of the pull-back, or the type and message of the ValueError it raises."""
-    coef = (lambda c: c) if type(rows[0][0]) is Fraction else (lambda c: Fraction(c, 24))
+    """(coefs, image) of the pull-back with the dilations 2**0 and 2**n, or the type and message
+    of the ValueError it raises.  An int coordinate x stands for x / 24.  `_pull_back` finds
+    the dilations as those from the image pieces' octave, 10 over its unit (1/3 for Fraction
+    rows), onto the octaves 10 and 10 + n of a domain, and may shift int rows to a new unit."""
+    ints = type(rows[0][0]) is int
     try:
-        result = pull_back(rows, cut, coef, error, lambda lo, hi: (0, n))
+        if pull_back is not sigma_module._pull_back:
+            return result_of(pull_back(rows, cut, (lambda c: Fraction(c, 24)) if ints else (lambda c: c),
+                                       error, lambda lo, hi: (0, n)))
+        octaves = {(True, 10), (True, 10 + n)}
+        unit, coords, image = pull_back(1 if ints else Fraction(1, 3), rows[:cut], rows[cut:], error, octaves)
     except ValueError as e:
         return type(e), str(e)
-    return result.coefs, result.image
+    return result_of(PiecewiseTranslation._mapped(coords, image, (lambda c: Fraction(c, 24 * unit)) if ints
+                                                  else (lambda c: c)))
+
+
+def result_of(translation):
+    return translation.coefs, translation.image
 
 
 class TestPullBackLookup:
     """`_pull_back` reads the `then` rows each dilate meets by bisection on their starts; on
     seeded rows that hit every edge of that lookup, on ints and on Fractions, it gives the
-    rows and image of the sweep it replaced, and both raise the same coverage error."""
+    rows and image of the sweep and of the per-call lookup it replaced, and all three raise
+    the same coverage error, which the step now decides by comparing merged domains."""
 
     @pytest.mark.parametrize("side", ["int", "Fraction"])
     def test_matches_the_sweep_on_every_edge(self, side):
@@ -517,7 +544,8 @@ class TestPullBackLookup:
             seen |= lookup_edges(rows, cut, n)
             rows = rows if side == "int" else on_fractions(rows)
             got = pulled(sigma_module._pull_back, rows, cut, n)
-            assert got == pulled(sweep_pull_back, rows, cut, n), (case, rows, cut, n)
+            for reference in (sweep_pull_back, lookup_pull_back):
+                assert got == pulled(reference, rows, cut, n), (case, rows, cut, n)
             assert not isinstance(got[0], type), (case, got)
         assert seen == {"starts at a row's start", "starts at a row's end", "ends at a row's start",
                         "spans several rows", "before the first row", "after the last row",
@@ -535,7 +563,7 @@ class TestPullBackLookup:
             del rows[rng.choice([i for i in range(cut, len(rows)) if any(
                 rows[i][0] < b and a < rows[i][1] for a, b in dilates)])]
             rows = rows if side == "int" else on_fractions(rows)
-            for pull_back in (sigma_module._pull_back, sweep_pull_back):
+            for pull_back in (sigma_module._pull_back, sweep_pull_back, lookup_pull_back):
                 assert pulled(pull_back, rows, cut, n, error) == (PreconditionError, error), case
 
 
@@ -556,7 +584,7 @@ class TestExtensionAfterAMap:
     and by the two int bodies it replaced, for both steps of binary powering."""
 
     def test_matches_the_composed_set_form(self, steps):
-        _, units, _ = steps
+        _, units = steps
         for sigma, k_max in after_a_map_cases():
             for k in range(1, k_max + 1):
                 m = compose_power(sigma, k)
@@ -589,15 +617,128 @@ class TestExtensionAfterAMap:
                 dyadic_extension(doubled, region)
 
     def test_one_extension_per_powering_step_and_no_compose(self, monkeypatch, paper_sigma):
-        calls = []
-        extension = sigma_module.dyadic_extension
-        monkeypatch.setattr(sigma_module, "dyadic_extension", lambda b, m: calls.append(m) or extension(b, m))
+        """One pull-back step per squaring and per set bit, each on int coordinate rows; no
+        `compose` call, and a `dyadic_extension` call only for sigma**2; sigma's coefficients
+        scaled once and the result's Fractions built once."""
+        steps, extended, scaled, built = [], [], [], []
+        pull_back, extension = sigma_module._pull_back, sigma_module.dyadic_extension
+        coordinates, mapped = sigma_module._coordinates, PiecewiseTranslation._mapped
+        monkeypatch.setattr(sigma_module, "_pull_back", lambda *args: steps.append(args) or pull_back(*args))
+        monkeypatch.setattr(sigma_module, "dyadic_extension", lambda b, m: extended.append(m) or extension(b, m))
+        monkeypatch.setattr(sigma_module, "_coordinates", lambda *args: scaled.append(args) or coordinates(*args))
+        monkeypatch.setattr(PiecewiseTranslation, "_mapped", classmethod(lambda cls, *args: built.append(args)
+                                                                          or mapped(*args)))
         monkeypatch.setattr(sigma_module, "compose", lambda *args: pytest.fail("compose_power called compose"))
         for p in (1, 2, 3, 7, 12, 64, 100):
-            calls.clear()
+            for log in (steps, extended, scaled, built):
+                log.clear()
             assert compose_power(paper_sigma, p).domain == paper_sigma.w1
-            assert len(calls) == p.bit_length() - 1 + bin(p).count("1") - 1, p
-            assert all(isinstance(m, PiecewiseTranslation) for m in calls)
+            assert len(steps) == p.bit_length() - 1 + bin(p).count("1") - 1, p
+            assert all(type(first[0][0]) is int for _, first, *_ in steps), p
+            assert (len(extended), len(scaled), len(built)) == (p == 2, p > 1, p > 1), p
+
+
+def largest_dilation(unit, first, targets) -> int:
+    """The largest |n| of a step: the octaves of its first rows' image pieces over `unit`
+    against the `targets`, each octave m with 2**m <= |x| < 2**(m+1)."""
+    def octaves(lo, hi):
+        near, far = sorted((abs(lo), abs(hi)))
+        return range(floor_log2(near, unit), ceil_log2(far, unit))
+
+    return max(abs(m - k) for lo, hi, s in first for k in octaves(lo + s, hi + s)
+               for sign, m in targets if sign == (lo + s > 0))
+
+
+def least_trailing_zeros(*families) -> int:
+    return min((x & -x).bit_length() - 1 for rows in families for row in rows for x in row if x)
+
+
+MIRROR = near_zero_wavelet_set(10000)
+CHAIN_CASES = [
+    pytest.param(("journe", "paper_w2"), 1024, False, id="journe->paper_w2 1024"),
+    pytest.param(near_zero_wavelet_set(1000), 2, True, id="near_zero 1000 p=2"),
+    pytest.param(near_zero_wavelet_set(1000), 16, False, id="near_zero 1000 p=16"),
+    pytest.param(MIRROR, 2, False, id="mirror p=2"),
+    pytest.param(MIRROR, 3, False, id="mirror p=3"),
+    pytest.param(("journe", "shannon"), 3, True, id="journe->shannon 3"),
+]
+
+# (first rows, then rows over unit 4, an extension or a composition, the error a step raises)
+RAISING_STEPS = [
+    ([(5, 7, 0)], [(4, 8, 0), (10, 14, 0)], True, ValueError(PiecewiseTranslation.OVERLAP_ERROR)),
+    ([(6, 12, 0)], [(4, 6, 8), (6, 8, 18)], True, ValueError("piecewise translation is not injective")),
+    ([(4, 8, -4)], [(4, 8, 0)], True, PreconditionError("region must stay away from 0")),
+    ([(4, 8, 0)], [(4, 6, 0)], True, PreconditionError(EXTENSION_ERROR)),
+    ([(4, 8, 0)], [(4, 6, 0)], False, PreconditionError(COMPOSE_ERROR)),
+]
+
+
+class TestChain:
+    """Powers on one chain of coordinate rows against the sequential loop and against binary
+    powering over finished Fraction maps, one per-call extension per step.  The loop takes
+    O(p**2) hull-wide extensions (10 s to p = 128 on a catalog pair, 136 s to p = 16 on the
+    near-zero set), so it checks only the cases it reaches in well under a second."""
+
+    @pytest.mark.parametrize("pair,p,by_loop", CHAIN_CASES)
+    def test_matches_the_references(self, pair, p, by_loop):
+        if isinstance(pair, tuple):
+            sigma = build_sigma(catalog(pair[0]), catalog(pair[1]))
+        else:
+            sigma = build_sigma(pair, pair.negate())
+        got = compose_power(sigma, p)
+        wants = [per_call_compose_power(sigma, p)]
+        if by_loop:
+            wants.append(next(itertools.islice(loop_compose_powers(sigma), p - 1, None)))
+        for want in wants:
+            assert (got.coefs, got.image) == (want.coefs, want.image)
+
+    def test_a_rescale_in_the_middle_of_the_chain(self, steps):
+        """sigma**3 from journe to shannon: the set-bit step after the squaring meets coordinates
+        with a trailing zero but fewer than its largest dilation needs, so both families are
+        shifted left by exactly the bits missing."""
+        calls, _ = steps
+        sigma = build_sigma(catalog("journe"), catalog("shannon"))
+        calls.clear()
+        got = compose_power(sigma, 3)
+        (unit, first, then, _, octaves), (scaled, _, _) = calls[1]
+        assert octaves == octaves_of(sigma.w1)
+        v, top = least_trailing_zeros(first, then), largest_dilation(unit, first, octaves)
+        assert 0 < v < top and scaled == unit << (top - v), (v, top, unit, scaled)
+        want = next(itertools.islice(loop_compose_powers(sigma), 2, None))
+        assert got == want == per_call_compose_power(sigma, 3)
+
+    def test_the_budget_moves_a_chain_to_fractions(self, steps):
+        """The near-zero sigma with n = 1000 has a unit of about 1000 bits, and each squaring
+        doubles it: the step to sigma**4 starts within the budget and ends past it, so the two
+        steps after it run on Fractions over unit 1."""
+        calls, sides = steps
+        W = near_zero_wavelet_set(1000)
+        sigma = build_sigma(W, W.negate())
+        calls.clear()
+        sides.clear()
+        compose_power(sigma, 16)
+        units = [args[0] for args, _ in calls]
+        assert sides == ["int", "int", "Fraction", "Fraction"], sides
+        assert units[1].bit_length() <= COORD_BITS < calls[1][1][0].bit_length() and units[2:] == [1, 1], units
+
+    @pytest.mark.parametrize("side", ["int", "Fraction"])
+    def test_steps_raise_the_reference_messages(self, side):
+        """A step raises what the per-call lookup raises on the same maps: two fragments that
+        overlap, two images that do, an image piece at 0, and the two coverage errors.  The rows
+        are int coordinates over unit 4, or their Fractions over unit 1."""
+        unit = 4 if side == "int" else 1
+        for first, then, extension, error in RAISING_STEPS:
+            if side == "Fraction":
+                first, then = fractions_of(first, 4), fractions_of(then, 4)
+            m = PiecewiseTranslation.from_triples(fractions_of(first, unit))
+            t = PiecewiseTranslation.from_triples(fractions_of(then, unit))
+            with pytest.raises(type(error)) as raised:
+                sigma_module._pull_back(unit, first, then, EXTENSION_ERROR if extension else COMPOSE_ERROR,
+                                        octaves_of(t.domain) if extension else None)
+            assert type(raised.value) is type(error) and str(raised.value) == str(error)
+            with pytest.raises(type(error)) as raised:
+                per_call_dyadic_extension(t, m) if extension else per_call_compose(m, t)
+            assert type(raised.value) is type(error) and str(raised.value) == str(error)
 
 
 class TestRoundTrips:
