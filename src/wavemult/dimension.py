@@ -15,8 +15,6 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .exact import (
-    MINUS_PI,
-    PI,
     PreconditionError,
     IntervalSet,
     Piecewise,
@@ -109,18 +107,40 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
 def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
     """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W, at each point xi.
 
-    The counts are read from `dimension_function(W)`.  Every xi must lie in
-    [-pi, pi) and differ from 0, where that function holds its right limit; a point that
-    does not raises before that function is built, after W's own check.  The points may
-    be any iterable; they are read once.
+    The counts come from one walk over the rows of `dimension_function(W)` in the
+    order of the points, sorted first if they do not ascend; the range checks and
+    the walk compare numerators and denominators as ints.  Every xi must
+    lie in [-pi, pi) and differ from 0, where that function holds its right limit; a
+    point that does not raises before that function is built, after W's own check.
+    The points may be any iterable; they are read once.
     """
     points = list(points)
-    bad = next((xi for xi in points if xi.is_zero or not MINUS_PI <= xi < PI), None)
+    fractions = [(xi.coef.numerator, xi.coef.denominator) for xi in points]
+    bad = next((n for n, d in fractions if not (n and -d <= n < d)), None)
     if bad is not None:
         _require_wavelet_set(W)
-        raise PreconditionError("the dimension function is not evaluated at 0" if bad.is_zero
-                                else "xi must lie in [-pi, pi)")
-    return list(map(dimension_function(W).value_at, points)) if points else []
+        raise PreconditionError("xi must lie in [-pi, pi)" if bad else "the dimension function is not evaluated at 0")
+    if not points:
+        return []
+    rows = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator, value)
+            for lo, hi, value in dimension_function(W).coefs]
+    order = range(len(points))
+    if any(a * d > c * b for (a, b), (c, d) in zip(fractions, fractions[1:])):
+        order = sorted(order, key=lambda index: points[index].coef)
+    last, i = len(rows) - 1, 0
+    values, missing = [0] * len(points), []
+    for index in order:
+        n, d = fractions[index]
+        while i < last and rows[i][2] * d <= n * rows[i][3]:  # row i ends at or before the point
+            i += 1
+        lo_n, lo_d, hi_n, hi_d, value = rows[i]
+        if lo_n * d <= n * lo_d and n * hi_d < hi_n * d:
+            values[index] = value
+        else:
+            missing.append(index)
+    if missing:
+        raise PreconditionError(f"{points[min(missing)]} lies outside the domain")
+    return values
 
 
 @dataclass(frozen=True)

@@ -71,17 +71,17 @@ def meyer_profile() -> SpectralProfile:
 
     Modulus sin(pi/2 * nu(3|xi|/(2 pi) - 1)) on the inner band and
     cos(pi/2 * nu(3|xi|/(4 pi) - 1)) on the outer band, with the polynomial
-    bell nu(t) = t**4 (35 - 84 t + 70 t**2 - 20 t**3) and phase exp(i xi / 2).
-    """
+    bell nu(t) = t**4 (35 - 84 t + 70 t**2 - 20 t**3) and phase exp(i xi / 2), taken
+    only at the entries inside the bands; every other entry is 0."""
 
     def ev(x: np.ndarray) -> np.ndarray:
         ax = np.abs(x)
-        amp = np.zeros_like(ax)
-        inner = (ax >= 2 * np.pi / 3) & (ax < 4 * np.pi / 3)
-        outer = (ax >= 4 * np.pi / 3) & (ax <= 8 * np.pi / 3)
-        amp[inner] = np.sin(np.pi / 2 * _bell(3 * ax[inner] / (2 * np.pi) - 1))
-        amp[outer] = np.cos(np.pi / 2 * _bell(3 * ax[outer] / (4 * np.pi) - 1))
-        return amp * np.exp(0.5j * x)
+        values = np.zeros(x.shape, dtype=complex)
+        inner = np.flatnonzero((ax >= 2 * np.pi / 3) & (ax < 4 * np.pi / 3))
+        outer = np.flatnonzero((ax >= 4 * np.pi / 3) & (ax <= 8 * np.pi / 3))
+        values[inner] = np.sin(np.pi / 2 * _bell(3 * ax[inner] / (2 * np.pi) - 1)) * np.exp(0.5j * x[inner])
+        values[outer] = np.cos(np.pi / 2 * _bell(3 * ax[outer] / (4 * np.pi) - 1)) * np.exp(0.5j * x[outer])
+        return values
 
     return SpectralProfile("meyer", ev, 8 * math.pi / 3)
 
@@ -149,27 +149,28 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _orthogonalize(fibers: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Residuals g, weights h, coefficients eta and scales of a (points, J, 2K+1) stack.
 
-    g_j = psi_j - sum_{k<j} <psi_j, u_k> u_k at all points at once; a direction
-    counts at a point only if its weight h_k = 2*pi*||g_k||**2 is above that
-    point's relative tolerance.  eta[:, j, k] = <psi_j, g_k> / ||g_k||**2 for the
-    counted directions, so psi_j = g_j + sum_k eta[:, j, k] g_k."""
+    g_j = psi_j - sum_{k<j} <psi_j, u_k> u_k; a direction counts at a point only if its
+    weight h_k = 2*pi*||g_k||**2 is above that point's relative tolerance, and then
+    eta[:, j, k] = <psi_j, g_k> / ||g_k||**2, so psi_j = g_j + sum_k eta[:, j, k] g_k.
+    The fibers psi, not the running g, enter each dot, so one step per level k takes
+    all later coefficients in one stacked product and subtracts g_k from every later
+    residual: J steps per block, each residual losing g_0, g_1, ... in turn."""
     count, levels, _ = fibers.shape
     max_scale = np.fmax(1.0, np.sum(np.abs(fibers) ** 2, axis=2).max(axis=1))
     threshold = tol * max_scale
-    residuals = np.empty_like(fibers)
+    residuals = fibers.copy()
     h_values = np.zeros((count, levels))
     eta = np.zeros((count, levels, levels), dtype=complex)
-    for j in range(levels):
-        psi = g = fibers[:, j]
-        for k in range(j):
-            used = h_values[:, k] > threshold
-            if used.any():
-                gk = residuals[:, k]
-                coeff = _dots(gk, psi) / np.where(used, h_values[:, k] / TWO_PI_F, 1.0)
-                eta[:, j, k] = coeff = np.where(used, coeff, 0.0)
-                g = np.where(used[:, None], g - coeff[:, None] * gk, g)
-        residuals[:, j] = g
-        h_values[:, j] = TWO_PI_F * _dots(g, g).real
+    for k in range(levels):
+        gk = residuals[:, k]
+        h_values[:, k] = TWO_PI_F * _dots(gk, gk).real
+        used = h_values[:, k] > threshold
+        if k + 1 < levels and used.any():
+            dots = (gk.conj()[:, None, None, :] @ fibers[:, k + 1 :, :, None])[:, :, 0, 0]
+            coeff = dots / np.where(used, h_values[:, k] / TWO_PI_F, 1.0)[:, None]
+            eta[:, k + 1 :, k] = coeff = np.where(used[:, None], coeff, 0.0)
+            later = residuals[:, k + 1 :]
+            later[...] = np.where(used[:, None, None], later - coeff[:, :, None] * gk[:, None, :], later)
     return residuals, h_values, eta, max_scale
 
 
@@ -280,12 +281,12 @@ def verify_m_equals_d(
     exact_points = [p for p in points if isinstance(p, RationalPi)]
     counts = iter(dimension_values(profile.msf_set, exact_points) if msf else ())
     records = []
-    for point, rank, total, truncation_exact in zip(points, ranks, totals, truncation):
+    for point, xi, rank, total, truncation_exact in zip(points, xs.tolist(), ranks, totals, truncation):
         xi_pi = exact = None
         if isinstance(point, RationalPi):
             xi_pi, exact = point, next(counts, None)
         agree = rank == round(total) and (exact is None or rank == exact)
-        records.append(GridRecord(float(point), xi_pi, rank, total, exact, agree, truncation_exact))
+        records.append(GridRecord(xi, xi_pi, rank, total, exact, agree, truncation_exact))
     return AgreementReport(tuple(records))
 
 

@@ -84,7 +84,7 @@ class PiecewiseTranslation(Piecewise):
 
     @property
     def is_two_pi_integral(self) -> bool:
-        return all(shift % 2 == 0 for *_, shift in self.coefs)
+        return all(shift.denominator == 1 and not shift.numerator % 2 for *_, shift in self.coefs)
 
     def apply(self, x: RationalPi) -> RationalPi:
         return x + self.value_at(x)

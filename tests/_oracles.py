@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from wavemult.dimension import StepFunction, dimension_step_function
+from wavemult.dimension import StepFunction, dimension_function, dimension_step_function
 from wavemult.exact import (
     ZERO,
     Interval,
@@ -260,6 +260,47 @@ def loop_dimension_sum(profile, xi: float, j_max: int, k_max: int) -> tuple[floa
     nearest = abs(xi - TWO_PI_F * round(xi / TWO_PI_F))
     j_exact = (2.0 ** (j_max + 1)) * nearest > support
     return total, k_exact and j_exact
+
+
+def pairwise_orthogonalize(fibers: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """The batched recurrence one (j, k) pair at a time: residuals, h, eta and scales
+    of a (points, J, 2K+1) stack, each <psi_j, g_k> one row-wise product."""
+    def dots(a, b):
+        return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+    count, levels, _ = fibers.shape
+    max_scale = np.fmax(1.0, np.sum(np.abs(fibers) ** 2, axis=2).max(axis=1))
+    threshold = tol * max_scale
+    residuals = np.empty_like(fibers)
+    h_values = np.zeros((count, levels))
+    eta = np.zeros((count, levels, levels), dtype=complex)
+    for j in range(levels):
+        psi = g = fibers[:, j]
+        for k in range(j):
+            used = h_values[:, k] > threshold
+            if used.any():
+                gk = residuals[:, k]
+                coeff = dots(gk, psi) / np.where(used, h_values[:, k] / TWO_PI_F, 1.0)
+                eta[:, j, k] = coeff = np.where(used, coeff, 0.0)
+                g = np.where(used[:, None], g - coeff[:, None] * gk, g)
+        residuals[:, j] = g
+        h_values[:, j] = TWO_PI_F * dots(g, g).real
+    return residuals, h_values, eta, max_scale
+
+
+def full_band_meyer(x: np.ndarray) -> np.ndarray:
+    """The Meyer profile with its phase exp(i x / 2) taken at every entry, not only
+    on the bands 2*pi/3 <= |x| <= 8*pi/3."""
+    def bell(t):
+        return t**4 * (35 - 84 * t + 70 * t**2 - 20 * t**3)
+
+    ax = np.abs(x)
+    amp = np.zeros_like(ax)
+    inner = (ax >= 2 * np.pi / 3) & (ax < 4 * np.pi / 3)
+    outer = (ax >= 4 * np.pi / 3) & (ax <= 8 * np.pi / 3)
+    amp[inner] = np.sin(np.pi / 2 * bell(3 * ax[inner] / (2 * np.pi) - 1))
+    amp[outer] = np.cos(np.pi / 2 * bell(3 * ax[outer] / (4 * np.pi) - 1))
+    return amp * np.exp(0.5j * x)
 
 
 def principal_images(W: IntervalSet) -> list[Interval]:
@@ -980,6 +1021,18 @@ def object_commutant_witness(composed: PiecewiseTranslation):
     """The first (Interval, shift) row whose shift leaves the 2*pi*Z lattice, or None."""
     return next(((iv, shift) for iv, shift in composed.cases() if not shift.is_two_pi_multiple),
                 None)
+
+
+def bisect_dimension_values(W: IntervalSet, points) -> list[int]:
+    """Counts read one point at a time by `Piecewise.value_at`, a bisection of the rows
+    of `dimension_function(W)`, after the same range checks on `RationalPi` comparisons."""
+    points = list(points)
+    bad = next((xi for xi in points if xi.is_zero or not RationalPi(-1) <= xi < RationalPi(1)), None)
+    if bad is not None:
+        _require_wavelet_set(W)
+        raise PreconditionError("the dimension function is not evaluated at 0" if bad.is_zero
+                                else "xi must lie in [-pi, pi)")
+    return [dimension_function(W).value_at(xi) for xi in points]
 
 
 def scan_value_at(f, x: RationalPi):

@@ -30,6 +30,7 @@ def test_the_stdlib_only_step_passes():
     assert "import wavemult" in script and "compose_power" in script
     assert "(11, 12, 16)" in script  # overlapping dilates in one base row, exact on ints
     assert "wm.compose_power(mirror, 3) == wm.dyadic_extension(mirror.mapping, squared)" in script
+    assert "wm.dimension_values(W, pts) == [wm.dimension_function(W).value_at(p) for p in pts]" in script
     env = {**os.environ, "PYTHONPATH": "src"}
     done = subprocess.run([sys.executable, "-"], input=script, cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)

@@ -28,6 +28,7 @@ from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
 
 from _oracles import (
+    bisect_dimension_values,
     brute_dimension_count,
     deep_piece_wavelet_set,
     loop_midpoint_grid,
@@ -117,6 +118,54 @@ class TestDimensionAt:
         assert dimension.dimension_function.cache_info().misses == 0
         assert dimension_step_function(W, parse_set("[-1pi,-1/2pi),[1/2pi,1pi)")).pairs
         assert dimension_values(W, [MINUS_PI, rp(1, 2)]) and dimension.dimension_function.cache_info().misses == 1
+
+
+class TestOrderedWalk:
+    """`dimension_values` walks the rows of D once in the order of the points; the
+    reference bisects the rows once per point."""
+
+    def test_unsorted_and_repeated_points(self, journe):
+        rng = random.Random(25)
+        points = [random_point_in(rng, FULL_WINDOW) for _ in range(40)]
+        points += points[:7] + [points[3]] * 3
+        rng.shuffle(points)
+        want = [brute_dimension_count(journe, xi) for xi in points]
+        assert bisect_dimension_values(journe, points) == want
+        assert dimension_values(journe, points) == want
+        assert dimension_values(journe, sorted(points)) == [want[points.index(xi)] for xi in sorted(points)]
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_points_at_row_starts(self, name):
+        W = catalog(name)
+        starts = [RationalPi(lo) for lo, _, _ in dimension_function(W).coefs if lo]
+        values = [value for lo, _, value in dimension_function(W).coefs if lo]
+        assert dimension_values(W, starts) == values == bisect_dimension_values(W, starts)
+        assert dimension_values(W, starts[::-1]) == values[::-1]
+
+    def test_deep_rows(self):
+        """2n + 9 rows whose endpoints carry about 400 bits; every row start and
+        midpoint, backwards."""
+        W = deep_piece_wavelet_set(400, 400)
+        rows = dimension_function(W).coefs
+        points = [RationalPi(lo) for lo, _, _ in rows if lo] + [RationalPi((lo + hi) / 2) for lo, hi, _ in rows]
+        points = [xi for xi in points if not xi.is_zero][::-1]
+        assert dimension_values(W, points) == bisect_dimension_values(W, points)
+
+    def test_past_the_coordinate_budget(self):
+        """The 2**-10000 pi set of the stdlib-only CI step: points 2**-10000 pi apart."""
+        W = near_zero_wavelet_set(10000)
+        a = Fraction(1, 2**10000)
+        points = [RationalPi(c) for c in (Fraction(1, 2), -a, -a / 2, -3 * a / 4, a / 3, -1, -a / 2, a)]
+        assert dimension_values(W, points) == bisect_dimension_values(W, points)
+
+    def test_a_point_in_a_gap_of_the_function(self, monkeypatch, journe):
+        """The first point in the given order that no row holds is named."""
+        gapped = StepFunction.from_triples([(-1, Fraction(-1, 2), 1), (Fraction(1, 4), 1, 2)])
+        monkeypatch.setattr(dimension, "dimension_function", lambda W: gapped)
+        assert dimension_values(journe, [rp(1, 2), rp(-3, 4)]) == [2, 1]
+        for points, named in (([rp(1, 2), rp(1, 8), rp(-1, 4)], "1/8"), ([rp(-1, 4), rp(1, 8)], "-1/4")):
+            with pytest.raises(PreconditionError, match=f"^{named} pi lies outside the domain"):
+                dimension_values(journe, points)
 
 
 class TestStepFunction:

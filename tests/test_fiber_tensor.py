@@ -26,7 +26,13 @@ from wavemult.multiplicity import (
 from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
-from _oracles import brute_dimension_count, loop_dimension_sum, loop_gram_schmidt
+from _oracles import (
+    brute_dimension_count,
+    full_band_meyer,
+    loop_dimension_sum,
+    loop_gram_schmidt,
+    pairwise_orthogonalize,
+)
 
 WINDOW = parse_set("[-1pi,-1/64pi),[1/64pi,1pi)")
 PROFILES = (*CATALOG_NAMES, "meyer", "sampled", "wide")
@@ -145,3 +151,76 @@ def test_one_point_must_fit_the_block(monkeypatch):
     monkeypatch.setattr(multiplicity, "BLOCK_ELEMENTS", 12 * 17 - 1)
     with pytest.raises(multiplicity.PreconditionError):
         gram_schmidt(meyer_profile(), 1.0, 12, 8)
+
+
+# The deepest levels a block admits at K = 8, where the per-pair recurrence cost most.
+DEEP_DEPTHS = ((48, 8), (90, 8))
+
+
+def thinned(name):
+    """About 8 points of the profile's grid, evenly spaced."""
+    profile, grid = profile_and_grid(name)
+    return profile, grid[:: len(grid) // 8]
+
+
+@pytest.mark.parametrize("j_max, k_max", DEEP_DEPTHS)
+@pytest.mark.parametrize("name", PROFILES)
+def test_deep_levels_match_per_point_loops(name, j_max, k_max):
+    profile, grid = thinned(name)
+    xi = np.array([float(p) for p in grid])
+    blocks = multiplicity._lattice_blocks(profile, xi, j_max, k_max, 1e-9)
+    fibers = np.concatenate([block_fibers for block_fibers, _, _ in blocks])
+    outputs = dict(zip(STATE_FIELDS, (fibers, *multiplicity._orthogonalize(fibers, 1e-9)[:3])))
+    rows = []
+    for i, point in enumerate(grid):
+        want = loop_gram_schmidt(profile, xi[i], j_max, k_max)
+        state = gram_schmidt(profile, xi[i], j_max, k_max)
+        for field in STATE_FIELDS:
+            assert np.array_equal(outputs[field][i], want[field]), (field, point)
+            assert np.array_equal(getattr(state, field), want[field]), (field, point)
+        assert (state.max_scale, state.rank) == (want["max_scale"], want["rank"])
+        total, truncation = loop_dimension_sum(profile, xi[i], j_max, k_max)
+        assert dimension_sum(profile, xi[i], j_max, k_max) == (total, truncation)
+        exact = brute_dimension_count(profile.msf_set, point) if profile.kind == "msf" else None
+        agree = want["rank"] == round(total) and (exact is None or want["rank"] == exact)
+        xi_pi = point if isinstance(point, RationalPi) else None
+        rows.append((xi[i].item(), xi_pi, want["rank"], total, exact, agree, truncation))
+    assert_rows_equal(record_rows(verify_m_equals_d(profile, grid, j_max, k_max)), rows)
+
+
+@pytest.mark.parametrize("j_max, k_max", DEPTHS + DEEP_DEPTHS)
+@pytest.mark.parametrize("name", PROFILES)
+def test_recurrence_matches_the_pairwise_one_on_every_block(name, j_max, k_max):
+    """All four outputs, bit for bit, block by block as verify_m_equals_d forms them."""
+    profile, grid = thinned(name) if (j_max, k_max) in DEEP_DEPTHS else profile_and_grid(name)
+    xi = np.array([float(p) for p in grid])
+    for fibers, _, _ in multiplicity._lattice_blocks(profile, xi, j_max, k_max, 1e-9):
+        got = multiplicity._orthogonalize(fibers, 1e-9)
+        for field, a, b in zip(("residuals", "h_values", "eta", "max_scale"), got,
+                               pairwise_orthogonalize(fibers, 1e-9)):
+            assert np.array_equal(a, b), field
+
+
+def meyer_lattice_points(j_max, k_max, grid):
+    """Every lattice point 2**j (xi + 2 pi k) the fibers of the grid evaluate."""
+    xi = np.array([float(p) for p in grid])
+    shifts = 2.0 * math.pi * np.arange(-k_max, k_max + 1)
+    dilations = np.array([2.0**level for level in range(1, j_max + 1)])[:, None]
+    return (dilations * (xi[:, None] + shifts)[:, None, :]).ravel()
+
+
+def test_meyer_on_its_band_edges():
+    edges = np.array([sign * c * math.pi / 3 for sign in (1, -1) for c in (2, 4, 8)])
+    x = np.concatenate([edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf)])
+    got = meyer_profile().evaluate_array(x)
+    assert np.array_equal(got, full_band_meyer(x))
+    outside = (np.abs(x) < 2 * np.pi / 3) | (np.abs(x) > 8 * np.pi / 3)
+    assert np.count_nonzero(outside) == 4 and np.all(got[outside] == 0)
+    assert np.all(got[np.abs(x) == 8 * np.pi / 3] != 0)  # the outer band is closed
+
+
+@pytest.mark.parametrize("j_max, k_max", DEPTHS + DEEP_DEPTHS)
+def test_meyer_on_the_sweep_lattice(j_max, k_max):
+    _, grid = profile_and_grid("meyer")
+    x = meyer_lattice_points(j_max, k_max, grid[:: 8 if j_max > 12 else 1])
+    assert np.array_equal(meyer_profile().evaluate_array(x), full_band_meyer(x))

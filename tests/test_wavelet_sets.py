@@ -251,6 +251,15 @@ class TestPiecewiseTranslation:
         skew = PiecewiseTranslation.from_triples([(Fraction(0), Fraction(1), Fraction(1, 4))])
         assert not skew.is_two_pi_integral
 
+    @pytest.mark.parametrize("shift", [4, -4, 0, 3, -3, Fraction(4), Fraction(-6), Fraction(3),
+                                       Fraction(-5), Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2),
+                                       Fraction(4, 3), Fraction(2**80 + 2), Fraction(2**80 + 1, 2)])
+    def test_two_pi_integrality_of_one_shift(self, shift):
+        """Read on the numerator and denominator, for int and Fraction tags alike."""
+        pt = PiecewiseTranslation.from_triples([(0, 1, -20), (1, 2, shift)])
+        assert pt.is_two_pi_integral is (shift % 2 == 0)
+        assert pt.is_two_pi_integral is all(s.is_two_pi_multiple for _, s in pt.cases())
+
 
 class TestHostileInputs:
     def test_tiny_left_endpoint_rejected_quickly(self):
