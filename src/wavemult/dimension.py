@@ -4,13 +4,15 @@ For a wavelet set W the dimension function D at xi counts the lattice pairs
 (j, k), j >= 1, with 2**j * (xi + 2*pi*k) in W.  D is a finite step function
 on [-pi, pi) minus the single point 0: `dimension_function` builds it once per
 set by exact indicator summation on the integer `_coordinates` of W, as every
-other exact builder does, and every window and point is answered from it.  No
-sampling happens on this path, and values are nonnegative integers by construction.
+other exact builder does, and keeps its rows on that unit; every window and
+point is answered from it.  No sampling happens on this path, and values are
+nonnegative integers by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -22,6 +24,7 @@ from .exact import (
     _coordinates,
     _times_pow2,
     ceil_log2,
+    merge_cells,
     sweep,
 )
 from .wavelet_sets import CACHE_SIZE, _fold, _require_wavelet_set
@@ -52,7 +55,8 @@ class StepFunction(Piecewise):
         super()._build(triples)
 
     def constant_value(self) -> Optional[int]:
-        return self.pairs[0][1] if len(self.pairs) == 1 else None
+        values = {value for *_, value in self._on_unit()[1]}
+        return values.pop() if len(values) == 1 else None
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -69,7 +73,7 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     """
     _require_wavelet_set(W)
     top = ceil_log2(W.max_abs().coef)  # the unit holds 2**(top - 1): each level below is a shift
-    unit, pairs, coef = _coordinates(W.coefs, max(0, top - 1))
+    unit, pairs = _coordinates(W.coefs, max(0, top - 1))
     items = [(-unit, unit, 0)]
     for lo, hi in pairs:
         near = lo if lo > 0 else -hi
@@ -82,8 +86,9 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     # 2*pi cells: the fold's three-fragment cap never binds here.
     pieces = [(_times_pow2(lo, -j), _times_pow2(hi, -j)) for j in range(1, top) for lo, hi in pairs]
     items += [(lo + s, hi + s, 2) for lo, hi, s in _fold(pieces, unit) if s]
-    return StepFunction.from_triples((coef(lo), coef(hi), count - 2 * (1 in tags))
-                                     for lo, hi, count, tags in sweep(items) if 0 in tags)
+    # The cells come sorted and disjoint, and count at least 2 where tag 1 is among their tags.
+    cells = merge_cells((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags)
+    return StepFunction._on(unit, cells, [(pairs, W.coefs)])
 
 
 def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
@@ -93,7 +98,8 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     W, then the query, is checked before that function is built: the query's first start
     and last end, its first and last coefficients, must lie in [-pi, pi], the closure of
     that function's domain.  One sweep over the query (tag -1) and its rows, whose values
-    are nonnegative, then gives each query cell its row's value.
+    are nonnegative, then gives each query cell its row's value: sorted, disjoint
+    `Fraction` rows over unit 1, which need no construction rule.
     """
     _require_wavelet_set(W)
     if query.coefs and not (-1 <= query.coefs[0][0] and query.coefs[-1][1] <= 1):
@@ -101,15 +107,16 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
     if query.zero_in_closure():
         raise PreconditionError("query window must stay away from 0")
     items = [(lo, hi, -1) for lo, hi in query.coefs] + list(dimension_function(W).coefs)
-    return StepFunction.from_triples((lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags)
+    return StepFunction._on(1, merge_cells((lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags))
 
 
 def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
     """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W, at each point xi.
 
-    The counts come from one walk over the rows of `dimension_function(W)` in the
-    order of the points, sorted first if they do not ascend; the range checks and
-    the walk compare numerators and denominators as ints.  Every xi must
+    The counts come from one walk over the int rows of `dimension_function(W)` in the
+    order of the points, sorted first if they do not ascend; the range checks compare
+    numerators and denominators, the walk a row end c over the rows' unit with a point
+    n / d as c * d against n * unit.  Every xi must
     lie in [-pi, pi) and differ from 0, where that function holds its right limit; a
     point that does not raises before that function is built, after W's own check.
     The points may be any iterable; they are read once.
@@ -122,8 +129,7 @@ def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
         raise PreconditionError("xi must lie in [-pi, pi)" if bad else "the dimension function is not evaluated at 0")
     if not points:
         return []
-    rows = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator, value)
-            for lo, hi, value in dimension_function(W).coefs]
+    unit, rows = dimension_function(W)._on_unit()
     order = range(len(points))
     if any(a * d > c * b for (a, b), (c, d) in zip(fractions, fractions[1:])):
         order = sorted(order, key=lambda index: points[index].coef)
@@ -131,10 +137,11 @@ def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
     values, missing = [0] * len(points), []
     for index in order:
         n, d = fractions[index]
-        while i < last and rows[i][2] * d <= n * rows[i][3]:  # row i ends at or before the point
+        n *= unit
+        while i < last and rows[i][1] * d <= n:  # row i ends at or before the point
             i += 1
-        lo_n, lo_d, hi_n, hi_d, value = rows[i]
-        if lo_n * d <= n * lo_d and n * hi_d < hi_n * d:
+        lo, hi, value = rows[i]
+        if lo * d <= n < hi * d:
             values[index] = value
         else:
             missing.append(index)
@@ -152,9 +159,13 @@ class DimensionIntegral:
 
 
 def dimension_integral(W: IntervalSet, terms: int = 30) -> DimensionIntegral:
-    """Exact integral of `dimension_function(W)` from its rows (2*pi for a wavelet set),
-    and the exact partial sums sum_{j <= terms} 2**-j * |W|, converging to |W|."""
-    limit = sum((hi - lo) * value for lo, hi, value in dimension_function(W).coefs)
+    """Exact integral of `dimension_function(W)` from its coordinate rows (2*pi for a wavelet
+    set), and the exact partial sums sum_{j <= terms} 2**-j * |W|, converging to |W|, for
+    `terms` in 1..1024: the denominators grow to `terms` bits, so the cost grows as its square."""
+    if not 1 <= terms <= 1024:
+        raise PreconditionError(f"terms must lie in 1..1024, got {terms}")
+    unit, rows = dimension_function(W)._on_unit()
+    limit = Fraction(sum((hi - lo) * value for lo, hi, value in rows), unit)
     mu = W.measure().coef
     partials = tuple(RationalPi(mu - mu / 2**j) for j in range(1, terms + 1))
     return DimensionIntegral(RationalPi(limit), partials)
@@ -167,7 +178,7 @@ def core_equivalence_regions(
     fa, fb = dimension_step_function(Wa, query), dimension_step_function(Wb, query)
     # Both functions partition the query, so every cell lies under one row of
     # each; its distinct tags (the row values) are two exactly where they differ.
-    rows = (row for f in (fa, fb) for row in f.coefs)
+    rows = (row for f in (fa, fb) for row in f._on_unit()[1])
     return IntervalSet.from_cells((lo, hi) for lo, hi, _, values in sweep(rows) if len(values) == 2)
 
 
@@ -194,7 +205,7 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
     breakpoint.
     """
     _require_grid_size(count)  # before the step function is built
-    rows = dimension_step_function(W, window).coefs
+    rows = dimension_step_function(W, window)._on_unit()[1]
     per_row = -(-count // len(rows)) if rows else 0
     points = []
     for lo, hi, _ in rows:

@@ -7,11 +7,12 @@ of half-open intervals [lo, hi) kept in a unique canonical form: pieces
 sorted, pairwise disjoint, never adjacent.  The data of an interval set or a
 piecewise-constant function is its `coefs`, tuples of `Fraction` coefficients;
 `Interval` and `RationalPi` objects are built from them only at the edge:
-iteration, `pieces`, `rows()`, `value_at` and text.  `sweep`, the log2 helpers and
-`PiecewiseTranslation.from_triples` also take the integer coordinates x * unit of
-`_coordinates`, so a caller may compare and add ints, as the wavelet-set check, the
-dimension function, composition, dyadic extension and every translation map do.
-`sweep` overlays unsorted or overlapping intervals; sorted rows are found by bisection.
+iteration, `pieces`, `rows()`, `value_at` and text.  The wavelet-set check, the
+dimension function and every translation map run on the integer coordinates
+x * unit of `_coordinates`, and their results keep (unit, int rows): `coefs` is
+built from those on first read, by one `_back`, and the readers that compare or
+add ints read the rows.  `sweep` overlays unsorted or overlapping intervals;
+sorted rows are found by bisection.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Hashable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Union
 
 __all__ = [
     "PreconditionError",
@@ -160,12 +161,9 @@ COORD_BITS = 3072
 
 
 def _coordinates(rows: list, shift: int = 0) -> tuple:
-    """(unit, the rows of Fraction coefficients x as coordinates x * unit, the map back to x).
-
-    The unit is D * 2**shift, D the common denominator, grown one denominator at a time;
-    the map back reuses the rows' own Fractions.  Past `COORD_BITS` bits the unit is 1 and the
-    coordinates are the coefficients themselves, so the caller runs the same code on them.
-    """
+    """(unit, the rows of Fraction coefficients x as coordinates x * unit): the unit is D * 2**shift,
+    D the common denominator, grown one denominator at a time.  Past `COORD_BITS` bits the unit is 1
+    and the coordinates are the coefficients themselves, so the caller runs the same code on them."""
     den = 1
     for x in chain.from_iterable(rows):
         if den % x.denominator:
@@ -173,18 +171,78 @@ def _coordinates(rows: list, shift: int = 0) -> tuple:
             if den.bit_length() + shift > COORD_BITS:
                 break
     if den.bit_length() + shift > COORD_BITS:
-        return 1, rows, lambda c: Fraction(c) if type(c) is int else c
+        return 1, rows
     unit = den << shift
-    coords = [tuple([x.numerator * (unit // x.denominator) for x in row]) for row in rows]
-    own = dict(zip(chain.from_iterable(coords), chain.from_iterable(rows)))
+    return unit, [tuple([x.numerator * (unit // x.denominator) for x in row]) for row in rows]
 
-    def coefficient(c: int) -> Fraction:
-        x = own.get(c)
+
+def _back(unit: int, sources: Iterable[tuple] = ()) -> Callable:
+    """The map from a coordinate over `unit` to its Fraction: an int c of a source (coordinate rows
+    over `unit`, their coefficient rows, unless `_coordinates` returned those as they were) to that
+    coefficient, any other to c / unit, the power of two that c and the unit share shifted out
+    before the gcd, and kept for the next read of c while the unit is within `COORD_BITS` bits
+    (past them, hashing the ints costs more than it saves); a Fraction coordinate to itself."""
+    own: dict = {}
+    for coords, rows in sources:
+        if coords is not rows:
+            own.update(zip(chain.from_iterable(coords), chain.from_iterable(rows)))
+    low, keep = unit & -unit, unit.bit_length() <= COORD_BITS
+
+    def back(c):
+        if type(c) is not int:
+            return c
+        x = own.get(c) if keep or own else None
         if x is None:
-            x = own[c] = Fraction(c, unit)
+            t = c | low
+            t = (t & -t).bit_length() - 1
+            x = Fraction(c >> t, unit >> t)
+            if keep:
+                own[c] = x
         return x
 
-    return unit, coords, coefficient
+    return back
+
+
+class _Coefs:
+    """`coefs` of a result made by `_OnUnit._on`: one `_back` of its rows on the first read, stored
+    in the instance.  Read on the class it raises AttributeError: a dataclass sees no default."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError("coefs")
+        unit, rows = obj._carried
+        coefs = obj.__dict__["coefs"] = obj._fractions(_back(unit, obj.__dict__.pop("_sources")), rows)
+        return coefs
+
+
+class _OnUnit:
+    """A result that a builder on integer coordinates made by `_on`: it carries (unit, rows) and
+    builds `coefs` on their first read.  A dataclass subclass takes `coefs` as its one field."""
+
+    coefs = _Coefs()
+
+    @classmethod
+    def _on(cls, unit: int, rows: list, sources: Iterable[tuple] = ()):
+        """The instance of canonical coordinate rows over `unit`, reusing the Fractions of `sources`."""
+        self = cls.__new__(cls)
+        self.__dict__.update(_carried=(unit, rows), _sources=sources)
+        return self
+
+    def _on_unit(self) -> tuple:
+        """(unit, rows): the carried coordinate rows, or the coefs themselves over unit 1."""
+        return self.__dict__.get("_carried") or (1, self.coefs)
+
+
+def _on_one_unit(first: _OnUnit, then: _OnUnit) -> tuple:
+    """(unit, the rows of `first`, those of `then`) over one unit: the rows they carry scaled to the
+    lcm of their units, or past the budget or on Fractions, the `_coordinates` of their coefs."""
+    (u, a), (v, b) = first._on_unit(), then._on_unit()
+    unit = math.lcm(u, v)
+    if unit.bit_length() <= COORD_BITS and min(u, v) > 1:
+        return (unit, *[rows if w == unit else [tuple([x * (unit // w) for x in row]) for row in rows]
+                        for w, rows in ((u, a), (v, b))])
+    unit, coords = _coordinates(first.coefs + then.coefs)
+    return unit, coords[:len(first.coefs)], coords[len(first.coefs):]
 
 
 def _times_pow2(x, m: int):
@@ -323,18 +381,20 @@ def _interval(lo: Fraction, hi: Fraction) -> Interval:
 
 
 @dataclass(frozen=True, init=False)
-class IntervalSet:
+class IntervalSet(_OnUnit):
     """Finite disjoint union of half-open intervals in canonical form.
 
     The data is `coefs`, the (lo, hi) `Fraction` coefficient pairs of the pieces:
     sorted, pairwise disjoint and never adjacent (a gap of positive length
-    separates consecutive pieces), so the representation is unique, and
-    equality and hashing compare it.  `Interval` objects are built from it only
-    for `pieces`, iteration and text.  ``IntervalSet(intervals)`` takes
-    already canonical intervals; :meth:`from_intervals` canonicalizes any.
+    separates consecutive pieces), so the representation is unique, and equality
+    and hashing compare it; an image or a failure region builds it on first read.
+    `Interval` objects are built from it only for `pieces`, iteration and text.
+    ``IntervalSet(intervals)`` takes already canonical intervals;
+    :meth:`from_intervals` canonicalizes any.
     """
 
     coefs: tuple[tuple[Fraction, Fraction], ...]
+    _fractions = staticmethod(lambda back, runs: tuple([(back(lo), back(hi)) for lo, hi, _ in runs]))
 
     def __init__(self, pieces: Iterable[Interval] = ()) -> None:
         pieces = tuple(pieces)
@@ -448,23 +508,25 @@ class IntervalSet:
 
 
 @dataclass(frozen=True, init=False)
-class Piecewise:
+class Piecewise(_OnUnit):
     """A function constant on each piece of its domain, in canonical form.
 
     The data is `coefs`, the rows as (lo, hi, tag) coefficient triples ordered by
     left endpoint, touching rows of one tag merged; equality and hashing compare
-    it.  `from_triples` is the only constructor.  It rejects entries other than ints and
+    it.  `from_triples` is the public constructor.  It rejects entries other than ints and
     Fractions, drops empty triples, sorts the rest by left endpoint unless they come
-    sorted, and rejects any two that overlap, of one tag or of two.
-    `domain`, and `pairs` (each value once, in value order, with its IntervalSet),
-    are built when first read; `rows()` builds `Interval` rows when called.  A tag
-    is a value as `_value` takes it, for a translation the shift's coefficient.
+    sorted, and rejects any two that overlap, of one tag or of two; a builder on integer
+    coordinates hands its canonical rows to `_on`.  `coefs`, `domain`, and `pairs` (each
+    value once, in value order, with its IntervalSet), are built when first read; `rows()`
+    builds `Interval` rows when called.  A tag is a value as `_value` takes it, for a
+    translation the shift's coefficient.
     """
 
     coefs: tuple[tuple[Fraction, Fraction, Union[int, Fraction]], ...]
 
     OVERLAP_ERROR = "pieces overlap"
     _value = staticmethod(lambda tag: tag)  # hashable tag -> value
+    _fractions = staticmethod(lambda back, rows: tuple([(back(lo), back(hi), tag) for lo, hi, tag in rows]))
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple]):

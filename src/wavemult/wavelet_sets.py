@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .exact import (
     MINUS_PI,
@@ -24,6 +24,7 @@ from .exact import (
     RationalPi,
     _coordinates,
     _disjoint_rows,
+    _on_one_unit,
     _exact_rows,
     _times_pow2,
     floor_log2,
@@ -48,22 +49,23 @@ PRINCIPAL_WINDOW = IntervalSet.single(MINUS_PI, PI)
 class PiecewiseTranslation(Piecewise):
     """An injective map translating each piece of its domain by a constant.
 
-    Canonical as a `Piecewise` whose values are the shifts.  Construction, on the
-    coordinates of `_coordinates`, also validates that the shifted pieces are pairwise
-    disjoint (injectivity) and stores their union as `image`, so every instance is a
-    measure-preserving bijection onto its image.
+    Canonical as a `Piecewise` whose values are the shifts.  Every instance is built on
+    integer coordinates by `_mapped`, which also takes the union of the shifted pieces
+    as `image`, after construction has validated that they are pairwise disjoint
+    (injectivity), so every instance is a measure-preserving bijection onto its image.
     """
 
     OVERLAP_ERROR = "piecewise translation has overlapping domain pieces"
     _value = RationalPi
+    _fractions = staticmethod(lambda back, rows: tuple([(back(lo), back(hi), back(s)) for lo, hi, s in rows]))
 
     @classmethod
-    def from_triples(cls, triples: Iterable[tuple], coefficient: Optional[Callable] = None):
-        """The translation of the (lo, hi, shift) triples: coordinates with their map back `coefficient`,
-        or int or `Fraction` coefficients (else TypeError), which `_coordinates` scales first."""
-        if coefficient is None:
-            _, triples, coefficient = _coordinates(_exact_rows(triples))
-        return cls._mapped(*cls._canonical(triples), coefficient)
+    def from_triples(cls, triples: Iterable[tuple]):
+        """The translation of (lo, hi, shift) triples of int or `Fraction` coefficients (else
+        TypeError), which `_coordinates` scales first."""
+        rows = _exact_rows(triples)
+        unit, coords = _coordinates(rows)
+        return cls._mapped(unit, *cls._canonical(coords), [(coords, rows)])
 
     @classmethod
     def _canonical(cls, triples: Iterable[tuple]) -> tuple[list, list]:
@@ -75,16 +77,17 @@ class PiecewiseTranslation(Piecewise):
         return rows, image
 
     @classmethod
-    def _mapped(cls, rows: list, image: list, back: Callable):
-        """The translation of canonical coordinate rows and image runs, mapped to Fractions by `back`."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "coefs", tuple([(back(lo), back(hi), back(s)) for lo, hi, s in rows]))
-        object.__setattr__(self, "image", IntervalSet._of(tuple([(back(a), back(b)) for a, b, _ in image])))
+    def _mapped(cls, unit: int, rows: list, image: list, sources: Iterable[tuple] = ()):
+        """The translation of canonical coordinate rows over `unit` and their image runs, both
+        mapped to Fractions when first read, reusing those of `sources`."""
+        self = cls._on(unit, rows, sources)
+        self.__dict__["image"] = IntervalSet._on(unit, image)
         return self
 
     @property
     def is_two_pi_integral(self) -> bool:
-        return all(shift.denominator == 1 and not shift.numerator % 2 for *_, shift in self.coefs)
+        unit, rows = self._on_unit()
+        return not any(shift % (2 * unit) for *_, shift in rows)
 
     def apply(self, x: RationalPi) -> RationalPi:
         return x + self.value_at(x)
@@ -92,8 +95,8 @@ class PiecewiseTranslation(Piecewise):
     cases = Piecewise.rows
 
     def inverse(self) -> "PiecewiseTranslation":
-        _, rows, coef = _coordinates(self.coefs)
-        return PiecewiseTranslation.from_triples([(lo + s, hi + s, -s) for lo, hi, s in rows], coef)
+        unit, rows, _ = _on_one_unit(self, self)
+        return PiecewiseTranslation._mapped(unit, *self._canonical([(lo + s, hi + s, -s) for lo, hi, s in rows]))
 
 
 @dataclass(frozen=True)
@@ -168,17 +171,20 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
             "dilation congruence is undecidable with 0 in the closure of the set"
         )
     shift = max(0, floor_log2(max(-W.coefs[0][0], W.coefs[-1][1]))) if W.coefs else 0
-    unit, pairs, coef = _coordinates(W.coefs, shift)
+    unit, pairs = _coordinates(W.coefs, shift)
     fragments = _fold(pairs, unit)
     items = [(-2 * unit, 2 * unit, 0)] + [(lo, hi, 1) for lo, hi in _annulus(pairs, unit)]
     items += [(lo + s, hi + s, 1) for lo, hi, s in fragments]
     failure = merge_cells((lo, hi, None) for lo, hi, n, tags in sweep(items) if n != 2 or len(tags) != 2)
     translation_ok = not any(lo < unit and hi > -unit for lo, hi, _ in failure)
+    # With translation congruence the fragments (sorted, with distinct shifts within a piece) are
+    # the witness's canonical rows: each point of [-pi, pi), its image, lies in one translate.
     return WaveletSetReport(
         is_translation_congruent=translation_ok,
         is_dilation_congruent=not any(lo < -unit or hi > unit for lo, hi, _ in failure),
-        tau_witness=PiecewiseTranslation.from_triples(fragments, coef) if translation_ok else None,
-        failure_regions=IntervalSet._of(tuple((coef(lo), coef(hi)) for lo, hi, _ in failure)),
+        tau_witness=(PiecewiseTranslation._mapped(unit, fragments, [(-unit, unit, None)], [(pairs, W.coefs)])
+                     if translation_ok else None),
+        failure_regions=IntervalSet._on(unit, failure),
     )
 
 

@@ -6,6 +6,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -418,6 +419,63 @@ def fraction_wavelet_report(W: IntervalSet) -> WaveletSetReport:
 
 
 # ---------------------------------------------------------------------------
+# The eager map back, as every builder on integer coordinates ran it before its
+# result kept (unit, int rows) and built its Fractions when first read: the
+# coordinates with a map back that reuses the rows' own Fractions through a dict,
+# every row and image run mapped back at construction, and a chain of powers
+# mapping its rows back over the unit it started from.
+
+
+def coordinates_with_back(rows: list, shift: int = 0) -> tuple:
+    """(unit, coordinates, the map back) of coefficient rows: `_coordinates`, and the map back
+    that reuses the rows' own Fractions, built once each; past the budget, a Fraction of c."""
+    unit, coords = _coordinates(rows, shift)
+    if coords is rows:
+        return 1, rows, lambda c: Fraction(c) if type(c) is int else c
+    own = dict(zip(chain.from_iterable(coords), chain.from_iterable(rows)))
+
+    def coefficient(c: int) -> Fraction:
+        x = own.get(c)
+        if x is None:
+            x = own[c] = Fraction(c, unit)
+        return x
+
+    return unit, coords, coefficient
+
+
+def chain_coefficient(unit: int, start: int, coef):
+    """`sigma._chain`'s map back of a power whose rows run over `unit`, a chain started over
+    `start` with the map back `coef`: over `start` if 2**k divides c, k the bits the unit grew
+    by; else with the power of two c shares with the unit shifted out first."""
+    k, low = unit.bit_length() - start.bit_length(), unit & -unit
+
+    def coefficient(c: int) -> Fraction:
+        t = min(c & -c or low, low).bit_length() - 1
+        return coef(c >> k) if t >= k else Fraction(c >> t, unit >> t)
+
+    return coef if unit == start else coefficient
+
+
+def eager_mapped(rows: list, image: list, back) -> PiecewiseTranslation:
+    """The translation of canonical coordinate rows and image runs with every coordinate mapped
+    to a Fraction by `back` at construction: no rows carried, so every reader takes the coefs."""
+    self = PiecewiseTranslation.__new__(PiecewiseTranslation)
+    object.__setattr__(self, "coefs", tuple([(back(lo), back(hi), back(s)) for lo, hi, s in rows]))
+    object.__setattr__(self, "image", IntervalSet._of(tuple([(back(a), back(b)) for a, b, *_ in image])))
+    return self
+
+
+def eager_translation(triples, back) -> PiecewiseTranslation:
+    """`PiecewiseTranslation.from_triples` of coordinate triples with their map back `back`."""
+    return eager_mapped(*PiecewiseTranslation._canonical(triples), back)
+
+
+def eager_set(rows, back) -> IntervalSet:
+    """The set of canonical coordinate runs, mapped back by `back` at once."""
+    return IntervalSet._of(tuple([(back(row[0]), back(row[1])) for row in rows]))
+
+
+# ---------------------------------------------------------------------------
 # The dilation-commuting extension and the powers of sigma as the library
 # first computed them: pointwise, over every level of the region's hull, and
 # by one composition per power; then compose and the extension as they ran on
@@ -546,7 +604,7 @@ def int_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> Piec
     disjoint, so a cell covered twice carries one tag of each, the first's the smaller, and a
     cell covered once by an image row lies outside `then`'s domain."""
     n = len(first.coefs)
-    _, rows, coef = _coordinates(first.coefs + then.coefs)
+    _, rows, coef = coordinates_with_back(first.coefs + then.coefs)
     shifts = [shift for *_, shift in rows]
     items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(rows[:n])]
     items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[n:], n)]
@@ -557,7 +615,7 @@ def int_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> Piec
             fragments.append((lo - back, hi - back, back + forth))
         elif tags[0] < n:
             raise PreconditionError("image of the first map escapes the second map's domain")
-    return PiecewiseTranslation.from_triples(fragments, coef)
+    return eager_translation(fragments, coef)
 
 
 def int_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> PiecewiseTranslation:
@@ -576,7 +634,7 @@ def int_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Pie
     dilations = [{m - k for k in octaves_of(lo, hi) for sign, m in octaves if sign == (lo > 0)}
                  for lo, hi in region.coefs]
     top = max((abs(n) for ns in dilations for n in ns), default=0)
-    _, rows, coef = _coordinates(base.coefs + region.coefs, top)
+    _, rows, coef = coordinates_with_back(base.coefs + region.coefs, top)
     pieces = rows[len(base.coefs):]
     items = [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[:len(base.coefs)])]
     scales = []
@@ -590,7 +648,7 @@ def int_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Pie
         if row >= 0:
             fragments += [(_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(rows[row][2], m))
                           for t in tags if t < 0 for m in (scales[~t],)]
-    result = PiecewiseTranslation.from_triples(fragments, coef)
+    result = eager_translation(fragments, coef)
     if result.domain != region:
         raise PreconditionError("region is not exactly covered by dyadic dilates of the map domain")
     return result
@@ -622,7 +680,7 @@ def sweep_pull_back(rows, cut: int, coef, error: str, dilations=lambda lo, hi: (
                 a, b = _times_pow2(lo, m), _times_pow2(hi, m)
                 fragments.append((a - s, b - s, s + _times_pow2(t, m)))
                 covered += b - a
-    result = PiecewiseTranslation.from_triples(fragments, coef)
+    result = eager_translation(fragments, coef)
     if covered != total:
         raise PreconditionError(error)
     return result
@@ -652,7 +710,7 @@ def lookup_pull_back(rows, cut: int, coef, error: str, dilations=lambda lo, hi: 
                     c, d, t = (_times_pow2(c, -n), _times_pow2(d, -n), _times_pow2(t, -n)) if n else (c, d, t)
                     fragments.append((c - s, d - s, s + t))
                     covered += d - c
-    result = PiecewiseTranslation.from_triples(fragments, coef)
+    result = eager_translation(fragments, coef)
     if covered != total:
         raise PreconditionError(error)
     return result
@@ -660,7 +718,7 @@ def lookup_pull_back(rows, cut: int, coef, error: str, dilations=lambda lo, hi: 
 
 def per_call_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> PiecewiseTranslation:
     """`compose` as one `lookup_pull_back` with n = 0 on the `_coordinates` of both maps."""
-    _, rows, coef = _coordinates(first.coefs + then.coefs)
+    _, rows, coef = coordinates_with_back(first.coefs + then.coefs)
     return lookup_pull_back(rows, len(first.coefs), coef, COMPOSE_ERROR)
 
 
@@ -683,7 +741,7 @@ def per_call_dyadic_extension(base: PiecewiseTranslation, region) -> PiecewiseTr
         return {m - k for k in octaves_of(lo, hi, unit) for sign, m in octaves if sign == (lo > 0)}
 
     top = max((abs(n) for lo, hi in image.coefs for n in dilations(lo, hi)), default=0)
-    unit, coords, coef = _coordinates(rows + base.coefs, top)
+    unit, coords, coef = coordinates_with_back(rows + base.coefs, top)
     return lookup_pull_back(coords, len(rows), coef, EXTENSION_ERROR, lambda lo, hi: dilations(lo, hi, unit))
 
 

@@ -333,6 +333,19 @@ class TestDimensionIntegral:
         with pytest.raises(PreconditionError, match="not a wavelet set"):
             dimension_integral(parse_set("[1pi,2pi)"))
 
+    @pytest.mark.parametrize("terms", [1, 1024])
+    def test_terms_at_both_edges(self, journe, terms):
+        sums = dimension_integral(journe, terms).partial_sums
+        assert len(sums) == terms and sums[-1] == TWO_PI - TWO_PI * Fraction(2) ** -terms
+
+    @pytest.mark.parametrize("terms", [0, -1, 1025])
+    def test_terms_outside_fail_fast(self, monkeypatch, terms):
+        """Outside 1..1024 the count of partial sums raises before W is checked or D built: the
+        sums' denominators grow to `terms` bits, so their cost grows as its square."""
+        monkeypatch.setattr(dimension, "dimension_function", lambda W: pytest.fail("D built"))
+        with pytest.raises(PreconditionError, match=rf"terms must lie in 1\.\.1024, got {terms}$"):
+            dimension_integral(parse_set("[1pi,2pi)"), terms)
+
 
 class TestCoreEquivalence:
     def test_mirror_pair_equivalent(self, w1, w2):

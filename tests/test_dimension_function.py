@@ -17,11 +17,12 @@ import pytest
 import _oracles
 from wavemult import dimension
 from wavemult.dimension import dimension_function, dimension_step_function
-from wavemult.exact import Interval, IntervalSet, RationalPi, _coordinates, ceil_log2
+from wavemult.exact import Interval, IntervalSet, RationalPi, ceil_log2
 from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _fold, catalog
 
 from _oracles import (
     brute_dimension_count,
+    coordinates_with_back,
     deep_piece_wavelet_set,
     fraction_dimension_function,
     near_zero_wavelet_set,
@@ -185,7 +186,7 @@ def test_the_same_rows_as_the_fraction_build(monkeypatch, family):
 
         monkeypatch.setattr(module, "sweep", recording)
     for W in make():
-        unit, coords, coef = _coordinates(W.coefs, max(0, ceil_log2(W.max_abs().coef) - 1))
+        unit, coords, coef = coordinates_with_back(W.coefs, max(0, ceil_log2(W.max_abs().coef) - 1))
         ints = all(type(x) is int for x in chain.from_iterable(coords))
         assert ("int" if ints else "Fraction") == side and (ints or unit == 1), (W, unit)
         got = dimension_function.__wrapped__(W)

@@ -247,15 +247,17 @@ def rule_calls(monkeypatch):
 
 
 def scaled(triples, unit=4):
-    """The (lo, hi, tag) triples with lo and hi as int coordinates x * unit (exact); the map
-    back is `over(unit)`."""
+    """The (lo, hi, tag) triples with lo and hi as int coordinates x * unit (exact); `over(unit)`
+    builds a translation on them."""
     coords = [(lo * unit, hi * unit, tag) for lo, hi, tag in triples]
     assert all(Fraction(x).denominator == 1 for lo, hi, _ in coords for x in (lo, hi))
     return [(int(lo), int(hi), tag) for lo, hi, tag in coords]
 
 
 def over(unit):
-    return lambda c: Fraction(c, unit)
+    """The translation of int coordinate triples over `unit`, built by the construction rule as
+    the library's builders on coordinates build theirs."""
+    return lambda coords: PiecewiseTranslation._mapped(unit, *PiecewiseTranslation._canonical(coords))
 
 
 class TestLinearBuild:
@@ -284,7 +286,7 @@ class TestLinearBuild:
                 shifted = [(lo, hi, 40 * tag) for lo, hi, tag in scaled(case)]
                 for side, cls, build in (
                         ("Fraction", StepFunction, lambda: StepFunction.from_triples(case)),
-                        ("int", PiecewiseTranslation, lambda: PiecewiseTranslation.from_triples(shifted, over(4)))):
+                        ("int", PiecewiseTranslation, lambda: over(4)(shifted))):
                     sweeps[0] = sort_keys[0] = 0
                     keys = 0 if side == "int" else len(kept)
                     if overlap:
@@ -376,21 +378,21 @@ class TestLinearBuild:
         with pytest.raises(ValueError, match="not injective"):
             PiecewiseTranslation.from_triples(triples)
 
-    def test_a_witness_sorts_its_image_only(self, rule_calls):
-        """A 400-piece witness on int coordinates comes in domain order; its image is sorted
-        once, by the ints themselves (no sort key).  The same rows shuffled as Fraction
-        coefficients take one sort, one key per row, and as int coordinates none."""
+    def test_a_witness_runs_no_construction_rule(self, rule_calls):
+        """A 400-piece witness on int coordinates takes the fold's fragments as its rows, which
+        come canonical, and [-pi, pi) as its image: no rule runs.  The same rows shuffled as
+        Fraction coefficients take one sort, one key per row, and as int coordinates none."""
         witness = is_wavelet_set.__wrapped__(random_wavelet_candidate(random.Random(400), 400)).tau_witness
         n = len(witness.coefs)
         assert n >= 300
-        assert rule_calls == [(n, 0, True), (n, 0, False)]
+        assert rule_calls == []
         rule_calls.clear()
         shuffled = random.Random(1).sample(witness.coefs, n)
         assert Piecewise.from_triples(shuffled).coefs == witness.coefs
         assert rule_calls == [(n, n, False)]
         rule_calls.clear()
         coords = [(lo, hi, int(shift * 2**20)) for lo, hi, shift in scaled(shuffled, 2**20)]
-        got = PiecewiseTranslation.from_triples(coords, over(2**20))
+        got = over(2**20)(coords)
         assert (got.coefs, got.image) == (witness.coefs, witness.image)
         assert rule_calls == [(n, 0, False), (n, 0, False)]
 

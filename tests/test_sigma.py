@@ -32,6 +32,7 @@ from wavemult.sigma import (
 )
 from wavemult.wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog
 
+from wavemult import exact as exact_module
 from wavemult import sigma as sigma_module
 
 from _oracles import (
@@ -413,9 +414,9 @@ class TestIntegerCoordinates:
     def test_construction_errors_on_int_coordinates(self, paper_sigma, steps):
         _, units = steps
         with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
-            PiecewiseTranslation.from_triples([(0, 8, 8), (4, 12, 16)], lambda c: Fraction(c, 4))
+            PiecewiseTranslation.from_triples([(0, 8, 8), (4, 12, 16)])
         with pytest.raises(ValueError, match="not injective"):
-            PiecewiseTranslation.from_triples([(0, 4, 8), (8, 12, 0)], lambda c: Fraction(c, 4))
+            PiecewiseTranslation.from_triples([(0, 4, 8), (8, 12, 0)])
         half_octave = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(3, 2), Fraction(0))])
         with pytest.raises(PreconditionError, match="not exactly covered"):
             dyadic_extension(half_octave, parse_set("[1pi,2pi)"))
@@ -521,8 +522,7 @@ def pulled(pull_back, rows, cut, n, error=EXTENSION_ERROR):
         unit, coords, image = pull_back(1 if ints else Fraction(1, 3), rows[:cut], rows[cut:], error, octaves)
     except ValueError as e:
         return type(e), str(e)
-    return result_of(PiecewiseTranslation._mapped(coords, image, (lambda c: Fraction(c, 24 * unit)) if ints
-                                                  else (lambda c: c)))
+    return result_of(PiecewiseTranslation._mapped(24 * unit if ints else 1, coords, image))
 
 
 def result_of(translation):
@@ -618,14 +618,14 @@ class TestExtensionAfterAMap:
 
     def test_one_extension_per_powering_step_and_no_compose(self, monkeypatch, paper_sigma):
         """One pull-back step per squaring and per set bit, each on int coordinate rows; no
-        `compose` call, and a `dyadic_extension` call only for sigma**2; sigma's coefficients
-        scaled once and the result's Fractions built once."""
+        `compose` call, and a `dyadic_extension` call only for sigma**2; sigma's carried rows
+        taken as they are, never scaled from its coefficients, and the result built once."""
         steps, extended, scaled, built = [], [], [], []
         pull_back, extension = sigma_module._pull_back, sigma_module.dyadic_extension
-        coordinates, mapped = sigma_module._coordinates, PiecewiseTranslation._mapped
+        coordinates, mapped = exact_module._coordinates, PiecewiseTranslation._mapped
         monkeypatch.setattr(sigma_module, "_pull_back", lambda *args: steps.append(args) or pull_back(*args))
         monkeypatch.setattr(sigma_module, "dyadic_extension", lambda b, m: extended.append(m) or extension(b, m))
-        monkeypatch.setattr(sigma_module, "_coordinates", lambda *args: scaled.append(args) or coordinates(*args))
+        monkeypatch.setattr(exact_module, "_coordinates", lambda *args: scaled.append(args) or coordinates(*args))
         monkeypatch.setattr(PiecewiseTranslation, "_mapped", classmethod(lambda cls, *args: built.append(args)
                                                                           or mapped(*args)))
         monkeypatch.setattr(sigma_module, "compose", lambda *args: pytest.fail("compose_power called compose"))
@@ -635,7 +635,7 @@ class TestExtensionAfterAMap:
             assert compose_power(paper_sigma, p).domain == paper_sigma.w1
             assert len(steps) == p.bit_length() - 1 + bin(p).count("1") - 1, p
             assert all(type(first[0][0]) is int for _, first, *_ in steps), p
-            assert (len(extended), len(scaled), len(built)) == (p == 2, p > 1, p > 1), p
+            assert (len(extended), len(scaled), len(built)) == (p == 2, 0, p > 1), p
 
 
 def largest_dilation(unit, first, targets) -> int:

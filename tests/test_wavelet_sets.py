@@ -28,6 +28,8 @@ from wavemult.wavelet_sets import (
 
 from _oracles import (
     annulus_images,
+    coordinates_with_back,
+    deep_piece_wavelet_set,
     fraction_annulus_fragments,
     fraction_principal_fragments,
     fraction_tiling_check,
@@ -391,7 +393,7 @@ def fraction_side_sets():
 def set_coordinates(W):
     """`_coordinates` of W as `is_wavelet_set` takes them: the unit also times the octave
     2**K of the largest |x|, so that every rescaling into the annulus is an int."""
-    return _coordinates(W.coefs, max(0, floor_log2(W.max_abs().coef)) if W.coefs else 0)
+    return coordinates_with_back(W.coefs, max(0, floor_log2(W.max_abs().coef)) if W.coefs else 0)
 
 
 class TestIntegerCoordinates:
@@ -501,3 +503,35 @@ class TestCoefficientTriples:
         inverse = tau.inverse()
         assert (inverse.coefs, inverse.image) == fraction_translation(reversed_triples(tau))
         assert (inverse.domain, inverse.image) == (PRINCIPAL_WINDOW, W)
+
+
+def translation_congruent_sets():
+    """The catalog, seeded cut-and-shift sets of 2 to 400 pieces that the Fraction reference
+    finds translation congruent, two-interval sets, `near_zero_wavelet_set(1000)` and its
+    negation, and `deep_piece_wavelet_set(50, 50)`."""
+    rng = random.Random(2626)
+    sets = [catalog(name) for name in CATALOG_NAMES]
+    for pieces in (2, 3, 5, 8, 13, 24, 48, 100, 180, 400):
+        sets += [random_wavelet_candidate(rng, pieces) for _ in range(16 if pieces < 100 else 4)]
+    sets += [two_interval_wavelet_set(rng) for _ in range(10)]
+    sets += [near_zero_wavelet_set(1000), near_zero_wavelet_set(1000).negate(), deep_piece_wavelet_set(50, 50)]
+    return [W for W in sets if fraction_wavelet_report(W).is_translation_congruent]
+
+
+class TestWitnessFromTheVerdict:
+    """With translation congruence every point of [-pi, pi) lies in exactly one translated fold
+    fragment, so the witness takes the fragments as its rows and [-pi, pi) as its image, with no
+    construction rule: on every translation-congruent set tried its rows are the Fraction
+    reference's, its domain is W and its translated rows tile [-pi, pi) by their own ends."""
+
+    def test_the_image_is_the_principal_window(self):
+        sets = translation_congruent_sets()
+        assert len(sets) >= 100 and max(len(W) for W in sets) >= 300, len(sets)
+        for W in sets:
+            tau = is_wavelet_set.__wrapped__(W).tau_witness
+            assert tau.image == PRINCIPAL_WINDOW, W
+            assert tau.coefs == fraction_wavelet_report(W).tau_witness.coefs, W
+            assert tau.domain == W and tau.is_two_pi_integral, W
+            images = sorted((lo + s, hi + s) for lo, hi, s in tau.coefs)
+            assert images[0][0] == -1 and images[-1][1] == 1, W
+            assert all(a[1] == b[0] for a, b in zip(images, images[1:])), W
