@@ -21,31 +21,41 @@ from .exact import (
 # Each module's `__all__` is its public API; the package republishes it.
 from .parsing import *
 from .wavelet_sets import *
-from .sigma import *
-from .dimension import *
 
 __version__ = "0.1.0"
 
-# The numeric names load `multiplicity`, and numpy with it, on first access
-# (PEP 562), so `import wavemult` and the exact side never import numpy.
+# The names of `sigma`, `dimension` and `multiplicity` load their module on
+# first access (PEP 562): a process compiles only the layers it uses, and
+# `import wavemult` and the exact side never import numpy, which `multiplicity`
+# needs.  Each of the three modules takes its `__all__` from `_LAZY`.
 _NUMERIC = (
     "AgreementReport", "DimensionSum", "GramSchmidtState", "GridRecord", "SpectralProfile",
     "dimension_sum", "gram_schmidt", "meyer_profile", "msf_profile", "sampled_profile",
     "uniform_grid", "verify_m_equals_d",
 )
+_LAZY = {
+    "sigma": ("SigmaMap", "CommutantVerdict", "build_sigma", "compose", "dyadic_extension",
+              "compose_power", "power_in_local_commutant"),
+    "dimension": ("StepFunction", "DimensionIntegral", "dimension_function",
+                  "dimension_step_function", "dimension_values", "dimension_integral",
+                  "core_equivalence_regions", "mra_consistent", "midpoint_grid"),
+    "multiplicity": _NUMERIC,
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
-__all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} | {"multiplicity", *_NUMERIC}
-)
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_HOME))
 
 
 def __getattr__(name: str):
-    if name == "multiplicity" or name in _NUMERIC:
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if home not in globals():  # importing a submodule binds it here
         import importlib
 
-        module = importlib.import_module(".multiplicity", __name__)
-        return module if name == "multiplicity" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        importlib.import_module(f".{home}", __name__)
+    module = globals()[home]
+    return module if name == home else getattr(module, name)
 
 
 def __dir__() -> list[str]:

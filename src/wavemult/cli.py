@@ -6,12 +6,17 @@ error, 3 precondition error.  Failures print a machine-readable
 and exit code; only `main` prints and exits.  This module alone defines the
 output formats: every JSON payload is built here from the library's data, and
 so are the two CSV tables under the headers below.
+
+A process loads only what its command runs: each command imports `sigma`,
+`dimension`, `multiplicity` (and numpy with it) or `csv` where it uses them, so
+`catalog` and `verify-set` load none of them and the exact commands never load
+numpy.  `main` keeps numpy's OpenBLAS to one thread unless the caller set a count.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import os
 import sys
 from operator import attrgetter
 from typing import TYPE_CHECKING, NoReturn, Optional
@@ -22,11 +27,7 @@ from click.core import ParameterSource
 from .exact import IntervalSet, PreconditionError, RationalPi
 from .parsing import SetSyntaxError, parse_scalar, parse_set
 from .wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog, is_wavelet_set
-from .sigma import build_sigma, power_in_local_commutant
-from .dimension import core_equivalence_regions, dimension_step_function, midpoint_grid
 
-# The numeric commands import `multiplicity`, and numpy with it, where they
-# use it, so the exact commands never load numpy.
 if TYPE_CHECKING:
     from .multiplicity import SpectralProfile
 
@@ -80,6 +81,8 @@ def _map_entries(mapping: PiecewiseTranslation) -> list[dict]:
 
 def _write_csv(path: str, columns: tuple[str, ...], rows) -> None:
     """Write the rows under the header `columns`; a None cell is written empty."""
+    import csv
+
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -136,6 +139,8 @@ def dimfn_cmd(expr, window_expr, wavelet, grid_n, j_max, k_max, tol, csv_path) -
     """Exact step function of an MSF set, or a numerical grid report."""
     if (expr is None) == (wavelet is None):
         raise click.UsageError("provide either --set/--window (exact) or --wavelet (numerical)")
+    from .dimension import dimension_step_function, midpoint_grid
+
     if expr is not None:
         ctx = click.get_current_context()
         given = [param.opts[0] for param in ctx.command.params if param.name in NUMERIC_ONLY
@@ -217,6 +222,8 @@ def multiplicity_cmd(wavelet, xi_expr, j_max, k_max, tol) -> Result:
 @click.option("--power", default=None, type=int, help="Also compose this power and test it.")
 def sigma_cmd(w1, w2, power) -> Result:
     """Canonical 2*pi-translation bijection w1 -> w2; optionally test a power."""
+    from .sigma import build_sigma, power_in_local_commutant
+
     sigma = build_sigma(_resolve_set(w1), _resolve_set(w2))
     obj = {"w1": sigma.w1.to_text(), "w2": sigma.w2.to_text(), "map": _map_entries(sigma.mapping)}
     if power is None:
@@ -235,6 +242,8 @@ def sigma_cmd(w1, w2, power) -> Result:
 @click.option("--window", "window_expr", required=True, help="Query window expression.")
 def core_equiv_cmd(a_expr, b_expr, window_expr) -> Result:
     """Compare exact dimension functions on a window; exit 0 iff identical."""
+    from .dimension import core_equivalence_regions
+
     a = _resolve_set(a_expr)
     b = _resolve_set(b_expr)
     window = parse_set(window_expr)
@@ -251,6 +260,11 @@ def core_equiv_cmd(a_expr, b_expr, window_expr) -> Result:
 
 def main(argv: Optional[list[str]] = None) -> NoReturn:
     """Run one command, print its JSON answer or error, and exit with its code."""
+    # numpy's OpenBLAS starts a worker thread per extra core as it loads, about
+    # half the cost of `import numpy`; the CLI's products are far too small to
+    # use them.  A thread count the user set is kept.
+    if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         result = cli.main(args=argv, prog_name="wavemult", standalone_mode=False)
     except SetSyntaxError as err:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from . import _LAZY
 from .exact import (
     PreconditionError,
     IntervalSet,
@@ -29,17 +30,7 @@ from .exact import (
 )
 from .wavelet_sets import CACHE_SIZE, _fold, _require_wavelet_set
 
-__all__ = [
-    "StepFunction",
-    "DimensionIntegral",
-    "dimension_function",
-    "dimension_step_function",
-    "dimension_values",
-    "dimension_integral",
-    "core_equivalence_regions",
-    "mra_consistent",
-    "midpoint_grid",
-]
+__all__ = list(_LAZY["dimension"])
 
 
 class StepFunction(Piecewise):

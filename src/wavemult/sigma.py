@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Union
 
+from . import _LAZY
 from .exact import (
     COORD_BITS,
     PreconditionError,
@@ -38,15 +39,7 @@ MAX_POWER = 1024
 EXTENSION_ERROR = "region is not exactly covered by dyadic dilates of the map domain"
 COMPOSE_ERROR = "image of the first map escapes the second map's domain"
 
-__all__ = [
-    "SigmaMap",
-    "CommutantVerdict",
-    "build_sigma",
-    "compose",
-    "dyadic_extension",
-    "compose_power",
-    "power_in_local_commutant",
-]
+__all__ = list(_LAZY["sigma"])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ def stdlib_step() -> str:
 def test_the_stdlib_only_step_passes():
     script = stdlib_step()
     assert "import wavemult" in script and "compose_power" in script
+    # sigma and dimension load on first use, not with the package
+    assert ('import wavemult as wm\nassert "wavemult.sigma" not in sys.modules'
+            ' and "wavemult.dimension" not in sys.modules\n') in script
     assert "(11, 12, 16)" in script  # overlapping dilates in one base row, exact on ints
     assert "wm.compose_power(mirror, 3) == wm.dyadic_extension(mirror.mapping, squared)" in script
     assert "wm.dimension_values(W, pts) == [wm.dimension_function(W).value_at(p) for p in pts]" in script

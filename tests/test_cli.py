@@ -393,7 +393,7 @@ def test_dimfn_numeric_option_in_exact_mode_is_usage_error(monkeypatch, capsys, 
     def no_work(W, query):
         raise AssertionError("the step function was built")
 
-    monkeypatch.setattr(cli, "dimension_step_function", no_work)
+    monkeypatch.setattr(dimension, "dimension_step_function", no_work)
     code, out = run_main(capsys, "dimfn", "--set", "journe", "--window", "[1/8pi,1pi)", *option)
     assert code == 2
     detail = f"{option[0]} goes with --wavelet only, not with --set"

@@ -1,11 +1,17 @@
 """Golden CLI outputs: stdout bytes, exit code and `--csv` file bytes of fixed commands.
 
-Each case runs in-process through `cli.main`.  `{csv}` in the arguments stands for a
-temporary CSV path, whose bytes are compared with ``golden/NAME.csv``.  To re-record
-after an intended output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``.
+Each case runs in-process through `cli.main`, and again as ``python -m wavemult`` in a
+fresh interpreter with ``PYTHONPATH=src``: there the command loads only the modules it
+uses, and numpy starts under the CLI's default of one BLAS thread.  The numeric cases
+run a third time with ``OPENBLAS_NUM_THREADS=2``, which the CLI keeps.
+`{csv}` in the arguments stands for a temporary CSV path, whose bytes are compared
+with ``golden/NAME.csv``.  To re-record after an intended output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -15,6 +21,8 @@ import pytest
 from wavemult import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 CASES = [
     # The README examples; the Meyer one also writes its CSV.
@@ -52,13 +60,40 @@ def run_case(args, csv_path):
     return stop.value.code, out.getvalue().encode(), written
 
 
-@pytest.mark.parametrize("name, args, code", CASES, ids=[case[0] for case in CASES])
-def test_golden_output(tmp_path, name, args, code):
-    got_code, stdout, written = run_case(args, tmp_path / "out.csv")
+def run_fresh(args, csv_path, **env):
+    """Run one case as ``python -m wavemult``, with no BLAS thread variable set but `env`."""
+    clean = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    proc = subprocess.run([sys.executable, "-m", "wavemult", *[a.format(csv=csv_path) for a in args]],
+                          env={**clean, "PYTHONPATH": str(SRC), **env}, capture_output=True, timeout=120)
+    assert proc.stderr == b""
+    written = csv_path.read_bytes() if "{csv}" in args else None
+    return proc.returncode, proc.stdout, written
+
+
+def check(name, code, got) -> None:
+    got_code, stdout, written = got
     assert got_code == code
     assert stdout == (GOLDEN / f"{name}.out").read_bytes()
     if written is not None:
         assert written == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, args, code", CASES, ids=[case[0] for case in CASES])
+def test_golden_output(tmp_path, name, args, code):
+    check(name, code, run_case(args, tmp_path / "out.csv"))
+
+
+@pytest.mark.parametrize("name, args, code", CASES, ids=[case[0] for case in CASES])
+def test_golden_output_in_a_fresh_process(tmp_path, name, args, code):
+    check(name, code, run_fresh(args, tmp_path / "out.csv"))
+
+
+NUMERIC_CASES = [case for case in CASES if "--wavelet" in case[1]]
+
+
+@pytest.mark.parametrize("name, args, code", NUMERIC_CASES, ids=[case[0] for case in NUMERIC_CASES])
+def test_numeric_golden_output_with_two_blas_threads(tmp_path, name, args, code):
+    check(name, code, run_fresh(args, tmp_path / "out.csv", OPENBLAS_NUM_THREADS="2"))
 
 
 def record() -> None:

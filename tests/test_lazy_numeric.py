@@ -1,8 +1,10 @@
 """The numeric layer, and numpy with it, loads only when a numeric name is used.
 
 `import wavemult`, `import wavemult.cli` and every exact CLI command run
-without numpy; the package still exports the numeric names, which load
-`wavemult.multiplicity` on first access.
+without numpy, and `sigma` and `dimension` load only for the commands that
+run them; the package still exports every name, which loads its module on
+first access.  A numeric command starts numpy with one OpenBLAS thread unless
+the caller set a thread count.
 """
 
 import importlib
@@ -39,46 +41,82 @@ STAR_NAMES = NUMERIC_NAMES | {
     "power_in_local_commutant", "sigma", "wavelet_sets",
 }
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Runs the commands of argv[1] (a JSON list of argument lists) in order in one
+# interpreter and prints which watched modules were loaded after `import
+# wavemult`, after `import wavemult.cli` and after each command, together with
+# each command's exit code and the OPENBLAS_NUM_THREADS it left.
 CHILD = textwrap.dedent(
     """
-    import contextlib, io, json, sys
+    import contextlib, io, json, os, sys
+
+    WATCHED = ("wavemult.sigma", "wavemult.dimension", "wavemult.multiplicity", "csv", "numpy")
+
+    def loaded():
+        return [name for name in WATCHED if name in sys.modules]
 
     import wavemult
+    after_import = loaded()
     import wavemult.cli as cli
 
-    def run(*args):
+    def run(args):
         with contextlib.redirect_stdout(io.StringIO()):
             try:
-                cli.main(list(args))
+                cli.main(args)
             except SystemExit as stop:
                 return stop.code
         return 0  # a command that returns exits 0, as under `python -m wavemult`
 
-    codes = [
-        run("catalog"),
-        run("verify-set", "--name", "shannon"),
-        run("sigma", "--w1", "paper_w1", "--w2", "paper_w2", "--power", "2"),
-        run("dimfn", "--set", "journe", "--window", "[1/8pi,1pi)"),
-        run("core-equiv", "--a", "paper_w1", "--b", "paper_w2", "--window", "[1/64pi,1pi)"),
-        run("verify-set", "--set", "[1pi,"),
-        run("sigma", "--w1", "paper_w1", "--w2", "[1pi,2pi)"),
-    ]
-    exact_numpy = "numpy" in sys.modules
-    codes.append(run("multiplicity", "--wavelet", "meyer", "--xi", "1/3pi"))
-    print(json.dumps({"codes": codes, "exact_numpy": exact_numpy,
-                      "numeric_numpy": "numpy" in sys.modules}))
+    result = {"import": after_import, "cli": loaded(), "runs": []}
+    for args in json.loads(sys.argv[1]):
+        code = run(args)
+        result["runs"].append([code, loaded(), os.environ.get("OPENBLAS_NUM_THREADS")])
+    print(json.dumps(result))
     """
 )
 
+CATALOG = ["catalog"]
+VERIFY = ["verify-set", "--name", "shannon"]
+SIGMA = ["sigma", "--w1", "paper_w1", "--w2", "paper_w2", "--power", "2"]
+DIMFN = ["dimfn", "--set", "journe", "--window", "[1/8pi,1pi)"]
+CORE_EQUIV = ["core-equiv", "--a", "paper_w1", "--b", "paper_w2", "--window", "[1/64pi,1pi)"]
+MULTIPLICITY = ["multiplicity", "--wavelet", "meyer", "--xi", "1/3pi"]
+
+
+def run_child(*commands, **env) -> dict:
+    """Run `commands` in one fresh interpreter with no BLAS thread variable set but `env`."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    clean = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], capture_output=True,
+                          text=True, env={**clean, "PYTHONPATH": path, **env}, check=True)
+    return json.loads(proc.stdout)
+
 
 def test_exact_commands_never_import_numpy():
-    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 1, 0, 0, 2, 3, 0]
-    assert result["exact_numpy"] is False
-    assert result["numeric_numpy"] is True
+    result = run_child(CATALOG, VERIFY, SIGMA, DIMFN, CORE_EQUIV, ["verify-set", "--set", "[1pi,"],
+                       ["sigma", "--w1", "paper_w1", "--w2", "[1pi,2pi)"], MULTIPLICITY)
+    codes = [code for code, _, _ in result["runs"]]
+    assert codes == [0, 0, 1, 0, 0, 2, 3, 0]
+    assert "numpy" not in result["runs"][-2][1]
+    assert "numpy" in result["runs"][-1][1]
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    result = run_child(CATALOG, VERIFY, SIGMA)
+    assert result["import"] == result["cli"] == []
+    assert [loaded for _, loaded, _ in result["runs"]] == [[], [], ["wavemult.sigma"]]
+    result = run_child(DIMFN, CORE_EQUIV)
+    assert [loaded for _, loaded, _ in result["runs"]] == [["wavemult.dimension"]] * 2
+
+
+@pytest.mark.parametrize("env, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+                                          ({"OMP_NUM_THREADS": "2"}, None), ({"GOTO_NUM_THREADS": "2"}, None)],
+                         ids=["default", "openblas-set", "omp-set", "goto-set"])
+def test_numeric_commands_start_one_blas_thread_unless_the_user_chose(env, threads):
+    [(code, loaded, blas)] = run_child(MULTIPLICITY, **env)["runs"]
+    assert code == 0 and "numpy" in loaded
+    assert blas == threads
 
 
 def test_numeric_names_resolve_to_the_multiplicity_module():
