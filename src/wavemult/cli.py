@@ -26,7 +26,7 @@ from click.core import ParameterSource
 
 from .exact import IntervalSet, PreconditionError, RationalPi
 from .parsing import SetSyntaxError, parse_scalar, parse_set
-from .wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog, is_wavelet_set
+from .wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, _require_wavelet_set, catalog, is_wavelet_set
 
 if TYPE_CHECKING:
     from .multiplicity import SpectralProfile
@@ -59,12 +59,15 @@ def _resolve_set(text: str) -> IntervalSet:
 
 
 def _resolve_profile(selector: str) -> SpectralProfile:
+    """The profile a --wavelet selector names; an MSF profile's set must be a wavelet set."""
     from .multiplicity import meyer_profile, msf_profile
 
     if selector == "meyer":
         return meyer_profile()
     if selector.startswith("msf:"):
-        return msf_profile(_resolve_set(selector[len("msf:"):]))
+        profile = msf_profile(_resolve_set(selector[len("msf:"):]))
+        _require_wavelet_set(profile.msf_set)
+        return profile
     raise click.UsageError(
         f"unknown wavelet selector {selector!r}; use msf:NAME_OR_EXPR or meyer"
     )

@@ -11,8 +11,8 @@ iteration, `pieces`, `rows()`, `value_at` and text.  The wavelet-set check, the
 dimension function and every translation map run on the integer coordinates
 x * unit of `_coordinates`, and their results keep (unit, int rows): `coefs` is
 built from those on first read, by one `_back`, and the readers that compare or
-add ints read the rows.  `sweep` overlays unsorted or overlapping intervals;
-sorted rows are found by bisection.
+add ints read the rows.  `sweep` overlays unsorted or overlapping intervals, and
+`_tiling_failure` counts a cover without tags; sorted rows are found by bisection.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ def sweep(
 
     Sorts the 2n endpoints once and walks them, keeping the number of open intervals and
     their distinct tags.  Yields (lo, hi, count, tags) for each covered cell between
-    consecutive endpoints, in increasing order.  Ints, which the wavelet-set check and the
-    dimension function pass from `_coordinates`, are their own sort keys; `_order_key` keys
-    the rest (it names who passes them).  Sorted, disjoint rows need no sweep to be overlaid
-    with a few intervals: sigma's pull-back looks them up by bisection instead.
+    consecutive endpoints, in increasing order.  Ints, which the dimension function passes
+    from `_coordinates`, are their own sort keys; `_order_key` keys the rest (it names who
+    passes them).  Sorted, disjoint rows need no sweep to be overlaid with a few intervals:
+    sigma's pull-back looks them up by bisection instead.
     """
     items = list(items)
     events = []
@@ -126,6 +126,27 @@ def sweep(
             del open_tags[tag]
         if count and following[0] != key:
             yield x, following[1], count, tuple(open_tags)
+
+
+def _tiling_failure(pairs: list, lo, hi) -> list[list]:
+    """The runs [a, b, None] of [lo, hi) that the half-open (a, b) pairs, each inside it, do not
+    cover exactly once, merged and in order.  Like `sweep`, without tags: the endpoint events sort
+    as themselves when all are ints, else by their `_order_key`s."""
+    events = [(a, 1) for a, _ in pairs] + [(b, -1) for _, b in pairs]
+    ints = all(type(x) is int for x, _ in events)
+    events.sort(key=itemgetter(0) if ints else lambda event: _order_key(event[0]))
+    runs: list[list] = []
+    count, start = 0, lo
+    for x, step in chain(events, [(hi, 0)]):
+        if x != start:
+            if count != 1:
+                if runs and runs[-1][1] == start:
+                    runs[-1][1] = x
+                else:
+                    runs.append([start, x, None])
+            start = x
+        count += step
+    return runs
 
 
 def merge_cells(cells: Iterable[tuple[Fraction, Fraction, Any]]) -> list[list]:
@@ -414,6 +435,15 @@ class IntervalSet(_OnUnit):
     @cached_property
     def pieces(self) -> tuple[Interval, ...]:
         return tuple(_interval(lo, hi) for lo, hi in self.coefs)
+
+    def __hash__(self) -> int:
+        """The hash of the coefs' integer ratios, taken once per instance: `Fraction.__hash__`
+        takes a modular inverse per endpoint, most of a fresh set's cache lookup."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(tuple([(lo.as_integer_ratio(), hi.as_integer_ratio())
+                                                    for lo, hi in self.coefs]))
+        return h
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":

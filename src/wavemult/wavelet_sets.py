@@ -4,7 +4,7 @@ A bounded interval set W with 0 outside its closure is accepted as a wavelet
 set when two exact tilings hold: the 2*pi*Z translates of its pieces tile
 [-pi, pi), and its dyadic dilates tile the punctured line (checked on the
 reference annulus [-2*pi, -pi) u [pi, 2*pi)).  The two targets make up
-[-2*pi, 2*pi), so one exact sweep of it decides both tilings, on integer
+[-2*pi, 2*pi), so one exact count of its cover decides both tilings, on integer
 coordinates when they fit; the translation witness is built from the same
 integer fragments.
 """
@@ -26,11 +26,10 @@ from .exact import (
     _disjoint_rows,
     _on_one_unit,
     _exact_rows,
+    _tiling_failure,
     _times_pow2,
     floor_log2,
     ceil_log2,
-    merge_cells,
-    sweep,
 )
 from .parsing import parse_set
 
@@ -161,10 +160,11 @@ CACHE_SIZE = 256
 def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
     """Run both congruence checks; a set is accepted iff both hold.
 
-    One sweep tiles [-2*pi, 2*pi) with the translates of W folded into [-pi, pi) and
-    its dilates scaled into the annulus, on int `_coordinates` when they fit.  A failure
-    piece breaks translation congruence where it meets [-pi, pi), and dilation
-    congruence where it meets the annulus.
+    One count-only walk (`_tiling_failure`) covers [-2*pi, 2*pi) with the translates of W
+    folded into [-pi, pi) and its dilates scaled into the annulus, on int `_coordinates`
+    when they fit, and returns the runs covered other than once.  A failure piece breaks
+    translation congruence where it meets [-pi, pi), and dilation congruence where it
+    meets the annulus.
     """
     if W.zero_in_closure():
         raise PreconditionError(
@@ -173,9 +173,8 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
     shift = max(0, floor_log2(max(-W.coefs[0][0], W.coefs[-1][1]))) if W.coefs else 0
     unit, pairs = _coordinates(W.coefs, shift)
     fragments = _fold(pairs, unit)
-    items = [(-2 * unit, 2 * unit, 0)] + [(lo, hi, 1) for lo, hi in _annulus(pairs, unit)]
-    items += [(lo + s, hi + s, 1) for lo, hi, s in fragments]
-    failure = merge_cells((lo, hi, None) for lo, hi, n, tags in sweep(items) if n != 2 or len(tags) != 2)
+    images = _annulus(pairs, unit) + [(lo + s, hi + s) for lo, hi, s in fragments]
+    failure = _tiling_failure(images, -2 * unit, 2 * unit)
     translation_ok = not any(lo < unit and hi > -unit for lo, hi, _ in failure)
     # With translation congruence the fragments (sorted, with distinct shifts within a piece) are
     # the witness's canonical rows: each point of [-pi, pi), its image, lies in one translate.

@@ -38,6 +38,9 @@ def test_the_stdlib_only_step_passes():
     assert "deep.tau_witness.coefs == ((-a, -a / 2, 0), (2 - a / 2, 3, -2), (3, 4 - a, -4))" in script
     assert "rejected.failure_regions.coefs == ((-2, -1), (1, Fraction(3, 2)))" in script
     assert "deep.tau_witness.is_two_pi_integral" in script and "rejected.tau_witness.is_two_pi_integral" in script
+    # past the budget, a failure with a gap and an overlap; a cache hit across two equal sets
+    assert "gap_and_overlap.failure_regions.coefs == ((-1 - a, -1), (2 - 2 * a, 2))" in script
+    assert "wm.is_wavelet_set(wm.parse_set(t)) is wm.is_wavelet_set(wm.parse_set(t))" in script
     env = {**os.environ, "PYTHONPATH": "src"}
     done = subprocess.run([sys.executable, "-"], input=script, cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)

@@ -350,6 +350,17 @@ def test_sigma_names_an_empty_set(capsys):
     assert code == 3
     assert json.loads(out) == {"error": "precondition", "detail": "w1 is not a wavelet set: (empty)"}
 
+
+@pytest.mark.parametrize("command", [["multiplicity", "--xi", "1/2pi"], ["dimfn", "--grid", "8"]],
+                         ids=["multiplicity", "dimfn"])
+@pytest.mark.parametrize("selector, shown", [("msf:[1pi,2pi)", "[pi,2pi)"), ("msf:", "(empty)")],
+                         ids=["one_octave", "empty"])
+def test_msf_profile_of_a_non_wavelet_set_exit_three(capsys, command, selector, shown):
+    code, out = run_main(capsys, *command, "--wavelet", selector)
+    assert code == 3
+    assert json.loads(out) == {"error": "precondition", "detail": f"not a wavelet set: {shown}"}
+
+
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))

@@ -24,7 +24,7 @@ from wavemult.dimension import (
     dimension_function,
     dimension_step_function,
 )
-from wavemult.exact import ZERO, Interval, IntervalSet, PreconditionError, RationalPi
+from wavemult.exact import ZERO, Interval, IntervalSet, PreconditionError, RationalPi, _coordinates
 from wavemult.parsing import parse_set
 from wavemult.sigma import (
     build_sigma,
@@ -248,31 +248,34 @@ class TestIntervalBudget:
 
 
 SWEEP_BUDGET = {
-    "journe": (lambda: catalog("journe"), 1),
-    "400 pieces": (lambda: random_wavelet_candidate(random.Random(400), 400), 1),
-    "translation fails": (lambda: parse_set("[-15/4pi,-15/8pi),[1/2pi,pi)"), 1),
+    "journe": lambda: catalog("journe"),
+    "400 pieces": lambda: random_wavelet_candidate(random.Random(400), 400),
+    "translation fails": lambda: parse_set("[-15/4pi,-15/8pi),[1/2pi,pi)"),
 }
 
 
 class TestSweepBudget:
-    """`is_wavelet_set` decides both tilings in one sweep of [-2pi, 2pi); the witness,
-    when the translates tile [-pi, pi), comes out in domain order and takes none."""
+    """`is_wavelet_set` decides both tilings in one count-only walk of [-2pi, 2pi) and no tagged
+    sweep; the witness, when the translates tile [-pi, pi), comes out in domain order and takes none."""
 
     @pytest.mark.parametrize("name", list(SWEEP_BUDGET))
     def test_is_wavelet_set(self, name, monkeypatch):
-        make, budget = SWEEP_BUDGET[name]
-        W = make()
-        calls = [0]
-        sweep = exact.sweep
+        W = SWEEP_BUDGET[name]()
+        calls = Counter()
 
-        def counting(items):
-            calls[0] += 1
-            return sweep(items)
+        def count(module, called):
+            run = getattr(module, called)
 
-        monkeypatch.setattr(exact, "sweep", counting)
-        monkeypatch.setattr(wavelet_sets, "sweep", counting)
+            def counting(*args):
+                calls[called] += 1
+                return run(*args)
+
+            monkeypatch.setattr(module, called, counting)
+
+        count(exact, "sweep")
+        count(wavelet_sets, "_tiling_failure")
         is_wavelet_set.__wrapped__(W)
-        assert 1 <= calls[0] <= budget, calls[0]
+        assert (calls["sweep"], calls["_tiling_failure"]) == (0, 1), calls
 
 
 def coefficient_types(f) -> set:
@@ -324,12 +327,17 @@ class TestCoefficientData:
             assert all(coefficient_types(S) <= {Fraction} for S in built)
 
     def test_a_second_check_is_a_cache_hit(self):
-        first, *others = three_ways(random_wavelet_candidate(random.Random(16), 40))
+        W = random_wavelet_candidate(random.Random(16), 40)
+        unit, pairs = _coordinates(W.coefs)
+        carried = IntervalSet._on(unit, [(lo, hi, None) for lo, hi in pairs])  # coefs built on first read
+        first, *others = three_ways(W)
         is_wavelet_set(first)
         hits = is_wavelet_set.cache_info().hits
-        reports = [is_wavelet_set(S) for S in others]
-        assert is_wavelet_set.cache_info().hits == hits + 2
+        assert "coefs" not in carried.__dict__
+        reports = [is_wavelet_set(S) for S in others + [carried]]
+        assert is_wavelet_set.cache_info().hits == hits + 3
         assert all(report is is_wavelet_set(first) for report in reports)
+        assert hash(carried) == hash(first) and carried.coefs == first.coefs
 
 
 def sample_points(S: IntervalSet) -> list[RationalPi]:
