@@ -7,7 +7,7 @@ multiplicity ranks, and lattice dimension sums, cross-checked against the
 exact counts for MSF profiles.
 """
 
-# `exact.__all__` also names the sweep kernel, which the package keeps internal.
+# `exact.__all__` also names `cover`, the weighted walk, which the package keeps internal.
 from .exact import (
     Interval,
     IntervalSet,

@@ -11,9 +11,11 @@ nonnegative integers by construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import _LAZY
@@ -25,8 +27,7 @@ from .exact import (
     _coordinates,
     _times_pow2,
     ceil_log2,
-    merge_cells,
-    sweep,
+    cover,
 )
 from .wavelet_sets import CACHE_SIZE, _fold, _require_wavelet_set
 
@@ -58,28 +59,28 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     [-pi, pi): dyadic tiling gives each xi != 0 one j with 2**j * xi in W, and
     j >= 1 exactly off U.  The k != 0 terms come from the finitely many
     translates 2**-j * W - 2*pi*k with 2**j < max |W| that meet [-pi, pi).  One
-    sweep over the window (tag 0), U (tag 1) and the translates (tag 2) gives
-    each cell the value count - 2 * [cell in U].  At 0 the function takes its
-    right limit, one more than the lattice count there, which has no k = 0 term.
+    `cover` of the window (weight 1), the dilates that make up U, clipped to the
+    window and disjoint by dilation congruence (weight -1), and the translates
+    (weight 1) gives the rows of D as its runs.  At 0 the function takes its right
+    limit, one more than the lattice count there, which has no k = 0 term.
     """
     _require_wavelet_set(W)
     top = ceil_log2(W.max_abs().coef)  # the unit holds 2**(top - 1): each level below is a shift
     unit, pairs = _coordinates(W.coefs, max(0, top - 1))
-    items = [(-unit, unit, 0)]
+    items = [(-unit, unit, 1)]
     for lo, hi in pairs:
         near = lo if lo > 0 else -hi
         if hi - lo == near and near < unit:  # a whole octave: its dilates fill [lo, pi) or [-pi, hi)
-            items.append((lo, unit, 1) if lo > 0 else (-unit, hi, 1))
-        else:  # a shorter piece (none spans more): its dilates that start below pi
-            items += [(_times_pow2(lo, m), _times_pow2(hi, m), 1) for m in range(ceil_log2(unit, near))]
+            items.append((lo, unit, -1) if lo > 0 else (-unit, hi, -1))
+        else:  # a shorter piece (none spans more): its dilates that start below pi, clipped to the window
+            items += [(max(_times_pow2(lo, m), -unit), min(_times_pow2(hi, m), unit), -1)
+                      for m in range(ceil_log2(unit, near))]
     # The levels with 2**j < max |W|, folded into [-pi, pi); shift -2*pi*k, k != 0.  W has
     # measure 2*pi, so each piece of 2**-j * W is at most pi long and meets at most two
     # 2*pi cells: the fold's three-fragment cap never binds here.
     pieces = [(_times_pow2(lo, -j), _times_pow2(hi, -j)) for j in range(1, top) for lo, hi in pairs]
-    items += [(lo + s, hi + s, 2) for lo, hi, s in _fold(pieces, unit) if s]
-    # The cells come sorted and disjoint, and count at least 2 where tag 1 is among their tags.
-    cells = merge_cells((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags)
-    return StepFunction._on(unit, cells, [(pairs, W.coefs)])
+    items += [(lo + s, hi + s, 1) for lo, hi, s in _fold(pieces, unit) if s]
+    return StepFunction._on(unit, cover(items), [(pairs, W.coefs)])
 
 
 def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
@@ -88,17 +89,21 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
 
     W, then the query, is checked before that function is built: the query's first start
     and last end, its first and last coefficients, must lie in [-pi, pi], the closure of
-    that function's domain.  One sweep over the query (tag -1) and its rows, whose values
-    are nonnegative, then gives each query cell its row's value: sorted, disjoint
-    `Fraction` rows over unit 1, which need no construction rule.
+    that function's domain.  Its rows are sorted and disjoint and cover [-pi, pi), so each
+    query piece finds the rows it meets by bisection on their starts and clips them: sorted,
+    disjoint `Fraction` rows over unit 1, no two of one value touching, which need no
+    construction rule.
     """
     _require_wavelet_set(W)
     if query.coefs and not (-1 <= query.coefs[0][0] and query.coefs[-1][1] <= 1):
         raise PreconditionError("query window must lie inside [-pi, pi)")
     if query.zero_in_closure():
         raise PreconditionError("query window must stay away from 0")
-    items = [(lo, hi, -1) for lo, hi in query.coefs] + list(dimension_function(W).coefs)
-    return StepFunction._on(1, merge_cells((lo, hi, max(tags)) for lo, hi, _, tags in sweep(items) if -1 in tags))
+    rows, start, cut = dimension_function(W).coefs, itemgetter(0), []
+    for a, b in query.coefs:
+        for c, d, value in rows[bisect_right(rows, a, key=start) - 1:bisect_left(rows, b, key=start)]:
+            cut.append((max(a, c), min(b, d), value))
+    return StepFunction._on(1, cut)
 
 
 def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
@@ -167,10 +172,10 @@ def core_equivalence_regions(
 ) -> IntervalSet:
     """Subregion of the query where the two dimension functions differ."""
     fa, fb = dimension_step_function(Wa, query), dimension_step_function(Wb, query)
-    # Both functions partition the query, so every cell lies under one row of
-    # each; its distinct tags (the row values) are two exactly where they differ.
-    rows = (row for f in (fa, fb) for row in f._on_unit()[1])
-    return IntervalSet.from_cells((lo, hi) for lo, hi, _, values in sweep(rows) if len(values) == 2)
+    # Both functions partition the query, so over the query the total is the difference of
+    # their values, and 0 off it.
+    items = [*fa._on_unit()[1], *[(lo, hi, -value) for lo, hi, value in fb._on_unit()[1]]]
+    return IntervalSet.from_cells((lo, hi) for lo, hi, total in cover(items) if total)
 
 
 def mra_consistent(W: IntervalSet) -> bool:

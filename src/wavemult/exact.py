@@ -11,8 +11,9 @@ iteration, `pieces`, `rows()`, `value_at` and text.  The wavelet-set check, the
 dimension function and every translation map run on the integer coordinates
 x * unit of `_coordinates`, and their results keep (unit, int rows): `coefs` is
 built from those on first read, by one `_back`, and the readers that compare or
-add ints read the rows.  `sweep` overlays unsorted or overlapping intervals, and
-`_tiling_failure` counts a cover without tags; sorted rows are found by bisection.
+add ints read the rows.  One walk, `cover`, overlays unsorted or overlapping intervals: it
+sums their weights over each run between endpoints, and every exact overlay reads its answer
+from those totals.  Sorted, disjoint rows are found by bisection instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 __all__ = [
     "PreconditionError",
@@ -38,7 +39,7 @@ __all__ = [
     "MINUS_PI",
     "floor_log2",
     "ceil_log2",
-    "sweep",
+    "cover",
     "Piecewise",
 ]
 
@@ -92,61 +93,45 @@ def _order_key(x: Fraction) -> tuple:
     return (q, x) if r else (q,)
 
 
-def sweep(
-    items: Iterable[tuple[Fraction, Fraction, Hashable]],
-) -> Iterator[tuple[Fraction, Fraction, int, tuple]]:
-    """Overlay tagged half-open intervals [lo, hi), given as coefficient triples.
+def cover(items: list[tuple]) -> list[tuple]:
+    """The runs (lo, hi, total) of weighted half-open intervals (lo, hi, weight), in order from
+    the first endpoint to the last: total sums the weights over the run (0 in a gap), and
+    touching runs of one total merge.
 
-    Sorts the 2n endpoints once and walks them, keeping the number of open intervals and
-    their distinct tags.  Yields (lo, hi, count, tags) for each covered cell between
-    consecutive endpoints, in increasing order.  Ints, which the dimension function passes
-    from `_coordinates`, are their own sort keys; `_order_key` keys the rest (it names who
-    passes them).  Sorted, disjoint rows need no sweep to be overlaid with a few intervals:
-    sigma's pull-back looks them up by bisection instead.
+    Sorts the 2n endpoint events once and walks them.  Int ends (`_coordinates`) make events
+    (x, +-weight) that sort as themselves; any Fraction keys every event by `_order_key`
+    (plain Fraction events read 1.1-1.4x slower).  Runs are tuples, which the collector stops
+    tracking (list runs read 1.1x on a rejected 400-piece check).
     """
-    items = list(items)
-    events = []
+    if not items:
+        return []
+    runs: list[tuple] = []
+    total, value = 0, None  # the total so far, and that of the run open since `start`
     if all(type(lo) is int and type(hi) is int for lo, hi, _ in items):
-        for lo, hi, tag in items:
-            events.append((lo, lo, 1, tag))
-            events.append((hi, hi, -1, tag))
+        events = [(lo, w) for lo, _, w in items] + [(hi, -w) for _, hi, w in items]
+        events.sort(key=itemgetter(0))
+        at = start = events[0][0]
+        for x, w in events:
+            if x != at:
+                if total != value:
+                    runs.append((start, at, value))
+                    start, value = at, total
+                at = x
+            total += w
     else:
-        for lo, hi, tag in items:
-            events.append((_order_key(lo), lo, 1, tag))
-            events.append((_order_key(hi), hi, -1, tag))
-    events.sort(key=itemgetter(0))
-    count = 0
-    open_tags: dict = {}
-    for (key, x, step, tag), following in zip(events, events[1:]):
-        count += step
-        left = open_tags.get(tag, 0) + step
-        if left:
-            open_tags[tag] = left
-        else:
-            del open_tags[tag]
-        if count and following[0] != key:
-            yield x, following[1], count, tuple(open_tags)
-
-
-def _tiling_failure(pairs: list, lo, hi) -> list[list]:
-    """The runs [a, b, None] of [lo, hi) that the half-open (a, b) pairs, each inside it, do not
-    cover exactly once, merged and in order.  Like `sweep`, without tags: the endpoint events sort
-    as themselves when all are ints, else by their `_order_key`s."""
-    events = [(a, 1) for a, _ in pairs] + [(b, -1) for _, b in pairs]
-    ints = all(type(x) is int for x, _ in events)
-    events.sort(key=itemgetter(0) if ints else lambda event: _order_key(event[0]))
-    runs: list[list] = []
-    count, start = 0, lo
-    for x, step in chain(events, [(hi, 0)]):
-        if x != start:
-            if count != 1:
-                if runs and runs[-1][1] == start:
-                    runs[-1][1] = x
-                else:
-                    runs.append([start, x, None])
-            start = x
-        count += step
-    return runs
+        keyed = [(_order_key(lo), lo, w) for lo, _, w in items] + [(_order_key(hi), hi, -w) for _, hi, w in items]
+        keyed.sort(key=itemgetter(0))
+        key, at, _ = keyed[0]
+        start = at
+        for k, x, w in keyed:
+            if k != key:
+                if total != value:
+                    runs.append((start, at, value))
+                    start, value = at, total
+                key, at = k, x
+            total += w
+    runs.append((start, at, value))
+    return runs[1:]  # the first, opened with no total at the first endpoint, is empty
 
 
 def merge_cells(cells: Iterable[tuple[Fraction, Fraction, Any]]) -> list[list]:
@@ -165,7 +150,7 @@ def _disjoint_rows(triples: Iterable[tuple]) -> Optional[list[list]]:
     """The non-empty (lo, hi, tag) triples as `merge_cells` runs, or None when two overlap.
 
     They are sorted by left end only when they do not already come sorted and pairwise
-    disjoint, as sweep cells and the fragments of a wavelet set do: by the ends themselves
+    disjoint, as the runs of `cover` and the fragments of a wavelet set do: by the ends themselves
     when all are ints, else by their `_order_key`s."""
     rows = [row for row in triples if row[0] < row[1]]
     if any(a[1] > b[0] for a, b in zip(rows, rows[1:])):
@@ -448,13 +433,13 @@ class IntervalSet(_OnUnit):
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
         """Canonicalize any collection of intervals (the normalize operation)."""
-        cells = sweep((iv.lo.coef, iv.hi.coef, None) for iv in intervals)
-        return cls.from_cells((lo, hi) for lo, hi, _, _ in cells)
+        return cls.from_cells((lo, hi) for lo, hi, total in cover([(iv.lo.coef, iv.hi.coef, 1) for iv in intervals])
+                              if total > 0)
 
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
-        """Canonical set of sorted, pairwise disjoint coefficient pairs (lo, hi), such as
-        sweep cells: touching pairs merge."""
+        """Canonical set of sorted, pairwise disjoint coefficient pairs (lo, hi), such as the
+        runs of `cover` it keeps: touching pairs merge."""
         return cls._of(tuple((lo, hi) for lo, hi, _ in merge_cells((lo, hi, None) for lo, hi in cells)))
 
     @classmethod
@@ -476,18 +461,19 @@ class IntervalSet(_OnUnit):
         return len(self.coefs)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return self._select(other, lambda tags: True)
+        return self._select(other, {1, 2, 3})
 
-    def _select(self, other: "IntervalSet", keep) -> "IntervalSet":
-        """Cells of one sweep over self (tag 0) and other (tag 1) whose tags `keep` accepts."""
-        items = [(lo, hi, 0) for lo, hi in self.coefs] + [(lo, hi, 1) for lo, hi in other.coefs]
-        return IntervalSet.from_cells((lo, hi) for lo, hi, _, tags in sweep(items) if keep(tags))
+    def _select(self, other: "IntervalSet", keep: set) -> "IntervalSet":
+        """The runs of one `cover` of self (weight 1) and other (weight 2) whose totals are in
+        `keep`: 1 in self only, 2 in other only, 3 in both."""
+        items = [(lo, hi, 1) for lo, hi in self.coefs] + [(lo, hi, 2) for lo, hi in other.coefs]
+        return IntervalSet.from_cells((lo, hi) for lo, hi, total in cover(items) if total in keep)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return self._select(other, lambda tags: len(tags) == 2)
+        return self._select(other, {3})
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return self._select(other, lambda tags: tags == (0,))
+        return self._select(other, {1})
 
     def negate(self) -> "IntervalSet":
         """Pointwise negation, re-expressed half-open: -[a,b) becomes [-b,-a)."""

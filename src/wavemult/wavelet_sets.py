@@ -11,6 +11,7 @@ integer fragments.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -26,10 +27,10 @@ from .exact import (
     _disjoint_rows,
     _on_one_unit,
     _exact_rows,
-    _tiling_failure,
     _times_pow2,
     floor_log2,
     ceil_log2,
+    cover,
 )
 from .parsing import parse_set
 
@@ -133,7 +134,7 @@ def _fold(pairs: Iterable[tuple], unit) -> list[tuple]:
 
 def _annulus(pairs: Iterable[tuple], unit) -> list[tuple]:
     """Scale each piece, a pair (lo, hi) of coordinates (0 outside its closure), into
-    the annulus [-2*pi, -pi) u [pi, 2*pi) as pairs (lo, hi), split at dyadic points.
+    the annulus [-2*pi, -pi) u [pi, 2*pi) as `cover` items (lo, hi, 1), split at dyadic points.
 
     At most three per piece: if a piece reaches a fourth octave, its second
     and third fragments cover the annulus twice, and the rest change no result."""
@@ -145,7 +146,7 @@ def _annulus(pairs: Iterable[tuple], unit) -> list[tuple]:
             m, cut, wrap, step = ceil_log2(-start, unit) - 1, -unit, -2 * unit, 1
         lo, hi = _times_pow2(start, -m), _times_pow2(end, -m)
         for _ in range(3):
-            fragments.append((lo, min(hi, cut)))
+            fragments.append((lo, min(hi, cut), 1))
             if hi <= cut:
                 break
             lo, hi = wrap, _times_pow2(hi, step)
@@ -160,11 +161,10 @@ CACHE_SIZE = 256
 def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
     """Run both congruence checks; a set is accepted iff both hold.
 
-    One count-only walk (`_tiling_failure`) covers [-2*pi, 2*pi) with the translates of W
-    folded into [-pi, pi) and its dilates scaled into the annulus, on int `_coordinates`
-    when they fit, and returns the runs covered other than once.  A failure piece breaks
-    translation congruence where it meets [-pi, pi), and dilation congruence where it
-    meets the annulus.
+    One `cover` counts the translates of W folded into [-pi, pi) and its dilates scaled into the
+    annulus, on int `_coordinates` when they fit.  The failure region, what its runs of total 1
+    leave of [-2*pi, 2*pi), breaks translation congruence where it meets [-pi, pi), and
+    dilation congruence where it meets the annulus.
     """
     if W.zero_in_closure():
         raise PreconditionError(
@@ -173,14 +173,22 @@ def is_wavelet_set(W: IntervalSet) -> WaveletSetReport:
     shift = max(0, floor_log2(max(-W.coefs[0][0], W.coefs[-1][1]))) if W.coefs else 0
     unit, pairs = _coordinates(W.coefs, shift)
     fragments = _fold(pairs, unit)
-    images = _annulus(pairs, unit) + [(lo + s, hi + s) for lo, hi, s in fragments]
-    failure = _tiling_failure(images, -2 * unit, 2 * unit)
-    translation_ok = not any(lo < unit and hi > -unit for lo, hi, _ in failure)
+    failure, end = [], -2 * unit  # the images lie in [-2*pi, 2*pi); runs of total 1 never touch
+    for lo, hi, total in cover(_annulus(pairs, unit) + [(lo + s, hi + s, 1) for lo, hi, s in fragments]):
+        if total == 1:
+            if end != lo:
+                failure.append((end, lo, None))
+            end = hi
+    if end != 2 * unit:
+        failure.append((end, 2 * unit, None))
+    # The failure is sorted: it meets [-pi, pi) iff its first piece ending past -pi starts before pi.
+    i = bisect_right(failure, -unit, key=lambda row: row[1])
+    translation_ok = i == len(failure) or failure[i][0] >= unit
     # With translation congruence the fragments (sorted, with distinct shifts within a piece) are
     # the witness's canonical rows: each point of [-pi, pi), its image, lies in one translate.
     return WaveletSetReport(
         is_translation_congruent=translation_ok,
-        is_dilation_congruent=not any(lo < -unit or hi > unit for lo, hi, _ in failure),
+        is_dilation_congruent=not failure or -unit <= failure[0][0] and failure[-1][1] <= unit,
         tau_witness=(PiecewiseTranslation._mapped(unit, fragments, [(-unit, unit, None)], [(pairs, W.coefs)])
                      if translation_ok else None),
         failure_regions=IntervalSet._on(unit, failure),

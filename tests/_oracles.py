@@ -1,4 +1,12 @@
-"""Independent oracles for the tests, kept apart from the library code paths."""
+"""Independent oracles for the tests, kept apart from the library code paths.
+
+Every oracle that overlays intervals by tags runs `tagged_sweep`, the tagged sort-and-sweep the
+library used before its one weighted walk, `exact.cover`: the Fraction, int, object-level and
+sweep-based references of the tiling check, the dimension function, the step functions, the
+translation maps and the pull-back.  The object-level ones merge their sets with
+`sort_merge_intervals`, so no overlay of an oracle runs the walk it checks; only the random
+input builders and the wavelet-set preconditions still reach `exact.cover`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +33,6 @@ from wavemult.exact import (
     ceil_log2,
     floor_log2,
     merge_cells,
-    sweep,
 )
 from wavemult.sigma import SigmaMap, compose
 from wavemult.wavelet_sets import PiecewiseTranslation, WaveletSetReport, _fold, _require_wavelet_set
@@ -133,6 +140,49 @@ def sort_merge_intervals(intervals) -> IntervalSet:
         else:
             merged.append(iv)
     return IntervalSet(tuple(merged))
+
+
+def tagged_sweep(
+    items: Iterable[tuple[Fraction, Fraction, Hashable]],
+) -> Iterator[tuple[Fraction, Fraction, int, tuple]]:
+    """Overlay tagged half-open intervals [lo, hi), given as coefficient triples.
+
+    Sorts the 2n endpoints once, by their exact values, and walks them, keeping the number
+    of open intervals and their distinct tags.  Yields (lo, hi, count, tags) for each covered
+    cell between consecutive endpoints, in increasing order."""
+    events = []
+    for lo, hi, tag in items:
+        events.append((lo, 1, tag))
+        events.append((hi, -1, tag))
+    events.sort(key=lambda event: event[0])
+    count = 0
+    open_tags: dict = {}
+    for (x, step, tag), following in zip(events, events[1:]):
+        count += step
+        left = open_tags.get(tag, 0) + step
+        if left:
+            open_tags[tag] = left
+        else:
+            del open_tags[tag]
+        if count and following[0] != x:
+            yield x, following[0], count, tuple(open_tags)
+
+
+def midpoint_cover(items) -> list[tuple]:
+    """The runs (lo, hi, total) of weighted intervals (lo, hi, weight) from the first endpoint
+    to the last: each cell between consecutive distinct endpoints sums the weights of the
+    intervals holding its midpoint, and touching cells of one total merge."""
+    items = list(items)
+    points = sorted({x for lo, hi, _ in items for x in (lo, hi)})
+    runs: list[tuple] = []
+    for lo, hi in zip(points, points[1:]):
+        mid = (Fraction(lo) + hi) / 2
+        total = sum(w for a, b, w in items if a <= mid < b)
+        if runs and runs[-1][2] == total:
+            runs[-1] = (runs[-1][0], hi, total)
+        else:
+            runs.append((lo, hi, total))
+    return runs
 
 
 def _cells(coefs) -> list[tuple[Fraction, Fraction, RationalPi]]:
@@ -355,7 +405,7 @@ def fraction_tiling_check(fragments, target: IntervalSet) -> IntervalSet:
     """
     items = [(lo, hi, 0) for lo, hi in target.coefs]
     items += [(lo, hi, 1) for lo, hi in fragments]
-    return IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in sweep(items)
+    return IntervalSet.from_cells((lo, hi) for lo, hi, count, tags in tagged_sweep(items)
                                   if count != 2 or len(tags) != 2)
 
 
@@ -519,7 +569,7 @@ def hull_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Pi
             items += [(iv.lo.coef * scale, iv.hi.coef * scale, len(shifts)) for iv in piece]
             shifts.append(shift.coef * scale)
     result = PiecewiseTranslation.from_triples(
-        (lo, hi, shifts[i]) for lo, hi, _, tags in sweep(items) if -1 in tags for i in tags if i >= 0)
+        (lo, hi, shifts[i]) for lo, hi, _, tags in tagged_sweep(items) if -1 in tags for i in tags if i >= 0)
     if result.domain != region:
         raise PreconditionError(
             "region is not exactly covered by dyadic dilates of the map domain"
@@ -557,7 +607,7 @@ def fraction_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) ->
     items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(first.coefs)]
     items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(then.coefs, len(first.coefs))]
     fragments = []
-    for lo, hi, count, tags in sweep(items):
+    for lo, hi, count, tags in tagged_sweep(items):
         if count == 2:
             back, forth = shifts[min(tags)], shifts[max(tags)]
             fragments.append((lo - back, hi - back, back + forth))
@@ -587,7 +637,7 @@ def fraction_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -
             items.append((lo * up, hi * up, ~len(scales)))
             scales.append(1 / up)
     fragments = []
-    for lo, hi, _, tags in sweep(items):
+    for lo, hi, _, tags in tagged_sweep(items):
         row = max(tags)
         if row >= 0:
             fragments += [(lo * scale, hi * scale, base.coefs[row][2] * scale)
@@ -609,7 +659,7 @@ def int_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> Piec
     items = [(lo + s, hi + s, i) for i, (lo, hi, s) in enumerate(rows[:n])]
     items += [(lo, hi, i) for i, (lo, hi, _) in enumerate(rows[n:], n)]
     fragments = []
-    for lo, hi, count, tags in sweep(items):
+    for lo, hi, count, tags in tagged_sweep(items):
         if count == 2:
             back, forth = shifts[min(tags)], shifts[max(tags)]
             fragments.append((lo - back, hi - back, back + forth))
@@ -643,7 +693,7 @@ def int_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> Pie
             items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(scales)))
             scales.append(-n)
     fragments = []
-    for lo, hi, _, tags in sweep(items):
+    for lo, hi, _, tags in tagged_sweep(items):
         row = max(tags)
         if row >= 0:
             fragments += [(_times_pow2(lo, m), _times_pow2(hi, m), _times_pow2(rows[row][2], m))
@@ -672,7 +722,7 @@ def sweep_pull_back(rows, cut: int, coef, error: str, dilations=lambda lo, hi: (
             items.append((_times_pow2(lo, n), _times_pow2(hi, n), ~len(pulls)))
             pulls.append((-n, s))
     fragments, covered = [], 0
-    for lo, hi, _, tags in sweep(items):
+    for lo, hi, _, tags in tagged_sweep(items):
         row = max(tags)
         for tag in tags:
             if tag < 0 <= row:
@@ -769,20 +819,20 @@ def grouped_piecewise(pairs) -> tuple[tuple, IntervalSet]:
     for piece, value in pairs:
         if not piece.is_empty:
             grouped.setdefault(value, []).extend(piece.pieces)
-    canonical = tuple((IntervalSet.from_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
+    canonical = tuple((sort_merge_intervals(ivs), v) for v, ivs in sorted(grouped.items()))
     ivs = sorted((iv for piece, _ in canonical for iv in piece), key=lambda iv: iv.lo.coef)
     if any(a.hi > b.lo for a, b in zip(ivs, ivs[1:])):
         raise ValueError("pieces overlap")
-    return canonical, IntervalSet.from_intervals(ivs)
+    return canonical, sort_merge_intervals(ivs)
 
 
 def object_tiling_failure(fragments: Sequence[Interval], target: IntervalSet) -> IntervalSet:
     """Where Interval fragments fail to tile the target, from one sweep."""
     items = [(iv.lo.coef, iv.hi.coef, 0) for iv in target]
     items += [(iv.lo.coef, iv.hi.coef, 1) for iv in fragments]
-    return IntervalSet.from_intervals(
+    return sort_merge_intervals(
         Interval(RationalPi(lo), RationalPi(hi))
-        for lo, hi, count, tags in sweep(items)
+        for lo, hi, count, tags in tagged_sweep(items)
         if count != 2 or len(tags) != 2
     )
 
@@ -837,10 +887,10 @@ def object_wavelet_report(W: IntervalSet) -> tuple:
         raise PreconditionError("dilation congruence is undecidable with 0 in the closure of the set")
     positive, negative = object_annulus_fragments(W)
     dil_failure = object_tiling_failure(positive, IntervalSet.single(RationalPi(1), RationalPi(2)))
-    dil_failure = dil_failure.union(
-        object_tiling_failure(negative, IntervalSet.single(RationalPi(-2), RationalPi(-1))))
+    dil_failure = sort_merge_intervals(
+        [*dil_failure, *object_tiling_failure(negative, IntervalSet.single(RationalPi(-2), RationalPi(-1)))])
     return (trans_failure.is_empty, dil_failure.is_empty, witness,
-            trans_failure.union(dil_failure))
+            sort_merge_intervals([*trans_failure, *dil_failure]))
 
 
 def step_from_covers(window: IntervalSet, covers) -> StepFunction:
@@ -850,7 +900,7 @@ def step_from_covers(window: IntervalSet, covers) -> StepFunction:
     items = [(iv.lo.coef, iv.hi.coef, True) for iv in window]
     items += [(lo, hi, False) for lo, hi in covers]
     return StepFunction.from_triples(merge_cells(
-        (lo, hi, count - 1) for lo, hi, count, tags in sweep(items) if True in tags))
+        (lo, hi, count - 1) for lo, hi, count, tags in tagged_sweep(items) if True in tags))
 
 
 def loop_midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[RationalPi]:
@@ -907,7 +957,7 @@ def fraction_dimension_function(W: IntervalSet) -> StepFunction:
     pieces = [(lo / 2**j, hi / 2**j) for j in range(1, ceil_log2(W.max_abs().coef)) for lo, hi in W.coefs]
     items += [(lo + s, hi + s, 2) for lo, hi, s in _fold(pieces, Fraction(1)) if s]
     return StepFunction.from_triples(
-        ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in sweep(items) if 0 in tags))
+        ((lo, hi, count - 2 * (1 in tags)) for lo, hi, count, tags in tagged_sweep(items) if 0 in tags))
 
 
 def object_hit_sets(W: IntervalSet, query: IntervalSet) -> list[IntervalSet]:
@@ -933,15 +983,15 @@ def object_step_pairs(W: IntervalSet, query: IntervalSet) -> tuple[tuple, Interv
     items += [(iv.lo.coef, iv.hi.coef, False) for s in object_hit_sets(W, query) for iv in s]
     return grouped_piecewise(
         (IntervalSet((Interval(RationalPi(lo), RationalPi(hi)),)), count - 1)
-        for lo, hi, count, tags in sweep(items) if True in tags)
+        for lo, hi, count, tags in tagged_sweep(items) if True in tags)
 
 
 def object_core_regions(Wa: IntervalSet, Wb: IntervalSet, query: IntervalSet) -> IntervalSet:
     """Where the object-level dimension functions of Wa and Wb differ on the query."""
     rows = [(iv.lo.coef, iv.hi.coef, value)
             for W in (Wa, Wb) for piece, value in object_step_pairs(W, query)[0] for iv in piece]
-    return IntervalSet.from_intervals(Interval(RationalPi(lo), RationalPi(hi))
-                                      for lo, hi, _, values in sweep(rows) if len(values) == 2)
+    return sort_merge_intervals(Interval(RationalPi(lo), RationalPi(hi))
+                                for lo, hi, _, values in tagged_sweep(rows) if len(values) == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +1025,7 @@ def object_piecewise(triples, value=lambda tag: tag) -> tuple[tuple, IntervalSet
     from the merged sweep cells, a row touching the last one reusing its end, and the
     domain joined from each run of touching rows; ValueError when two tags overlap."""
     index: dict = {}
-    cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
+    cells = list(tagged_sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
     if any(len(tags) > 1 for *_, tags in cells):
         raise ValueError("pieces overlap")
     values = [value(tag) for tag in index]
@@ -1006,7 +1056,7 @@ def two_path_rows(triples) -> list[list]:
     if all(a[1] <= b[0] for a, b in zip(triples, triples[1:])) and all(lo < hi for lo, hi, _ in triples):
         return merge_cells(triples)
     index: dict = {}
-    cells = list(sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
+    cells = list(tagged_sweep((lo, hi, index.setdefault(tag, len(index))) for lo, hi, tag in triples))
     if any(len(tags) > 1 for *_, tags in cells):
         raise ValueError("pieces overlap")
     tags = list(index)
@@ -1040,7 +1090,7 @@ def object_compose(first: PiecewiseTranslation, then: PiecewiseTranslation) -> P
     items += [(iv.lo.coef, iv.hi.coef, i)
               for i, (piece, _) in enumerate(then.pairs, len(first.pairs)) for iv in piece]
     fragments = []
-    for lo, hi, count, tags in sweep(items):
+    for lo, hi, count, tags in tagged_sweep(items):
         if count == 2:
             back, forth = shifts[min(tags)], shifts[max(tags)]
             fragments.append((lo - back, hi - back, back + forth))
@@ -1062,7 +1112,7 @@ def object_dyadic_extension(base: PiecewiseTranslation, region: IntervalSet) -> 
         for n in range(ceil_log2(w_min / far), floor_log2(w_max / near) + 1):
             items.append((iv.lo.coef * Fraction(2) ** n, iv.hi.coef * Fraction(2) ** n, n))
     fragments = []
-    for lo, hi, _, tags in sweep(items):
+    for lo, hi, _, tags in tagged_sweep(items):
         shift = next((t for t in tags if isinstance(t, RationalPi)), None)
         if shift is not None:
             fragments += [(lo * scale, hi * scale, shift.coef * scale)

@@ -41,6 +41,9 @@ def test_the_stdlib_only_step_passes():
     # past the budget, a failure with a gap and an overlap; a cache hit across two equal sets
     assert "gap_and_overlap.failure_regions.coefs == ((-1 - a, -1), (2 - 2 * a, 2))" in script
     assert "wm.is_wavelet_set(wm.parse_set(t)) is wm.is_wavelet_set(wm.parse_set(t))" in script
+    # past the budget, a restriction of D by bisection and a cover of its Fraction rows
+    assert "cut.coefs == ((-1, -a, 1), (a / 3, Fraction(1, 2), 1))" in script
+    assert "wm.core_equivalence_regions(W, W, window).is_empty" in script
     env = {**os.environ, "PYTHONPATH": "src"}
     done = subprocess.run([sys.executable, "-"], input=script, cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)

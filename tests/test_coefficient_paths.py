@@ -255,27 +255,28 @@ SWEEP_BUDGET = {
 
 
 class TestSweepBudget:
-    """`is_wavelet_set` decides both tilings in one count-only walk of [-2pi, 2pi) and no tagged
-    sweep; the witness, when the translates tile [-pi, pi), comes out in domain order and takes none."""
+    """`is_wavelet_set` decides both tilings in one `cover` of [-2pi, 2pi), called from the check
+    itself and from no set operation; the witness, when the translates tile [-pi, pi), comes out
+    in domain order and takes none."""
 
     @pytest.mark.parametrize("name", list(SWEEP_BUDGET))
     def test_is_wavelet_set(self, name, monkeypatch):
         W = SWEEP_BUDGET[name]()
         calls = Counter()
 
-        def count(module, called):
-            run = getattr(module, called)
+        def count(module):
+            run = module.cover
 
             def counting(*args):
-                calls[called] += 1
+                calls[module.__name__] += 1
                 return run(*args)
 
-            monkeypatch.setattr(module, called, counting)
+            monkeypatch.setattr(module, "cover", counting)
 
-        count(exact, "sweep")
-        count(wavelet_sets, "_tiling_failure")
+        count(exact)
+        count(wavelet_sets)
         is_wavelet_set.__wrapped__(W)
-        assert (calls["sweep"], calls["_tiling_failure"]) == (0, 1), calls
+        assert calls == {"wavemult.wavelet_sets": 1}, calls
 
 
 def coefficient_types(f) -> set:

@@ -9,6 +9,8 @@ and, next to 0, equal the direct lattice count.
 """
 
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -16,7 +18,7 @@ import pytest
 
 import _oracles
 from wavemult import dimension
-from wavemult.dimension import dimension_function, dimension_step_function
+from wavemult.dimension import StepFunction, dimension_function, dimension_step_function, dimension_values
 from wavemult.exact import Interval, IntervalSet, RationalPi, ceil_log2
 from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _fold, catalog
 
@@ -174,22 +176,54 @@ FRACTION_BUILD_FAMILIES = {
 def test_the_same_rows_as_the_fraction_build(monkeypatch, family):
     """`dimension_function` on the `_coordinates` of W, whose unit holds 2**(top - 1) for
     2**top >= max |W|, against the Fraction build it replaced: the same rows, from the same
-    sweep items scaled by the unit (the whole-octave shortcut, the dilate range and the
-    levels all show in the items).  Past the budget the unit is 1 and the coordinates are
-    the coefficients themselves."""
+    items scaled by the unit (the whole-octave shortcut, the dilate range and the levels all
+    show in the items).  The build's `cover` weighs what the tagged sweep tagged: the window
+    (tag 0) and the translates (tag 2) 1, and the dilates (tag 1) -1, clipped to [-pi, pi).
+    Past the budget the unit is 1 and the coordinates are the coefficients themselves."""
     make, side = FRACTION_BUILD_FAMILIES[family]
     swept = {}
-    for module in (dimension, _oracles):
-        def recording(items, module=module, sweep=module.sweep):
+    for module, name in ((dimension, "cover"), (_oracles, "tagged_sweep")):
+        def recording(items, module=module, walk=getattr(module, name)):
             swept[module] = list(items)
-            return sweep(swept[module])
+            return walk(swept[module])
 
-        monkeypatch.setattr(module, "sweep", recording)
+        monkeypatch.setattr(module, name, recording)
     for W in make():
         unit, coords, coef = coordinates_with_back(W.coefs, max(0, ceil_log2(W.max_abs().coef) - 1))
         ints = all(type(x) is int for x in chain.from_iterable(coords))
         assert ("int" if ints else "Fraction") == side and (ints or unit == 1), (W, unit)
         got = dimension_function.__wrapped__(W)
         assert got.coefs == fraction_dimension_function(W).coefs, W
-        items = [(coef(lo), coef(hi), tag) for lo, hi, tag in swept[dimension]]
-        assert items == swept[_oracles], W
+        items = [(coef(lo), coef(hi), weight) for lo, hi, weight in swept[dimension]]
+        weights = {0: 1, 1: -1, 2: 1}
+        assert items == [(max(lo, -1), min(hi, 1), weights[tag]) for lo, hi, tag in swept[_oracles]], W
+
+
+@pytest.mark.parametrize("family", FRACTION_BUILD_FAMILIES)
+def test_a_restriction_reads_the_rows_it_cuts(family):
+    """`dimension_step_function` finds the rows of D a query piece meets by bisection and clips
+    them.  On pieces that start or end on a row end, strictly inside a row, or at -pi or pi, it
+    is the canonical step function whose cells, between the ends of the query and of D's rows,
+    take D's values at their midpoints (`dimension_values`, one walk over D's int rows)."""
+    seen = Counter()
+    for index, W in enumerate(FRACTION_BUILD_FAMILIES[family][0]()):
+        rows = dimension_function(W).coefs
+        ends = [lo for lo, _, _ in rows] + [rows[-1][1]]  # D's rows cover [-pi, pi) in order
+        seen["rows"] = max(seen["rows"], len(rows))
+        rng = random.Random(f"{family} {index}")
+        for _ in range(4):
+            points = rng.sample(ends, min(len(ends), 4))
+            points += [lo + (hi - lo) / 3 for lo, hi, _ in rng.sample(rows, min(len(rows), 3))]
+            points = sorted(set(points + [x for x in (-1, 1) if rng.random() < 0.5]))
+            pieces = [(a, b) for a, b in zip(points[::2], points[1::2]) if not a <= 0 <= b]
+            query = IntervalSet(tuple(Interval(RationalPi(a), RationalPi(b)) for a, b in pieces))
+            cells = []
+            for a, b in pieces:
+                cuts = [a, *ends[bisect_right(ends, a):bisect_left(ends, b)], b]
+                cells += zip(cuts, cuts[1:])
+            values = dimension_values(W, [RationalPi((lo + hi) / 2) for lo, hi in cells])
+            want = StepFunction.from_triples((lo, hi, value) for (lo, hi), value in zip(cells, values))
+            assert dimension_step_function(W, query) == want, (W, query)
+            for x in chain.from_iterable(pieces):
+                seen["at pi" if abs(x) == 1 else "on a row end" if x in ends else "inside a row"] += 1
+    assert min(seen["at pi"], seen["inside a row"], seen["on a row end"] if seen["rows"] > 1 else 1) >= 1, seen

@@ -5,7 +5,7 @@ overlaps of one value, overlaps of two values and touching pieces all occur.
 Each list reaches `from_triples`, the only constructor, as (lo, hi, tag) triples,
 which must reject any two pieces that overlap, of one value or of two.  The
 reference merges each value's pieces with `IntervalSet.union` and finds clashes
-with `IntervalSet.intersect`; it never groups, sorts or sweeps.
+with `IntervalSet.intersect`; it never groups, sorts or covers.
 """
 
 import itertools
@@ -191,22 +191,22 @@ def overlapping(triples) -> bool:
 
 
 @pytest.fixture
-def sweeps(monkeypatch):
-    """Calls of exact.sweep, counted."""
+def covers(monkeypatch):
+    """Calls of exact.cover, counted."""
     count = [0]
-    sweep = exact.sweep
+    cover = exact.cover
 
     def counting(items):
         count[0] += 1
-        return sweep(items)
+        return cover(items)
 
-    monkeypatch.setattr(exact, "sweep", counting)
+    monkeypatch.setattr(exact, "cover", counting)
     return count
 
 
 @pytest.fixture
 def sort_keys(monkeypatch):
-    """Calls of exact._order_key, the sort key of `from_triples` (and of the sweep), counted."""
+    """Calls of exact._order_key, the sort key of `from_triples` (and of `cover`), counted."""
     count = [0]
     key = exact._order_key
 
@@ -263,10 +263,10 @@ def over(unit):
 class TestLinearBuild:
     """`from_triples` drops empty triples, sorts the rest only when they do not come sorted
     and pairwise disjoint (int coordinates by themselves, any others by one sort key per
-    triple), and raises on any overlap; it never sweeps.  The result is what the
+    triple), and raises on any overlap; it never runs `cover`.  The result is what the
     object-level build gives."""
 
-    def test_matches_the_object_level_build(self, sweeps, sort_keys):
+    def test_matches_the_object_level_build(self, covers, sort_keys):
         """Each case as a StepFunction of Fraction coefficients, and as a translation on int
         coordinates over unit 4 whose shifts, 10 * value, keep the images of values apart."""
         seen = Counter()
@@ -287,17 +287,17 @@ class TestLinearBuild:
                 for side, cls, build in (
                         ("Fraction", StepFunction, lambda: StepFunction.from_triples(case)),
                         ("int", PiecewiseTranslation, lambda: over(4)(shifted))):
-                    sweeps[0] = sort_keys[0] = 0
+                    covers[0] = sort_keys[0] = 0
                     keys = 0 if side == "int" else len(kept)
                     if overlap:
                         with pytest.raises(ValueError, match=cls.OVERLAP_ERROR):
                             build()
                         seen["one-value overlap" if wants else "two-value overlap"] += 1
-                        assert (sweeps[0], sort_keys[0]) == (0, keys), seed
+                        assert (covers[0], sort_keys[0]) == (0, keys), seed
                         continue
                     f = build()
                     assert (f.pairs, f.domain, tuple(f.rows())) == wants[side], seed
-                    assert (sweeps[0], sort_keys[0]) == (0, 0 if in_order else keys), seed
+                    assert (covers[0], sort_keys[0]) == (0, 0 if in_order else keys), seed
                     seen["in order" if in_order else "sorted"] += 1
                     seen["merged" if len(f.coefs) < len(kept) else "kept"] += 1
                     seen["empty triple"] += len(kept) < len(case)
@@ -311,26 +311,26 @@ class TestLinearBuild:
         assert sort_keys[0] == 0
         assert f.coefs == ((0, 2, 1),)
 
-    def test_touching_cells_of_one_tag_merge(self, sweeps):
+    def test_touching_cells_of_one_tag_merge(self, covers):
         f = PiecewiseTranslation.from_triples([(Fraction(0), Fraction(1), Fraction(2)),
                                                (Fraction(1), Fraction(2), Fraction(2)),
                                                (Fraction(2), Fraction(3), Fraction(-2))])
-        assert sweeps[0] == 0
+        assert covers[0] == 0
         assert f.coefs == ((0, 2, 2), (2, 3, -2))
 
-    def test_an_overlap_raises(self, sweeps, sort_keys):
+    def test_an_overlap_raises(self, covers, sort_keys):
         """Fraction triples within the budget of `_coordinates` sort as ints: no sort key."""
         with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
             PiecewiseTranslation.from_triples([(Fraction(0), Fraction(2), Fraction(2)),
                                                (Fraction(1), Fraction(3), Fraction(4))])
-        assert (sweeps[0], sort_keys[0]) == (0, 0)
+        assert (covers[0], sort_keys[0]) == (0, 0)
 
-    def test_an_overlap_past_the_budget_raises(self, sweeps, sort_keys):
+    def test_an_overlap_past_the_budget_raises(self, covers, sort_keys):
         """A 2**-4000 endpoint keeps the coordinates Fractions: one sort key per triple."""
         with pytest.raises(ValueError, match=PiecewiseTranslation.OVERLAP_ERROR):
             PiecewiseTranslation.from_triples([(Fraction(0), Fraction(2), Fraction(2)),
                                                (Fraction(1), 3 + Fraction(1, 2**4000), Fraction(4))])
-        assert (sweeps[0], sort_keys[0]) == (0, 2)
+        assert (covers[0], sort_keys[0]) == (0, 2)
 
     @pytest.mark.parametrize("cls", [Piecewise, StepFunction, PiecewiseTranslation])
     @pytest.mark.parametrize("triple", [(0.5, 1.0, 2), (Fraction(0), Fraction(1), 2.0),
@@ -429,24 +429,25 @@ def test_the_rule_matches_the_replaced_builds():
 
 
 def test_a_sweep_keys_int_endpoints_by_themselves(sort_keys):
-    """A sweep over int coordinates takes no sort key and gives the cells of the same items
-    as Fraction coefficients, in coordinates; one Fraction endpoint keys every endpoint."""
+    """A `cover` of int coordinates takes no sort key and gives the runs of the same items
+    as Fraction coefficients, in coordinates; one Fraction endpoint keys every endpoint.
+    Each triple weighs 1 + its value."""
     seen = Counter()
     for seed in SEEDS:
         rng = random.Random(seed)
-        triples = ordered_triples(rng)
+        triples = [(lo, hi, 1 + value) for lo, hi, value in ordered_triples(rng)]
         triples = rng.sample(triples, len(triples))
         sort_keys[0] = 0
-        cells = list(exact.sweep(scaled(triples)))
+        runs = exact.cover(scaled(triples))
         assert sort_keys[0] == 0, seed
-        want = list(exact.sweep(triples))
+        want = exact.cover(triples)
         assert sort_keys[0] == 2 * len(triples), seed
-        assert cells == [(lo * 4, hi * 4, count, tags) for lo, hi, count, tags in want], seed
+        assert runs == [(lo * 4, hi * 4, total) for lo, hi, total in want], seed
         if triples:
             sort_keys[0] = 0
-            list(exact.sweep(scaled(triples) + [(Fraction(-9), Fraction(-9), None)]))
+            exact.cover(scaled(triples) + [(Fraction(-9), Fraction(-9), 1)])
             assert sort_keys[0] == 2 * len(triples) + 2, seed
-        seen["overlap" if any(count > 1 for _, _, count, _ in want) else "disjoint"] += 1
+        seen["overlap" if overlapping([t for t in triples if t[0] < t[1]]) else "disjoint"] += 1
     assert min(seen["overlap"], seen["disjoint"]) >= 10, seen
 
 

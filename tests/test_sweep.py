@@ -1,4 +1,4 @@
-"""The sort-and-sweep kernel and its callers against the midpoint-recount oracles."""
+"""The weighted cover walk and its callers against the midpoint-recount oracles."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wavemult.dimension import core_equivalence_regions, dimension_step_function
-from wavemult.exact import Interval, IntervalSet, RationalPi, sweep
+from wavemult.exact import Interval, IntervalSet, RationalPi, cover
 from wavemult.parsing import parse_set
 from wavemult.sigma import build_sigma, compose_power, dyadic_extension
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog
@@ -16,6 +16,7 @@ from _oracles import (
     extension_at,
     fraction_tiling_check,
     hull_dyadic_extension,
+    midpoint_cover,
     midpoint_differing_regions,
     midpoint_set_algebra,
     midpoint_step_from_covers,
@@ -45,7 +46,7 @@ def random_intervals(rng, max_count=8):
 
 
 def coefs(intervals):
-    """Coefficient pairs (lo, hi) of intervals, the form the private sweep callers take."""
+    """Coefficient pairs (lo, hi) of intervals, the form the tiling oracles take."""
     return [(iv.lo.coef, iv.hi.coef) for iv in intervals]
 
 
@@ -55,45 +56,59 @@ def cell_starts(pt):
 
 
 class TestSweep:
+    """`cover`, the one weighted walk, against hand counts and the midpoint oracle: the weights
+    of the old tags give each run its total, gaps included."""
+
     def test_counts_and_tags(self):
-        items = [(F(0), F(2), "a"), (F(1), F(3), "b"), (F(1), F(2), "a")]
-        assert list(sweep(items)) == [
-            (F(0), F(1), 1, ("a",)),
-            (F(1), F(2), 3, ("a", "b")),
-            (F(2), F(3), 1, ("b",)),
-        ]
+        items = [(F(0), F(2), 1), (F(1), F(3), 2), (F(1), F(2), 1)]
+        assert cover(items) == [(F(0), F(1), 1), (F(1), F(2), 4), (F(2), F(3), 2)]
+        assert cover([(int(lo), int(hi), w) for lo, hi, w in items]) == [(0, 1, 1), (1, 2, 4), (2, 3, 2)]
 
     def test_gaps_and_touching_intervals(self):
-        items = [(F(0), F(1), 0), (F(1), F(2), 0), (F(3), F(4), 1)]
-        assert [(lo, hi, n) for lo, hi, n, _ in sweep(items)] == [
-            (F(0), F(1), 1),
-            (F(1), F(2), 1),
-            (F(3), F(4), 1),
-        ]
-        assert list(sweep([])) == []
+        items = [(F(0), F(1), 1), (F(1), F(2), 1), (F(3), F(4), 1)]
+        assert cover(items) == [(F(0), F(2), 1), (F(2), F(3), 0), (F(3), F(4), 1)]
+        assert cover([]) == []
 
     def test_close_endpoints_stay_ordered(self):
         # both endpoints fall in the same 2**-64 bucket of the sort key
         a, b = F(1, 3), F(1, 3) + F(1, 2**80)
-        items = [(b, F(1), "late"), (a, F(1), "early")]
-        assert list(sweep(items)) == [(a, b, 1, ("early",)), (b, F(1), 2, ("early", "late"))]
+        items = [(b, F(1), 2), (a, F(1), 1)]
+        assert cover(items) == [(a, b, 1), (b, F(1), 3)]
 
     @pytest.mark.parametrize("seed", range(100))
     def test_counts_match_membership(self, seed):
         rng = random.Random(seed)
         ivs = random_intervals(rng)
-        cells = list(sweep((iv.lo.coef, iv.hi.coef, i) for i, iv in enumerate(ivs)))
-        for lo, hi, count, tags in cells:
+        runs = cover([(iv.lo.coef, iv.hi.coef, 1) for iv in ivs])
+        for lo, hi, count in runs:
             assert lo < hi
             mid = RationalPi((lo + hi) / 2)
-            inside = [i for i, iv in enumerate(ivs) if iv.lo <= mid < iv.hi]
-            assert count == len(inside)
-            assert sorted(tags) == inside
-        assert all(a[1] <= b[0] for a, b in zip(cells, cells[1:]))
+            assert count == sum(1 for iv in ivs if iv.lo <= mid < iv.hi)
+        assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
         covered = IntervalSet.from_intervals(
-            Interval(RationalPi(lo), RationalPi(hi)) for lo, hi, _, _ in cells
+            Interval(RationalPi(lo), RationalPi(hi)) for lo, hi, count in runs if count
         )
         assert covered == IntervalSet.from_intervals(ivs)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_weighted_totals_match_midpoint_sums(self, seed):
+        """Weights that are negative, zero or cancel, on int coordinates and on the same items as
+        Fractions past the 3072-bit budget, some of them in one 2**-64 bucket."""
+        rng = random.Random(seed)
+        ints = []
+        for _ in range(rng.randint(0, 10)):
+            lo, hi = sorted(rng.sample(range(-24, 25), 2))
+            w = rng.choice((-3, -1, 0, 1, 2))
+            ints.append((lo, hi, w))
+            if rng.random() < 0.3:  # the same interval, cancelled
+                ints.append((lo, hi, -w))
+        deep = F(1, 3**2000)
+        assert deep.denominator.bit_length() > 3072
+        fractions = [(lo + deep * rng.randint(0, 2), hi + deep * rng.randint(0, 2), w) for lo, hi, w in ints]
+        for items in (ints, fractions):
+            runs = cover(rng.sample(items, len(items)))
+            assert runs == midpoint_cover(items), seed
+            assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
 
 
 class TestAgainstMidpointOracles:
