@@ -290,11 +290,6 @@ class RationalPi:
     def is_zero(self) -> bool:
         return self.coef == 0
 
-    @property
-    def is_two_pi_multiple(self) -> bool:
-        """True when the value lies on the 2*pi*Z lattice."""
-        return self.coef % 2 == 0
-
     def __add__(self, other: "RationalPi") -> "RationalPi":
         if not isinstance(other, RationalPi):
             return NotImplemented

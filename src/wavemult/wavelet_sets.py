@@ -89,9 +89,6 @@ class PiecewiseTranslation(Piecewise):
         unit, rows = self._on_unit()
         return not any(shift % (2 * unit) for *_, shift in rows)
 
-    def apply(self, x: RationalPi) -> RationalPi:
-        return x + self.value_at(x)
-
     cases = Piecewise.rows
 
     def inverse(self) -> "PiecewiseTranslation":

@@ -1,13 +1,13 @@
-"""The coefficient-level exact paths against the object-level code they replaced.
+"""The coefficient-level exact paths against the object-level references.
 
-`tests/_oracles.py` keeps the replaced paths: fragments, translates and
-covers built as Interval/IntervalSet objects, step functions and witnesses
-canonicalized by grouping their pairs by value, and the set operations,
-piecewise core and sigma sweeps as written on Interval and RationalPi
-objects.  The library must give the same reports, step functions, regions,
-sets and maps; lookups must agree with a scan over all pairs; every stored
-coefficient must be a Fraction; and the exact operations must build no
-Interval objects at all.
+`tests/_oracles.py` keeps the replaced paths: fragments and tilings built as
+Interval/IntervalSet objects, step functions and witnesses from the rows of a
+tagged sweep, and the set operations and sigma sweeps as written on Interval
+and RationalPi objects; the dimension function on a window comes from the
+windowed reference, built from every translate that reaches the window.  The
+library must give the same reports, step functions, regions, sets and maps;
+lookups must agree with a scan over all pairs; every stored coefficient must
+be a Fraction; and the exact operations must build no Interval objects at all.
 """
 
 import itertools
@@ -42,19 +42,19 @@ from wavemult.wavelet_sets import (
 )
 
 from _oracles import (
+    midpoint_differing_regions,
     near_zero_wavelet_set,
     object_commutant_witness,
     object_compose,
-    object_core_regions,
     object_dyadic_extension,
     object_piecewise,
     object_set_ops,
-    object_step_pairs,
     object_value_at,
     object_wavelet_report,
     random_wavelet_candidate,
     scan_value_at,
     two_interval_wavelet_set,
+    windowed_step_function,
 )
 
 DEPTHS = (1, 3, 12, 40, 100)
@@ -142,7 +142,8 @@ class TestDimensionStepFunction:
         for depth, symmetric in itertools.product(DEPTHS, (True, False)):
             query = window(depth, symmetric)
             f = dimension_step_function(W, query)
-            pairs, domain = object_step_pairs(W, query)
+            want = windowed_step_function(W, query)
+            pairs, domain = want.pairs, want.domain
             assert f.pairs == pairs, (name, depth)
             assert f.domain == domain == query
             assert f.rows() == sorted(((iv, v) for piece, v in pairs for iv in piece),
@@ -154,7 +155,8 @@ class TestCoreEquivalenceRegions:
     def test_matches_the_object_level_regions(self, a, b):
         for depth in (3, 12, 100):
             query = window(depth)
-            want = object_core_regions(catalog(a), catalog(b), query)
+            want = midpoint_differing_regions(windowed_step_function(catalog(a), query),
+                                              windowed_step_function(catalog(b), query), query)
             assert core_equivalence_regions(catalog(a), catalog(b), query) == want
 
 

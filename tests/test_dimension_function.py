@@ -3,7 +3,8 @@
 `dimension_function(W)` builds D once on [-pi, pi) and every window is a
 restriction of it.  The reference in `tests/_oracles.py` builds D on the
 window alone from every translate 2**-j * W - 2*pi*k deep enough to reach
-it.  On the whole circle D must integrate to 2*pi, satisfy the consistency
+it; on a window that reaches past every end of D but 0, it checks every row of
+D.  On the whole circle D must integrate to 2*pi, satisfy the consistency
 equation D(xi) + D(xi + pi) = D(2 xi) + 1 (Bownik, Rzeszotnik & Speegle 2001)
 and, next to 0, equal the direct lattice count.
 """
@@ -16,17 +17,14 @@ from itertools import chain
 
 import pytest
 
-import _oracles
 from wavemult import dimension
 from wavemult.dimension import StepFunction, dimension_function, dimension_step_function, dimension_values
-from wavemult.exact import Interval, IntervalSet, RationalPi, ceil_log2
+from wavemult.exact import Interval, IntervalSet, RationalPi, _coordinates, ceil_log2
 from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _fold, catalog
 
 from _oracles import (
     brute_dimension_count,
-    coordinates_with_back,
     deep_piece_wavelet_set,
-    fraction_dimension_function,
     near_zero_wavelet_set,
     random_point_in,
     two_interval_wavelet_set,
@@ -172,31 +170,46 @@ FRACTION_BUILD_FAMILIES = {
 }
 
 
+def dilate_count(W: IntervalSet) -> int:
+    """The dilates of W's pieces that D's cover subtracts: one for a whole octave [x, 2x) below
+    pi or its mirror, else one for each 2**m * piece, m >= 0, that starts below pi."""
+    count = 0
+    for lo, hi in W.coefs:
+        near = lo if lo > 0 else -hi
+        if hi - lo == near and near < 1:
+            count += 1
+            continue
+        while near < 1:
+            count += 1
+            near *= 2
+    return count
+
+
 @pytest.mark.parametrize("family", FRACTION_BUILD_FAMILIES)
 def test_the_same_rows_as_the_fraction_build(monkeypatch, family):
     """`dimension_function` on the `_coordinates` of W, whose unit holds 2**(top - 1) for
-    2**top >= max |W|, against the Fraction build it replaced: the same rows, from the same
-    items scaled by the unit (the whole-octave shortcut, the dilate range and the levels all
-    show in the items).  The build's `cover` weighs what the tagged sweep tagged: the window
-    (tag 0) and the translates (tag 2) 1, and the dilates (tag 1) -1, clipped to [-pi, pi).
-    Past the budget the unit is 1 and the coordinates are the coefficients themselves."""
+    2**top >= max |W|, against the windowed reference on [-pi, -eps) u [eps, pi), eps half the
+    least |end| of D's rows other than 0: D's rows clipped to that window are the reference's,
+    so the value of every row and every end but 0 is checked, on both sides of the budget.
+    Past it the unit is 1 and the coordinates are the coefficients themselves.  D keeps that
+    unit, and its `cover` takes `dilate_count(W)` dilates (weight -1): the unit, the dilate
+    range and the whole-octave shortcut show there even where the rows come out the same."""
     make, side = FRACTION_BUILD_FAMILIES[family]
-    swept = {}
-    for module, name in ((dimension, "cover"), (_oracles, "tagged_sweep")):
-        def recording(items, module=module, walk=getattr(module, name)):
-            swept[module] = list(items)
-            return walk(swept[module])
-
-        monkeypatch.setattr(module, name, recording)
+    swept, cover = [], dimension.cover
+    monkeypatch.setattr(dimension, "cover", lambda items: swept.append(items) or cover(items))
     for W in make():
-        unit, coords, coef = coordinates_with_back(W.coefs, max(0, ceil_log2(W.max_abs().coef) - 1))
+        unit, coords = _coordinates(W.coefs, max(0, ceil_log2(W.max_abs().coef) - 1))
         ints = all(type(x) is int for x in chain.from_iterable(coords))
         assert ("int" if ints else "Fraction") == side and (ints or unit == 1), (W, unit)
         got = dimension_function.__wrapped__(W)
-        assert got.coefs == fraction_dimension_function(W).coefs, W
-        items = [(coef(lo), coef(hi), weight) for lo, hi, weight in swept[dimension]]
-        weights = {0: 1, 1: -1, 2: 1}
-        assert items == [(max(lo, -1), min(hi, 1), weights[tag]) for lo, hi, tag in swept[_oracles]], W
+        assert got._on_unit()[0] == unit, W
+        assert sum(1 for *_, weight in swept[-1] if weight == -1) == dilate_count(W), W
+        assert got.domain == PRINCIPAL_WINDOW, W
+        eps = min(abs(x) for lo, hi, _ in got.coefs for x in (lo, hi) if x) / 2
+        halves = ((Fraction(-1), -eps), (eps, Fraction(1)))
+        clipped = [(max(lo, a), min(hi, b), value) for lo, hi, value in got.coefs for a, b in halves]
+        window = IntervalSet.from_cells(halves)
+        assert StepFunction.from_triples(clipped) == windowed_step_function(W, window), W
 
 
 @pytest.mark.parametrize("family", FRACTION_BUILD_FAMILIES)

@@ -56,10 +56,10 @@ class TestRationalPi:
         assert rp(big // 3, big) < rp(1, 3)
 
     def test_two_pi_multiples(self):
-        assert rp(-4).is_two_pi_multiple
-        assert rp(0).is_two_pi_multiple
-        assert not rp(-9, 4).is_two_pi_multiple
-        assert not rp(1).is_two_pi_multiple
+        assert rp(-4).coef % 2 == 0
+        assert rp(0).coef % 2 == 0
+        assert not rp(-9, 4).coef % 2 == 0
+        assert not rp(1).coef % 2 == 0
 
     def test_float_and_text(self):
         x = rp(15, 8)

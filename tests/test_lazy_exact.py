@@ -2,11 +2,11 @@
 
 A builder on integer coordinates returns its result carrying (unit, int rows), and the
 result builds its `coefs` (an image's, a failure region's, the dimension function's) by one
-map back when they are first read.  Against the eager map back that these builders ran before
-(`_oracles.eager_mapped`, with c / unit or, for a power of sigma, `chain_coefficient`): the same
-values and types, read in every order, within the `COORD_BITS` budget and past it; `==` and
-`hash` agree between a lazy result and an eager one; and the readers that stay on the ints
-build no `coefs` that they do not return.
+map back when they are first read.  Against an eager counterpart, each carried coordinate c
+mapped to c / unit at once and built again by the public constructor: the same values and
+types, read in every order, within the `COORD_BITS` budget and past it; `==` and `hash` agree
+between a lazy result and an eager one; and the readers that stay on the ints build no `coefs`
+that they do not return.
 """
 
 import itertools
@@ -21,10 +21,7 @@ from wavemult.sigma import build_sigma, compose, compose_power, power_in_local_c
 from wavemult.wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog, is_wavelet_set
 
 from _oracles import (
-    chain_coefficient,
     deep_piece_wavelet_set,
-    eager_mapped,
-    eager_set,
     near_zero_wavelet_set,
     object_commutant_witness,
     random_wavelet_candidate,
@@ -32,22 +29,24 @@ from _oracles import (
 )
 
 
-def eager(result, start=None):
+def eager(result):
     """The eager counterpart of an unread result, from the rows it carries: every coordinate
-    mapped back at once, c / unit (a Fraction coordinate, past the budget, as it is), or for a
-    power of sigma whose chain started over `start`, by `chain_coefficient`."""
+    mapped back at once, c / unit with the power of two they share divided out first (a
+    Fraction coordinate, past the budget, as it is), and the result built again from those
+    by its public constructor."""
     assert "coefs" not in result.__dict__, "read before its reference was taken"
     unit, rows = result._carried
 
     def back(c):
-        return Fraction(c, unit) if type(c) is int else c
+        if type(c) is not int:
+            return c
+        twos = min((c & -c).bit_length(), (unit & -unit).bit_length()) - 1 if c else 0
+        return Fraction(c >> twos, unit >> twos)
 
-    if start is not None and unit > 1:
-        back = chain_coefficient(unit, start, lambda c: Fraction(c, start))
     if isinstance(result, PiecewiseTranslation):
-        return eager_mapped(rows, result.image._carried[1], back)
+        return PiecewiseTranslation.from_triples([tuple(map(back, row)) for row in rows])
     if isinstance(result, IntervalSet):
-        return eager_set(rows, back)
+        return IntervalSet.from_cells((back(row[0]), back(row[1])) for row in rows)
     return StepFunction.from_triples((back(lo), back(hi), value) for lo, hi, value in rows)
 
 
@@ -56,15 +55,15 @@ def types(coefs) -> list:
 
 
 def check_every_order(make):
-    """Build the parts afresh for each order of reading them; each part read, its image with
-    it for a translation, equals its eager counterpart in values and types, and in `==` and
-    `hash`.  Returns the units the parts carried: 1 for each past the budget, whose rows hold
-    Fractions (and ints, such as shifts and the window's ends)."""
-    names, units = [name for name in make() if name != "start"], set()
-    for order in itertools.permutations(names):
+    """Build the eager counterparts once and the parts afresh for each order of reading them;
+    each part read, its image with it for a translation, equals its eager counterpart in values
+    and types, and in `==` and `hash`.  Returns the units the parts carried: 1 for each past the
+    budget, whose rows hold Fractions (and ints, such as shifts and the window's ends)."""
+    wants = {name: eager(part) for name, part in make().items()}
+    units = set()
+    for order in itertools.permutations(wants):
         parts = make()
-        start = parts.pop("start", None)
-        wants = {name: eager(part, start) for name, part in parts.items()}
+        assert not any("coefs" in part.__dict__ for part in parts.values()), order
         for name in order:
             part, want = parts[name], wants[name]
             unit, rows = part._carried
@@ -93,10 +92,9 @@ def sigma_of(pair):
 
 
 def power_parts(pair, p):
-    """sigma**p and its image; the chain of a power p >= 2 starts over sigma's own unit."""
-    sigma = sigma_of(pair)
-    power = compose_power(sigma, p)
-    return {"power": power, "power_image": power.image, "start": sigma.mapping._carried[0] if p > 1 else None}
+    """sigma**p and its image."""
+    power = compose_power(sigma_of(pair), p)
+    return {"power": power, "power_image": power.image}
 
 
 MIRROR = near_zero_wavelet_set(10000)

@@ -21,7 +21,7 @@ from wavemult.dimension import StepFunction
 from wavemult.exact import Interval, IntervalSet, PreconditionError, Piecewise, RationalPi
 from wavemult.wavelet_sets import PiecewiseTranslation, is_wavelet_set
 
-from _oracles import object_piecewise, random_wavelet_candidate, sorted_disjoint_union, two_path_rows
+from _oracles import midpoint_cover, object_piecewise, random_wavelet_candidate
 
 SEEDS = range(300)
 SHIFTS = tuple(RationalPi(Fraction(k, 2)) for k in (-4, -1, 0, 1, 4))
@@ -131,7 +131,7 @@ def test_piecewise_translation_matches_reference():
         assert pt.cases() == pt.rows()
         check_lookup(pt, canonical)
         for iv, shift in pt.rows():
-            assert pt.apply(iv.lo) == iv.lo + shift
+            assert iv.lo + pt.value_at(iv.lo) == iv.lo + shift
         shuffled = list(pairs)
         rng.shuffle(shuffled)
         assert translation(shuffled) == pt
@@ -398,9 +398,9 @@ class TestLinearBuild:
 
 
 def test_the_rule_matches_the_replaced_builds():
-    """Against the two-path build and the sorted image union it replaced, on seeded
-    triples in order and shuffled: the same rows and image, except that an overlap of one
-    value, which the two-path build merged, is now rejected."""
+    """Against the object-level rows of a tagged sweep and a midpoint cover of the images, on
+    seeded triples in order and shuffled: the same rows and image, except that an overlap of
+    one value, which the sweep merges, is rejected."""
     seen = Counter()
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -408,7 +408,7 @@ def test_the_rule_matches_the_replaced_builds():
         for triples in (ordered, rng.sample(ordered, len(ordered))):
             rows = exact._disjoint_rows(triples)
             try:
-                want = two_path_rows(triples)
+                want = [[iv.lo.coef, iv.hi.coef, tag] for iv, tag in object_piecewise(triples)[2]]
             except ValueError:
                 assert rows is None
                 seen["two-value overlap"] += 1
@@ -419,11 +419,11 @@ def test_the_rule_matches_the_replaced_builds():
                 continue
             assert rows == want, seed
             images = [(lo + tag, hi + tag) for lo, hi, tag in rows]
-            union = sorted_disjoint_union(images)
+            runs = midpoint_cover((lo, hi, 1) for lo, hi in images)
             image = exact._disjoint_rows((lo, hi, None) for lo, hi in images)
-            assert (image is None) is (union is None), seed
+            assert (image is None) is any(total > 1 for *_, total in runs), seed
             if image is not None:
-                assert tuple((lo, hi) for lo, hi, _ in image) == union.coefs, seed
+                assert [(lo, hi) for lo, hi, _ in image] == [(lo, hi) for lo, hi, total in runs if total], seed
             seen["injective" if image is not None else "not injective"] += 1
     assert min(seen[k] for k in ("two-value overlap", "one-value overlap", "injective", "not injective")) >= 10, seen
 

@@ -37,20 +37,12 @@ from wavemult import sigma as sigma_module
 
 from _oracles import (
     extension_at,
-    fraction_compose,
     fraction_dyadic_extension,
-    hull_dyadic_extension,
-    int_compose,
-    int_dyadic_extension,
-    lookup_pull_back,
     loop_compose_powers,
     near_zero_wavelet_set,
+    object_compose,
     object_dyadic_extension,
-    per_call_compose,
-    per_call_compose_power,
-    per_call_dyadic_extension,
     random_point_in,
-    sweep_pull_back,
     two_interval_wavelet_set,
 )
 
@@ -149,7 +141,7 @@ class TestExtendAt:
         ext = dyadic_extension(paper_sigma.mapping, region)
         for _ in range(500):
             x = random_point_in(rng, region)
-            assert ext.apply(x) == extension_at(paper_sigma.mapping, x)
+            assert x + ext.value_at(x) == extension_at(paper_sigma.mapping, x)
 
 
 class TestRestrictExtended:
@@ -188,7 +180,7 @@ class TestRestrictExtended:
 
 EDGE = Fraction(1, 2**60)
 WINDOWS = [parse_set("[-1pi,-1/1024pi),[1/1024pi,1pi)"), parse_set(f"[-3pi,-{EDGE}pi),[{EDGE}pi,5pi)")]
-# (set, powers, extra regions); the hull-wide references take seconds on the deep set.
+# (set, powers, extra regions); the hull-wide reference takes seconds on the deep set.
 OCTAVE_CASES = [pytest.param(catalog(name), (1, 2), WINDOWS, id=name) for name in CATALOG_NAMES]
 OCTAVE_CASES += [pytest.param(near_zero_wavelet_set(n), (1, 2), WINDOWS, id=f"near_zero {n}") for n in (2, 50)]
 OCTAVE_CASES += [pytest.param(near_zero_wavelet_set(1000), (1,), [], id="near_zero 1000")]
@@ -197,7 +189,7 @@ OCTAVE_CASES += [pytest.param(near_zero_wavelet_set(1000), (1,), [], id="near_ze
 class TestOctaveExtension:
     """`dyadic_extension` dilates each region piece only by the 2**n that carry one of its
     octaves onto an octave of the map domain; it must give the extension that the
-    object-level and hull-wide references build from every level of the domain's hull."""
+    object-level reference builds from every level of the domain's hull."""
 
     @pytest.mark.parametrize("W,powers,windows", OCTAVE_CASES)
     def test_matches_the_hull_references(self, W, powers, windows, shannon):
@@ -207,7 +199,6 @@ class TestOctaveExtension:
                 for base, region in itertools.product((current, sigma.mapping), [current.image] + windows):
                     ext = dyadic_extension(base, region)
                     assert ext == object_dyadic_extension(base, region), (p, region)
-                    assert ext == hull_dyadic_extension(base, region), (p, region)
 
     def test_a_piece_near_zero_adds_no_levels_elsewhere(self, monkeypatch):
         """sigma**2 for a wavelet set 2**-10000 pi from 0 has 8 rows; each extension looks up
@@ -288,7 +279,7 @@ class TestComposePower:
                     y = x
                     for _ in range(p):
                         y = extension_at(sigma.mapping, y)
-                    assert composed.apply(x) == y
+                    assert x + composed.value_at(x) == y
 
     def test_measure_preserving_powers(self, paper_sigma, shannon, journe):
         for sigma in (paper_sigma, build_sigma(shannon, journe)):
@@ -334,11 +325,22 @@ def fraction_side_sigmas():
 
 
 def fraction_extension_after(base, region):
-    """The Fraction bodies in both forms of `dyadic_extension`: on a set, the extension
-    there; after a map m, m composed with the extension on m's image."""
+    """The references in both forms of `dyadic_extension`: on a set, the octave extension
+    there; after a map m, m composed on `Interval` pieces with the extension on m's image."""
     if isinstance(region, IntervalSet):
         return fraction_dyadic_extension(base, region)
-    return fraction_compose(region, fraction_dyadic_extension(base, region.image))
+    return object_compose(region, fraction_dyadic_extension(base, region.image))
+
+
+def binary_power(sigma, power):
+    """`compose_power` by binary powering over the references, one `fraction_extension_after`
+    per squaring and per set bit, each step a finished map of Fractions."""
+    current = sigma.mapping
+    for bit in bin(power)[3:]:
+        current = fraction_extension_after(current, current)
+        if bit == "1":
+            current = fraction_extension_after(sigma.mapping, current)
+    return current
 
 
 def fractions_of(rows, unit) -> list:
@@ -374,23 +376,23 @@ def octaves_of(domain) -> set:
     return {(lo > 0, m) for lo, hi in domain.coefs for m in octaves(lo, hi)}
 
 
-def reference_steps(unit, first, then, error, octaves):
-    """The replaced bodies on the Fraction maps of a step's coordinate rows: for a composition
-    the per-call lookup and the Fraction sweep; for an extension after the map `first`, those
-    of `dyadic_extension`, whose domain octaves must be `octaves`."""
+def reference_step(unit, first, then, error, octaves):
+    """The reference on the Fraction maps of a step's coordinate rows: for a composition
+    `object_compose`; for an extension after the map `first`, `fraction_extension_after`,
+    whose domain octaves must be `octaves`."""
     m = PiecewiseTranslation.from_triples(fractions_of(first, unit))
     t = PiecewiseTranslation.from_triples(fractions_of(then, unit))
     if octaves is None:
-        return per_call_compose(m, t), fraction_compose(m, t)
+        return object_compose(m, t)
     assert octaves == octaves_of(t.domain)
-    return per_call_dyadic_extension(t, m), fraction_extension_after(t, m)
+    return fraction_extension_after(t, m)
 
 
 class TestIntegerCoordinates:
     """Every pull-back step, on int coordinates or past the budget on Fraction ones, against
-    the bodies it replaced: each step of a chain of powers, mapped to Fractions, gives the rows
-    and image that the per-call lookup and the Fraction sweep give on the same arguments, and
-    each input takes the side of the budget it should."""
+    the references: each step of a chain of powers, mapped to Fractions, gives the rows and
+    image that the tagged sweeps of `reference_step` give on the same arguments, and each
+    input takes the side of the budget it should."""
 
     @pytest.mark.parametrize("side,cases", [("int", integer_side_sigmas), ("Fraction", fraction_side_sigmas)],
                              ids=["int", "Fraction"])
@@ -406,8 +408,8 @@ class TestIntegerCoordinates:
                 if key not in checked:
                     checked.add(key)
                     got = (tuple(fractions_of(rows, scaled)), tuple(fractions_of(image, scaled)))
-                    for want in reference_steps(unit, first, then, error, octaves):
-                        assert got == (want.coefs, tuple((lo, hi, None) for lo, hi in want.image.coefs))
+                    want = reference_step(unit, first, then, error, octaves)
+                    assert got == (want.coefs, tuple((lo, hi, None) for lo, hi in want.image.coefs))
             calls.clear()
         assert len(checked) >= (100 if side == "int" else 8) and set(sides) == {side}, (len(checked), set(sides))
 
@@ -512,12 +514,17 @@ def pulled(pull_back, rows, cut, n, error=EXTENSION_ERROR):
     """(coefs, image) of the pull-back with the dilations 2**0 and 2**n, or the type and message
     of the ValueError it raises.  An int coordinate x stands for x / 24.  `_pull_back` finds
     the dilations as those from the image pieces' octave, 10 over its unit (1/3 for Fraction
-    rows), onto the octaves 10 and 10 + n of a domain, and may shift int rows to a new unit."""
+    rows), onto the octaves 10 and 10 + n of a domain, and may shift int rows to a new unit.
+    A reference takes the map of the `then` rows and that of the first rows, in Fractions: the
+    image pieces lie in [U, 2U), the `then` rows in that octave or in its 2**n-dilate, so the
+    other dilations that their octaves allow meet no row."""
     ints = type(rows[0][0]) is int
     try:
         if pull_back is not sigma_module._pull_back:
-            return result_of(pull_back(rows, cut, (lambda c: Fraction(c, 24)) if ints else (lambda c: c),
-                                       error, lambda lo, hi: (0, n)))
+            coef = (lambda c: Fraction(c, 24)) if ints else (lambda c: c)
+            first, then = (PiecewiseTranslation.from_triples([tuple(map(coef, row)) for row in part])
+                           for part in (rows[:cut], rows[cut:]))
+            return result_of(pull_back(then, first))
         octaves = {(True, 10), (True, 10 + n)}
         unit, coords, image = pull_back(1 if ints else Fraction(1, 3), rows[:cut], rows[cut:], error, octaves)
     except ValueError as e:
@@ -532,8 +539,8 @@ def result_of(translation):
 class TestPullBackLookup:
     """`_pull_back` reads the `then` rows each dilate meets by bisection on their starts; on
     seeded rows that hit every edge of that lookup, on ints and on Fractions, it gives the
-    rows and image of the sweep and of the per-call lookup it replaced, and all three raise
-    the same coverage error, which the step now decides by comparing merged domains."""
+    rows and image of the tagged sweeps of `fraction_extension_after`, and both raise their
+    coverage error, which the step decides by comparing merged domains."""
 
     @pytest.mark.parametrize("side", ["int", "Fraction"])
     def test_matches_the_sweep_on_every_edge(self, side):
@@ -544,8 +551,7 @@ class TestPullBackLookup:
             seen |= lookup_edges(rows, cut, n)
             rows = rows if side == "int" else on_fractions(rows)
             got = pulled(sigma_module._pull_back, rows, cut, n)
-            for reference in (sweep_pull_back, lookup_pull_back):
-                assert got == pulled(reference, rows, cut, n), (case, rows, cut, n)
+            assert got == pulled(fraction_extension_after, rows, cut, n), (case, rows, cut, n)
             assert not isinstance(got[0], type), (case, got)
         assert seen == {"starts at a row's start", "starts at a row's end", "ends at a row's start",
                         "spans several rows", "before the first row", "after the last row",
@@ -554,7 +560,8 @@ class TestPullBackLookup:
     @pytest.mark.parametrize("side", ["int", "Fraction"])
     @pytest.mark.parametrize("error", [COMPOSE_ERROR, EXTENSION_ERROR])
     def test_both_raise_the_coverage_error(self, side, error):
-        """Each case loses one `then` row that a dilate meets, so one fragment goes missing."""
+        """Each case loses one `then` row that a dilate meets, so one fragment goes missing:
+        the step raises the error it is given, the reference that of the extension."""
         rng = random.Random(2324)
         for case in range(40):
             n = (1, -1)[case % 2]
@@ -563,8 +570,8 @@ class TestPullBackLookup:
             del rows[rng.choice([i for i in range(cut, len(rows)) if any(
                 rows[i][0] < b and a < rows[i][1] for a, b in dilates)])]
             rows = rows if side == "int" else on_fractions(rows)
-            for pull_back in (sigma_module._pull_back, sweep_pull_back, lookup_pull_back):
-                assert pulled(pull_back, rows, cut, n, error) == (PreconditionError, error), case
+            assert pulled(sigma_module._pull_back, rows, cut, n, error) == (PreconditionError, error), case
+            assert pulled(fraction_extension_after, rows, cut, n) == (PreconditionError, EXTENSION_ERROR), case
 
 
 def after_a_map_cases():
@@ -581,7 +588,7 @@ def after_a_map_cases():
 class TestExtensionAfterAMap:
     """`dyadic_extension(b, m)` is the extension of b after the map m in one sweep: the same
     rows and image as m composed with the extension of b on m's image, built by the set form
-    and by the two int bodies it replaced, for both steps of binary powering."""
+    and by the references, for both steps of binary powering."""
 
     def test_matches_the_composed_set_form(self, steps):
         _, units = steps
@@ -590,8 +597,7 @@ class TestExtensionAfterAMap:
                 m = compose_power(sigma, k)
                 for b in (sigma.mapping, m):
                     got = dyadic_extension(b, m)
-                    for want in (compose(m, dyadic_extension(b, m.image)),
-                                 int_compose(m, int_dyadic_extension(b, m.image))):
+                    for want in (compose(m, dyadic_extension(b, m.image)), fraction_extension_after(b, m)):
                         assert (got.coefs, got.image) == (want.coefs, want.image), (k, b is m)
         assert {"int", "Fraction"} <= set(units), set(units)
 
@@ -607,7 +613,7 @@ class TestExtensionAfterAMap:
         for region in (parse_set("[0pi,1pi)"), onto_zero):
             with pytest.raises(PreconditionError, match="stay away from 0"):
                 dyadic_extension(paper_sigma.mapping, region)
-        for extension in (dyadic_extension, int_dyadic_extension):
+        for extension in (dyadic_extension, fraction_dyadic_extension):
             with pytest.raises(PreconditionError, match="not exactly covered"):
                 extension(half_octave, onto_an_octave.image)
         doubled = PiecewiseTranslation.from_triples([(Fraction(1), Fraction(2), Fraction(0)),
@@ -658,8 +664,8 @@ CHAIN_CASES = [
     pytest.param(("journe", "paper_w2"), 1024, False, id="journe->paper_w2 1024"),
     pytest.param(near_zero_wavelet_set(1000), 2, True, id="near_zero 1000 p=2"),
     pytest.param(near_zero_wavelet_set(1000), 16, False, id="near_zero 1000 p=16"),
-    pytest.param(MIRROR, 2, False, id="mirror p=2"),
-    pytest.param(MIRROR, 3, False, id="mirror p=3"),
+    pytest.param(MIRROR, 2, True, id="mirror p=2"),
+    pytest.param(MIRROR, 3, True, id="mirror p=3"),
     pytest.param(("journe", "shannon"), 3, True, id="journe->shannon 3"),
 ]
 
@@ -675,10 +681,10 @@ RAISING_STEPS = [
 
 class TestChain:
     """Powers on one chain of coordinate rows against the sequential loop and against binary
-    powering over finished Fraction maps, one per-call extension per step.  The loop takes
-    O(p**2) hull-wide extensions (10 s to p = 128 on a catalog pair, 136 s to p = 16 on the
-    near-zero set, 31 s to p = 2 and 107 s to p = 3 on the mirror pair, whose hull spans about
-    10 000 octaves), so it checks only the cases it reaches in well under a second."""
+    powering over finished Fraction maps, one reference extension per step (`binary_power`).
+    The loop takes O(p**2) extensions (one run each on 2 cores: 2.9 s to p = 128 on a catalog
+    pair, 0.62 s to p = 16 on the near-zero set, 0.05 s to p = 3 on the mirror pair past the
+    budget), so it checks only the cases it reaches in well under a second."""
 
     @pytest.mark.parametrize("pair,p,by_loop", CHAIN_CASES)
     def test_matches_the_references(self, pair, p, by_loop):
@@ -687,7 +693,7 @@ class TestChain:
         else:
             sigma = build_sigma(pair, pair.negate())
         got = compose_power(sigma, p)
-        wants = [per_call_compose_power(sigma, p)]
+        wants = [binary_power(sigma, p)]
         if by_loop:
             wants.append(next(itertools.islice(loop_compose_powers(sigma), p - 1, None)))
         for want in wants:
@@ -706,7 +712,7 @@ class TestChain:
         v, top = least_trailing_zeros(first, then), largest_dilation(unit, first, octaves)
         assert 0 < v < top and scaled == unit << (top - v), (v, top, unit, scaled)
         want = next(itertools.islice(loop_compose_powers(sigma), 2, None))
-        assert got == want == per_call_compose_power(sigma, 3)
+        assert got == want == binary_power(sigma, 3)
 
     def test_the_budget_moves_a_chain_to_fractions(self, steps):
         """The near-zero sigma with n = 1000 has a unit of about 1000 bits, and each squaring
@@ -724,7 +730,7 @@ class TestChain:
 
     @pytest.mark.parametrize("side", ["int", "Fraction"])
     def test_steps_raise_the_reference_messages(self, side):
-        """A step raises what the per-call lookup raises on the same maps: two fragments that
+        """A step raises what the references raise on the same maps: two fragments that
         overlap, two images that do, an image piece at 0, and the two coverage errors.  The rows
         are int coordinates over unit 4, or their Fractions over unit 1."""
         unit = 4 if side == "int" else 1
@@ -738,7 +744,7 @@ class TestChain:
                                         octaves_of(t.domain) if extension else None)
             assert type(raised.value) is type(error) and str(raised.value) == str(error)
             with pytest.raises(type(error)) as raised:
-                per_call_dyadic_extension(t, m) if extension else per_call_compose(m, t)
+                fraction_extension_after(t, m) if extension else object_compose(m, t)
             assert type(raised.value) is type(error) and str(raised.value) == str(error)
 
 

@@ -14,13 +14,13 @@ from wavemult.wavelet_sets import CATALOG_NAMES, catalog
 
 from _oracles import (
     extension_at,
-    fraction_tiling_check,
-    hull_dyadic_extension,
     midpoint_cover,
     midpoint_differing_regions,
     midpoint_set_algebra,
     midpoint_step_from_covers,
     midpoint_tiling_failure,
+    object_dyadic_extension,
+    object_tiling_failure,
     random_interval_set,
     random_point_in,
     random_rational_pi,
@@ -46,7 +46,7 @@ def random_intervals(rng, max_count=8):
 
 
 def coefs(intervals):
-    """Coefficient pairs (lo, hi) of intervals, the form the tiling oracles take."""
+    """Coefficient pairs (lo, hi) of intervals, the form `step_from_covers` takes."""
     return [(iv.lo.coef, iv.hi.coef) for iv in intervals]
 
 
@@ -128,13 +128,13 @@ class TestAgainstMidpointOracles:
         rng = random.Random(seed)
         fragments = random_intervals(rng)
         target = random_interval_set(rng, max_pieces=3)
-        assert fraction_tiling_check(coefs(fragments), target) == midpoint_tiling_failure(fragments, target)
+        assert object_tiling_failure(fragments, target) == midpoint_tiling_failure(fragments, target)
 
     def test_tiling_check_on_exact_tilings(self):
         target = parse_set("[-1pi,1pi)")
         halves = [Interval(RationalPi(-1), RationalPi(0)), Interval(RationalPi(0), RationalPi(1))]
-        assert fraction_tiling_check(coefs(halves), target) == IntervalSet.empty()
-        assert fraction_tiling_check(coefs(halves + halves[:1]), target) == parse_set("[-1pi,0pi)")
+        assert object_tiling_failure(halves, target) == IntervalSet.empty()
+        assert object_tiling_failure(halves + halves[:1], target) == parse_set("[-1pi,0pi)")
 
     @pytest.mark.parametrize("seed", range(100))
     def test_step_from_covers(self, seed):
@@ -168,7 +168,7 @@ class TestSigmaAgainstPointwiseExtension:
                 y = x
                 for _ in range(p):
                     y = extension_at(sigma.mapping, y)
-                assert composed.apply(x) == y
+                assert x + composed.value_at(x) == y
 
     @pytest.mark.parametrize("seed", range(12))
     def test_dyadic_extension_on_random_regions(self, seed):
@@ -178,9 +178,9 @@ class TestSigmaAgainstPointwiseExtension:
         region = random_interval_set(rng).difference(NEAR_ZERO)
         ext = dyadic_extension(base, region)
         assert ext.domain == region
-        assert ext == hull_dyadic_extension(base, region)
+        assert ext == object_dyadic_extension(base, region)
         points = cell_starts(ext)
         if not region.is_empty:
             points += [random_point_in(rng, region) for _ in range(20)]
         for x in points:
-            assert ext.apply(x) == extension_at(base, x)
+            assert x + ext.value_at(x) == extension_at(base, x)

@@ -12,6 +12,7 @@ from wavemult.exact import (
     RationalPi,
     TWO_PI,
     ZERO,
+    _back,
     _coordinates,
     floor_log2,
 )
@@ -28,19 +29,18 @@ from wavemult.wavelet_sets import (
 
 from _oracles import (
     annulus_images,
-    coordinates_with_back,
     deep_piece_wavelet_set,
-    fraction_annulus_fragments,
-    fraction_principal_fragments,
-    fraction_tiling_check,
-    fraction_translation,
-    fraction_wavelet_report,
     midpoint_tiling_failure,
     near_zero_wavelet_set,
+    object_annulus_fragments,
+    object_piecewise,
+    object_principal_fragments,
+    object_tiling_failure,
     object_wavelet_report,
     principal_images,
     random_interval_set,
     random_wavelet_candidate,
+    tagged_sweep,
     two_interval_wavelet_set,
 )
 
@@ -55,14 +55,10 @@ def witness(W):
     return is_wavelet_set(W).tau_witness
 
 
-def coefs(W):
-    return [(iv.lo.coef, iv.hi.coef) for iv in W]
-
-
 def translation_failure(W):
     """Where the 2*pi*Z translates of W, folded into [-pi, pi), fail to tile it."""
-    folded = ((lo + s, hi + s) for lo, hi, s in fraction_principal_fragments(coefs(W)))
-    return fraction_tiling_check(folded, PRINCIPAL_WINDOW)
+    folded = [Interval(iv.lo + s, iv.hi + s) for iv, s in object_principal_fragments(W)]
+    return object_tiling_failure(folded, PRINCIPAL_WINDOW)
 
 
 def cases_text(pt):
@@ -80,9 +76,9 @@ class TestTranslationCongruence:
         assert tau.image == PRINCIPAL_WINDOW
 
     def test_identity_window(self):
-        fragments = fraction_principal_fragments(coefs(PRINCIPAL_WINDOW))  # 0 in the closure
+        fragments = object_principal_fragments(PRINCIPAL_WINDOW)  # 0 in the closure
         assert translation_failure(PRINCIPAL_WINDOW).is_empty
-        tau = PiecewiseTranslation.from_triples(fragments)
+        tau = PiecewiseTranslation.from_triples((iv.lo.coef, iv.hi.coef, s.coef) for iv, s in fragments)
         assert tau.pairs == ((PRINCIPAL_WINDOW, ZERO),)
 
     def test_w1_witness(self, w1):
@@ -229,14 +225,14 @@ class TestPiecewiseTranslation:
 
     def test_apply_and_inverse(self, shannon):
         tau = witness(shannon)
-        assert tau.apply(rp(3, 2)) == rp(-1, 2)
-        assert tau.apply(rp(-3, 2)) == rp(1, 2)
+        assert rp(3, 2) + tau.value_at(rp(3, 2)) == rp(-1, 2)
+        assert rp(-3, 2) + tau.value_at(rp(-3, 2)) == rp(1, 2)
         with pytest.raises(PreconditionError):
-            tau.apply(rp(1, 2))
+            rp(1, 2) + tau.value_at(rp(1, 2))
         inv = tau.inverse()
         assert inv.domain == PRINCIPAL_WINDOW
         assert inv.image == shannon
-        assert inv.apply(rp(-1, 2)) == rp(3, 2)
+        assert rp(-1, 2) + inv.value_at(rp(-1, 2)) == rp(3, 2)
 
     def test_same_shift_fragments_merge(self):
         pt = PiecewiseTranslation.from_triples(
@@ -260,7 +256,7 @@ class TestPiecewiseTranslation:
         """Read on the numerator and denominator, for int and Fraction tags alike."""
         pt = PiecewiseTranslation.from_triples([(0, 1, -20), (1, 2, shift)])
         assert pt.is_two_pi_integral is (shift % 2 == 0)
-        assert pt.is_two_pi_integral is all(s.is_two_pi_multiple for _, s in pt.cases())
+        assert pt.is_two_pi_integral is all(s.coef % 2 == 0 for _, s in pt.cases())
 
 
 class TestHostileInputs:
@@ -326,7 +322,7 @@ class TestHostileInputs:
         want = midpoint_tiling_failure(positive, IntervalSet.single(rp(1), rp(2))).union(
             midpoint_tiling_failure(negative, IntervalSet.single(rp(-2), rp(-1)))
         )
-        failure = fraction_tiling_check(fraction_annulus_fragments(coefs(W)), ANNULUS)
+        failure = object_tiling_failure([iv for part in object_annulus_fragments(W) for iv in part], ANNULUS)
         assert failure == want
         report = is_wavelet_set(W)
         assert report.failure_regions.difference(PRINCIPAL_WINDOW) == failure
@@ -393,12 +389,17 @@ def fraction_side_sets():
 def set_coordinates(W):
     """`_coordinates` of W as `is_wavelet_set` takes them: the unit also times the octave
     2**K of the largest |x|, so that every rescaling into the annulus is an int."""
-    return coordinates_with_back(W.coefs, max(0, floor_log2(W.max_abs().coef)) if W.coefs else 0)
+    return _coordinates(W.coefs, max(0, floor_log2(W.max_abs().coef)) if W.coefs else 0)
+
+
+def witness_image(pairs) -> IntervalSet:
+    """The union of the translated pieces of a reference witness, given as its pairs."""
+    return IntervalSet.from_intervals(Interval(iv.lo + s, iv.hi + s) for piece, s in pairs for iv in piece)
 
 
 class TestIntegerCoordinates:
-    """The check on int coordinates against the Fraction reference it replaced: the same
-    verdicts, failure regions and witness rows, and each input on the side it should take."""
+    """The check on int coordinates against the object-level reference: the same verdicts,
+    failure regions and witness rows, and each input on the side it should take."""
 
     @pytest.mark.parametrize("side,sets", [(int, integer_side_sets), (Fraction, fraction_side_sets)],
                              ids=["int", "Fraction"])
@@ -411,14 +412,15 @@ class TestIntegerCoordinates:
                     is_wavelet_set.__wrapped__(W)
                 continue
             assert {type(x) for pair in set_coordinates(W)[1] for x in pair} <= {side}, W
-            got, want = is_wavelet_set.__wrapped__(W), fraction_wavelet_report(W)
-            assert got.is_translation_congruent == want.is_translation_congruent, W
-            assert got.is_dilation_congruent == want.is_dilation_congruent, W
-            assert got.failure_regions == want.failure_regions, W
-            assert (got.tau_witness is None) == (want.tau_witness is None), W
+            got = is_wavelet_set.__wrapped__(W)
+            translation, dilation, pairs, failure = object_wavelet_report(W)
+            assert got.is_translation_congruent == translation, W
+            assert got.is_dilation_congruent == dilation, W
+            assert got.failure_regions == failure, W
+            assert (got.tau_witness is None) == (pairs is None), W
             if got.tau_witness is not None:
-                assert got.tau_witness.coefs == want.tau_witness.coefs, W
-                assert got.tau_witness.image == want.tau_witness.image, W
+                assert got.tau_witness.pairs == pairs, W
+                assert got.tau_witness.image == witness_image(pairs), W
                 seen["witness"] += 1
             seen["accepted" if got.accepted else "rejected"] += 1
         assert seen["witness"] and seen["rejected"], seen
@@ -427,7 +429,8 @@ class TestIntegerCoordinates:
 
     def test_the_unit_clears_every_rescaling(self):
         W = parse_set("[-5/2pi,-2pi),[1/3pi,2/5pi),[5/2pi,11/4pi)")
-        unit, coords, coef = set_coordinates(W)
+        unit, coords = set_coordinates(W)
+        coef = _back(unit, [(coords, W.coefs)])
         assert unit == 60 * 2  # D = lcm(2, 3, 5, 4) = 60, 2**K = 2 for max |x| = 11/4
         assert coords == [(-300, -240), (40, 48), (300, 330)]
         assert [coef(x) for pair in coords for x in pair] == [x for pair in W.coefs for x in pair]
@@ -462,10 +465,24 @@ def reversed_triples(tau):
     return [(lo + s, hi + s, -s) for lo, hi, s in tau.coefs]
 
 
+def reference_translation(triples) -> tuple:
+    """(coefs, image) of the translation of (lo, hi, shift) triples from the object-level rows
+    of `object_piecewise`; the library's ValueError when pieces, of one shift or two, overlap
+    or when images do, as `tagged_sweep` counts them."""
+    if any(count > 1 for _, _, count, _ in tagged_sweep((lo, hi, None) for lo, hi, _ in triples)):
+        raise ValueError(PiecewiseTranslation.OVERLAP_ERROR)
+    coefs = tuple((iv.lo.coef, iv.hi.coef, s.coef) for iv, s in object_piecewise(triples, RationalPi)[2])
+    image = list(tagged_sweep((lo + s, hi + s, None) for lo, hi, s in coefs))
+    if any(count > 1 for _, _, count, _ in image):
+        raise ValueError("piecewise translation is not injective")
+    return coefs, IntervalSet.from_cells((lo, hi) for lo, hi, _, _ in image)
+
+
 class TestCoefficientTriples:
     """A translation given as coefficient triples is scaled by `_coordinates` and built by the
     rule of the witness, `compose` and `dyadic_extension`: the same coefs and image, or the
-    same error, as the Fraction reference it replaced, on both sides of the budget."""
+    same error, as the object-level rows and a sorted union of the images, on both sides of
+    the budget."""
 
     def test_seeded_triples_match_the_fraction_reference(self):
         seen = Counter()
@@ -475,7 +492,7 @@ class TestCoefficientTriples:
             for side, case in ((int, triples), (Fraction, [(lo + DEEP, hi + DEEP, s) for lo, hi, s in triples])):
                 assert {type(x) for row in _coordinates(case)[1] for x in row} <= {side}, seed
                 try:
-                    want = fraction_translation(case)
+                    want = reference_translation(case)
                 except ValueError as err:
                     with pytest.raises(ValueError) as raised:
                         PiecewiseTranslation.from_triples(case)
@@ -492,7 +509,7 @@ class TestCoefficientTriples:
     def test_inverse_of_a_catalog_witness(self, name):
         tau = witness(catalog(name))
         inverse = tau.inverse()
-        assert (inverse.coefs, inverse.image) == fraction_translation(reversed_triples(tau))
+        assert (inverse.coefs, inverse.image) == reference_translation(reversed_triples(tau))
         assert (inverse.domain, inverse.image) == (PRINCIPAL_WINDOW, catalog(name))
 
     @pytest.mark.parametrize("W", [near_zero_wavelet_set(10000), coprime_translates(random.Random(20), 400)],
@@ -501,36 +518,37 @@ class TestCoefficientTriples:
         tau = witness(W)
         assert _coordinates(tau.coefs)[0] == 1  # the unit of Fractions past COORD_BITS
         inverse = tau.inverse()
-        assert (inverse.coefs, inverse.image) == fraction_translation(reversed_triples(tau))
+        assert (inverse.coefs, inverse.image) == reference_translation(reversed_triples(tau))
         assert (inverse.domain, inverse.image) == (PRINCIPAL_WINDOW, W)
 
 
 def translation_congruent_sets():
-    """The catalog, seeded cut-and-shift sets of 2 to 400 pieces that the Fraction reference
-    finds translation congruent, two-interval sets, `near_zero_wavelet_set(1000)` and its
-    negation, and `deep_piece_wavelet_set(50, 50)`."""
+    """(W, the reference witness's pairs) for the catalog, seeded cut-and-shift sets of 2 to
+    400 pieces, two-interval sets, `near_zero_wavelet_set(1000)` and its negation, and
+    `deep_piece_wavelet_set(50, 50)`, each W that the object-level reference finds translation
+    congruent."""
     rng = random.Random(2626)
     sets = [catalog(name) for name in CATALOG_NAMES]
     for pieces in (2, 3, 5, 8, 13, 24, 48, 100, 180, 400):
         sets += [random_wavelet_candidate(rng, pieces) for _ in range(16 if pieces < 100 else 4)]
     sets += [two_interval_wavelet_set(rng) for _ in range(10)]
     sets += [near_zero_wavelet_set(1000), near_zero_wavelet_set(1000).negate(), deep_piece_wavelet_set(50, 50)]
-    return [W for W in sets if fraction_wavelet_report(W).is_translation_congruent]
+    return [(W, report[2]) for W in sets for report in [object_wavelet_report(W)] if report[0]]
 
 
 class TestWitnessFromTheVerdict:
     """With translation congruence every point of [-pi, pi) lies in exactly one translated fold
     fragment, so the witness takes the fragments as its rows and [-pi, pi) as its image, with no
-    construction rule: on every translation-congruent set tried its rows are the Fraction
+    construction rule: on every translation-congruent set tried its rows are the object-level
     reference's, its domain is W and its translated rows tile [-pi, pi) by their own ends."""
 
     def test_the_image_is_the_principal_window(self):
         sets = translation_congruent_sets()
-        assert len(sets) >= 100 and max(len(W) for W in sets) >= 300, len(sets)
-        for W in sets:
+        assert len(sets) >= 100 and max(len(W) for W, _ in sets) >= 300, len(sets)
+        for W, pairs in sets:
             tau = is_wavelet_set.__wrapped__(W).tau_witness
             assert tau.image == PRINCIPAL_WINDOW, W
-            assert tau.coefs == fraction_wavelet_report(W).tau_witness.coefs, W
+            assert tau.pairs == pairs, W
             assert tau.domain == W and tau.is_two_pi_integral, W
             images = sorted((lo + s, hi + s) for lo, hi, s in tau.coefs)
             assert images[0][0] == -1 and images[-1][1] == 1, W
