@@ -28,18 +28,14 @@ __version__ = "0.1.0"
 # first access (PEP 562): a process compiles only the layers it uses, and
 # `import wavemult` and the exact side never import numpy, which `multiplicity`
 # needs.  Each of the three modules takes its `__all__` from `_LAZY`.
-_NUMERIC = (
-    "AgreementReport", "DimensionSum", "GramSchmidtState", "GridRecord", "SpectralProfile",
-    "dimension_sum", "gram_schmidt", "meyer_profile", "msf_profile", "sampled_profile",
-    "uniform_grid", "verify_m_equals_d",
-)
 _LAZY = {
     "sigma": ("SigmaMap", "CommutantVerdict", "build_sigma", "compose", "dyadic_extension",
               "compose_power", "power_in_local_commutant"),
     "dimension": ("StepFunction", "DimensionIntegral", "dimension_function",
                   "dimension_step_function", "dimension_values", "dimension_integral",
                   "core_equivalence_regions", "mra_consistent", "midpoint_grid"),
-    "multiplicity": _NUMERIC,
+    "multiplicity": ("AgreementReport", "GramSchmidtState", "GridRecord", "SpectralProfile",
+                     "gram_schmidt", "meyer_profile", "msf_profile", "uniform_grid", "verify_m_equals_d"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 

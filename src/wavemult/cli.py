@@ -74,8 +74,14 @@ def _resolve_profile(selector: str) -> SpectralProfile:
 
 
 def _shift_entry(piece, shift: RationalPi) -> dict:
-    """JSON entry of one piece (an Interval or an IntervalSet) and its shift."""
-    return {"piece": piece.to_text(), "shift": shift.shift_text(), "shift_float": float(shift)}
+    """JSON entry of one piece (an Interval or an IntervalSet) and its shift; `shift_float` is
+    null where the shift has no finite float, as JSON has no infinity."""
+    entry = {"piece": piece.to_text(), "shift": shift.shift_text(), "shift_float": None}
+    try:
+        entry["shift_float"] = float(shift)
+    except PreconditionError:
+        pass
+    return entry
 
 
 def _map_entries(mapping: PiecewiseTranslation) -> list[dict]:

@@ -286,10 +286,6 @@ class RationalPi:
     def den(self) -> int:
         return self.coef.denominator
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coef == 0
-
     def __add__(self, other: "RationalPi") -> "RationalPi":
         if not isinstance(other, RationalPi):
             return NotImplemented
@@ -312,9 +308,6 @@ class RationalPi:
         return RationalPi(self.coef * _exact(k))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, k: RationalLike) -> "RationalPi":
-        return RationalPi(self.coef / _exact(k))
 
     def __float__(self) -> float:
         try:
@@ -440,10 +433,6 @@ class IntervalSet(_OnUnit):
     @classmethod
     def empty(cls) -> "IntervalSet":
         return cls._of(())
-
-    @classmethod
-    def single(cls, lo: RationalPi, hi: RationalPi) -> "IntervalSet":
-        return cls((Interval(lo, hi),))
 
     @property
     def is_empty(self) -> bool:

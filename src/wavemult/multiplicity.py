@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from . import _NUMERIC
+from . import _LAZY
 from .exact import IntervalSet, PreconditionError, RationalPi
 from .dimension import _require_grid_size, dimension_values
 
 # The package holds the list: its lazy `__getattr__` must know the names without numpy.
-__all__ = list(_NUMERIC)
+__all__ = list(_LAZY["multiplicity"])
 
 TWO_PI_F = 2.0 * math.pi
 
@@ -86,23 +86,6 @@ def meyer_profile() -> SpectralProfile:
     return SpectralProfile("meyer", ev, 8 * math.pi / 3)
 
 
-def sampled_profile(points: Sequence[float], values: Sequence[complex]) -> SpectralProfile:
-    """Piecewise-linear interpolation of sampled amplitudes, 0 outside the span."""
-    xs = np.asarray(points, dtype=float)
-    vs = np.asarray(values, dtype=complex)
-    if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
-        raise ValueError("sample points must be strictly increasing, at least two")
-    if vs.shape != xs.shape:
-        raise ValueError("sample points and values must have matching shapes")
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        re = np.interp(x, xs, vs.real, left=0.0, right=0.0)
-        im = np.interp(x, xs, vs.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    return SpectralProfile("sampled", ev, max(abs(xs[0]), abs(xs[-1])))
-
-
 # Complex elements a block of grid points may hold in its fiber tensor
 # (points, J, 2K+1) or its coefficients eta (points, J, J): 128 KB per array,
 # which keeps a block's working set near 1 MB and admits J <= 90.
@@ -111,7 +94,7 @@ MAX_LEVEL = 1023  # 2.0**1024 overflows a float
 
 
 def _lattice_blocks(
-    profile: SpectralProfile, xi: np.ndarray, j_max: int, k_max: int, tol: float = 1.0
+    profile: SpectralProfile, xi: np.ndarray, j_max: int, k_max: int, tol: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per block of consecutive base points, from one profile evaluation:
     the fibers 2**(j/2) * profile(2**j * (xi + 2*pi*k)), shape (points, J, 2K+1),
@@ -213,21 +196,6 @@ def gram_schmidt(
         xs[0].item(), tol, fibers[0], residuals[0], h_values[0], eta[0], max_scale[0].item(),
         bool(exact[0]),
     )
-
-
-class DimensionSum(NamedTuple):
-    value: float
-    truncation_exact: bool
-
-
-def dimension_sum(profile: SpectralProfile, xi: float, j_max: int, k_max: int) -> DimensionSum:
-    """Truncated lattice sum of |profile(2**j (xi + 2 pi k))|**2.
-
-    `truncation_exact` reports whether the dropped (j, k) terms provably
-    vanish for this compactly supported profile.
-    """
-    ((_, sums, exact),) = _lattice_blocks(profile, np.array([float(xi)]), j_max, k_max)
-    return DimensionSum(sums[0].item(), bool(exact[0]))
 
 
 @dataclass(frozen=True)

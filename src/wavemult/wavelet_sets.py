@@ -17,8 +17,6 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .exact import (
-    MINUS_PI,
-    PI,
     PreconditionError,
     IntervalSet,
     Piecewise,
@@ -35,16 +33,12 @@ from .exact import (
 from .parsing import parse_set
 
 __all__ = [
-    "PRINCIPAL_WINDOW",
     "PiecewiseTranslation",
     "WaveletSetReport",
     "is_wavelet_set",
     "catalog",
     "CATALOG_NAMES",
 ]
-
-PRINCIPAL_WINDOW = IntervalSet.single(MINUS_PI, PI)
-
 
 class PiecewiseTranslation(Piecewise):
     """An injective map translating each piece of its domain by a constant.

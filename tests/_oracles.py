@@ -260,7 +260,7 @@ def object_wavelet_report(W: IntervalSet) -> tuple:
     fragments = object_principal_fragments(W)
     trans_failure = object_tiling_failure(
         [Interval(iv.lo + shift, iv.hi + shift) for iv, shift in fragments],
-        IntervalSet.single(RationalPi(-1), RationalPi(1))
+        IntervalSet([Interval(RationalPi(-1), RationalPi(1))])
     )
     witness = None
     if trans_failure.is_empty:
@@ -268,9 +268,9 @@ def object_wavelet_report(W: IntervalSet) -> tuple:
     if W.zero_in_closure():
         raise PreconditionError("dilation congruence is undecidable with 0 in the closure of the set")
     positive, negative = object_annulus_fragments(W)
-    dil_failure = object_tiling_failure(positive, IntervalSet.single(RationalPi(1), RationalPi(2)))
-    dil_failure = sort_merge_intervals(
-        [*dil_failure, *object_tiling_failure(negative, IntervalSet.single(RationalPi(-2), RationalPi(-1)))])
+    dil_failure = object_tiling_failure(positive, IntervalSet([Interval(RationalPi(1), RationalPi(2))]))
+    negative_failure = object_tiling_failure(negative, IntervalSet([Interval(RationalPi(-2), RationalPi(-1))]))
+    dil_failure = sort_merge_intervals([*dil_failure, *negative_failure])
     return (trans_failure.is_empty, dil_failure.is_empty, witness,
             sort_merge_intervals([*trans_failure, *dil_failure]))
 
@@ -382,9 +382,9 @@ def loop_midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[
     per_row = -(-count // len(rows)) if rows else 0
     points = []
     for iv, _ in rows:
-        width = (iv.hi - iv.lo) / per_row
+        width = (iv.hi - iv.lo) * Fraction(1, per_row)
         for i in range(per_row):
-            points.append(iv.lo + width * i + width / 2)
+            points.append(iv.lo + width * i + width * Fraction(1, 2))
     return points
 
 
@@ -397,7 +397,7 @@ def extension_at(base: PiecewiseTranslation, x: RationalPi) -> RationalPi:
     """Pointwise value of the dilation-commuting extension at x (x != 0): the first dilate
     2**n * x inside the hull of the base rows that a row holds, moved by that row's shift and
     scaled back by 2**-n."""
-    if x.is_zero:
+    if x.coef == 0:
         raise PreconditionError("the extension is not defined at 0")
     ends = [abs(e) for lo, hi, _ in base.coefs for e in (lo, hi)]
     for n in range(ceil_log2(min(ends) / abs(x.coef)), floor_log2(max(ends) / abs(x.coef)) + 1):

@@ -10,7 +10,8 @@ import pytest
 
 import wavemult
 from wavemult import cli, dimension
-from wavemult.parsing import parse_set
+from wavemult.exact import PreconditionError
+from wavemult.parsing import parse_scalar, parse_set
 from wavemult.wavelet_sets import CATALOG_NAMES, catalog, is_wavelet_set
 
 from _oracles import deep_piece_wavelet_set, near_zero_wavelet_set
@@ -349,6 +350,45 @@ def test_sigma_names_an_empty_set(capsys):
     code, out = run_main(capsys, "sigma", "--w1", "", "--w2", "shannon")
     assert code == 3
     assert json.loads(out) == {"error": "precondition", "detail": "w1 is not a wavelet set: (empty)"}
+
+
+def null_floats(payload) -> int:
+    """The number of `map`, `composed` and `witness` entries of a `sigma` answer whose
+    `shift_float` is null, each checked to be null exactly where its shift has no finite float."""
+    entries = payload["map"] + payload["composed"] + ([payload["witness"]] if "witness" in payload else [])
+    nulls = 0
+    for entry in entries:
+        shift = parse_scalar(entry["shift"])
+        if entry["shift_float"] is None:
+            with pytest.raises(PreconditionError, match="value too large for a float"):
+                float(shift)
+            nulls += 1
+        else:
+            assert entry["shift_float"] == float(shift)
+    return nulls
+
+
+@pytest.mark.parametrize("power, past", [(205, False), (206, True)])
+def test_sigma_shift_past_the_float_range_prints_null(capsys, power, past):
+    code, out = run_main(capsys, "sigma", "--w1", "paper_w1", "--w2", "journe", "--power", str(power))
+    assert code == 1
+    assert (null_floats(json.loads(out)) > 0) is past
+
+
+# The least power at which sigma of an ordered catalog pair has a shift past the float range.
+FIRST_POWER_PAST_FLOATS = [
+    ("paper_w1", "journe", 206), ("paper_w2", "journe", 206), ("paper_w1", "paper_w2", 257),
+    ("paper_w2", "paper_w1", 257), ("journe", "paper_w1", 512), ("journe", "paper_w2", 512),
+    ("journe", "shannon", 1023),
+]
+
+
+@pytest.mark.parametrize("w1, w2, power", FIRST_POWER_PAST_FLOATS,
+                         ids=[f"{w1}->{w2} {power}" for w1, w2, power in FIRST_POWER_PAST_FLOATS])
+def test_sigma_power_past_the_float_range_answers(capsys, w1, w2, power):
+    code, out = run_main(capsys, "sigma", "--w1", w1, "--w2", w2, "--power", str(power))
+    assert code in (0, 1)
+    assert null_floats(json.loads(out)) > 0
 
 
 @pytest.mark.parametrize("command", [["multiplicity", "--xi", "1/2pi"], ["dimfn", "--grid", "8"]],

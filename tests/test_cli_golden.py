@@ -6,7 +6,8 @@ uses, and numpy starts under the CLI's default of one BLAS thread.  The numeric 
 run a third time with ``OPENBLAS_NUM_THREADS=2``, which the CLI keeps.
 `{csv}` in the arguments stands for a temporary CSV path, whose bytes are compared
 with ``golden/NAME.csv``.  To re-record after an intended output change, run
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``.  The README's Python example runs
+in a fresh interpreter too, and its printed answers are checked.
 """
 
 import io
@@ -21,7 +22,8 @@ import pytest
 from wavemult import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 CASES = [
@@ -94,6 +96,16 @@ NUMERIC_CASES = [case for case in CASES if "--wavelet" in case[1]]
 @pytest.mark.parametrize("name, args, code", NUMERIC_CASES, ids=[case[0] for case in NUMERIC_CASES])
 def test_numeric_golden_output_with_two_blas_threads(tmp_path, name, args, code):
     check(name, code, run_fresh(args, tmp_path / "out.csv", OPENBLAS_NUM_THREADS="2"))
+
+
+def test_readme_python_example(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    (example,) = readme.split("```python\n")[1:]
+    proc = subprocess.run([sys.executable, "-c", example.split("```")[0]], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-3:] == ["[1/8pi,2/7pi),[4/7pi,6/7pi)", "False", "True"]
 
 
 def record() -> None:

@@ -35,7 +35,6 @@ from wavemult.sigma import (
 )
 from wavemult.wavelet_sets import (
     CATALOG_NAMES,
-    PRINCIPAL_WINDOW,
     PiecewiseTranslation,
     catalog,
     is_wavelet_set,
@@ -57,6 +56,7 @@ from _oracles import (
     windowed_step_function,
 )
 
+PRINCIPAL_WINDOW = parse_set("[-1pi,1pi)")
 DEPTHS = (1, 3, 12, 40, 100)
 
 
@@ -84,12 +84,12 @@ def seeded_sets():
     sets += [random_wavelet_candidate(rng, 400) for _ in range(12)]
     sets += [two_interval_wavelet_set(rng) for _ in range(60)]
     sets += [catalog(name) for name in CATALOG_NAMES]
-    sets += [IntervalSet.single(RationalPi(Fraction(1, 2**e)), RationalPi(1))
+    sets += [IntervalSet([Interval(RationalPi(Fraction(1, 2**e)), RationalPi(1))])
              for e in (1, 2, 3, 7, 50, 100, 200, 1000, 5000, 10000)]
-    sets += [IntervalSet.single(RationalPi(Fraction(1, 2**e)), RationalPi(1) - RationalPi(Fraction(1, 2**(e + 3))))
+    sets += [IntervalSet([Interval(RationalPi(Fraction(1, 2**e)), RationalPi(1 - Fraction(1, 2**(e + 3))))])
              for e in (2, 9, 64, 300)]
-    sets += [IntervalSet.single(RationalPi(1), RationalPi(n)) for n in (2, 3, 4, 5, 9, 1000, 10**6)]
-    sets += [IntervalSet.single(RationalPi(-n), RationalPi(-1)) for n in (3, 8)]
+    sets += [IntervalSet([Interval(RationalPi(1), RationalPi(n))]) for n in (2, 3, 4, 5, 9, 1000, 10**6)]
+    sets += [IntervalSet([Interval(RationalPi(-n), RationalPi(-1))]) for n in (3, 8)]
     sets += [s.negate() for s in sets[900:914]]
     sets.append(near_zero_wavelet_set(10000))
     return sets
@@ -101,7 +101,7 @@ DEEP = Fraction(1, 2**10000)
 def deep_sets():
     """Sets with endpoints 2**-10000 pi from 0 or from each other."""
     tiny = [Interval(RationalPi(k * DEEP), RationalPi((k + 1) * DEEP)) for k in (-3, 1, 2, 5)]
-    return [IntervalSet.single(RationalPi(DEEP), RationalPi(1)),
+    return [IntervalSet([Interval(RationalPi(DEEP), RationalPi(1))]),
             near_zero_wavelet_set(10000),
             IntervalSet.from_intervals(tiny + [Interval(RationalPi(1 - DEEP), RationalPi(2))])]
 
@@ -124,7 +124,7 @@ class TestWaveletReports:
         assert min(seen.values()) >= 10, seen
 
     def test_zero_in_the_closure_still_raises(self):
-        W = IntervalSet.single(RationalPi(0), RationalPi(2))
+        W = IntervalSet([Interval(RationalPi(0), RationalPi(2))])
         with pytest.raises(PreconditionError, match="undecidable"):
             is_wavelet_set.__wrapped__(W)
         with pytest.raises(PreconditionError, match="undecidable"):
@@ -163,10 +163,10 @@ class TestCoreEquivalenceRegions:
 def probes(f):
     """Row starts, midpoints and ends, and points below, above and between the rows."""
     rows = f.rows()
-    points = [p for iv, _ in rows for p in (iv.lo, (iv.lo + iv.hi) / 2, iv.hi)]
+    points = [p for iv, _ in rows for p in (iv.lo, (iv.lo + iv.hi) * Fraction(1, 2), iv.hi)]
     lo, hi = rows[0][0].lo, rows[-1][0].hi
     points += [lo - RationalPi(1), lo - RationalPi(Fraction(1, 2**300)), hi, hi + RationalPi(1)]
-    points += [a.hi + (b.lo - a.hi) / 2 for a, b in zip(f.domain.pieces, f.domain.pieces[1:])]
+    points += [a.hi + (b.lo - a.hi) * Fraction(1, 2) for a, b in zip(f.domain.pieces, f.domain.pieces[1:])]
     return points
 
 
@@ -347,7 +347,7 @@ def sample_points(S: IntervalSet) -> list[RationalPi]:
     """0, the ends and midpoint of the first and last pieces, and a point past the last."""
     points = [ZERO]
     for iv in S.pieces[:1] + S.pieces[-1:]:
-        points += [iv.lo, (iv.lo + iv.hi) / 2, iv.hi]
+        points += [iv.lo, (iv.lo + iv.hi) * Fraction(1, 2), iv.hi]
     return points + [points[-1] + RationalPi(DEEP)]
 
 

@@ -148,7 +148,7 @@ class TestOrderedWalk:
         W = deep_piece_wavelet_set(400, 400)
         rows = dimension_function(W).coefs
         points = [RationalPi(lo) for lo, _, _ in rows if lo] + [RationalPi((lo + hi) / 2) for lo, hi, _ in rows]
-        points = [xi for xi in points if not xi.is_zero][::-1]
+        points = [xi for xi in points if xi.coef != 0][::-1]
         assert dimension_values(W, points) == bisect_dimension_values(W, points)
 
     def test_past_the_coordinate_budget(self):
@@ -381,8 +381,8 @@ class TestMidpointGrid:
         W, edge = catalog(name), PI * Fraction(2) ** -depth
         windows = (
             IntervalSet.from_intervals([Interval(MINUS_PI, -edge), Interval(edge, PI)]),
-            IntervalSet.single(edge, PI),
-            IntervalSet.single(MINUS_PI, -edge),
+            IntervalSet([Interval(edge, PI)]),
+            IntervalSet([Interval(MINUS_PI, -edge)]),
         )
         for window in windows:
             for count in (1, 7, 64, 513):

@@ -20,7 +20,8 @@ import pytest
 from wavemult import dimension
 from wavemult.dimension import StepFunction, dimension_function, dimension_step_function, dimension_values
 from wavemult.exact import Interval, IntervalSet, RationalPi, _coordinates, ceil_log2
-from wavemult.wavelet_sets import CATALOG_NAMES, PRINCIPAL_WINDOW, _fold, catalog
+from wavemult.parsing import parse_set
+from wavemult.wavelet_sets import CATALOG_NAMES, _fold, catalog
 
 from _oracles import (
     brute_dimension_count,
@@ -31,6 +32,7 @@ from _oracles import (
     windowed_step_function,
 )
 
+PRINCIPAL_WINDOW = parse_set("[-1pi,1pi)")
 DEPTHS = (1, 3, 12, 40, 100)
 SIDES = (0, 1, -1)  # both halves, the positive half, the negative half
 

@@ -127,11 +127,8 @@ class TestRationalPi:
             rp(1, 2) * 0.5
         with pytest.raises(TypeError):
             0.5 * rp(1, 2)
-        with pytest.raises(TypeError):
-            rp(1, 2) / 0.5
         assert RationalPi("1/3") == rp(1, 3)
         assert rp(1, 2) * Fraction(2, 3) == rp(1, 3)
-        assert rp(1, 2) / 2 == rp(1, 4)
 
     def test_ordering_against_other_types(self):
         assert sorted([rp(3), rp(-1, 2), rp(1, 3)]) == [rp(-1, 2), rp(1, 3), rp(3)]
@@ -157,7 +154,7 @@ class TestNormalize:
         got = IntervalSet.from_intervals(
             [Interval(rp(0), rp(1)), Interval(rp(1), rp(2))]
         )
-        assert got == IntervalSet.single(rp(0), rp(2))
+        assert got == IntervalSet([Interval(rp(0), rp(2))])
 
     def test_non_canonical_direct_construction_rejected(self):
         with pytest.raises(ValueError):

@@ -15,11 +15,10 @@ import wavemult.multiplicity as multiplicity
 from wavemult.dimension import midpoint_grid
 from wavemult.exact import RationalPi
 from wavemult.multiplicity import (
-    dimension_sum,
+    SpectralProfile,
     gram_schmidt,
     meyer_profile,
     msf_profile,
-    sampled_profile,
     uniform_grid,
     verify_m_equals_d,
 )
@@ -40,6 +39,15 @@ DEPTHS = ((12, 8), (10, 8), (8, 4))
 STATE_FIELDS = ("fibers", "residuals", "h_values", "eta")
 
 
+def sampled(xs, values):
+    """The piecewise-linear interpolation of `values` at the increasing `xs`, 0 outside them."""
+    def ev(x):
+        return (np.interp(x, xs, values.real, left=0.0, right=0.0)
+                + 1j * np.interp(x, xs, values.imag, left=0.0, right=0.0))
+
+    return SpectralProfile("sampled", ev, max(abs(xs[0]), abs(xs[-1])))
+
+
 @lru_cache(maxsize=None)
 def profile_and_grid(name):
     """The profile and its grid: 512 midpoints for MSF sets, 1024 (Meyer) or
@@ -50,12 +58,12 @@ def profile_and_grid(name):
         return meyer_profile(), tuple(uniform_grid(WINDOW, 1024))
     if name == "sampled":
         xs = np.linspace(-3 * math.pi, 3 * math.pi, 4001)
-        return sampled_profile(xs, meyer_profile().evaluate_array(xs)), tuple(uniform_grid(WINDOW, 512))
+        return sampled(xs, meyer_profile().evaluate_array(xs)), tuple(uniform_grid(WINDOW, 512))
     if name == "wide":
         rng = np.random.default_rng(7)
         xs = np.linspace(-200.0, 200.0, 2001)
         amplitudes = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
-        return sampled_profile(xs, amplitudes), tuple(uniform_grid(WINDOW, 256))
+        return sampled(xs, amplitudes), tuple(uniform_grid(WINDOW, 256))
     return msf_profile(catalog(name)), tuple(midpoint_grid(catalog(name), WINDOW, 512))
 
 
@@ -128,8 +136,10 @@ class TestAgainstPerPointLoops:
     def test_dimension_sums(self, name, j_max, k_max):
         profile, grid = profile_and_grid(name)
         _, rows = reference(name, j_max, k_max)
-        for point, row in list(zip(grid, rows))[::16]:
-            assert dimension_sum(profile, float(point), j_max, k_max) == (row[3], row[6])
+        xi = np.array([float(p) for p in grid])
+        blocks = multiplicity._lattice_blocks(profile, xi, j_max, k_max, 1e-9)
+        _, sums, complete = (np.concatenate(field) for field in zip(*blocks))
+        assert list(zip(sums.tolist(), complete.tolist())) == [(row[3], row[6]) for row in rows]
 
     def test_records(self, name, j_max, k_max):
         profile, grid = profile_and_grid(name)
@@ -168,8 +178,8 @@ def thinned(name):
 def test_deep_levels_match_per_point_loops(name, j_max, k_max):
     profile, grid = thinned(name)
     xi = np.array([float(p) for p in grid])
-    blocks = multiplicity._lattice_blocks(profile, xi, j_max, k_max, 1e-9)
-    fibers = np.concatenate([block_fibers for block_fibers, _, _ in blocks])
+    blocks = list(multiplicity._lattice_blocks(profile, xi, j_max, k_max, 1e-9))
+    fibers, sums, complete = (np.concatenate(field) for field in zip(*blocks))
     outputs = dict(zip(STATE_FIELDS, (fibers, *multiplicity._orthogonalize(fibers, 1e-9)[:3])))
     rows = []
     for i, point in enumerate(grid):
@@ -180,7 +190,7 @@ def test_deep_levels_match_per_point_loops(name, j_max, k_max):
             assert np.array_equal(getattr(state, field), want[field]), (field, point)
         assert (state.max_scale, state.rank) == (want["max_scale"], want["rank"])
         total, truncation = loop_dimension_sum(profile, xi[i], j_max, k_max)
-        assert dimension_sum(profile, xi[i], j_max, k_max) == (total, truncation)
+        assert (sums[i].item(), bool(complete[i])) == (total, truncation)
         exact = brute_dimension_count(profile.msf_set, point) if profile.kind == "msf" else None
         agree = want["rank"] == round(total) and (exact is None or want["rank"] == exact)
         xi_pi = point if isinstance(point, RationalPi) else None

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from wavemult.dimension import MAX_GRID, dimension_step_function, dimension_valu
 from wavemult.exact import IntervalSet, PreconditionError, RationalPi
 from wavemult.multiplicity import (
     SpectralProfile,
-    dimension_sum,
     gram_schmidt,
     meyer_profile,
     msf_profile,
-    sampled_profile,
     uniform_grid,
     verify_m_equals_d,
 )
@@ -28,6 +27,12 @@ def rp(num, den=1):
 
 FULL_WINDOW = parse_set("[-1pi,-1/64pi),[1/64pi,1pi)")
 ZERO_PROFILE = msf_profile(IntervalSet.empty())
+
+
+def lattice_record(profile, xi, j_max, k_max):
+    """The grid record of one point: its lattice sum `dim_sum` and `truncation_exact`."""
+    (record,) = verify_m_equals_d(profile, [xi], j_max, k_max).records
+    return record
 
 
 def catalog_profiles():
@@ -70,20 +75,6 @@ class TestProfiles:
         value = m.evaluate(x)
         assert value == pytest.approx(abs(value) * np.exp(0.5j * x))
 
-    def test_sampled_interpolates_and_vanishes_outside(self):
-        m = meyer_profile()
-        xs = np.linspace(-9 * math.pi / 3, 9 * math.pi / 3, 4001)
-        s = sampled_profile(xs, m.evaluate_array(xs))
-        assert s.evaluate(100.0) == 0.0
-        probe = np.linspace(0.7 * math.pi, 2.6 * math.pi, 100)
-        assert np.max(np.abs(s.evaluate_array(probe) - m.evaluate_array(probe))) < 1e-4
-
-    def test_sampled_validation(self):
-        with pytest.raises(ValueError):
-            sampled_profile([0.0, 0.0], [1, 1])
-        with pytest.raises(ValueError):
-            sampled_profile([0.0, 1.0], [1])
-
 
 class TestFiber:
     def test_shannon_single_entry(self, shannon):
@@ -114,7 +105,7 @@ class TestFiber:
         assert deep.truncation_exact
         for j_max in (1, 2, 6, 7, 12):
             flag = gram_schmidt(meyer_profile(), xi, j_max, 8).truncation_exact
-            assert flag is dimension_sum(meyer_profile(), xi, j_max, 8).truncation_exact
+            assert flag is lattice_record(meyer_profile(), xi, j_max, 8).truncation_exact
 
     @pytest.mark.parametrize("xi_pi", [3, -3, 5, -5])
     def test_truncation_flag_outside_the_principal_window(self, xi_pi):
@@ -125,7 +116,7 @@ class TestFiber:
         for k_max in range(1, 8):
             dropped = [2.0**j * (xi + 2 * math.pi * k) for j in range(1, j_max + 12)
                        for k in range(-60, 61) if abs(k) > k_max or j > j_max]
-            flag = dimension_sum(profile, xi, j_max, k_max).truncation_exact
+            flag = lattice_record(profile, xi, j_max, k_max).truncation_exact
             assert flag is gram_schmidt(profile, xi, j_max, k_max).truncation_exact
             assert not flag or not profile.evaluate_array(dropped).any(), k_max
             flags.append(flag)
@@ -160,7 +151,7 @@ class TestDepthPreconditions:
     @pytest.mark.parametrize("j_max, k_max", [(0, 4), (4, -3), (1024, 4), (4, 10**6)])
     def test_dimension_sum_rejects(self, j_max, k_max):
         with pytest.raises(PreconditionError):
-            dimension_sum(meyer_profile(), 1.0, j_max, k_max)
+            lattice_record(meyer_profile(), 1.0, j_max, k_max)
 
     def test_empty_grid_is_still_validated(self):
         with pytest.raises(PreconditionError):
@@ -168,14 +159,14 @@ class TestDepthPreconditions:
 
     def test_deepest_fitting_level_accepted(self):
         deepest = math.isqrt(multiplicity.BLOCK_ELEMENTS)  # J * max(J, 3) <= budget at K = 1
-        assert dimension_sum(ZERO_PROFILE, 1.0, deepest, 1).value == 0.0
+        assert lattice_record(ZERO_PROFILE, 1.0, deepest, 1).dim_sum == 0.0
         with pytest.raises(PreconditionError):
-            dimension_sum(ZERO_PROFILE, 1.0, deepest + 1, 1)
+            lattice_record(ZERO_PROFILE, 1.0, deepest + 1, 1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_deepest_float_level_accepted(self, monkeypatch):
         monkeypatch.setattr(multiplicity, "BLOCK_ELEMENTS", 1 << 20)
-        assert dimension_sum(ZERO_PROFILE, 1.0, 1023, 1).value == 0.0
+        assert lattice_record(ZERO_PROFILE, 1.0, 1023, 1).dim_sum == 0.0
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_grid_sizes_below_one_rejected(self, shannon, count):
@@ -251,7 +242,7 @@ class TestRank:
     def test_journe_rank_two_point(self, journe):
         sf = dimension_step_function(journe, parse_set("[1/8pi,1pi)"))
         region = next(piece for piece, value in sf.pairs if value == 2)
-        xi = (region.pieces[0].lo + region.pieces[0].hi) / 2
+        xi = (region.pieces[0].lo + region.pieces[0].hi) * Fraction(1, 2)
         assert brute_dimension_count(journe, xi) == 2
         assert gram_schmidt(msf_profile(journe), float(xi), 12, 8).rank == 2
 
@@ -279,30 +270,29 @@ class TestRank:
 
 class TestDimensionSum:
     def test_shannon_exact_count(self, shannon):
-        result = dimension_sum(msf_profile(shannon), float(rp(1, 2)), 8, 8)
-        assert result.value == 1.0
+        result = lattice_record(msf_profile(shannon), float(rp(1, 2)), 8, 8)
+        assert result.dim_sum == 1.0
         assert result.truncation_exact
 
     def test_msf_sums_are_exact_lattice_counts(self):
         for name in CATALOG_NAMES:
             W = catalog(name)
             profile = msf_profile(W)
-            for xi in midpoint_grid(W, FULL_WINDOW, 32):
-                got = dimension_sum(profile, float(xi), 12, 8)
-                assert got.value == float(brute_dimension_count(W, xi)), (name, xi)
+            for got in verify_m_equals_d(profile, midpoint_grid(W, FULL_WINDOW, 32), 12, 8).records:
+                assert got.dim_sum == float(brute_dimension_count(W, got.xi_pi)), (name, got.xi_pi)
                 assert got.truncation_exact
 
     def test_meyer_near_one(self):
-        result = dimension_sum(meyer_profile(), float(rp(1, 2)), 4, 4)
-        assert result.value == pytest.approx(1.0, abs=1e-9)
+        result = lattice_record(meyer_profile(), float(rp(1, 2)), 4, 4)
+        assert result.dim_sum == pytest.approx(1.0, abs=1e-9)
         assert result.truncation_exact
 
     def test_zero_profile(self):
-        assert dimension_sum(ZERO_PROFILE, 0.7, 6, 4).value == 0.0
+        assert lattice_record(ZERO_PROFILE, 0.7, 6, 4).dim_sum == 0.0
 
     def test_truncation_flag_reports_insufficient_depth(self):
         # at xi = pi/64 the support still reaches level 7, so j_max = 2 is short
-        result = dimension_sum(meyer_profile(), float(rp(1, 64)), 2, 4)
+        result = lattice_record(meyer_profile(), float(rp(1, 64)), 2, 4)
         assert not result.truncation_exact
 
 

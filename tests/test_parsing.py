@@ -13,8 +13,8 @@ def test_w1_expression(w1):
 
 
 def test_bare_pi_tokens():
-    assert parse_set("[pi,2pi)") == IntervalSet.single(RationalPi.of(1), RationalPi.of(2))
-    assert parse_set("[-pi,pi)") == IntervalSet.single(RationalPi.of(-1), RationalPi.of(1))
+    assert parse_set("[pi,2pi)") == IntervalSet([Interval(RationalPi.of(1), RationalPi.of(2))])
+    assert parse_set("[-pi,pi)") == IntervalSet([Interval(RationalPi.of(-1), RationalPi.of(1))])
 
 
 def test_whitespace_insensitive():

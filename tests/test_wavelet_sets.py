@@ -20,7 +20,6 @@ from wavemult.parsing import parse_set
 from wavemult.wavelet_sets import (
     CACHE_SIZE,
     CATALOG_NAMES,
-    PRINCIPAL_WINDOW,
     PiecewiseTranslation,
     catalog,
     is_wavelet_set,
@@ -44,6 +43,7 @@ from _oracles import (
     two_interval_wavelet_set,
 )
 
+PRINCIPAL_WINDOW = parse_set("[-1pi,1pi)")
 ANNULUS = parse_set("[-2pi,-1pi),[1pi,2pi)")
 
 
@@ -261,7 +261,7 @@ class TestPiecewiseTranslation:
 
 class TestHostileInputs:
     def test_tiny_left_endpoint_rejected_quickly(self):
-        W = IntervalSet.single(RationalPi(Fraction(1, 2**10000)), RationalPi(1))
+        W = IntervalSet([Interval(RationalPi(Fraction(1, 2**10000)), RationalPi(1))])
         start = time.perf_counter()
         report = is_wavelet_set(W)
         elapsed = time.perf_counter() - start
@@ -275,7 +275,7 @@ class TestHostileInputs:
         assert is_wavelet_set.cache_info().maxsize == CACHE_SIZE
 
     def test_long_piece_rejected_quickly(self):
-        W = IntervalSet.single(rp(1), rp(10**6))
+        W = IntervalSet([Interval(rp(1), rp(10**6))])
         start = time.perf_counter()
         report = is_wavelet_set(W)
         elapsed = time.perf_counter() - start
@@ -319,8 +319,8 @@ class TestHostileInputs:
             pieces.append((lo, hi) if rng.random() < 0.5 else (-hi, -lo))
         W = IntervalSet.from_intervals(Interval(RationalPi(a), RationalPi(b)) for a, b in pieces)
         positive, negative = annulus_images(W)
-        want = midpoint_tiling_failure(positive, IntervalSet.single(rp(1), rp(2))).union(
-            midpoint_tiling_failure(negative, IntervalSet.single(rp(-2), rp(-1)))
+        want = midpoint_tiling_failure(positive, IntervalSet([Interval(rp(1), rp(2))])).union(
+            midpoint_tiling_failure(negative, IntervalSet([Interval(rp(-2), rp(-1))]))
         )
         failure = object_tiling_failure([iv for part in object_annulus_fragments(W) for iv in part], ANNULUS)
         assert failure == want
@@ -362,12 +362,12 @@ def integer_side_sets():
     sets += [two_interval_wavelet_set(rng) for _ in range(10)]
     sets += [near_zero_wavelet_set(n) for n in (0, 1, 5, 30, 1000)]
     sets += [W.negate() for W in sets[-15:]]
-    sets += [IntervalSet.single(rp(1), RationalPi(2000 - Fraction(rng.randrange(1, 2**16), 2**16)))
+    sets += [IntervalSet([Interval(rp(1), RationalPi(2000 - Fraction(rng.randrange(1, 2**16), 2**16)))])
              for _ in range(4)]
-    sets += [IntervalSet.single(RationalPi(Fraction(1, 2**e)), RationalPi(1 - Fraction(1, 2**17)))
+    sets += [IntervalSet([Interval(RationalPi(Fraction(1, 2**e)), RationalPi(1 - Fraction(1, 2**17)))])
              for e in (50, 100, 200, 1000)]
     sets += [catalog(name) for name in CATALOG_NAMES]
-    sets += [coprime_set(rng, 120), IntervalSet.single(rp(1), RationalPi(Fraction(2) ** 1100))]
+    sets += [coprime_set(rng, 120), IntervalSet([Interval(rp(1), RationalPi(Fraction(2) ** 1100))])]
     return sets
 
 
@@ -377,12 +377,12 @@ def fraction_side_sets():
     rng = random.Random(1718)
     many = random_wavelet_candidate(rng, 1600)
     return [
-        IntervalSet.single(RationalPi(DEEP), rp(1)),
+        IntervalSet([Interval(RationalPi(DEEP), rp(1))]),
         near_zero_wavelet_set(10000),
         coprime_set(rng, 200),
         coprime_set(rng, 400),
         IntervalSet.from_intervals(list(many) + [Interval(RationalPi(DEEP), RationalPi(3 * DEEP / 2))]),
-        IntervalSet.single(rp(1), RationalPi(Fraction(2) ** 3100)),
+        IntervalSet([Interval(rp(1), RationalPi(Fraction(2) ** 3100))]),
     ]
 
 
