@@ -31,13 +31,18 @@ class SpectralProfile:
 
     `evaluate_array` must be vectorized over a float array of frequencies and
     return complex amplitudes that vanish outside [-support_radius,
-    support_radius].
+    support_radius].  The fibers rely on it: they evaluate the profile only at
+    the lattice points with |x| <= support_radius and take 0 everywhere else,
+    so the radius must be finite and >= 0.
     """
 
     def __init__(self, kind, evaluate_array, support_radius, msf_set=None):
+        radius = float(support_radius)
+        if not 0.0 <= radius < math.inf:
+            raise PreconditionError(f"support_radius must be finite and >= 0, got {radius!r}")
         self.kind = kind
         self._evaluate = evaluate_array
-        self.support_radius = float(support_radius)
+        self.support_radius = radius
         self.msf_set = msf_set
 
     def evaluate(self, xi: float) -> complex:
@@ -99,13 +104,19 @@ def _lattice_blocks(
     """Per block of consecutive base points, from one profile evaluation:
     the fibers 2**(j/2) * profile(2**j * (xi + 2*pi*k)), shape (points, J, 2K+1),
     the lattice sums of |profile|**2 over the same (j, k), added level by level,
-    and whether every dropped (j, k) term provably vanishes."""
+    and whether every dropped (j, k) term provably vanishes.  The profile is
+    evaluated only at the lattice points with |2**j (xi + 2*pi*k)| <= support_radius
+    (the endpoints included: MSF pieces are closed at their negative end); every
+    other entry is 0, as the profile's contract says it would read."""
     per_point = j_max * max(j_max, 2 * k_max + 1)
     if not (1 <= j_max <= MAX_LEVEL and k_max >= 1 and 0 < tol < math.inf
             and per_point <= BLOCK_ELEMENTS):
         raise PreconditionError(
             f"need 1 <= J <= {MAX_LEVEL}, K >= 1, finite tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}"
         )
+    not_finite = xi[~np.isfinite(xi)]
+    if not_finite.size:
+        raise PreconditionError(f"grid point {not_finite[0].item()!r} is not finite")
     size = BLOCK_ELEMENTS // per_point
     shifts = TWO_PI_F * np.arange(-k_max, k_max + 1)
     dilations = np.array([2.0**level for level in range(1, j_max + 1)])[:, None]
@@ -113,7 +124,9 @@ def _lattice_blocks(
     for start in range(0, len(xi), size):
         x = xi[start : start + size]
         points = dilations * (x[:, None] + shifts)[:, None, :]
-        values = profile.evaluate_array(points.ravel()).reshape(points.shape)
+        inside = np.abs(points) <= profile.support_radius
+        values = np.zeros(points.shape, dtype=complex)
+        values[inside] = profile.evaluate_array(points[inside])
         sums = np.cumsum(np.sum(np.abs(values) ** 2, axis=2), axis=1)[:, -1]
         # Dropped |k| > k_max lie at 2**j |x + 2 pi k| >= 2 (2 pi (k_max+1) - max(pi, |x|)), and
         # levels j > j_max at >= 2**(j_max+1) dist(x, 2*pi*Z): exact when both pass the support.
@@ -137,22 +150,31 @@ def _orthogonalize(fibers: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     eta[:, j, k] = <psi_j, g_k> / ||g_k||**2, so psi_j = g_j + sum_k eta[:, j, k] g_k.
     The fibers psi, not the running g, enter each dot, so one step per level k takes
     all later coefficients in one stacked product and subtracts g_k from every later
-    residual: J steps per block, each residual losing g_0, g_1, ... in turn."""
+    residual, each residual losing g_0, g_1, ... in turn.
+
+    The steps run only over the live levels, from the first level with a non-zero
+    fiber at some point of the block to the last: a level with no such fiber has
+    g = 0 and h = 0, and adds a coefficient of 0 to every other level, so the outputs
+    are bit for bit those of all J steps."""
     count, levels, _ = fibers.shape
     max_scale = np.fmax(1.0, np.sum(np.abs(fibers) ** 2, axis=2).max(axis=1))
     threshold = tol * max_scale
     residuals = fibers.copy()
     h_values = np.zeros((count, levels))
     eta = np.zeros((count, levels, levels), dtype=complex)
-    for k in range(levels):
+    live = np.flatnonzero(fibers.any(axis=(0, 2)))
+    if not live.size:
+        return residuals, h_values, eta, max_scale
+    top = live[-1] + 1
+    for k in range(live[0], top):
         gk = residuals[:, k]
         h_values[:, k] = TWO_PI_F * _dots(gk, gk).real
         used = h_values[:, k] > threshold
-        if k + 1 < levels and used.any():
-            dots = (gk.conj()[:, None, None, :] @ fibers[:, k + 1 :, :, None])[:, :, 0, 0]
+        if k + 1 < top and used.any():
+            dots = (gk.conj()[:, None, None, :] @ fibers[:, k + 1 : top, :, None])[:, :, 0, 0]
             coeff = dots / np.where(used, h_values[:, k] / TWO_PI_F, 1.0)[:, None]
-            eta[:, k + 1 :, k] = coeff = np.where(used[:, None], coeff, 0.0)
-            later = residuals[:, k + 1 :]
+            eta[:, k + 1 : top, k] = coeff = np.where(used[:, None], coeff, 0.0)
+            later = residuals[:, k + 1 : top]
             later[...] = np.where(used[:, None, None], later - coeff[:, :, None] * gk[:, None, :], later)
     return residuals, h_values, eta, max_scale
 

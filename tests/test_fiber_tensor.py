@@ -234,3 +234,80 @@ def test_meyer_on_the_sweep_lattice(j_max, k_max):
     _, grid = profile_and_grid("meyer")
     x = meyer_lattice_points(j_max, k_max, grid[:: 8 if j_max > 12 else 1])
     assert np.array_equal(meyer_profile().evaluate_array(x), full_band_meyer(x))
+
+
+# The live levels (1-based) of a hand-built block at J = 12: none, one, a first live level
+# above 1, live levels with dead ones between them, and all J.
+LIVE_LEVELS = {
+    "none": (),
+    "one": (5,),
+    "first_above_1": tuple(range(4, 13)),
+    "gaps": (2, 5, 6, 10),
+    "all": tuple(range(1, 13)),
+}
+BLOCK_XI = np.linspace(0.3, 2.9, 7)
+
+
+def lattice_lookup(live):
+    """A profile reading seeded amplitudes at the lattice points 2**j (xi + 2 pi k) of
+    BLOCK_XI on the `live` levels, and 0 everywhere else.  Odd points drop one live level
+    each, and at point 2 the last live level is a multiple of the first, so that a live
+    level can also fail the tolerance."""
+    rng = np.random.default_rng(len(live) + 32)
+    shifts = 2.0 * math.pi * np.arange(-8, 9)
+    lookup = {}
+    for i, x in enumerate(BLOCK_XI):
+        dropped = live[i % len(live)] if live and i % 2 else None
+        for level in live:
+            if level == dropped:
+                continue
+            values = rng.normal(size=shifts.size) + 1j * rng.normal(size=shifts.size)
+            if level == live[0]:
+                first = values
+            elif i == 2 and level == live[-1]:
+                values = first * 2.0 ** ((live[0] - level) / 2) * (0.5 - 0.25j)
+            lookup.update(zip((2.0**level * (x + shifts)).tolist(), values.tolist()))
+
+    def ev(x):
+        return np.array([lookup.get(point, 0j) for point in x.tolist()], dtype=complex)
+
+    return SpectralProfile("lookup", ev, max(map(abs, lookup), default=0.0))
+
+
+@pytest.mark.parametrize("case", list(LIVE_LEVELS))
+def test_bounded_recurrence_on_hand_built_blocks(case):
+    """Only the levels from the first live one to the last take recurrence steps; every
+    output is bit for bit the per-pair recurrence's and the per-point loop's."""
+    live = LIVE_LEVELS[case]
+    profile = lattice_lookup(live)
+    ((fibers, _, _),) = multiplicity._lattice_blocks(profile, BLOCK_XI, 12, 8, 1e-9)
+    assert np.flatnonzero(fibers.any(axis=(0, 2))).tolist() == [level - 1 for level in live]
+    got = multiplicity._orthogonalize(fibers, 1e-9)
+    for field, a, b in zip(("residuals", "h_values", "eta", "max_scale"), got,
+                           pairwise_orthogonalize(fibers, 1e-9)):
+        assert np.array_equal(a, b), field
+    outputs = dict(zip(STATE_FIELDS, (fibers, *got[:3])))
+    for i, xi in enumerate(BLOCK_XI.tolist()):
+        want = loop_gram_schmidt(profile, xi, 12, 8)
+        state = gram_schmidt(profile, xi, 12, 8)
+        for field in STATE_FIELDS:
+            assert np.array_equal(outputs[field][i], want[field]), (field, i)
+            assert np.array_equal(getattr(state, field), want[field]), (field, i)
+        assert (state.max_scale, state.rank) == (want["max_scale"], want["rank"])
+        dropped, dependent = bool(live) and i % 2 == 1, i == 2 and len(live) > 1
+        assert want["rank"] == len(live) - dropped - dependent
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_profile_vanishes_past_its_radius(name):
+    """The fibers evaluate only |x| <= support_radius: every in-repo profile reads 0 just
+    past it and on a seeded log-uniform sweep out to the deepest lattice point of J = 90."""
+    profile, _ = profile_and_grid(name)
+    radius = profile.support_radius
+    rng = np.random.default_rng(321)
+    beyond = np.exp(rng.uniform(math.log(radius), math.log(2.0**91 * 20 * math.pi), 4000))
+    beyond = beyond[beyond > radius]
+    x = np.concatenate([[np.nextafter(radius, math.inf), np.nextafter(-radius, -math.inf)],
+                        beyond, -beyond])
+    assert beyond.size > 3900
+    assert not profile.evaluate_array(x).any()

@@ -185,6 +185,48 @@ class TestDepthPreconditions:
     def test_largest_grid_accepted(self):
         assert len(uniform_grid(FULL_WINDOW, MAX_GRID)) == MAX_GRID
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, value):
+        with pytest.raises(PreconditionError, match=f"grid point {value!r} is not finite"):
+            gram_schmidt(meyer_profile(), value, 12, 8)
+        with pytest.raises(PreconditionError, match=f"grid point {value!r} is not finite"):
+            verify_m_equals_d(meyer_profile(), [value], 12, 8)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected_before_any_block(self, value):
+        """The bad point sits in the third block of 40; no block's profile is evaluated."""
+        calls = []
+
+        def ev(x):
+            calls.append(x.size)
+            return meyer_profile().evaluate_array(x)
+
+        profile = SpectralProfile("counted", ev, 8 * math.pi / 3)
+        grid = uniform_grid(FULL_WINDOW, 100) + [value]
+        with pytest.raises(PreconditionError, match="not finite"):
+            verify_m_equals_d(profile, grid, 12, 8)
+        assert calls == []
+
+
+class TestSupportRadius:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_invalid_radius_rejected(self, radius):
+        with pytest.raises(PreconditionError, match="support_radius"):
+            SpectralProfile("bad", meyer_profile().evaluate_array, radius)
+
+    def test_zero_radius_accepted(self):
+        assert ZERO_PROFILE.support_radius == 0.0
+        assert SpectralProfile("zero", ZERO_PROFILE.evaluate_array, 0).support_radius == 0.0
+
+    def test_lattice_point_on_the_closed_end_counts(self, shannon):
+        """At xi = -pi the level-1, k = 0 point is exactly -2 pi = -R, inside [-2pi, -pi)."""
+        profile = msf_profile(shannon)
+        state = gram_schmidt(profile, -math.pi, 12, 8)
+        assert -2 * math.pi == -profile.support_radius
+        assert state.fibers[0, 8] == math.sqrt(2)
+        assert np.count_nonzero(state.fibers) == 1
+        assert state.rank == 1
+
 
 class TestGramSchmidt:
     def test_shannon_weights(self, shannon):
