@@ -109,13 +109,15 @@ def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
 def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
     """Count of (j, k) with j >= 1 and 2**j * (xi + 2*pi*k) in W, at each point xi.
 
-    The counts come from one walk over the int rows of `dimension_function(W)` in the
-    order of the points, sorted first if they do not ascend; the range checks compare
-    numerators and denominators, the walk a row end c over the rows' unit with a point
-    n / d as c * d against n * unit.  Every xi must
-    lie in [-pi, pi) and differ from 0, where that function holds its right limit; a
-    point that does not raises before that function is built, after W's own check.
-    The points may be any iterable; they are read once.
+    Each count is read by one bisection of the row starts of `dimension_function(W)`,
+    which tile [-pi, pi), so every point lands in a row.  On int starts over the rows'
+    unit a point n / d takes the key n * unit // d: an int start c is at most n * unit / d
+    exactly when it is at most that floor.  Past the coordinate budget the starts after
+    the first are Fractions and the key is the point's own coefficient.  The range checks
+    compare numerators and denominators.  Every xi must lie in [-pi, pi) and differ
+    from 0, where that function holds its right limit; a point that does not raises
+    before that function is built, after W's own check.  The points may be any
+    iterable; they are read once.
     """
     points = list(points)
     fractions = [(xi.coef.numerator, xi.coef.denominator) for xi in points]
@@ -126,24 +128,12 @@ def dimension_values(W: IntervalSet, points: Iterable[RationalPi]) -> list[int]:
     if not points:
         return []
     unit, rows = dimension_function(W)._on_unit()
-    order = range(len(points))
-    if any(a * d > c * b for (a, b), (c, d) in zip(fractions, fractions[1:])):
-        order = sorted(order, key=lambda index: points[index].coef)
-    last, i = len(rows) - 1, 0
-    values, missing = [0] * len(points), []
-    for index in order:
-        n, d = fractions[index]
-        n *= unit
-        while i < last and rows[i][1] * d <= n:  # row i ends at or before the point
-            i += 1
-        lo, hi, value = rows[i]
-        if lo * d <= n < hi * d:
-            values[index] = value
-        else:
-            missing.append(index)
-    if missing:
-        raise PreconditionError(f"{points[min(missing)]} lies outside the domain")
-    return values
+    starts = [lo for lo, _, _ in rows]
+    if all(type(c) is int for c in starts):
+        keys = [n * unit // d for n, d in fractions]
+    else:
+        keys = [xi.coef for xi in points]
+    return [rows[bisect_right(starts, key) - 1][2] for key in keys]
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,9 @@ def meyer_profile() -> SpectralProfile:
 
 # Complex elements a block of grid points may hold in its fiber tensor
 # (points, J, 2K+1) or its coefficients eta (points, J, J): 128 KB per array,
-# which keeps a block's working set near 1 MB and admits J <= 90.
+# which keeps a block's working set near 1 MB and admits J <= 90, the one
+# limit on J (so 2.0**J stays a finite float).
 BLOCK_ELEMENTS = 1 << 13
-MAX_LEVEL = 1023  # 2.0**1024 overflows a float
 
 
 def _lattice_blocks(
@@ -107,13 +107,14 @@ def _lattice_blocks(
     and whether every dropped (j, k) term provably vanishes.  The profile is
     evaluated only at the lattice points with |2**j (xi + 2*pi*k)| <= support_radius
     (the endpoints included: MSF pieces are closed at their negative end); every
-    other entry is 0, as the profile's contract says it would read."""
+    other entry is 0, as the profile's contract says it would read.
+
+    Before any block: J >= 1, K >= 1 and a finite tol > 0, with one point's fiber
+    tensor and eta within `BLOCK_ELEMENTS`, the one limit on J (J <= 90); then every
+    grid point finite."""
     per_point = j_max * max(j_max, 2 * k_max + 1)
-    if not (1 <= j_max <= MAX_LEVEL and k_max >= 1 and 0 < tol < math.inf
-            and per_point <= BLOCK_ELEMENTS):
-        raise PreconditionError(
-            f"need 1 <= J <= {MAX_LEVEL}, K >= 1, finite tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}"
-        )
+    if not (j_max >= 1 and k_max >= 1 and 0 < tol < math.inf and per_point <= BLOCK_ELEMENTS):
+        raise PreconditionError(f"need J >= 1, K >= 1, finite tol > 0 and J * max(J, 2K+1) <= {BLOCK_ELEMENTS}")
     not_finite = xi[~np.isfinite(xi)]
     if not_finite.size:
         raise PreconditionError(f"grid point {not_finite[0].item()!r} is not finite")
@@ -257,9 +258,14 @@ def verify_m_equals_d(
 
     Grid points should avoid 0 and, for MSF profiles, the breakpoints of the
     exact step function (use `dimension.midpoint_grid`).  The exact counts
-    come from one `dimension.dimension_values` call.
+    come from one `dimension.dimension_values` call, made before any block is
+    built, so an exact point outside [-pi, pi) or at 0 (or an MSF profile's set
+    that is not a wavelet set) raises before the numeric work.
     """
     points = list(grid)
+    msf = profile.kind == "msf" and profile.msf_set is not None
+    exact_points = [p for p in points if isinstance(p, RationalPi)]
+    counts = iter(dimension_values(profile.msf_set, exact_points) if msf else ())
     xs = np.array([float(p) for p in points])
     ranks, totals, truncation = [], [], []
     for fibers, sums, complete in _lattice_blocks(profile, xs, j_max, k_max, tol):
@@ -267,9 +273,6 @@ def verify_m_equals_d(
         ranks += np.sum(h_values > tol * max_scale[:, None], axis=1).tolist()
         totals += sums.tolist()
         truncation += complete.tolist()
-    msf = profile.kind == "msf" and profile.msf_set is not None
-    exact_points = [p for p in points if isinstance(p, RationalPi)]
-    counts = iter(dimension_values(profile.msf_set, exact_points) if msf else ())
     records = []
     for point, xi, rank, total, truncation_exact in zip(points, xs.tolist(), ranks, totals, truncation):
         xi_pi = exact = None

@@ -18,7 +18,7 @@ the same inputs.
 | `is_wavelet_set`: verdicts, failure region and witness | `object_wavelet_report`, `object_principal_fragments`, `object_annulus_fragments`, `object_tiling_failure` | `Interval` fragments and one tagged sweep per tiling, not int coordinates and one `cover` |
 | the tilings behind it, on long pieces | `midpoint_tiling_failure`, `principal_images`, `annulus_images` | every cut of a piece, no three-fragment cap, counted at cell midpoints |
 | `dimension_step_function`, `dimension_function` and `core_equivalence_regions` | `windowed_step_function`, `hit_sets`, `step_from_covers`, `midpoint_step_from_covers`, `midpoint_differing_regions` | D built on the window alone from every translate deep enough to reach it: no k = 0 shortcut, no fold, no restriction by bisection |
-| `dimension_values`, D at single points | `brute_dimension_count`, `bisect_dimension_values` | a double loop over (j, k); a bisection per point of D's rows, not one ordered walk |
+| `dimension_values`, D at single points | `brute_dimension_count`, `bisect_dimension_values` | a double loop over (j, k); `value_at` on D's `Fraction` coefs, not the int floor lookup |
 | `midpoint_grid` | `loop_midpoint_grid` | `RationalPi` arithmetic on each row's `Interval` |
 | sigma: `compose` | `object_compose` | one tagged sweep of `Interval` pieces, not the pull-back lookup |
 | sigma: `dyadic_extension` | `extension_at`, `object_dyadic_extension`, `fraction_dyadic_extension` | pointwise; every level of the hull; octave dilates overlaid by a tagged sweep on `Fraction`s, which reaches the inputs past the 3072-bit budget |
@@ -369,8 +369,9 @@ def windowed_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:
 
 
 def bisect_dimension_values(W: IntervalSet, points) -> list[int]:
-    """Counts read one point at a time by `Piecewise.value_at`, a bisection of the rows
-    of `dimension_function(W)`, not by one walk over them."""
+    """Counts read one point at a time by `Piecewise.value_at`, a bisection of the
+    `Fraction` coefs of `dimension_function(W)`, not by the int floor lookup on its
+    coordinate rows."""
     D = dimension_function(W)
     return [D.value_at(xi) for xi in points]
 

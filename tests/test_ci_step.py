@@ -83,6 +83,8 @@ def test_the_stdlib_only_step_passes():
     assert "(11, 12, 16)" in script  # overlapping dilates in one base row, exact on ints
     assert "wm.compose_power(mirror, 3) == wm.dyadic_extension(mirror.mapping, squared)" in script
     assert "wm.dimension_values(W, pts) == [wm.dimension_function(W).value_at(p) for p in pts]" in script
+    # past the budget, D's Fraction row starts read just below by the points' own coefficients
+    assert "wm.dimension_values(V, below) == [D.value_at(p) for p in below]" in script
     # a failure region and a witness, read after their verdicts, on Fractions and on ints
     assert "deep.tau_witness.coefs == ((-a, -a / 2, 0), (2 - a / 2, 3, -2), (3, 4 - a, -4))" in script
     assert "rejected.failure_regions.coefs == ((-2, -1), (1, Fraction(3, 2)))" in script

@@ -120,9 +120,21 @@ class TestDimensionAt:
         assert dimension_values(W, [MINUS_PI, rp(1, 2)]) and dimension.dimension_function.cache_info().misses == 1
 
 
+def below_row_ends(W):
+    """D = `dimension_function(W)` and one point just below the end of each of its rows,
+    which falls in that row: a third of the narrowest row over the unit of D's coordinates
+    below it, less than one coordinate step, so a ceiling in place of the floor reads the
+    next row."""
+    D = dimension_function(W)
+    unit, _ = D._on_unit()
+    gap = min(hi - lo for lo, hi, _ in D.coefs) / (3 * unit)
+    return D, [RationalPi(hi - gap) for _, hi, _ in D.coefs]
+
+
 class TestOrderedWalk:
-    """`dimension_values` walks the rows of D once in the order of the points; the
-    reference bisects the rows once per point."""
+    """`dimension_values` reads each point by one bisection of D's row starts, on points in
+    any order, at and just below the row boundaries; the reference bisects D's `Fraction`
+    rows by `value_at`."""
 
     def test_unsorted_and_repeated_points(self, journe):
         rng = random.Random(25)
@@ -142,14 +154,27 @@ class TestOrderedWalk:
         assert dimension_values(W, starts) == values == bisect_dimension_values(W, starts)
         assert dimension_values(W, starts[::-1]) == values[::-1]
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_points_just_below_row_boundaries(self, name):
+        W = catalog(name)
+        D, points = below_row_ends(W)
+        want = [brute_dimension_count(W, xi) for xi in points]
+        assert dimension_values(W, points) == want == [D.value_at(xi) for xi in points]
+        assert want == [value for *_, value in D.coefs]
+
     def test_deep_rows(self):
         """2n + 9 rows whose endpoints carry about 400 bits; every row start and
-        midpoint, backwards."""
+        midpoint, backwards; a point just below each row end, every 40th also against
+        the lattice count, whose levels reach 2**-400 pi."""
         W = deep_piece_wavelet_set(400, 400)
-        rows = dimension_function(W).coefs
+        D, below = below_row_ends(W)
+        rows = D.coefs
         points = [RationalPi(lo) for lo, _, _ in rows if lo] + [RationalPi((lo + hi) / 2) for lo, hi, _ in rows]
         points = [xi for xi in points if xi.coef != 0][::-1]
         assert dimension_values(W, points) == bisect_dimension_values(W, points)
+        values = dimension_values(W, below)
+        assert values == [D.value_at(xi) for xi in below] == [value for *_, value in rows]
+        assert values[::40] == [brute_dimension_count(W, xi, j_cap=410, k_cap=3) for xi in below[::40]]
 
     def test_past_the_coordinate_budget(self):
         """The 2**-10000 pi set of the stdlib-only CI step: points 2**-10000 pi apart."""
@@ -157,15 +182,19 @@ class TestOrderedWalk:
         a = Fraction(1, 2**10000)
         points = [RationalPi(c) for c in (Fraction(1, 2), -a, -a / 2, -3 * a / 4, a / 3, -1, -a / 2, a)]
         assert dimension_values(W, points) == bisect_dimension_values(W, points)
+        D, below = below_row_ends(W)  # D is 1, one int row over unit 1: only pi is an end
+        assert dimension_values(W, below) == [D.value_at(xi) for xi in below] == [1]
 
-    def test_a_point_in_a_gap_of_the_function(self, monkeypatch, journe):
-        """The first point in the given order that no row holds is named."""
-        gapped = StepFunction.from_triples([(-1, Fraction(-1, 2), 1), (Fraction(1, 4), 1, 2)])
-        monkeypatch.setattr(dimension, "dimension_function", lambda W: gapped)
-        assert dimension_values(journe, [rp(1, 2), rp(-3, 4)]) == [2, 1]
-        for points, named in (([rp(1, 2), rp(1, 8), rp(-1, 4)], "1/8"), ([rp(-1, 4), rp(1, 8)], "-1/4")):
-            with pytest.raises(PreconditionError, match=f"^{named} pi lies outside the domain"):
-                dimension_values(journe, points)
+    def test_fraction_rows_past_the_coordinate_budget(self):
+        """Denominators 2**1536 - 1 and 2**1538 - 1 take D past the budget: its first start
+        is the int -1 and the rest are Fractions, read by the points' own coefficients."""
+        W = deep_piece_wavelet_set(1536, 2)
+        D, points = below_row_ends(W)
+        unit, rows = D._on_unit()
+        assert unit == 1 and rows[0][0] == -1 and {type(lo) for lo, _, _ in rows[1:]} == {Fraction}
+        values = dimension_values(W, points[::-1])[::-1]
+        assert values == [D.value_at(xi) for xi in points] == [value for *_, value in rows]
+        assert values[::600] == [brute_dimension_count(W, xi, j_cap=1545, k_cap=3) for xi in points[::600]]
 
 
 class TestStepFunction:

@@ -41,6 +41,15 @@ def catalog_profiles():
     return profiles
 
 
+def counted_msf_profile(W):
+    """W's MSF profile, and the list of the sizes of the arrays it is evaluated on."""
+    calls = []
+    profile = msf_profile(W)
+    counted = SpectralProfile("msf", lambda x: calls.append(x.size) or profile.evaluate_array(x),
+                              profile.support_radius, msf_set=W)
+    return counted, calls
+
+
 def grid_for(name, profile, count=64):
     if profile.kind == "msf":
         return midpoint_grid(profile.msf_set, FULL_WINDOW, count)
@@ -205,6 +214,21 @@ class TestDepthPreconditions:
         grid = uniform_grid(FULL_WINDOW, 100) + [value]
         with pytest.raises(PreconditionError, match="not finite"):
             verify_m_equals_d(profile, grid, 12, 8)
+        assert calls == []
+
+    @pytest.mark.parametrize("point, message", [(rp(3), r"xi must lie in \[-pi, pi\)"),
+                                                (rp(0), "not evaluated at 0")], ids=["outside", "zero"])
+    def test_bad_exact_point_rejected_before_any_block(self, journe, point, message):
+        """The exact counts are read first: a bad point after 256 good ones evaluates no block."""
+        profile, calls = counted_msf_profile(journe)
+        with pytest.raises(PreconditionError, match=message):
+            verify_m_equals_d(profile, midpoint_grid(journe, FULL_WINDOW, 256) + [point], 12, 8)
+        assert calls == []
+
+    def test_msf_set_not_a_wavelet_set_rejected_before_any_block(self, journe):
+        profile, calls = counted_msf_profile(parse_set("[1pi,3pi)"))
+        with pytest.raises(PreconditionError, match="not a wavelet set"):
+            verify_m_equals_d(profile, midpoint_grid(journe, FULL_WINDOW, 256), 12, 8)
         assert calls == []
 
 
