@@ -25,6 +25,7 @@ from .exact import (
     Piecewise,
     RationalPi,
     _coordinates,
+    _require_count,
     _times_pow2,
     ceil_log2,
     cover,
@@ -148,8 +149,7 @@ def dimension_integral(W: IntervalSet, terms: int = 30) -> DimensionIntegral:
     """Exact integral of `dimension_function(W)` from its coordinate rows (2*pi for a wavelet
     set), and the exact partial sums sum_{j <= terms} 2**-j * |W|, converging to |W|, for
     `terms` in 1..1024: the denominators grow to `terms` bits, so the cost grows as its square."""
-    if not 1 <= terms <= 1024:
-        raise PreconditionError(f"terms must lie in 1..1024, got {terms}")
+    terms = _require_count("terms", terms, 1024)
     unit, rows = dimension_function(W)._on_unit()
     limit = Fraction(sum((hi - lo) * value for lo, hi, value in rows), unit)
     mu = W.measure().coef
@@ -178,11 +178,6 @@ def mra_consistent(W: IntervalSet) -> bool:
 MAX_GRID = 1 << 16
 
 
-def _require_grid_size(count: int) -> None:
-    if not 1 <= count <= MAX_GRID:
-        raise PreconditionError(f"grid size must lie in 1..{MAX_GRID}, got {count}")
-
-
 def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[RationalPi]:
     """At least `count` exact points avoiding the breakpoints of W's dimension function.
 
@@ -190,7 +185,7 @@ def midpoint_grid(W: IntervalSet, window: IntervalSet, count: int) -> list[Ratio
     and the midpoints of the cells are returned, so no point can sit on a
     breakpoint.
     """
-    _require_grid_size(count)  # before the step function is built
+    count = _require_count("grid size", count, MAX_GRID)  # before the step function is built
     rows = dimension_step_function(W, window)._on_unit()[1]
     per_row = -(-count // len(rows)) if rows else 0
     points = []

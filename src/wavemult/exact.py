@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 __all__ = [
@@ -49,6 +49,15 @@ FLOAT_ERROR = "exact scalars take int, str or Fraction, not float"
 
 class PreconditionError(ValueError):
     """An operation was invoked outside its documented domain."""
+
+
+def _require_count(name: str, value: Any, top: int) -> int:
+    """`value` as the int in 1..top that `operator.index` takes it to, else PreconditionError."""
+    count = index(value) if hasattr(type(value), "__index__") else None
+    if count is None or not 1 <= count <= top:
+        must = "lie in" if count is not None else "be an integer in"
+        raise PreconditionError(f"{name} must {must} 1..{top}, got {value!r}")
+    return count
 
 
 def _exact(k: RationalLike) -> Fraction:
@@ -161,8 +170,8 @@ def _disjoint_rows(triples: Iterable[tuple]) -> Optional[list[list]]:
     return merge_cells(rows)
 
 
-# Largest unit, in bits, of `_coordinates`: ints measured faster than Fractions up to
-# about 3000 bits on catalog sigma powers and up to 4096 bits in the wavelet-set check.
+# Largest unit, in bits, of `_coordinates`, decided once per input: ints measured faster than
+# Fractions up to 4096 bits in the wavelet-set check; results built on int rows stay on them.
 COORD_BITS = 3072
 
 
@@ -240,11 +249,11 @@ class _OnUnit:
 
 
 def _on_one_unit(first: _OnUnit, then: _OnUnit) -> tuple:
-    """(unit, the rows of `first`, those of `then`) over one unit: the rows they carry scaled to the
-    lcm of their units, or past the budget or on Fractions, the `_coordinates` of their coefs."""
+    """(unit, the rows of `first`, those of `then`) over one unit: the int rows both carry scaled to
+    the lcm of their units, however large, or with a side over unit 1, the `_coordinates` of their coefs."""
     (u, a), (v, b) = first._on_unit(), then._on_unit()
-    unit = math.lcm(u, v)
-    if unit.bit_length() <= COORD_BITS and min(u, v) > 1:
+    if min(u, v) > 1:
+        unit = math.lcm(u, v)
         return (unit, *[rows if w == unit else [tuple([x * (unit // w) for x in row]) for row in rows]
                         for w, rows in ((u, a), (v, b))])
     unit, coords = _coordinates(first.coefs + then.coefs)

@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import _LAZY
-from .exact import IntervalSet, PreconditionError, RationalPi
-from .dimension import _require_grid_size, dimension_values
+from .exact import IntervalSet, PreconditionError, RationalPi, _require_count
+from .dimension import MAX_GRID, dimension_values
 
 # The package holds the list: its lazy `__getattr__` must know the names without numpy.
 __all__ = list(_LAZY["multiplicity"])
@@ -285,7 +285,7 @@ def verify_m_equals_d(
 
 def uniform_grid(window: IntervalSet, count: int) -> list[float]:
     """Midpoints of ceil(count / pieces) equal cells in each window piece (floats)."""
-    _require_grid_size(count)
+    count = _require_count("grid size", count, MAX_GRID)
     per_piece = -(-count // len(window)) if window else 0
     points = []
     for iv in window:

@@ -4,8 +4,8 @@ Between any two wavelet sets there is a canonical measurable bijection made
 of 2*pi*Z shifts: push the first set onto [-pi, pi) with its translation
 witness, then pull back with the inverse of the second witness.  The map
 extends to the punctured line by commuting with dyadic dilation.  Composition
-and the extension are one pull-back step on integer coordinate rows; a power
-is O(log p) such steps on one chain of int rows, its `Fraction`s built on read.
+and the extension are one pull-back step on the coordinate rows the maps carry; a power is
+O(log p) such steps on one chain of sigma's coordinate type, its `Fraction`s built on read.
 It corresponds to a unitary in the local commutant exactly when all of its
 shifts stay on the 2*pi*Z lattice.
 """
@@ -14,19 +14,18 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Union
 
 from . import _LAZY
 from .exact import (
-    COORD_BITS,
     PreconditionError,
     Interval,
     IntervalSet,
     RationalPi,
     _back,
     _on_one_unit,
+    _require_count,
     _times_pow2,
     ceil_log2,
     floor_log2,
@@ -116,19 +115,15 @@ def _pull_back(unit, first: list, then: list, error: str, octaves: Optional[set]
 def _chain(first: PiecewiseTranslation, then: PiecewiseTranslation, power: int = 2) -> PiecewiseTranslation:
     """x -> ext(first(x)) on the coordinate rows the two maps carry, ext the extension of `then`.
     With `first` and `then` both sigma that is sigma**2, and binary powering goes on from it to
-    sigma**power: each later bit squares the rows, each set bit takes sigma after them.  A chain
-    whose unit passes the budget goes on with Fractions over unit 1; the result's are built when read."""
+    sigma**power: each later bit squares the rows, each set bit takes sigma after them.  Int rows
+    stay ints as the unit grows, Fraction rows over unit 1 stay so; the result's are built when read."""
     start, rows, base = _on_one_unit(first, then)
     octaves = {(lo > 0, m) for lo, hi, _ in base for m in _octaves(lo, hi, start)}
     unit, rows, image = _pull_back(start, rows, base, EXTENSION_ERROR, octaves)
     for i, bit in enumerate(bin(power)[3:]):  # the step above was the first bit's squaring
         for square in [True] * (i > 0) + [False] * (bit == "1"):  # square, then sigma on a set bit
-            if type(rows[0][0]) is int and unit.bit_length() > COORD_BITS:  # Fractions over unit 1
-                rows = [tuple(Fraction(x, unit) for x in row) for row in rows]
-                base = [tuple(Fraction(x, start) for x in row) for row in base]
-                unit = start = 1
-            k = unit.bit_length() - start.bit_length()  # sigma follows the unit, or is on Fractions
-            again = [(lo << k, hi << k, s << k) for lo, hi, s in base] if type(rows[0][0]) is int else base
+            k = unit.bit_length() - start.bit_length()  # sigma follows the unit; 0 on Fractions
+            again = [(lo << k, hi << k, s << k) for lo, hi, s in base] if k else base
             unit, rows, image = _pull_back(unit, rows, rows if square else again, EXTENSION_ERROR, octaves)
     return PiecewiseTranslation._mapped(unit, rows, image)
 
@@ -153,10 +148,9 @@ def dyadic_extension(base: PiecewiseTranslation,
 
 
 def compose_power(sigma: SigmaMap, power: int) -> PiecewiseTranslation:
-    """The p-th power of the extended map on w1 by binary powering in one `_chain`.  sigma**2 stays
-    the same step called as `dyadic_extension`, the call `benches/run.py` counts as an extension."""
-    if not 1 <= power <= MAX_POWER:
-        raise PreconditionError(f"power must lie in 1..{MAX_POWER}, got {power}")
+    """The p-th power of the extended map on w1 by binary powering in one `_chain` on sigma's rows.
+    sigma**2 stays the same step called as `dyadic_extension`, the call `benches/run.py` counts."""
+    power = _require_count("power", power, MAX_POWER)
     if power <= 2:
         return sigma.mapping if power == 1 else dyadic_extension(sigma.mapping, sigma.mapping)
     return _chain(sigma.mapping, sigma.mapping, power)

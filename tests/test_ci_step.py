@@ -82,6 +82,11 @@ def test_the_stdlib_only_step_passes():
             ' and "wavemult.dimension" not in sys.modules\n') in script
     assert "(11, 12, 16)" in script  # overlapping dilates in one base row, exact on ints
     assert "wm.compose_power(mirror, 3) == wm.dyadic_extension(mirror.mapping, squared)" in script
+    # sigma powers and a join of two int maps past the budget stay on ints; a power is an integer
+    assert "wm.compose_power(m, 5) == wm.dyadic_extension(m.mapping, wm.compose_power(m, 4))" in script
+    assert "len(wm.compose_power(m, 16).coefs) == 50" in script
+    assert "wm.compose_power(coprime, 3) == coprime.mapping" in script
+    assert "wm.compose_power(coprime, 1.5)" in script and "except wm.PreconditionError:" in script
     assert "wm.dimension_values(W, pts) == [wm.dimension_function(W).value_at(p) for p in pts]" in script
     # past the budget, D's Fraction row starts read just below by the points' own coefficients
     assert "wm.dimension_values(V, below) == [D.value_at(p) for p in below]" in script

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from wavemult import dimension
 from wavemult.dimension import (
+    MAX_GRID,
     StepFunction,
     core_equivalence_regions,
     dimension_function,
@@ -375,6 +377,14 @@ class TestDimensionIntegral:
         with pytest.raises(PreconditionError, match=rf"terms must lie in 1\.\.1024, got {terms}$"):
             dimension_integral(parse_set("[1pi,2pi)"), terms)
 
+    @pytest.mark.parametrize("terms", [2.5, 30.0, Fraction(30)])
+    def test_non_integer_terms_fail_fast(self, monkeypatch, terms):
+        """A count of terms is what `operator.index` takes; else it raises, naming the value,
+        before D is built."""
+        monkeypatch.setattr(dimension, "dimension_function", lambda W: pytest.fail("D built"))
+        with pytest.raises(PreconditionError, match=re.escape(f"terms must be an integer in 1..1024, got {terms!r}")):
+            dimension_integral(parse_set("[-2pi,-1pi),[1pi,2pi)"), terms)
+
 
 class TestCoreEquivalence:
     def test_mirror_pair_equivalent(self, w1, w2):
@@ -400,6 +410,12 @@ class TestMidpointGrid:
         for xi in grid:
             assert xi not in breakpoints
             assert POS_WINDOW.contains(xi)
+
+    @pytest.mark.parametrize("count", [10.0, 2.5, Fraction(8)])
+    def test_a_non_integer_size_fails_before_the_step_function(self, journe, monkeypatch, count):
+        monkeypatch.setattr(dimension, "dimension_step_function", lambda W, window: pytest.fail("D built"))
+        with pytest.raises(PreconditionError, match=re.escape(f"grid size must be an integer in 1..{MAX_GRID}, got {count!r}")):
+            midpoint_grid(journe, POS_WINDOW, count)
 
     def test_empty_window_gives_empty_grid(self, journe):
         assert midpoint_grid(journe, IntervalSet.empty(), 16) == []

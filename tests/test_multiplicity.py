@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,11 @@ class TestDepthPreconditions:
             uniform_grid(FULL_WINDOW, count)
         with pytest.raises(PreconditionError):
             midpoint_grid(shannon, FULL_WINDOW, count)
+
+    @pytest.mark.parametrize("count", [10.0, 2.5, Fraction(8), "8"])
+    def test_non_integer_grid_sizes_rejected(self, count):
+        with pytest.raises(PreconditionError, match=re.escape(f"grid size must be an integer in 1..{MAX_GRID}, got {count!r}")):
+            uniform_grid(FULL_WINDOW, count)
 
     def test_largest_grid_accepted(self):
         assert len(uniform_grid(FULL_WINDOW, MAX_GRID)) == MAX_GRID

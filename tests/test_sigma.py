@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from dataclasses import fields
 
@@ -253,6 +254,15 @@ class TestComposePower:
         with pytest.raises(PreconditionError, match=f"power must lie in 1..{MAX_POWER}"):
             compose_power(paper_sigma, MAX_POWER + 1)
 
+    @pytest.mark.parametrize("power", [1.5, Fraction(3, 2), 2.5, 3.0, "3"])
+    def test_a_non_integer_power_raises_before_any_step(self, paper_sigma, monkeypatch, power):
+        """A power is what `operator.index` takes: 1.5 must not give sigma**2, nor 2.5 a
+        TypeError after it.  The error names the value before a pull-back step runs."""
+        monkeypatch.setattr(sigma_module, "_pull_back", lambda *args: pytest.fail("a step ran"))
+        message = f"power must be an integer in 1..{MAX_POWER}, got {power!r}"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            compose_power(paper_sigma, power)
+
     @pytest.mark.parametrize("a,b", list(itertools.permutations(CATALOG_NAMES, 2)))
     def test_binary_powers_match_sequential_loop(self, a, b):
         sigma = build_sigma(catalog(a), catalog(b))
@@ -304,24 +314,30 @@ def two_interval(c):
                                        Interval(RationalPi(c), RationalPi(2 * c))])
 
 
+def coprime_sigma(e):
+    """sigma between the two-interval sets at c = 1 + 3**-e and c = 1 - 5**-(7e/10): coprime
+    denominators, and sigma**2 is the identity, so sigma**3 = sigma.  At e = 1000 each set's unit
+    is within the budget and their lcm, 3212 bits, is past it; at e = 2000 each set passes it."""
+    return build_sigma(two_interval(1 + Fraction(1, 3**e)), two_interval(1 - Fraction(1, 5**(7 * e // 10))))
+
+
 def integer_side_sigmas():
-    """(sigma, powers): the 12 ordered catalog pairs and seeded two-interval pairs."""
+    """(sigma, powers): the 12 ordered catalog pairs, seeded two-interval pairs, and the coprime
+    pair whose sets fit the budget, though sigma's unit does not: its powers stop at 3."""
     cases = [(build_sigma(catalog(a), catalog(b)), range(1, 17))
              for a, b in itertools.permutations(CATALOG_NAMES, 2)]
     rng = random.Random(1919)
     sets = [two_interval_wavelet_set(rng) for _ in range(6)]
     cases += [(build_sigma(a, b), range(1, 9)) for a, b in zip(sets, sets[1:])]
     cases += [(build_sigma(sets[0], catalog(name)), range(1, 9)) for name in CATALOG_NAMES]
-    return cases
+    return cases + [(coprime_sigma(1000), range(1, 4))]
 
 
 def fraction_side_sigmas():
-    """(sigma, powers) whose unit passes the budget: a set 2**-10000 pi from 0 and its
-    mirror, and two two-interval sets whose denominators 3**1000 and 5**700 are coprime.
-    The second sigma**2 is the identity, so sigma**3 = sigma: its powers stop at 3."""
+    """(sigma, powers) whose own sets pass the budget: a set 2**-10000 pi from 0 and its
+    mirror, and the coprime pair at 3**2000 and 5**1400, whose powers stop at 3."""
     W = near_zero_wavelet_set(10000)
-    coprime = build_sigma(two_interval(1 + Fraction(1, 3**1000)), two_interval(1 - Fraction(1, 5**700)))
-    return [(build_sigma(W, W.negate()), range(1, 6)), (coprime, range(1, 4))]
+    return [(build_sigma(W, W.negate()), range(1, 6)), (coprime_sigma(2000), range(1, 4))]
 
 
 def fraction_extension_after(base, region):
@@ -714,10 +730,10 @@ class TestChain:
         want = next(itertools.islice(loop_compose_powers(sigma), 2, None))
         assert got == want == binary_power(sigma, 3)
 
-    def test_the_budget_moves_a_chain_to_fractions(self, steps):
+    def test_a_chain_stays_on_ints_past_the_budget(self, steps):
         """The near-zero sigma with n = 1000 has a unit of about 1000 bits, and each squaring
-        doubles it: the step to sigma**4 starts within the budget and ends past it, so the two
-        steps after it run on Fractions over unit 1."""
+        doubles it: the step to sigma**4 starts within the budget and ends past it, and the two
+        steps after it stay on ints over units past it."""
         calls, sides = steps
         W = near_zero_wavelet_set(1000)
         sigma = build_sigma(W, W.negate())
@@ -725,8 +741,19 @@ class TestChain:
         sides.clear()
         compose_power(sigma, 16)
         units = [args[0] for args, _ in calls]
-        assert sides == ["int", "int", "Fraction", "Fraction"], sides
-        assert units[1].bit_length() <= COORD_BITS < calls[1][1][0].bit_length() and units[2:] == [1, 1], units
+        assert sides == ["int"] * 4, sides
+        assert units[1].bit_length() <= COORD_BITS < calls[1][1][0].bit_length(), units
+        assert all(unit.bit_length() > COORD_BITS for unit in units[2:]), units
+
+    def test_two_int_maps_join_on_ints_past_the_budget(self):
+        """The coprime pair's sets fit the budget and sigma joins them over the lcm of their
+        units, past it, on ints; so does its cube, which is sigma again."""
+        sigma = coprime_sigma(1000)
+        cube = compose_power(sigma, 3)
+        for power in (sigma.mapping, cube):
+            unit, rows = power._carried
+            assert unit.bit_length() > COORD_BITS and all(type(x) is int for row in rows for x in row), unit
+        assert cube == sigma.mapping
 
     @pytest.mark.parametrize("side", ["int", "Fraction"])
     def test_steps_raise_the_reference_messages(self, side):
@@ -772,6 +799,12 @@ class TestLocalCommutant:
         piece, shift = verdict.witness
         assert shift == rp(-9, 4)
         assert piece.to_text() == "[17/8pi,273/128pi)"
+
+    @pytest.mark.parametrize("power", [1.5, Fraction(3, 2), 2.0])
+    def test_a_non_integer_power_has_no_verdict(self, paper_sigma, power):
+        """No verdict reports power=1.5 with sigma**2's answer."""
+        with pytest.raises(PreconditionError, match=re.escape(f"must be an integer in 1..{MAX_POWER}, got {power!r}")):
+            power_in_local_commutant(paper_sigma, power)
 
     def test_identity_all_powers_in(self, journe):
         identity = build_sigma(journe, journe)
