@@ -42,10 +42,11 @@ class StepFunction(Piecewise):
     of step functions is equality of dataclasses.
     """
 
-    def _build(self, triples: list) -> None:
+    @classmethod
+    def _rows(cls, triples: list) -> list[list]:
         if any(value < 0 for _, _, value in triples):
             raise ValueError("step function values must be nonnegative")
-        super()._build(triples)
+        return super()._rows(triples)
 
     def constant_value(self) -> Optional[int]:
         values = {value for *_, value in self._on_unit()[1]}
@@ -81,7 +82,7 @@ def dimension_function(W: IntervalSet) -> StepFunction:
     # 2*pi cells: the fold's three-fragment cap never binds here.
     pieces = [(_times_pow2(lo, -j), _times_pow2(hi, -j)) for j in range(1, top) for lo, hi in pairs]
     items += [(lo + s, hi + s, 1) for lo, hi, s in _fold(pieces, unit) if s]
-    return StepFunction._on(unit, cover(items), [(pairs, W.coefs)])
+    return StepFunction._on(unit, cover(items))
 
 
 def dimension_step_function(W: IntervalSet, query: IntervalSet) -> StepFunction:

@@ -8,12 +8,12 @@ sorted, pairwise disjoint, never adjacent.  The data of an interval set or a
 piecewise-constant function is its `coefs`, tuples of `Fraction` coefficients;
 `Interval` and `RationalPi` objects are built from them only at the edge:
 iteration, `pieces`, `rows()`, `value_at` and text.  The wavelet-set check, the
-dimension function and every translation map run on the integer coordinates
-x * unit of `_coordinates`, and their results keep (unit, int rows): `coefs` is
-built from those on first read, by one `_back`, and the readers that compare or
-add ints read the rows.  One walk, `cover`, overlays unsorted or overlapping intervals: it
-sums their weights over each run between endpoints, and every exact overlay reads its answer
-from those totals.  Sorted, disjoint rows are found by bisection instead.
+dimension function and every translation map run on the integer coordinates x * unit of
+`_coordinates`, and their results keep (unit, int rows), as a `Piecewise` given as triples keeps
+its rows over unit 1: `coefs` is built from those on first read, by one `_back`, and the readers
+that compare or add ints, and `pairs`, read the rows.  One walk, `cover`, overlays unsorted or
+overlapping intervals: it sums their weights over each run between endpoints, and every exact
+overlay reads its answer from those totals.  Sorted, disjoint rows are found by bisection instead.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ class _Coefs:
 
 
 class _OnUnit:
-    """A result that a builder on integer coordinates made by `_on`: it carries (unit, rows) and
-    builds `coefs` on their first read.  A dataclass subclass takes `coefs` as its one field."""
+    """A result made by `_on`, as every `Piecewise` is: it carries (unit, rows) and builds `coefs`
+    on their first read.  A dataclass subclass takes `coefs` as its one field."""
 
     coefs = _Coefs()
 
@@ -244,8 +244,8 @@ class _OnUnit:
         return self
 
     def _on_unit(self) -> tuple:
-        """(unit, rows): the carried coordinate rows, or the coefs themselves over unit 1."""
-        return self.__dict__.get("_carried") or (1, self.coefs)
+        """(unit, rows): the carried coordinate rows."""
+        return self._carried
 
 
 def _on_one_unit(first: _OnUnit, then: _OnUnit) -> tuple:
@@ -524,11 +524,12 @@ class Piecewise(_OnUnit):
     left endpoint, touching rows of one tag merged; equality and hashing compare
     it.  `from_triples` is the public constructor.  It rejects entries other than ints and
     Fractions, drops empty triples, sorts the rest by left endpoint unless they come
-    sorted, and rejects any two that overlap, of one tag or of two; a builder on integer
-    coordinates hands its canonical rows to `_on`.  `coefs`, `domain`, and `pairs` (each
-    value once, in value order, with its IntervalSet), are built when first read; `rows()`
-    builds `Interval` rows when called.  A tag is a value as `_value` takes it, for a
-    translation the shift's coefficient.
+    sorted, rejects any two that overlap, of one tag or of two, and hands the rows to `_on`
+    over unit 1, as a builder on integer coordinates hands its canonical rows over its
+    unit.  `coefs`, `domain`, and `pairs` (each value once, in value order, with its
+    IntervalSet, grouped on the carried tags), are built when first read; `rows()` builds
+    `Interval` rows when called.  A tag is a value as `_value` takes it, for a translation
+    the shift's coefficient.
     """
 
     coefs: tuple[tuple[Fraction, Fraction, Union[int, Fraction]], ...]
@@ -540,10 +541,8 @@ class Piecewise(_OnUnit):
     @classmethod
     def from_triples(cls, triples: Iterable[tuple]):
         """The instance whose pieces are the (lo, hi, tag) triples of int or `Fraction`
-        coefficients; any other entry raises TypeError."""
-        self = cls.__new__(cls)
-        self._build(_exact_rows(triples))
-        return self
+        coefficients, carried over unit 1; any other entry raises TypeError."""
+        return cls._on(1, cls._rows(_exact_rows(triples)))
 
     @classmethod
     def _rows(cls, triples: list) -> list[list]:
@@ -552,19 +551,17 @@ class Piecewise(_OnUnit):
             raise ValueError(cls.OVERLAP_ERROR)
         return rows
 
-    def _build(self, triples: list) -> None:
-        object.__setattr__(self, "coefs", tuple(map(tuple, self._rows(triples))))
-
     @cached_property
     def domain(self) -> IntervalSet:
         return IntervalSet.from_cells((lo, hi) for lo, hi, _ in self.coefs)
 
     @cached_property
     def pairs(self) -> tuple[tuple[IntervalSet, Any], ...]:
-        by_tag: dict = {}
-        for lo, hi, tag in self.coefs:
-            by_tag.setdefault(tag, []).append((lo, hi))
-        return tuple((IntervalSet._of(tuple(by_tag[tag])), self._value(tag)) for tag in sorted(by_tag))
+        by_key: dict = {}  # carried tag -> [tag, (lo, hi), ...]: over a positive unit it sorts as the tag
+        for (*_, key), (lo, hi, tag) in zip(self._on_unit()[1], self.coefs):
+            by_key.setdefault(key, [tag]).append((lo, hi))
+        return tuple((IntervalSet._of(tuple(cells)), self._value(tag))
+                     for tag, *cells in map(by_key.get, sorted(by_key)))
 
     def value_at(self, x: RationalPi) -> Any:
         i = bisect_right(self.coefs, x.coef, key=itemgetter(0)) - 1

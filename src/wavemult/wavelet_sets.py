@@ -23,7 +23,6 @@ from .exact import (
     RationalPi,
     _coordinates,
     _disjoint_rows,
-    _on_one_unit,
     _exact_rows,
     _times_pow2,
     floor_log2,
@@ -86,7 +85,7 @@ class PiecewiseTranslation(Piecewise):
     cases = Piecewise.rows
 
     def inverse(self) -> "PiecewiseTranslation":
-        unit, rows, _ = _on_one_unit(self, self)
+        unit, rows = self._on_unit()
         return PiecewiseTranslation._mapped(unit, *self._canonical([(lo + s, hi + s, -s) for lo, hi, s in rows]))
 
 

@@ -100,6 +100,11 @@ def test_the_stdlib_only_step_passes():
     # past the budget, a restriction of D by bisection and a cover of its Fraction rows
     assert "cut.coefs == ((-1, -a, 1), (a / 3, Fraction(1, 2), 1))" in script
     assert "wm.core_equivalence_regions(W, W, window).is_empty" in script
+    # a unit-1 map inverted on its carried rows; pairs past the budget as the Fraction grouping
+    assert ("unit_one.inverse() == wm.PiecewiseTranslation.from_triples([(3, 4, -2), (1, 2, 4)])"
+            ' and "coefs" not in vars(unit_one)') in script
+    assert ("squared.pairs == tuple((wm.IntervalSet.from_cells(tags[s]), wm.RationalPi(s))"
+            " for s in sorted(tags))") in script
     code, out, err = finish(step_process(sys.executable, script))
     assert code == 0, err
     assert "stdlib-only exact check passed" in out

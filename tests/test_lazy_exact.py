@@ -6,7 +6,8 @@ map back when they are first read.  Against an eager counterpart, each carried c
 mapped to c / unit at once and built again by the public constructor: the same values and
 types, read in every order, within the `COORD_BITS` budget and past it; `==` and `hash` agree
 between a lazy result and an eager one; and the readers that stay on the ints build no `coefs`
-that they do not return.
+that they do not return.  `from_triples` builds the same carried form over unit 1, and `pairs`
+groups on the carried tags as a grouping of the `coefs` by their Fraction tags does.
 """
 
 import itertools
@@ -15,8 +16,16 @@ from fractions import Fraction
 
 import pytest
 
-from wavemult.dimension import StepFunction, dimension_function, dimension_integral, dimension_values, mra_consistent
-from wavemult.exact import COORD_BITS, IntervalSet, RationalPi
+from wavemult.dimension import (
+    StepFunction,
+    dimension_function,
+    dimension_integral,
+    dimension_step_function,
+    dimension_values,
+    mra_consistent,
+)
+from wavemult.exact import COORD_BITS, IntervalSet, Piecewise, RationalPi
+from wavemult.parsing import parse_set
 from wavemult.sigma import build_sigma, compose, compose_power, power_in_local_commutant
 from wavemult.wavelet_sets import CATALOG_NAMES, PiecewiseTranslation, catalog, is_wavelet_set
 
@@ -171,3 +180,62 @@ class TestReadersStayOnInts:
         assert "coefs" not in verdict.composed.__dict__ and "coefs" not in sigma.mapping.__dict__
         assert verdict.in_commutant == verdict.composed.is_two_pi_integral == (verdict.witness is None)
         assert verdict.witness == object_commutant_witness(verdict.composed)
+
+
+class TestFromTriplesCarriesItsRows:
+    """`from_triples` gives the carried form over unit 1, as every builder on coordinates does."""
+
+    @pytest.mark.parametrize("cls", [Piecewise, StepFunction])
+    def test_the_rows_over_unit_one_and_coefs_on_first_read(self, cls):
+        f = cls.from_triples([(2, 3, 1), (0, 1, 2), (1, 2, 2), (Fraction(7, 2), 4, 0)])
+        unit, rows = f._carried
+        assert (unit, [tuple(row) for row in rows]) == (1, [(0, 2, 2), (2, 3, 1), (Fraction(7, 2), 4, 0)])
+        assert "coefs" not in f.__dict__
+        want = cls.from_triples([(Fraction(0), Fraction(2), Fraction(2)), (Fraction(2), Fraction(3), Fraction(1)),
+                                 (Fraction(7, 2), Fraction(4), Fraction(0))])
+        assert f.coefs == ((0, 2, 2), (2, 3, 1), (Fraction(7, 2), 4, 0)) and "coefs" in f.__dict__
+        assert f == want and hash(f) == hash(want)
+
+    def test_a_unit_one_inverse_reads_no_coefs(self):
+        f = PiecewiseTranslation.from_triples([(1, 2, 2), (5, 6, -4)])
+        assert f._carried[0] == 1
+        inverse = f.inverse()
+        assert "coefs" not in f.__dict__
+        assert inverse == PiecewiseTranslation.from_triples([(3, 4, -2), (1, 2, 4)])
+
+
+def fraction_pairs(f) -> tuple:
+    """The (set, value) pairs of f from its `coefs`: the rows grouped by their Fraction tag, the
+    tags sorted, each value the tag's as f reads it."""
+    by_tag: dict = {}
+    for lo, hi, tag in f.coefs:
+        by_tag.setdefault(tag, []).append((lo, hi))
+    value = RationalPi if isinstance(f, PiecewiseTranslation) else (lambda tag: tag)
+    return tuple((IntervalSet.from_cells(by_tag[tag]), value(tag)) for tag in sorted(by_tag))
+
+
+class TestPairsGroupOnTheCarriedTags:
+    """`pairs` groups the rows on the tags they carry and sorts those: the same pairs, in the
+    same order, as the `coefs` grouped by their Fraction tags."""
+
+    @pytest.mark.parametrize("p", [1, 2, 64, 1024])
+    def test_powers_of_a_catalog_sigma(self, p):
+        power = compose_power(sigma_of(("journe", "paper_w2")), p)
+        assert power._carried[0] > 1
+        assert power.pairs == fraction_pairs(power), p
+
+    def test_a_restricted_dimension_function(self):
+        f = dimension_step_function(catalog("journe"), parse_set("[-1pi,-1/8pi),[1/8pi,1pi)"))
+        assert len(f.pairs) > 1 and f.pairs == fraction_pairs(f)
+
+    def test_a_power_past_the_budget(self):
+        squared = compose_power(sigma_of(MIRROR), 2)
+        unit, rows = squared._carried
+        assert unit == 1 and any(type(s) is Fraction for *_, s in rows)
+        assert squared.pairs == fraction_pairs(squared)
+
+    @pytest.mark.parametrize("cls", [Piecewise, PiecewiseTranslation])
+    def test_int_coefficients_over_unit_one(self, cls):
+        f = cls.from_triples([(5, 6, -4), (1, 2, 2), (3, 4, 2), (-3, -2, 0)])
+        assert f._carried[0] == 1
+        assert f.pairs == fraction_pairs(f)

@@ -451,6 +451,15 @@ def test_a_sweep_keys_int_endpoints_by_themselves(sort_keys):
     assert min(seen["overlap"], seen["disjoint"]) >= 10, seen
 
 
+def test_a_cover_of_int_and_fraction_ends_of_one_value():
+    """Past the budget `_fold` gives int ends beside Fraction ends of equal value in one cover:
+    an int 1 and a Fraction 1 are one endpoint."""
+    items = [(Fraction(0), 1, 1), (Fraction(1), 2, 2), (1, Fraction(3, 2), -1)]
+    runs = exact.cover(items)
+    assert runs == [(0, Fraction(3, 2), 1), (Fraction(3, 2), 2, 2)]
+    assert runs == midpoint_cover(items)
+
+
 @pytest.mark.parametrize("make", [
     lambda rows: PiecewiseTranslation.from_triples((lo, hi, Fraction(tag, 2)) for lo, hi, tag in rows),
     StepFunction.from_triples,
